@@ -17,7 +17,7 @@ from .cardioid import (
     max_re_on_circle,
 )
 from .domains import Domain, Disk, CardioidDomain, make_domain, domain_in_domain, disk_in_domain
-from .functions import FunctionSpec, generator, extremal, partial_sum, growth_envelope
+from .functions import FunctionSpec, generator, extremal, growth_envelope
 from .radii import (
     RadiusResult,
     ConstantEntry,
@@ -48,7 +48,7 @@ __all__ = [
     "domain_in_domain", "eval_phi", "extremal", "f_cardioid_series",
     "generator", "growth_envelope", "image_in_domain", "inner_outer_radii",
     "janowski_radius_in_cardioid", "make_domain", "max_re_on_circle",
-    "min_re_on_circle", "monomial_member", "partial_sum",
+    "min_re_on_circle", "monomial_member",
     "radius_of_cardioid_in_class", "radius_of_class_in_cardioid",
     "ratio_class_radius", "sharpness_touch", "smallest_root_in_unit_interval",
     "subordination_radius", "verify_all_constants",

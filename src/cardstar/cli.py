@@ -265,41 +265,11 @@ def figure_svg(tag: str, n: int = 512, size: int = 480) -> str:
 # radius lookup grammar
 # ---------------------------------------------------------------------------
 
-_RADIUS_CLASSES = {
-    # tag -> (callable(param) -> RadiusResult, needs_param)
-    "cassinian": (lambda p: radii.radius_of_class_in_cardioid("cassinian", p), False),
-    "lemniscate": (lambda p: radii.radius_of_class_in_cardioid("lemniscate", p), False),
-    "exponential": (lambda p: radii.radius_of_class_in_cardioid("exponential", p), False),
-    "rational-lemniscate": (lambda p: radii.radius_of_class_in_cardioid("rational_lemniscate"), False),
-    "cardioid-wide": (lambda p: radii.radius_of_class_in_cardioid("cardioid_wide"), False),
-    "limacon": (lambda p: radii.radius_of_class_in_cardioid("limacon"), False),
-    "lune": (lambda p: radii.radius_of_class_in_cardioid("lune"), False),
-    "sine": (lambda p: radii.radius_of_class_in_cardioid("sine"), False),
-    "nephroid": (lambda p: radii.radius_of_class_in_cardioid("nephroid"), False),
-    "booth": (lambda p: radii.radius_of_class_in_cardioid("booth", p), False),
-    "bounded-re": (lambda p: radii.radius_of_class_in_cardioid("bounded_re", p), False),
-    "order": (lambda p: radii.corollary_radius("order", p or 0.0), False),
-    "ram-singh": (lambda p: radii.corollary_radius("ram_singh", p or 0.0), False),
-    "padmanabhan": (lambda p: radii.corollary_radius("padmanabhan", p or 1.0), False),
-    "janowski-m": (lambda p: radii.corollary_radius("janowski_M", p or 1.0), False),
-    "starlike": (lambda p: radii.radius_of_class_in_cardioid("starlike"), False),
-    "convex": (lambda p: radii.radius_of_class_in_cardioid("convex"), False),
-    "univalent": (lambda p: radii.radius_of_class_in_cardioid("univalent"), False),
-    "close-to-convex": (lambda p: radii.radius_of_class_in_cardioid("close_to_convex"), False),
-    "cardioid-in-order": (lambda p: radii.radius_of_cardioid_in_class("order", p or 0.0), False),
-    "cardioid-in-lemniscate": (lambda p: radii.radius_of_cardioid_in_class("lemniscate", p or 0.0), False),
-    "cardioid-in-rational-lemniscate": (lambda p: radii.radius_of_cardioid_in_class("rational_lemniscate"), False),
-    "cardioid-in-rational": (lambda p: radii.radius_of_cardioid_in_class("rational"), False),
-    "cardioid-in-sine": (lambda p: radii.radius_of_cardioid_in_class("sine"), False),
-    "cardioid-in-cosh": (lambda p: radii.radius_of_cardioid_in_class("cosh"), False),
-    "cardioid-in-nephroid": (lambda p: radii.radius_of_cardioid_in_class("nephroid"), False),
-    "cardioid-in-sigmoid": (lambda p: radii.radius_of_cardioid_in_class("sigmoid"), False),
-    "cardioid-in-ram-singh": (lambda p: radii.radius_of_cardioid_in_class("ram_singh", p or 0.0), False),
-    "cardioid-in-padmanabhan": (lambda p: radii.radius_of_cardioid_in_class("padmanabhan", p), True),
-    "cardioid-in-janowski-m": (lambda p: radii.radius_of_cardioid_in_class("janowski_M", p), True),
-    "cardioid-in-cardioid-wide": (lambda p: radii.radius_of_cardioid_in_class("cardioid_wide"), False),
-    "cardioid-in-bounded-re": (lambda p: radii.radius_of_cardioid_in_class("bounded_re", p), True),
-}
+# every class-table row, under its tag with dashes; the cardioid-in- prefix
+# marks the radius of the cardioid class in the named class
+_RADIUS_TAGS = {("cardioid-in-" if spec.direction == "within" else "")
+                + spec.tag.replace("_", "-").lower(): spec
+                for spec in radii.CLASS_TABLE.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -345,17 +315,17 @@ def cmd_member(config: CliConfig, args) -> int:
 
 def cmd_radius(config: CliConfig, args) -> int:
     tag = args.klass.lower()
-    if tag not in _RADIUS_CLASSES:
+    if tag not in _RADIUS_TAGS:
         sys.stderr.write("unknown class; available tags:\n")
-        for k in sorted(_RADIUS_CLASSES):
+        for k in sorted(_RADIUS_TAGS):
             sys.stderr.write(f"  {k}\n")
         return 2
-    fn, needs_param = _RADIUS_CLASSES[tag]
-    if needs_param and args.param is None:
+    spec = _RADIUS_TAGS[tag]
+    if spec.param is not None and spec.default is None and args.param is None:
         sys.stderr.write(f"class {tag!r} requires --param\n")
         return 2
     try:
-        res = fn(args.param)
+        res = spec.radius(args.param)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cardioid
-from . import functions
+from . import cardioid, functions, radii
 
 
 def _as_points(w) -> np.ndarray:
@@ -515,17 +514,7 @@ class GeneratorImageRegion(Domain):
         def gap(t):
             return abs(complex(self.generator(cmath.exp(1j * t))) - w)
 
-        inv = (math.sqrt(5.0) - 1.0) / 2.0
-        c = hi - inv * (hi - lo)
-        d = lo + inv * (hi - lo)
-        for _ in range(120):
-            if gap(c) < gap(d):
-                hi = d
-            else:
-                lo = c
-            c = hi - inv * (hi - lo)
-            d = lo + inv * (hi - lo)
-        return gap(0.5 * (lo + hi))
+        return gap(radii.golden_section_min(gap, lo, hi))
 
     def describe(self) -> str:
         if self.params:

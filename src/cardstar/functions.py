@@ -7,9 +7,9 @@ starlike family; these are the curves the region module samples.
 the function attaining a sharp bound; every sharpness check in the test
 suite evaluates one of these at its touch point.
 
-Also here: partial sums of truncated series, the image disk of the monomial
-z + a z^n under its quotient, and the modulus growth envelope of the
-cardioid class.
+Also here: the image disk of the monomial z + a z^n under its quotient,
+the modulus growth envelope of the cardioid class, and the series of
+z exp(int_0^z sin(t)/t dt).
 """
 
 from __future__ import annotations
@@ -153,32 +153,6 @@ _GENERATORS: dict[str, Callable] = {
 }
 
 
-# region kind implementing each generator's image (see the domains module);
-# half-plane images of the Moebius generators are disks at every radius and
-# are handled through the swept-disk machinery instead
-_GENERATOR_DOMAIN_KINDS: dict[str, str] = {
-    "cardioid": "cardioid",
-    "cardioid_wide": "cardioid_wide",
-    "limacon": "limacon",
-    "nephroid": "nephroid",
-    "lune": "lune",
-    "sine": "sine",
-    "rational": "rational",
-    "rational_lemniscate": "rational_lemniscate",
-    "sigmoid": "sigmoid",
-    "cosh": "cosh",
-    "exponential": "exponential",
-    "lemniscate": "lemniscate",
-    "cassinian": "cassinian",
-    "booth": "booth",
-    "janowski": "janowski_disk",
-    "order": "min_re",
-    "bounded_re": "bounded_re",
-    "ram_singh": "disk",
-    "padmanabhan": "disk",
-}
-
-
 def generator(name: str, **params) -> Callable:
     """Look up a generator; parametrized kinds are closed over their params."""
     try:
@@ -188,14 +162,6 @@ def generator(name: str, **params) -> Callable:
     if not params:
         return base
     return lambda z: base(z, **params)
-
-
-def generator_domain_kind(name: str) -> str:
-    """Region kind whose membership predicate matches the generator's image."""
-    try:
-        return _GENERATOR_DOMAIN_KINDS[name]
-    except KeyError:
-        raise ValueError(f"unknown generator {name!r}")
 
 
 def generator_names() -> tuple[str, ...]:
@@ -371,15 +337,8 @@ def registry_listing() -> str:
 
 
 # ---------------------------------------------------------------------------
-# partial sums, monomial image disk, growth envelope
+# monomial image disk, growth envelope, sine-integral series
 # ---------------------------------------------------------------------------
-
-def partial_sum(f: PowerSeries, n: int) -> PowerSeries:
-    """The n-th partial sum z + a2 z^2 + ... + a_n z^n as a length-n series."""
-    if not 1 <= n <= f.order:
-        raise ValueError(f"partial sum length {n} outside 1..{f.order}")
-    return f.truncate(n)
-
 
 def monomial_image_disk(n: int, a_abs: float):
     """Image disk of the quotient of z + a z^n over the unit disk.
@@ -420,4 +379,4 @@ def sine_integral_series(order: int) -> PowerSeries:
         p[k] = sign / (fact * k)
         sign = -sign
         fact *= (k + 1) * (k + 2)
-    return PowerSeries.from_ratio_coeffs(exp_coeffs(p))
+    return PowerSeries(tuple(exp_coeffs(p)))

@@ -13,6 +13,17 @@ Conventions used throughout:
     the form |w - c(r)| <= rho(r); the radius is where that disk stops
     fitting inside the cardioid region.
 
+Both directions are rows of one table, `CLASS_TABLE`: a `ClassSpec` per
+(direction, tag) holds the parameter with its valid range and default, the
+formula and claim text, and the oracle the registry checks it with.  The
+classes of order alpha, [1-a, 0], [a, -a], |w - M| < M, starlike and convex
+are special cases of the two-parameter family [A, B]; their rows map the
+parameter to (A, B) and evaluate `janowski_radius_in_cardioid`.
+
+Every root and threshold in the package is located by the two search
+helpers here: `bisect_predicate` (with `bisect_sign_change` on top) and
+`golden_section_min`.
+
 All transcendental constants are computed from library functions; reference
 decimals from the literature appear only in the registry metadata and in
 test expectations, never inside formulas.  Rows whose published formula or
@@ -22,8 +33,9 @@ value rather than silently corrected.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -37,6 +49,9 @@ E = math.e
 CLOSED_FORM = "closed_form"
 ROOT_OF_POLYNOMIAL = "root_of_polynomial"
 ORACLE = "oracle"
+
+# smallest radius a sampled radius search goes down to before giving up
+RADIUS_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,6 +71,70 @@ class RadiusResult:
             raise ValueError(f"radius {self.value} outside (0, 1]")
 
 
+# ---------------------------------------------------------------------------
+# search helpers
+# ---------------------------------------------------------------------------
+
+def bisect_predicate(holds: Callable[[float], bool], lo: float, hi: float | None,
+                     tol: float = 0.0, steps: int | None = None, scan=(),
+                     floor: float | None = None) -> float | None:
+    """Point where `holds` stops being true, by bisection of [lo, hi].
+
+    `holds` is taken to be true at `lo` unless `floor` is given: then `lo`
+    is probed first and halved until `holds` is true there, raising
+    ArithmeticError once it drops below `floor`.  The points of `scan`
+    (increasing, above `lo`) are probed next: each success becomes `lo`, the
+    first failure `hi`; when every one succeeds, `hi` is returned as is.
+    The bracket is then halved `steps` times, or until it is no wider than
+    `tol` or no longer splits, and its midpoint returned.
+    """
+    if floor is not None:
+        while not holds(lo):
+            lo, hi, scan = 0.5 * lo, lo, ()
+            if lo < floor:
+                raise ArithmeticError(f"no positive radius: the predicate fails down to {floor:g}")
+    for x in scan:
+        if not holds(x):
+            hi = x
+            break
+        lo = x
+    else:
+        if scan:
+            return hi
+    k = 0
+    while hi - lo > tol and (steps is None or k < steps):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+        k += 1
+    return 0.5 * (lo + hi)
+
+
+def bisect_sign_change(f: Callable[[float], float], lo: float, hi: float,
+                       steps: int = 60) -> float:
+    """Sign change of f on [lo, hi] by at most `steps` halvings."""
+    positive = f(lo) > 0
+    return bisect_predicate(lambda x: (f(x) > 0) == positive, lo, hi, steps=steps)
+
+
+def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
+                       steps: int = 120) -> float:
+    """Minimizer of a unimodal f on [lo, hi] by golden-section search."""
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(steps):
+        c = hi - inv * (hi - lo)
+        d = lo + inv * (hi - lo)
+        if f(c) < f(d):
+            hi = d
+        else:
+            lo = c
+    return 0.5 * (lo + hi)
+
+
 def _poly_eval(coeffs, x: float) -> float:
     acc = 0.0
     for c in reversed(coeffs):
@@ -71,40 +150,24 @@ def smallest_root_in_unit_interval(coeffs, scan_step: float = 1e-3,
     finishes to `tol`; the residual is required to vanish to 1e-12.
     """
     coeffs = tuple(float(c) for c in coeffs)
-    x_prev, f_prev = 0.0, _poly_eval(coeffs, 0.0)
-    bracket = None
-    k = 1
-    while True:
-        x = k * scan_step
-        if x >= 1.0:
-            break
+    positive = _poly_eval(coeffs, 0.0) > 0
+
+    def same_sign(x: float) -> bool:
         f = _poly_eval(coeffs, x)
-        if f == 0.0:
-            bracket = (x, x)
-            break
-        if f_prev != 0.0 and (f > 0) != (f_prev > 0):
-            bracket = (x_prev, x)
-            break
-        x_prev, f_prev = x, f
-        k += 1
-    if bracket is None:
+        return f != 0.0 and (f > 0) == positive
+
+    scan = itertools.takewhile(lambda x: x < 1.0, (k * scan_step for k in itertools.count(1)))
+    root = bisect_predicate(same_sign, 0.0, None, tol=tol, scan=scan)
+    if root is None:
         raise ValueError("no root bracketed in (0, 1)")
-    lo, hi = bracket
-    flo = _poly_eval(coeffs, lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = _poly_eval(coeffs, mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
     if abs(_poly_eval(coeffs, root)) > 1e-12:
         raise ArithmeticError(f"root residual too large at {root}")
     return root
+
+
+def _root_result(coeffs) -> RadiusResult:
+    return RadiusResult(smallest_root_in_unit_interval(coeffs), ROOT_OF_POLYNOMIAL,
+                        defining_polynomial=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -184,19 +247,9 @@ def m_knot() -> float:
     the two touch-radius curves are tangent here.  Located as the parameter
     where the interior critical point reaches cos t = 1.
     """
-    lo, hi = 1.01, cardioid.self_centered_fixed_point() - 1e-9
-
-    def h(M: float) -> float:
-        return _interior_critical_point(M, disk_interior_radius(M)) - 1.0
-
-    f_lo = h(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (h(mid) > 0) == (f_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect_sign_change(
+        lambda M: _interior_critical_point(M, disk_interior_radius(M)) - 1.0,
+        1.01, cardioid.self_centered_fixed_point() - 1e-9, steps=200)
 
 
 def m_fixed_point() -> float:
@@ -204,8 +257,21 @@ def m_fixed_point() -> float:
     return cardioid.self_centered_fixed_point()
 
 
+def cardioid_disk_radius(M: float, n: int = 4096) -> float:
+    """Largest r with the cardioid generator image of |z| < r inside
+    |w - M| < M, by bisection over n circle samples.  Self-contained oracle
+    used where the published branch formula is unreliable."""
+    e = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
+
+    def ok(r: float) -> bool:
+        w = cardioid.eval_phi(r * e)
+        return bool(np.min(M - np.abs(w - M)) > -1e-9)
+
+    return bisect_predicate(ok, 1e-4, 1.0, steps=50, scan=(1.0 - 1e-9,), floor=RADIUS_FLOOR)
+
+
 # ---------------------------------------------------------------------------
-# two-parameter family and its corollary special cases
+# two-parameter family
 # ---------------------------------------------------------------------------
 
 def janowski_radius_in_cardioid(A: float, B: float) -> RadiusResult:
@@ -231,235 +297,254 @@ def janowski_radius_in_cardioid(A: float, B: float) -> RadiusResult:
     return RadiusResult(r3, CLOSED_FORM, claim=claim, clamped=3.0 / denom >= 1.0)
 
 
-_COROLLARY_TAGS = ("order", "ram_singh", "padmanabhan", "janowski_M")
-
-
-def corollary_radius(tag: str, param: float) -> RadiusResult:
-    """Cardioid-class radius for the classical one-parameter specializations."""
-    if tag == "order":
-        if not 0.0 <= param < 1.0:
-            raise ValueError("order parameter must lie in [0, 1)")
-        value = 1.0 / (3.0 - 4.0 * param) if param <= 0.25 else 3.0 / (7.0 - 4.0 * param)
-        return RadiusResult(value, CLOSED_FORM,
-                            claim=f"radius of starlike functions of order {param:g}")
-    if tag == "ram_singh":
-        if not 0.0 <= param < 1.0:
-            raise ValueError("parameter must lie in [0, 1)")
-        value = 1.0 / (2.0 * (1.0 - param)) if param < 0.5 else 1.0
-        return RadiusResult(value, CLOSED_FORM, clamped=param >= 0.5,
-                            claim=f"radius of the [1-a, 0] family at a={param:g}")
-    if tag == "padmanabhan":
-        if not 0.0 < param <= 1.0:
-            raise ValueError("parameter must lie in (0, 1]")
-        value = 1.0 if param <= 1.0 / 3.0 else 1.0 / (3.0 * param)
-        return RadiusResult(value, CLOSED_FORM, clamped=param <= 1.0 / 3.0,
-                            claim=f"radius of the [a, -a] family at a={param:g}")
-    if tag == "janowski_M":
-        if param <= 0.5:
-            raise ValueError("disk parameter must exceed 1/2")
-        return RadiusResult(param / (3.0 * param - 1.0), CLOSED_FORM,
-                            claim=f"radius of the bounded-quotient family at M={param:g}")
-    raise ValueError(f"unknown corollary tag {tag!r}; known: {', '.join(_COROLLARY_TAGS)}")
-
-
 # ---------------------------------------------------------------------------
-# radii of named classes inside the cardioid class
+# the class table
 # ---------------------------------------------------------------------------
 
-def _nephroid_poly() -> tuple[float, ...]:
-    return (3.0, -6.0, 0.0, 2.0)  # 2r^3 - 6r + 3 ascending
+@dataclass(frozen=True)
+class OracleSpec:
+    """Declarative description of the independent check for one constant.
+
+    kinds:
+      generator_into_cardioid  payload: name, params
+      quotient_into_cardioid   payload: name
+      quotient_into_domain     payload: name, domain, domain_params
+      cardioid_into_domain     payload: domain, domain_params
+      disk_family              payload: center, spread, domain, domain_params
+      threshold                payload: name (special measurement in `verify`)
+    """
+
+    kind: str
+    payload: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class ClassSpec:
+    """One radius statement between the cardioid class and a named class.
+
+    `direction` is "of" for the radius of the named class in the cardioid
+    class and "within" for the radius of the cardioid class in the named
+    class.  A row with a `param` checks it with `valid` (raising `error`)
+    and falls back to `default` when none is given; a row without one
+    ignores any parameter.  `claim` is formatted with the parameter as p.
+
+    The radius is 1, capped, where `capped(p)` holds.  Otherwise rows of the
+    two-parameter family give `janowski(p) = (A, B)`, and the rest a
+    `formula(p)` returning the value, or a RadiusResult for a value with its
+    own method or flags.
+
+    The registry checks a row with `oracle(p)`; by default that maps the
+    generator named by the tag into the cardioid region (direction "of"),
+    or the cardioid generator into the region named by the tag ("within").
+    """
+
+    direction: str
+    tag: str
+    claim: str
+    formula: Callable | None = None
+    param: str | None = None
+    valid: Callable[[float], bool] | None = None
+    error: str = ""
+    default: float | None = None
+    capped: Callable | None = None
+    janowski: Callable | None = None
+    oracle: Callable[[float | None], OracleSpec] | None = None
+
+    def radius(self, p: float | None = None) -> RadiusResult:
+        if self.param is None:
+            p = None
+        else:
+            p = self.default if p is None else p
+            if p is None:
+                raise ValueError(f"tag {self.tag!r} needs a parameter")
+            if not self.valid(p):
+                raise ValueError(self.error)
+        claim = self.claim.format(p=p)
+        if self.capped is not None and self.capped(p):
+            return RadiusResult(1.0, CLOSED_FORM, claim=claim, clamped=True)
+        out = janowski_radius_in_cardioid(*self.janowski(p)) if self.janowski else self.formula(p)
+        if isinstance(out, RadiusResult):
+            return replace(out, claim=claim)
+        return RadiusResult(out, CLOSED_FORM, claim=claim)
+
+    def oracle_at(self, p: float | None) -> OracleSpec:
+        if self.oracle is not None:
+            return self.oracle(p)
+        if self.direction == "of":
+            return _into_cardioid(self.tag, {self.param: p} if self.param else {})
+        return _cardioid_into(self.tag, (p,) if self.param else ())
+
+
+def _into_cardioid(generator: str, params: dict) -> OracleSpec:
+    return OracleSpec("generator_into_cardioid", {"name": generator, "params": params})
+
+
+def _cardioid_into(domain: str, params: tuple) -> OracleSpec:
+    return OracleSpec("cardioid_into_domain", {"domain": domain, "params": params})
+
+
+def _unit_from_zero(p: float) -> bool:
+    return 0.0 <= p < 1.0
+
+
+def _unit_to_one(p: float) -> bool:
+    return 0.0 < p <= 1.0
+
+
+def _apollonius_disk(a: float) -> tuple[float, float, float]:
+    # |(w-1)/(w+1)| < a as the disk (center, 0, radius)
+    return (1.0 + a * a) / (1.0 - a * a), 0.0, 2.0 * a / (1.0 - a * a)
+
+
+def _bounded_quotient_ab(M: float) -> tuple[float, float]:
+    # |w - M| < M is the [A, B] family with A = 1, B = 1/M - 1
+    return 1.0, 1.0 / M - 1.0
+
+
+def _cardioid_in_bounded_quotient(M: float) -> float | RadiusResult:
+    if M > m_knot():
+        return disk_interior_radius(M)
+    # On the first branch the published term -1 + sqrt(M - 1) is not a
+    # real positive radius anywhere in the branch; report the measured
+    # value and flag the row instead of guessing a repaired formula.
+    return RadiusResult(cardioid_disk_radius(M), ORACLE, flags=("formula-suspect",))
+
+
+_NEPHROID_POLY = (3.0, -6.0, 0.0, 2.0)  # 2r^3 - 6r + 3 ascending
+
+
+def _of(tag: str, text: str, **row) -> ClassSpec:
+    return ClassSpec("of", tag, f"radius of {text} in the cardioid class", **row)
+
+
+def _within(tag: str, text: str, **row) -> ClassSpec:
+    return ClassSpec("within", tag, f"radius of the cardioid class in {text}", **row)
+
+
+_ORDER = dict(param="alpha", valid=_unit_from_zero, default=0.0,
+              error="order parameter must lie in [0, 1)")
+_LEMNISCATE = dict(param="alpha", valid=_unit_from_zero, default=0.0,
+                   error="lemniscate parameter must lie in [0, 1)")
+_RAM_SINGH = dict(param="alpha", valid=_unit_from_zero, default=0.0,
+                  error="parameter must lie in [0, 1)")
+_PADMANABHAN = dict(param="alpha", valid=_unit_to_one, error="parameter must lie in (0, 1]")
+_BOUNDED_QUOTIENT = dict(param="M", valid=lambda M: M > 0.5,
+                         error="disk parameter must exceed 1/2")
+_BOUNDED_RE = dict(param="beta", valid=lambda b: b > 1.0,
+                   error="bounded-real-part parameter must exceed 1")
+# min of the half-plane-quotient bound 1/3 and the starlikeness radius
+# tanh(pi/4) of univalent functions
+_UNIVALENT = dict(formula=lambda _: min(1.0 / 3.0, math.tanh(math.pi / 4.0)),
+                  oracle=lambda _: OracleSpec("quotient_into_cardioid", {"name": "koebe"}))
+
+CLASS_TABLE: dict[tuple[str, str], ClassSpec] = {(s.direction, s.tag): s for s in (
+    # ---- radii of named classes in the cardioid class ----------------
+    _of("cassinian", "the Cassinian class (c={p:g})", param="c", valid=_unit_to_one,
+        default=1.0, error="Cassinian parameter must lie in (0, 1]",
+        capped=lambda c: c <= 0.75, formula=lambda c: 0.75 / c),
+    _of("lemniscate", "the lemniscate class (alpha={p:g})", **_LEMNISCATE,
+        capped=lambda a: a >= 0.5, formula=lambda a: (3.0 - 4.0 * a) / (4.0 * (1.0 - a) ** 2)),
+    _of("exponential", "the exponential class (alpha={p:g})", param="alpha",
+        valid=_unit_from_zero, default=0.0, error="exponential parameter must lie in [0, 1)",
+        capped=lambda a: a >= alpha_zero(),
+        formula=lambda a: math.log(2.0 * (1.0 - a) / (1.0 - 2.0 * a))),
+    _of("rational_lemniscate", "the shifted-lemniscate class",
+        formula=lambda _: (39.0 + 17.0 * SQRT2) / 82.0),
+    _of("cardioid_wide", "the wide-cardioid class", formula=lambda _: 0.5),
+    _of("limacon", "the limacon class", formula=lambda _: SQRT2 - 1.0),
+    _of("lune", "the lune class", formula=lambda _: 0.75),
+    _of("sine", "the sine class", formula=lambda _: math.asin(0.5)),
+    _of("nephroid", "the nephroid class", formula=lambda _: _root_result(_NEPHROID_POLY)),
+    _of("booth", "the Booth-curve class (alpha={p:g})", param="alpha", valid=_unit_from_zero,
+        default=0.0, error="Booth parameter must lie in [0, 1)",
+        formula=lambda a: 1.0 / (1.0 + math.sqrt(1.0 + a))),
+    _of("bounded_re", "the bounded-real-part class (beta={p:g})", **_BOUNDED_RE, default=2.0,
+        formula=lambda b: 1.0 / (4.0 * b - 3.0)),
+    # corollaries of the two-parameter family
+    ClassSpec("of", "order", "radius of starlike functions of order {p:g}", **_ORDER,
+              janowski=lambda a: (1.0 - 2.0 * a, -1.0)),
+    ClassSpec("of", "ram_singh", "radius of the [1-a, 0] family at a={p:g}", **_RAM_SINGH,
+              janowski=lambda a: (1.0 - a, 0.0)),
+    ClassSpec("of", "padmanabhan", "radius of the [a, -a] family at a={p:g}", **_PADMANABHAN,
+              default=1.0, janowski=lambda a: (a, -a)),
+    ClassSpec("of", "janowski_M", "radius of the bounded-quotient family at M={p:g}",
+              **_BOUNDED_QUOTIENT, default=1.0, janowski=_bounded_quotient_ab,
+              oracle=lambda M: _into_cardioid("janowski",
+                                              dict(zip("AB", _bounded_quotient_ab(M))))),
+    _of("starlike", "the starlike class", janowski=lambda _: (1.0, -1.0),
+        oracle=lambda _: _into_cardioid("janowski", {"A": 1.0, "B": -1.0})),
+    _of("convex", "the convex class", janowski=lambda _: (0.0, -1.0),
+        oracle=lambda _: _into_cardioid("order", {"alpha": 0.5})),
+    _of("univalent", "the univalent class", **_UNIVALENT),
+    _of("close_to_convex", "the close-to-convex class", **_UNIVALENT),
+    # ---- radii of the cardioid class in named classes ----------------
+    _within("order", "starlike functions of order {p:g}", **_ORDER,
+            oracle=lambda a: _cardioid_into("min_re", (a,)), capped=lambda a: a <= 0.25,
+            formula=lambda a: (math.sqrt((3.0 - 4.0 * a) / 2.0) if a <= 0.625
+                               else 1.0 - math.sqrt(2.0 * a - 1.0))),
+    _within("lemniscate", "the lemniscate class (alpha={p:g})", **_LEMNISCATE,
+            formula=lambda a: -1.0 + math.sqrt((2.0 * SQRT2 - 1.0) - 2.0 * (SQRT2 - 1.0) * a)),
+    _within("rational_lemniscate", "the shifted-lemniscate class",
+            formula=lambda _: RadiusResult(
+                -1.0 + math.sqrt(1.0 + 2.0 * math.sqrt(math.sqrt(2.0 * SQRT2 - 2.0)
+                                                       - (2.0 * SQRT2 - 2.0))),
+                flags=("bounding-disk-route",)),
+            oracle=lambda _: OracleSpec("disk_family", {"center": lambda r: 1.0,
+                                                        "spread": lambda r: r + 0.5 * r * r,
+                                                        "domain": "rational_lemniscate",
+                                                        "params": ()})),
+    _within("rational", "the rational-generator class",
+            formula=lambda _: 1.0 - math.sqrt(4.0 * SQRT2 - 5.0)),
+    _within("sine", "the sine class",
+            formula=lambda _: -1.0 + math.sqrt(1.0 + 2.0 * math.sin(1.0))),
+    _within("cosh", "the hyperbolic-cosine class",
+            formula=lambda _: -1.0 + math.sqrt(-1.0 + 2.0 * math.cosh(1.0))),
+    _within("nephroid", "the nephroid class", formula=lambda _: (math.sqrt(21.0) - 3.0) / 3.0),
+    _within("sigmoid", "the sigmoid class",
+            formula=lambda _: -1.0 + math.sqrt(1.0 + 2.0 * (E - 1.0) / (E + 1.0))),
+    _within("ram_singh", "the [1-a, 0] family at a={p:g}", **_RAM_SINGH,
+            formula=lambda a: -1.0 + math.sqrt(3.0 - 2.0 * a),
+            oracle=lambda a: _cardioid_into("disk", (1.0, 0.0, 1.0 - a))),
+    _within("padmanabhan", "the [a, -a] family at a={p:g}", **_PADMANABHAN,
+            capped=lambda a: a >= alpha_knot(), formula=w_alpha,
+            oracle=lambda a: _cardioid_into("disk", _apollonius_disk(a))),
+    _within("janowski_M", "the bounded-quotient family at M={p:g}", **_BOUNDED_QUOTIENT,
+            capped=lambda M: M >= m_fixed_point(), formula=_cardioid_in_bounded_quotient,
+            oracle=lambda M: _cardioid_into("disk", (M, 0.0, M))),
+    _within("cardioid_wide", "the wide-cardioid class", capped=lambda _: True),
+    _within("bounded_re", "the bounded-real-part class (beta={p:g})", **_BOUNDED_RE,
+            capped=lambda b: b >= 2.5, formula=lambda b: math.sqrt(2.0 * b - 1.0) - 1.0),
+)}
+
+# the one-parameter specializations of the two-parameter family
+_COROLLARY_TAGS = tuple(s.tag for s in CLASS_TABLE.values() if s.janowski and s.param)
+
+
+def class_spec(direction: str, tag: str) -> ClassSpec:
+    """The class-table row for `tag` in direction "of" or "within"."""
+    try:
+        return CLASS_TABLE[(direction, tag)]
+    except KeyError:
+        raise ValueError(f"unknown class tag {tag!r}") from None
 
 
 def radius_of_class_in_cardioid(tag: str, param: float | None = None) -> RadiusResult:
     """Largest subdisk radius on which every member of the named class is
     cardioid-starlike."""
-    def claim(text: str) -> str:
-        return f"radius of {text} in the cardioid class"
-
-    if tag == "cassinian":
-        c = 1.0 if param is None else param
-        if not 0.0 < c <= 1.0:
-            raise ValueError("Cassinian parameter must lie in (0, 1]")
-        if c <= 0.75:
-            return RadiusResult(1.0, CLOSED_FORM, clamped=True,
-                                claim=claim(f"the Cassinian class (c={c:g})"))
-        return RadiusResult(0.75 / c, CLOSED_FORM, claim=claim(f"the Cassinian class (c={c:g})"))
-    if tag == "lemniscate":
-        a = 0.0 if param is None else param
-        if not 0.0 <= a < 1.0:
-            raise ValueError("lemniscate parameter must lie in [0, 1)")
-        if a >= 0.5:
-            return RadiusResult(1.0, CLOSED_FORM, clamped=True,
-                                claim=claim(f"the lemniscate class (alpha={a:g})"))
-        return RadiusResult((3.0 - 4.0 * a) / (4.0 * (1.0 - a) ** 2), CLOSED_FORM,
-                            claim=claim(f"the lemniscate class (alpha={a:g})"))
-    if tag == "exponential":
-        a = 0.0 if param is None else param
-        if not 0.0 <= a < 1.0:
-            raise ValueError("exponential parameter must lie in [0, 1)")
-        if a >= alpha_zero():
-            return RadiusResult(1.0, CLOSED_FORM, clamped=True,
-                                claim=claim(f"the exponential class (alpha={a:g})"))
-        return RadiusResult(math.log(2.0 * (1.0 - a) / (1.0 - 2.0 * a)), CLOSED_FORM,
-                            claim=claim(f"the exponential class (alpha={a:g})"))
-    if tag == "rational_lemniscate":
-        return RadiusResult((39.0 + 17.0 * SQRT2) / 82.0, CLOSED_FORM,
-                            claim=claim("the shifted-lemniscate class"))
-    if tag == "cardioid_wide":
-        return RadiusResult(0.5, CLOSED_FORM, claim=claim("the wide-cardioid class"))
-    if tag == "limacon":
-        return RadiusResult(SQRT2 - 1.0, CLOSED_FORM, claim=claim("the limacon class"))
-    if tag == "lune":
-        return RadiusResult(0.75, CLOSED_FORM, claim=claim("the lune class"))
-    if tag == "sine":
-        return RadiusResult(math.asin(0.5), CLOSED_FORM, claim=claim("the sine class"))
-    if tag == "nephroid":
-        poly = _nephroid_poly()
-        return RadiusResult(smallest_root_in_unit_interval(poly), ROOT_OF_POLYNOMIAL,
-                            defining_polynomial=poly, claim=claim("the nephroid class"))
-    if tag == "booth":
-        a = 0.0 if param is None else param
-        if not 0.0 <= a < 1.0:
-            raise ValueError("Booth parameter must lie in [0, 1)")
-        return RadiusResult(1.0 / (1.0 + math.sqrt(1.0 + a)), CLOSED_FORM,
-                            claim=claim(f"the Booth-curve class (alpha={a:g})"))
-    if tag == "bounded_re":
-        b = 2.0 if param is None else param
-        if b <= 1.0:
-            raise ValueError("bounded-real-part parameter must exceed 1")
-        return RadiusResult(min(1.0, 1.0 / (4.0 * b - 3.0)), CLOSED_FORM,
-                            claim=claim(f"the bounded-real-part class (beta={b:g})"))
-    if tag in _COROLLARY_TAGS:
-        if param is None:
-            raise ValueError(f"tag {tag!r} needs a parameter")
-        return corollary_radius(tag, param)
-    if tag == "starlike":
-        return RadiusResult(1.0 / 3.0, CLOSED_FORM, claim=claim("the starlike class"))
-    if tag == "convex":
-        return RadiusResult(0.6, CLOSED_FORM, claim=claim("the convex class"))
-    if tag in ("univalent", "close_to_convex"):
-        # min of the half-plane-quotient bound 1/3 and the starlikeness
-        # radius tanh(pi/4) of univalent functions
-        return RadiusResult(min(1.0 / 3.0, math.tanh(math.pi / 4.0)), CLOSED_FORM,
-                            claim=claim(f"the {tag.replace('_', '-')} class"))
-    raise ValueError(f"unknown class tag {tag!r}")
-
-
-# ---------------------------------------------------------------------------
-# radii of the cardioid class inside named classes
-# ---------------------------------------------------------------------------
-
-def _cardioid_into_disk_radius(M: float, samples: int = 4096) -> float:
-    """Sampled bisection for the largest r with the cardioid generator image
-    of |z| < r inside |w - M| < M.  Self-contained oracle used where the
-    published branch formula is unreliable."""
-    t = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    e = np.exp(1j * t)
-
-    def ok(r: float) -> bool:
-        w = cardioid.eval_phi(r * e)
-        return bool(np.min(M - np.abs(w - M)) > -1e-9)
-
-    if ok(1.0 - 1e-9):
-        return 1.0
-    lo, hi = 1e-4, 1.0 - 1e-9
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return class_spec("of", tag).radius(param)
 
 
 def radius_of_cardioid_in_class(tag: str, param: float | None = None) -> RadiusResult:
     """Largest subdisk radius on which every cardioid-starlike function
     belongs to the named class."""
-    def claim(text: str) -> str:
-        return f"radius of the cardioid class in {text}"
+    return class_spec("within", tag).radius(param)
 
-    if tag == "order":
-        a = 0.0 if param is None else param
-        if not 0.0 <= a < 1.0:
-            raise ValueError("order parameter must lie in [0, 1)")
-        if a <= 0.25:
-            value, clamped = 1.0, True
-        elif a <= 0.625:
-            value, clamped = math.sqrt((3.0 - 4.0 * a) / 2.0), False
-        else:
-            value, clamped = 1.0 - math.sqrt(2.0 * a - 1.0), False
-        return RadiusResult(value, CLOSED_FORM, clamped=clamped,
-                            claim=claim(f"starlike functions of order {a:g}"))
-    if tag == "lemniscate":
-        a = 0.0 if param is None else param
-        if not 0.0 <= a < 1.0:
-            raise ValueError("lemniscate parameter must lie in [0, 1)")
-        return RadiusResult(-1.0 + math.sqrt((2.0 * SQRT2 - 1.0) - 2.0 * (SQRT2 - 1.0) * a),
-                            CLOSED_FORM, claim=claim(f"the lemniscate class (alpha={a:g})"))
-    if tag == "rational_lemniscate":
-        g = 2.0 * SQRT2 - 2.0
-        value = -1.0 + math.sqrt(1.0 + 2.0 * math.sqrt(math.sqrt(g) - g))
-        return RadiusResult(value, CLOSED_FORM, claim=claim("the shifted-lemniscate class"),
-                            flags=("bounding-disk-route",))
-    if tag == "rational":
-        return RadiusResult(1.0 - math.sqrt(4.0 * SQRT2 - 5.0), CLOSED_FORM,
-                            claim=claim("the rational-generator class"))
-    if tag == "sine":
-        return RadiusResult(-1.0 + math.sqrt(1.0 + 2.0 * math.sin(1.0)), CLOSED_FORM,
-                            claim=claim("the sine class"))
-    if tag == "cosh":
-        return RadiusResult(-1.0 + math.sqrt(-1.0 + 2.0 * math.cosh(1.0)), CLOSED_FORM,
-                            claim=claim("the hyperbolic-cosine class"))
-    if tag == "nephroid":
-        return RadiusResult((math.sqrt(21.0) - 3.0) / 3.0, CLOSED_FORM,
-                            claim=claim("the nephroid class"))
-    if tag == "sigmoid":
-        return RadiusResult(-1.0 + math.sqrt(1.0 + 2.0 * (E - 1.0) / (E + 1.0)), CLOSED_FORM,
-                            claim=claim("the sigmoid class"))
-    if tag == "ram_singh":
-        a = 0.0 if param is None else param
-        if not 0.0 <= a < 1.0:
-            raise ValueError("parameter must lie in [0, 1)")
-        return RadiusResult(-1.0 + math.sqrt(3.0 - 2.0 * a), CLOSED_FORM,
-                            claim=claim(f"the [1-a, 0] family at a={a:g}"))
-    if tag == "padmanabhan":
-        if param is None:
-            raise ValueError("the [a, -a] radius needs a parameter")
-        a = param
-        if not 0.0 < a <= 1.0:
-            raise ValueError("parameter must lie in (0, 1]")
-        if a >= alpha_knot():
-            return RadiusResult(1.0, CLOSED_FORM, clamped=True,
-                                claim=claim(f"the [a, -a] family at a={a:g}"))
-        return RadiusResult(w_alpha(a), CLOSED_FORM,
-                            claim=claim(f"the [a, -a] family at a={a:g}"))
-    if tag == "janowski_M":
-        if param is None or param <= 0.5:
-            raise ValueError("disk parameter must exceed 1/2")
-        M = param
-        text = claim(f"the bounded-quotient family at M={M:g}")
-        if M >= m_fixed_point():
-            return RadiusResult(1.0, CLOSED_FORM, clamped=True, claim=text)
-        if M > m_knot():
-            return RadiusResult(disk_interior_radius(M), CLOSED_FORM, claim=text)
-        # On the first branch the published term -1 + sqrt(M - 1) is not a
-        # real positive radius anywhere in the branch; report the measured
-        # value and flag the row instead of guessing a repaired formula.
-        return RadiusResult(_cardioid_into_disk_radius(M), ORACLE, claim=text,
-                            flags=("formula-suspect",))
-    if tag == "cardioid_wide":
-        return RadiusResult(1.0, CLOSED_FORM, clamped=True,
-                            claim=claim("the wide-cardioid class"))
-    if tag == "bounded_re":
-        if param is None or param <= 1.0:
-            raise ValueError("bounded-real-part parameter must exceed 1")
-        b = param
-        if b >= 2.5:
-            return RadiusResult(1.0, CLOSED_FORM, clamped=True,
-                                claim=claim(f"the bounded-real-part class (beta={b:g})"))
-        return RadiusResult(math.sqrt(2.0 * b - 1.0) - 1.0, CLOSED_FORM,
-                            claim=claim(f"the bounded-real-part class (beta={b:g})"))
-    raise ValueError(f"unknown class tag {tag!r}")
+
+def corollary_radius(tag: str, param: float) -> RadiusResult:
+    """Cardioid-class radius for the classical one-parameter specializations."""
+    if tag not in _COROLLARY_TAGS:
+        raise ValueError(f"unknown corollary tag {tag!r}; known: {', '.join(_COROLLARY_TAGS)}")
+    return class_spec("of", tag).radius(param)
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +618,7 @@ def ratio_class_radius(i: int, chi: str) -> RadiusResult:
     text = f"radius of the ratio class {i} over chi={chi} in the cardioid class"
     if closed is not None:
         return RadiusResult(closed, CLOSED_FORM, claim=text)
-    return RadiusResult(smallest_root_in_unit_interval(poly), ROOT_OF_POLYNOMIAL,
-                        defining_polynomial=poly, claim=text)
+    return replace(_root_result(poly), claim=text)
 
 
 def ratio2_rotated_closed_form() -> float:
@@ -578,23 +662,6 @@ def convolution_radii() -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class OracleSpec:
-    """Declarative description of the independent check for one constant.
-
-    kinds:
-      generator_into_cardioid  payload: name, params
-      quotient_into_cardioid   payload: name
-      quotient_into_domain     payload: name, domain, domain_params
-      cardioid_into_domain     payload: domain, domain_params
-      disk_family              payload: center, spread, domain, domain_params
-      threshold                payload: name (special measurement in `verify`)
-    """
-
-    kind: str
-    payload: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class ConstantEntry:
     key: str
     description: str
@@ -616,6 +683,15 @@ def _entry(key, description, result: "RadiusResult | float", published=None,
                              oracle, tuple(flags) + tuple(result.flags), note)
     return ConstantEntry(key, description, float(result), CLOSED_FORM, None,
                          published, published_tol, oracle, tuple(flags), note)
+
+
+def _class_row(direction: str, key: str, tag: str, param: float | None = None,
+               published: float | None = None, tol: float = 5e-5, note: str = "") -> ConstantEntry:
+    """Registry row `direction.key` for a class-table row at `param`."""
+    spec = class_spec(direction, tag)
+    res = spec.radius(param)
+    return _entry(f"{direction}.{key}", res.claim, res, published, tol,
+                  spec.oracle_at(param), note=note)
 
 
 @lru_cache(maxsize=1)
@@ -653,88 +729,63 @@ def constants_registry() -> tuple[ConstantEntry, ...]:
                oracle=OracleSpec("threshold", {"name": "outer_disk_fixed_point"})))
 
     # ---- radii of classes in the cardioid class --------------------
-    def of_row(key, tag, param, gen, gen_params, published=None, tol=5e-5, note=""):
-        res = radius_of_class_in_cardioid(tag, param)
-        add(_entry(f"of.{key}", res.claim, res, published, tol,
-                   OracleSpec("generator_into_cardioid",
-                              {"name": gen, "params": gen_params}), note=note))
-
-    of_row("cassinian", "cassinian", 1.0, "cassinian", {"c": 1.0}, published=None)
-    of_row("lemniscate", "lemniscate", 0.0, "lemniscate", {"alpha": 0.0})
-    of_row("exponential", "exponential", 0.0, "exponential", {"alpha": 0.0})
-    of_row("rational_lemniscate", "rational_lemniscate", None,
-           "rational_lemniscate", {}, published=0.7688)
-    of_row("cardioid_wide", "cardioid_wide", None, "cardioid_wide", {}, published=0.5)
-    of_row("limacon", "limacon", None, "limacon", {}, published=0.414, tol=5e-4)
-    of_row("lune", "lune", None, "lune", {}, published=0.75)
-    of_row("sine", "sine", None, "sine", {}, published=0.523598)
-    of_row("nephroid", "nephroid", None, "nephroid", {}, published=0.557875)
-    of_row("order_low", "order", 0.1, "order", {"alpha": 0.1})
-    of_row("order_high", "order", 0.5, "order", {"alpha": 0.5})
-    of_row("ram_singh", "ram_singh", 0.25, "ram_singh", {"alpha": 0.25})
-    of_row("padmanabhan", "padmanabhan", 0.5, "padmanabhan", {"alpha": 0.5})
-    of_row("janowski_M", "janowski_M", 1.0, "janowski", {"A": 1.0, "B": 0.0})
-    of_row("booth", "booth", 0.0, "booth", {"alpha": 0.0})
-    of_row("booth_half", "booth", 0.5, "booth", {"alpha": 0.5})
-    of_row("bounded_re", "bounded_re", 2.0, "bounded_re", {"beta": 2.0})
-    of_row("starlike", "starlike", None, "janowski", {"A": 1.0, "B": -1.0})
-    of_row("convex", "convex", None, "order", {"alpha": 0.5})
-    res = radius_of_class_in_cardioid("univalent")
-    add(_entry("of.univalent", res.claim, res,
-               oracle=OracleSpec("quotient_into_cardioid", {"name": "koebe"})))
+    add(_class_row("of", "cassinian", "cassinian", 1.0))
+    add(_class_row("of", "lemniscate", "lemniscate", 0.0))
+    add(_class_row("of", "exponential", "exponential", 0.0))
+    add(_class_row("of", "rational_lemniscate", "rational_lemniscate", published=0.7688))
+    add(_class_row("of", "cardioid_wide", "cardioid_wide", published=0.5))
+    add(_class_row("of", "limacon", "limacon", published=0.414, tol=5e-4))
+    add(_class_row("of", "lune", "lune", published=0.75))
+    add(_class_row("of", "sine", "sine", published=0.523598))
+    add(_class_row("of", "nephroid", "nephroid", published=0.557875))
+    add(_class_row("of", "order_low", "order", 0.1))
+    add(_class_row("of", "order_high", "order", 0.5))
+    add(_class_row("of", "ram_singh", "ram_singh", 0.25))
+    add(_class_row("of", "padmanabhan", "padmanabhan", 0.5))
+    add(_class_row("of", "janowski_M", "janowski_M", 1.0))
+    add(_class_row("of", "booth", "booth", 0.0))
+    add(_class_row("of", "booth_half", "booth", 0.5))
+    add(_class_row("of", "bounded_re", "bounded_re", 2.0))
+    add(_class_row("of", "starlike", "starlike"))
+    add(_class_row("of", "convex", "convex"))
+    add(_class_row("of", "univalent", "univalent"))
     res = janowski_radius_in_cardioid(0.5, -0.5)
     add(_entry("of.janowski_mixed", res.claim, res,
                oracle=OracleSpec("generator_into_cardioid",
                                  {"name": "janowski", "params": {"A": 0.5, "B": -0.5}})))
 
     # ---- radii of the cardioid class in other classes --------------
-    def within_row(key, tag, param, domain, domain_params, published=None, tol=5e-5,
-                   oracle=None, flags=(), note=""):
-        res = radius_of_cardioid_in_class(tag, param)
-        orc = oracle or OracleSpec("cardioid_into_domain",
-                                   {"domain": domain, "params": domain_params})
-        add(_entry(f"within.{key}", res.claim, res, published, tol, orc,
-                   flags=flags, note=note))
-
-    within_row("order_mid", "order", 0.45, "min_re", (0.45,))
-    within_row("order_high", "order", 0.7, "min_re", (0.7,))
-    within_row("lemniscate", "lemniscate", 0.0, "lemniscate", (0.0,))
-    within_row("lemniscate_quarter", "lemniscate", 0.25, "lemniscate", (0.25,))
-    g = 2.0 * SQRT2 - 2.0
-    within_row("rational_lemniscate", "rational_lemniscate", None, None, None,
-               published=0.253734,
-               oracle=OracleSpec("disk_family",
-                                 {"center": lambda r: 1.0,
-                                  "spread": lambda r: r + 0.5 * r * r,
-                                  "domain": "rational_lemniscate", "params": ()}),
-               note=("the tabulated bound follows the bounding-disk argument; the direct "
-                     "subordination radius is larger (~0.2601) and is reported by the "
-                     "verification suite"))
-    within_row("rational", "rational", None, "rational", (), published=0.189535)
-    within_row("sine", "sine", None, "sine", (), published=0.637969)
-    within_row("cosh", "cosh", None, "cosh", (), published=0.444355)
-    within_row("nephroid", "nephroid", None, "nephroid", (), published=0.527525)
-    within_row("sigmoid", "sigmoid", None, "sigmoid", (), published=0.387168)
-    within_row("ram_singh", "ram_singh", 0.0, "disk", (1.0, 0.0, 1.0))
-    apol_c = (1.0 + 0.09) / (1.0 - 0.09)
-    apol_r = 0.6 / (1.0 - 0.09)
-    within_row("padmanabhan", "padmanabhan", 0.3, "disk", (apol_c, 0.0, apol_r))
+    add(_class_row("within", "order_mid", "order", 0.45))
+    add(_class_row("within", "order_high", "order", 0.7))
+    add(_class_row("within", "lemniscate", "lemniscate", 0.0))
+    add(_class_row("within", "lemniscate_quarter", "lemniscate", 0.25))
+    add(_class_row("within", "rational_lemniscate", "rational_lemniscate", published=0.253734,
+                   note=("the tabulated bound follows the bounding-disk argument; the direct "
+                         "subordination radius is larger (~0.2601) and is reported by the "
+                         "verification suite")))
+    add(_class_row("within", "rational", "rational", published=0.189535))
+    add(_class_row("within", "sine", "sine", published=0.637969))
+    add(_class_row("within", "cosh", "cosh", published=0.444355))
+    add(_class_row("within", "nephroid", "nephroid", published=0.527525))
+    add(_class_row("within", "sigmoid", "sigmoid", published=0.387168))
+    add(_class_row("within", "ram_singh", "ram_singh", 0.0))
+    add(_class_row("within", "padmanabhan", "padmanabhan", 0.3))
     add(_entry("within.padmanabhan_knot",
                "parameter above which the whole region fits the Apollonius disk",
                alpha_knot(), published=0.672505,
                oracle=OracleSpec("threshold", {"name": "apollonius_full_inclusion"})))
-    within_row("janowski_M_low", "janowski_M", 1.05, "disk", (1.05, 0.0, 1.05),
-               note="published first-branch term -1+sqrt(M-1) is not a real radius; "
-                    "the measured value is reported")
-    within_row("janowski_M_high", "janowski_M", 1.2, "disk", (1.2, 0.0, 1.2))
+    add(_class_row("within", "janowski_M_low", "janowski_M", 1.05,
+                   note="published first-branch term -1+sqrt(M-1) is not a real radius; "
+                        "the measured value is reported"))
+    add(_class_row("within", "janowski_M_high", "janowski_M", 1.2))
     add(_entry("within.janowski_M_knot",
                "disk parameter where the binding tangency leaves the real axis",
                m_knot(),
                published=1.1423, published_tol=5e-4,
                oracle=OracleSpec("threshold", {"name": "disk_branch_crossover"})))
-    within_row("cardioid_wide", "cardioid_wide", None, "cardioid_wide", ())
-    within_row("bounded_re", "bounded_re", 2.0, "bounded_re", (2.0,))
-    within_row("bounded_re_capped", "bounded_re", 3.0, "bounded_re", (3.0,))
+    add(_class_row("within", "cardioid_wide", "cardioid_wide"))
+    add(_class_row("within", "bounded_re", "bounded_re", 2.0))
+    add(_class_row("within", "bounded_re_capped", "bounded_re", 3.0))
 
     # ---- ratio classes ----------------------------------------------
     ratio_published = {

@@ -90,11 +90,6 @@ class PowerSeries:
         return cls((1.0,) + (0.0,) * (order - 1))
 
     @classmethod
-    def from_ratio_coeffs(cls, c: Coeffs) -> "PowerSeries":
-        """Build from the Taylor coefficients c0, c1, ... of f(z)/z."""
-        return cls(tuple(c))
-
-    @classmethod
     def koebe(cls, order: int = DEFAULT_ORDER) -> "PowerSeries":
         """z/(1-z)^2 truncated: a_n = n."""
         return cls(tuple(float(n) for n in range(1, order + 1)))
@@ -205,12 +200,7 @@ class LogDerivativeSeries:
         p = [0j] * n
         for j in range(1, n):
             p[j] = self.coeffs[j - 1] / j
-        return PowerSeries.from_ratio_coeffs(exp_coeffs(p))
-
-
-def series_exp(p: Coeffs) -> list[complex]:
-    """Alias of exp_coeffs kept close to the other series operations."""
-    return exp_coeffs(p)
+        return PowerSeries(tuple(exp_coeffs(p)))
 
 
 def f_cardioid_series(order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -223,7 +213,7 @@ def f_cardioid_series(order: int = DEFAULT_ORDER) -> PowerSeries:
         p[1] = 1.0
     if order > 2:
         p[2] = 0.25
-    return PowerSeries.from_ratio_coeffs(exp_coeffs(p))
+    return PowerSeries(tuple(exp_coeffs(p)))
 
 
 def coefficient_condition(f: PowerSeries) -> bool:

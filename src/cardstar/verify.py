@@ -92,29 +92,16 @@ def image_in_domain(spec: FunctionSpec, r: float, d: domains.Domain,
         "circle-sampling", n, "fail", witness=witness, measured_value=margin)
 
 
+# Coarse upward scan for the first failure before bisecting a radius.  The
+# scan matters for quotients with poles inside the disk (the convexity
+# functional of z + z^2), where containment is not monotone in r and a
+# single probe near 1 would be fooled.
+_RADIUS_SCAN = tuple(np.linspace(1e-4, 1.0 - 1e-9, 65)[1:].tolist())
+
+
 def _bisect_radius(ok, tol: float) -> float:
-    # Coarse upward scan for the first failure, then bisection.  The scan
-    # matters for quotients with poles inside the disk (the convexity
-    # functional of z + z^2), where containment is not monotone in r and a
-    # single probe near 1 would be fooled.
-    lo = 1e-4
-    if not ok(lo):
-        raise ArithmeticError("no positive radius: containment fails even at 1e-4")
-    hi = None
-    for r in np.linspace(lo, 1.0 - 1e-9, 65)[1:]:
-        if not ok(float(r)):
-            hi = float(r)
-            break
-        lo = float(r)
-    if hi is None:
-        return 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return radii.bisect_predicate(ok, 1e-4, 1.0, tol=tol, scan=_RADIUS_SCAN,
+                                  floor=radii.RADIUS_FLOOR)
 
 
 def subordination_radius(spec: FunctionSpec, d: domains.Domain,
@@ -122,7 +109,7 @@ def subordination_radius(spec: FunctionSpec, d: domains.Domain,
     """Largest r with spec's image of |z| < r inside d, by bisection.
 
     Returns 1.0 when the full-disk image fits.  The bracket property
-    (pass at r - tol, fail at r + tol) is asserted before returning.
+    (pass at r - tol, fail at r + tol) is checked before returning.
     """
     near = near_tolerance(d)
     e = _circle(n)
@@ -131,9 +118,9 @@ def subordination_radius(spec: FunctionSpec, d: domains.Domain,
         return d.contains_all(np.asarray(spec.w_of(r * e)), near)
 
     r_star = _bisect_radius(ok, tol)
-    if r_star < 1.0:
-        assert ok(max(r_star - tol, 1e-5)) and not ok(min(r_star + tol, 1.0 - 1e-10)), \
-            "bisection bracket violated"
+    if r_star < 1.0 and not (ok(max(r_star - tol, radii.RADIUS_FLOOR))
+                             and not ok(min(r_star + tol, 1.0 - 1e-10))):
+        raise ArithmeticError("bisection bracket violated")
     return r_star
 
 
@@ -209,34 +196,12 @@ def measured_max_arg_order(n: int = 1 << 18) -> float:
     t = np.linspace(0.0, math.pi, n)
     a = np.angle(np.asarray(cardioid.eval_phi(np.exp(1j * t))))
     j = int(np.argmax(a))
-    lo = t[max(j - 1, 0)]
-    hi = t[min(j + 1, n - 1)]
 
     def neg_arg(tt: float) -> float:
         return -np.angle(complex(cardioid.eval_phi(np.exp(1j * tt))))
 
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - inv * (hi - lo)
-    d = lo + inv * (hi - lo)
-    for _ in range(120):
-        if neg_arg(c) < neg_arg(d):
-            hi = d
-        else:
-            lo = c
-        c = hi - inv * (hi - lo)
-        d = lo + inv * (hi - lo)
-    return (2.0 / math.pi) * (-neg_arg(0.5 * (lo + hi)))
-
-
-def _bisect_parameter(f, lo: float, hi: float, iters: int = 60) -> float:
-    f_lo = f(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if (f(mid) > 0) == (f_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    t_max = radii.golden_section_min(neg_arg, t[max(j - 1, 0)], t[min(j + 1, n - 1)])
+    return (2.0 / math.pi) * (-neg_arg(t_max))
 
 
 def _inclusion_margin(inner: domains.Domain, outer: domains.Domain, n: int) -> float:
@@ -246,25 +211,25 @@ def _inclusion_margin(inner: domains.Domain, outer: domains.Domain, n: int) -> f
 
 def measured_conic_threshold(n: int = DEFAULT_SAMPLES) -> float:
     card = domains.CardioidDomain()
-    return _bisect_parameter(
+    return radii.bisect_sign_change(
         lambda k: -_inclusion_margin(domains.ConicRegion(k), card, n), 1.2, 4.0)
 
 
 def measured_exponential_threshold(n: int = DEFAULT_SAMPLES) -> float:
     card = domains.CardioidDomain()
-    return _bisect_parameter(
+    return radii.bisect_sign_change(
         lambda a: -_inclusion_margin(domains.ExponentialRegion(a), card, n), 0.05, 0.6)
 
 
 def measured_lemniscate_threshold(n: int = DEFAULT_SAMPLES) -> float:
     card = domains.CardioidDomain()
-    return _bisect_parameter(
+    return radii.bisect_sign_change(
         lambda a: -_inclusion_margin(domains.LemniscateRegion(a), card, n), 0.2, 0.9)
 
 
 def measured_cassinian_threshold(n: int = DEFAULT_SAMPLES) -> float:
     card = domains.CardioidDomain()
-    return _bisect_parameter(
+    return radii.bisect_sign_change(
         lambda c: _inclusion_margin(domains.CassinianRegion(c), card, n), 0.3, 1.0)
 
 
@@ -274,7 +239,7 @@ def measured_outer_disk_parameter(n: int = DEFAULT_SAMPLES) -> float:
     def margin(M: float) -> float:
         return float(np.min(M - np.abs(w - M)))
 
-    return _bisect_parameter(lambda M: -margin(M), 1.0, 2.4)
+    return radii.bisect_sign_change(lambda M: -margin(M), 1.0, 2.4)
 
 
 def measured_apollonius_threshold(n: int = DEFAULT_SAMPLES) -> float:
@@ -285,22 +250,12 @@ def measured_apollonius_threshold(n: int = DEFAULT_SAMPLES) -> float:
         rr = 2.0 * a / (1.0 - a * a)
         return float(np.min(rr - np.abs(w - c)))
 
-    return _bisect_parameter(lambda a: -margin(a), 0.3, 0.95)
-
-
-def _measured_disk_radius(M: float, tol: float, n: int) -> float:
-    e = _circle(n)
-
-    def ok(r: float) -> bool:
-        w = cardioid.eval_phi(r * e)
-        return bool(np.min(M - np.abs(w - M)) > -1e-9)
-
-    return _bisect_radius(ok, tol)
+    return radii.bisect_sign_change(lambda a: -margin(a), 0.3, 0.95)
 
 
 def _disk_touch_angle(M: float, n: int) -> float:
     """Circle angle of the binding tangency at the containment radius."""
-    r = _measured_disk_radius(M, 1e-9, n)
+    r = radii.cardioid_disk_radius(M, n)
     t = np.linspace(0.0, math.pi, n // 2 + 1)
     w = cardioid.eval_phi(r * np.exp(1j * t))
     return float(t[int(np.argmin(M - np.abs(w - M)))])
@@ -314,7 +269,7 @@ def measured_disk_branch_crossover(n: int = 8192) -> float:
     touch angle grows like sqrt(M - M*), so thresholding it at 0.02 locates
     the crossover to a few times 1e-5.
     """
-    return _bisect_parameter(
+    return radii.bisect_sign_change(
         lambda M: 0.02 - _disk_touch_angle(M, n),
         1.05, cardioid.self_centered_fixed_point() - 1e-6, 40)
 
@@ -342,7 +297,7 @@ def measured_generator_convexity_radius(n: int = DEFAULT_SAMPLES) -> float:
         z = r * e
         return float(np.min((1.0 + z / (1.0 + z)).real))
 
-    return _bisect_parameter(min_conv, 1e-3, 1.0 - 1e-9, 80)
+    return radii.bisect_sign_change(min_conv, 1e-3, 1.0 - 1e-9, 80)
 
 
 def measured_growth_lower_limit(order: int = 64) -> float:
@@ -442,20 +397,13 @@ def verify_all_constants(samples: int = DEFAULT_SAMPLES,
 # claim suites
 # ---------------------------------------------------------------------------
 
-def _sharp_inclusion_report(name: str, build_inner, threshold: float, offset: float,
-                            n: int, outer: domains.Domain | None = None,
-                            flip: bool = False) -> VerificationReport:
-    """Inclusion holds at `threshold` and fails at `threshold - offset`
-    (or + offset when `flip`), matching the sharpness direction."""
-    card = domains.CardioidDomain()
-    outer_at = (lambda p: outer) if outer is not None else (lambda p: card)
-    inner_at = build_inner
-    good = threshold
-    bad = threshold + offset if flip else threshold - offset
-    ok_at = _inclusion_margin(inner_at(good), outer_at(good), n) > -1e-7
-    bad_margin = _inclusion_margin(inner_at(bad), outer_at(bad), n)
-    ok_beyond = bad_margin > -1e-7
-    if ok_at and not ok_beyond:
+def _sharp_inclusion_report(name: str, regions, good: float, step: float,
+                            n: int) -> VerificationReport:
+    """Inclusion holds at parameter `good` and fails at `good + step`;
+    `regions(p)` is the (inner, outer) pair of regions at parameter p."""
+    ok_at = _inclusion_margin(*regions(good), n) > -1e-7
+    bad_margin = _inclusion_margin(*regions(good + step), n)
+    if ok_at and not bad_margin > -1e-7:
         return VerificationReport(name, "boundary-sampling", n, "pass",
                                   measured_value=bad_margin)
     return VerificationReport(name, "boundary-sampling", n, "fail",
@@ -466,70 +414,40 @@ def inclusion_suite(samples: int = DEFAULT_SAMPLES) -> list[VerificationReport]:
     """The inclusion relations, their special-case disks, and the unity-radius claims."""
     n = samples
     card = domains.CardioidDomain()
-    reports = []
-
-    # cardioid region inside half-plane / sector: outer varies, inner fixed
-    def outer_inclusion(name, build_outer, threshold, offset):
-        ok_at = _inclusion_margin(card, build_outer(threshold), n) > -1e-7
-        bad_margin = _inclusion_margin(card, build_outer(threshold - offset), n)
-        if ok_at and not bad_margin > -1e-7:
-            return VerificationReport(name, "boundary-sampling", n, "pass",
-                                      measured_value=bad_margin)
-        return VerificationReport(name, "boundary-sampling", n, "fail", witness=0j,
-                                  measured_value=bad_margin)
-
-    reports.append(outer_inclusion(
-        "class lies in starlike functions of order up to 1/4",
-        lambda a: domains.HalfPlaneReAbove(a), 0.25, -0.01))  # fails at 0.26
-    reports.append(outer_inclusion(
-        "class lies in strongly starlike functions of published order",
-        lambda b: domains.Sector(b), 0.743253, 0.01))
-    reports.append(_sharp_inclusion_report(
-        "conic regions fit inside from parameter 5/3 on",
-        lambda k: domains.ConicRegion(k), 5.0 / 3.0, 0.01, n))
-    reports.append(_sharp_inclusion_report(
-        "exponential regions fit inside from the threshold on",
-        lambda a: domains.ExponentialRegion(a), radii.alpha_zero(), 0.01, n))
-    reports.append(_sharp_inclusion_report(
-        "lemniscate regions fit inside from parameter 1/2 on",
-        lambda a: domains.LemniscateRegion(a), 0.5, 0.01, n))
-    reports.append(_sharp_inclusion_report(
-        "Cassinian loops fit inside up to parameter 3/4",
-        lambda c: domains.CassinianRegion(c), 0.75, 0.01, n, flip=True))
-
-    # two-parameter family: tangent disks at the condition boundary
-    for A, B in ((3.0 / 8.0, -0.25), (0.25, -0.5)):
-        disk_good = domains.janowski_disk(A, B, 1.0)
-        disk_bad = domains.janowski_disk(A + 0.01, B, 1.0)
-        ok_at = _inclusion_margin(disk_good, card, n) > -1e-7
-        bad_margin = _inclusion_margin(disk_bad, card, n)
-        verdict = "pass" if ok_at and not bad_margin > -1e-7 else "fail"
-        reports.append(VerificationReport(
-            f"two-parameter inclusion boundary at A={A:g}, B={B:g}",
-            "boundary-sampling", n, verdict,
-            witness=None if verdict == "pass" else 0j, measured_value=bad_margin))
-
-    # circumscribed disk with the self-centered parameter
-    M0 = radii.m_fixed_point()
-    w = cardioid.boundary_samples(n)
-    ok_at = float(np.min(M0 - np.abs(w - M0))) > -1e-7
-    bad = float(np.min((M0 - 0.01) - np.abs(w - (M0 - 0.01))))
-    reports.append(VerificationReport(
-        "region fits the self-centered disk and no smaller one",
-        "boundary-sampling", n, "pass" if ok_at and bad <= -1e-7 else "fail",
-        witness=None if ok_at and bad <= -1e-7 else 0j, measured_value=bad))
-
-    # corollary disks
-    reports.append(_sharp_inclusion_report(
-        "unit-centered disks fit inside up to radius 1/2",
-        lambda a: domains.Disk(1.0, 1.0 - a), 0.5, -0.01, n, flip=True))
 
     def apol(a):
         return domains.Disk((1.0 + a * a) / (1.0 - a * a), 2.0 * a / (1.0 - a * a))
 
-    reports.append(_sharp_inclusion_report(
-        "Apollonius disks fit inside up to parameter 1/3",
-        lambda a: apol(a), 1.0 / 3.0, 0.01, n, flip=True))
+    sharp = [
+        # cardioid region inside half-plane / sector: outer varies, inner fixed
+        ("class lies in starlike functions of order up to 1/4",
+         lambda a: (card, domains.HalfPlaneReAbove(a)), 0.25, 0.01),
+        ("class lies in strongly starlike functions of published order",
+         lambda b: (card, domains.Sector(b)), 0.743253, -0.01),
+        ("conic regions fit inside from parameter 5/3 on",
+         lambda k: (domains.ConicRegion(k), card), 5.0 / 3.0, -0.01),
+        ("exponential regions fit inside from the threshold on",
+         lambda a: (domains.ExponentialRegion(a), card), radii.alpha_zero(), -0.01),
+        ("lemniscate regions fit inside from parameter 1/2 on",
+         lambda a: (domains.LemniscateRegion(a), card), 0.5, -0.01),
+        ("Cassinian loops fit inside up to parameter 3/4",
+         lambda c: (domains.CassinianRegion(c), card), 0.75, 0.01),
+    ]
+    # two-parameter family: tangent disks at the condition boundary
+    for A, B in ((3.0 / 8.0, -0.25), (0.25, -0.5)):
+        sharp.append((f"two-parameter inclusion boundary at A={A:g}, B={B:g}",
+                      lambda a, B=B: (domains.janowski_disk(a, B, 1.0), card), A, 0.01))
+    sharp += [
+        # circumscribed disk with the self-centered parameter
+        ("region fits the self-centered disk and no smaller one",
+         lambda m: (card, domains.Disk(m, m)), radii.m_fixed_point(), -0.01),
+        # corollary disks
+        ("unit-centered disks fit inside up to radius 1/2",
+         lambda a: (domains.Disk(1.0, 1.0 - a), card), 0.5, -0.01),
+        ("Apollonius disks fit inside up to parameter 1/3",
+         lambda a: (apol(a), card), 1.0 / 3.0, 0.01),
+    ]
+    reports = [_sharp_inclusion_report(*claim, n) for claim in sharp]
 
     # unity-radius inclusions
     for kind in ("sigmoid", "cosh", "rational"):
@@ -642,10 +560,6 @@ def run_all_suites(samples: int = DEFAULT_SAMPLES, seed: int = 0,
     if key_filter:
         reports = [r for r in reports if key_filter.lower() in r.claim.lower()]
     return reports
-
-
-def failed_reports(reports: list[VerificationReport]) -> list[VerificationReport]:
-    return [r for r in reports if not r.passed]
 
 
 def reports_to_csv(reports: list[VerificationReport]) -> str:

@@ -13,7 +13,6 @@ from cardstar.functions import (
     generator_names,
     growth_envelope,
     monomial_image_disk,
-    partial_sum,
     registry_listing,
     sine_integral_series,
     w_of_named,
@@ -49,14 +48,15 @@ def test_generator_boundaries_match_region_boundaries():
 
 
 def test_partial_sum_examples():
+    # the n-th partial sum z + a2 z^2 + ... + an z^n is the length-n truncation
     f = f_cardioid_series(8)
-    assert partial_sum(f, 2).coeffs == pytest.approx((1.0, 1.0))
-    assert partial_sum(f, 1).coeffs == (1.0,)
-    assert partial_sum(f, 3).coeffs == pytest.approx((1.0, 1.0, 0.75))
+    assert f.truncate(2).coeffs == pytest.approx((1.0, 1.0))
+    assert f.truncate(1).coeffs == (1.0,)
+    assert f.truncate(3).coeffs == pytest.approx((1.0, 1.0, 0.75))
     with pytest.raises(ValueError):
-        partial_sum(f, 9)
+        f.truncate(9)
     with pytest.raises(ValueError):
-        partial_sum(f, 0)
+        f.truncate(0)
 
 
 def test_w_of_named_values():
@@ -169,14 +169,3 @@ def test_unknown_generator_raises():
     with pytest.raises(ValueError):
         generator("spiral")
 
-
-def test_generator_domain_kind_links():
-    from cardstar.functions import generator_domain_kind
-
-    for name in generator_names():
-        kind = generator_domain_kind(name)
-        assert isinstance(kind, str) and kind
-    assert generator_domain_kind("nephroid") == "nephroid"
-    assert generator_domain_kind("order") == "min_re"
-    with pytest.raises(ValueError):
-        generator_domain_kind("spiral")

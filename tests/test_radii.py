@@ -74,6 +74,11 @@ def test_smallest_root_residual_and_first_crossing():
 def test_janowski_examples():
     assert janowski_radius_in_cardioid(1.0, -1.0).value == pytest.approx(1.0 / 3.0)
     assert janowski_radius_in_cardioid(0.0, -1.0).value == pytest.approx(0.6)
+    # the starlike and convex classes are the families [1, -1] and [0, -1]
+    assert radius_of_class_in_cardioid("starlike").value == janowski_radius_in_cardioid(
+        1.0, -1.0).value
+    assert radius_of_class_in_cardioid("convex").value == janowski_radius_in_cardioid(
+        0.0, -1.0).value
     res = janowski_radius_in_cardioid(0.5, 0.0)
     assert res.value == 1.0 and res.clamped
     with pytest.raises(ValueError):
@@ -108,6 +113,36 @@ def test_corollary_examples():
         corollary_radius("janowski_M", 0.5)
     with pytest.raises(ValueError):
         corollary_radius("mystery", 0.5)
+    # the API falls back to the same defaults as the command line
+    assert radius_of_class_in_cardioid("order").value == pytest.approx(1.0 / 3.0)
+    assert radius_of_class_in_cardioid("padmanabhan").value == pytest.approx(1.0 / 3.0)
+    assert radius_of_class_in_cardioid("janowski_M").value == pytest.approx(0.5)
+    with pytest.raises(ValueError, match="needs a parameter"):
+        radius_of_cardioid_in_class("padmanabhan")
+    with pytest.raises(ValueError, match="must lie in"):
+        radius_of_class_in_cardioid("padmanabhan", 0.0)
+
+
+# (tag, (A, B) of the two-parameter family, the corollary's closed form)
+COROLLARIES = (
+    ("order", lambda a: (1.0 - 2.0 * a, -1.0),
+     lambda a: 1.0 / (3.0 - 4.0 * a) if a <= 0.25 else 3.0 / (7.0 - 4.0 * a)),
+    ("ram_singh", lambda a: (1.0 - a, 0.0), lambda a: min(1.0, 1.0 / (2.0 * (1.0 - a)))),
+    ("padmanabhan", lambda a: (a, -a), lambda a: min(1.0, 1.0 / (3.0 * a))),
+    ("janowski_M", lambda M: (1.0, 1.0 / M - 1.0), lambda M: M / (3.0 * M - 1.0)),
+)
+
+
+@pytest.mark.parametrize("tag, ab, closed", COROLLARIES, ids=[c[0] for c in COROLLARIES])
+def test_corollary_rows_follow_two_parameter_family(tag, ab, closed):
+    lo, hi = (0.5, 3.0) if tag == "janowski_M" else (0.0, 1.0)
+    grid = np.linspace(lo, hi, 401)[1:-1]
+    for p in grid:
+        res = corollary_radius(tag, float(p))
+        fam = janowski_radius_in_cardioid(*ab(float(p)))
+        assert (res.value, res.clamped, res.method) == (fam.value, fam.clamped, fam.method)
+        assert res.value == pytest.approx(closed(float(p)), rel=1e-15, abs=0.0), (tag, p)
+        assert res.clamped == (closed(float(p)) >= 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +245,10 @@ def test_disk_family_branches_and_flags():
     assert high.method == "closed_form"
     assert high.value == pytest.approx(radii.disk_interior_radius(1.2))
     assert radius_of_cardioid_in_class("janowski_M", 1.5).value == 1.0
+    # radii below 1e-4 are measured, not floored at the search start
+    tiny = radius_of_cardioid_in_class("janowski_M", 0.50002)
+    assert tiny.value == pytest.approx(radii.disk_real_axis_radius(0.50002), abs=1e-8)
+    assert tiny.value < 5e-5
 
 
 def test_corollary_order_knot_continuity():

@@ -58,9 +58,30 @@ def test_subordination_radius_returns_one_when_contained():
 
 
 def test_subordination_radius_no_positive_radius():
-    runaway = FunctionSpec("runaway", lambda z: 1.0 + 5000.0 * np.asarray(z, dtype=complex))
+    # true radius 1e-17, below the search floor
+    runaway = FunctionSpec("runaway", lambda z: 1.0 + 1e15 * np.asarray(z, dtype=complex))
     with pytest.raises(ArithmeticError, match="no positive radius"):
         verify.subordination_radius(runaway, domains.Disk(1.0, 0.01))
+
+
+def test_subordination_radius_below_1e4():
+    steep = FunctionSpec("steep", lambda z: 1.0 + 5000.0 * np.asarray(z, dtype=complex))
+    assert verify.subordination_radius(steep, domains.Disk(1.0, 0.01)) == pytest.approx(
+        2e-6, abs=1e-6)
+    # the cardioid class in starlike functions of order 0.99995: 1 - r + r^2/2 = 0.99995
+    r = verify.subordination_radius(functions.extremal("cardioid_extremal"),
+                                    domains.make_domain("min_re", 0.99995))
+    assert r == pytest.approx(1.0 - math.sqrt(1.0 - 2.0 * 5e-5), abs=1e-6)
+    assert r == pytest.approx(
+        radii.radius_of_cardioid_in_class("order", 0.99995).value, abs=1e-6)
+
+
+def test_subordination_radius_bracket_violation_raises(monkeypatch):
+    bisect = radii.bisect_predicate
+    monkeypatch.setattr(radii, "bisect_predicate",
+                        lambda *args, **kw: bisect(*args, **kw) + 10 * verify.DEFAULT_TOL)
+    with pytest.raises(ArithmeticError, match="bisection bracket violated"):
+        verify.subordination_radius(functions.extremal("koebe"), CARD)
 
 
 def test_disk_family_radius_matches_ratio_class():
