@@ -10,26 +10,25 @@ wrapped as a `Domain` with three capabilities:
   * ``boundary_gap(w)`` -- high-accuracy distance-like gap used by the
                        sharpness (boundary touch) checks.
 
-Kinds fall into three groups: regions with a defining inequality (disks,
+Kinds fall into two groups.  Regions with a defining inequality (disks,
 half-planes, sectors, conics, the exponential / lemniscate / Cassinian /
-sigmoid / cosh regions), the cardioid image region (preimage test, see
-`cardioid`), and generator-image regions without a usable inequality
-(nephroid, limacon, lune, sine, the rational and shifted-lemniscate
-generators, the wide cardioid, the Booth curve).  The last group uses
-even-odd winding against a dense sampled boundary polygon; interior
-classification there is conservative by the polygon sag (~1e-7 at the
-default resolution).
+sigmoid / cosh regions) evaluate it directly.  Generator images -- the
+cardioid (see `cardioid`), nephroid, limacon, lune, sine, the rational and
+shifted-lemniscate generators, the wide cardioid and the Booth curve -- are
+classified by subordination: w is inside when a root of psi(z) = w lies in
+the unit disk.  The cardioid margin is in preimage units (1 - |z|); the
+other generator margins are Euclidean distances to the boundary curve.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cardioid, functions, radii
+from . import cardioid, functions
+from .functions import SQRT2
 
 
 def _as_points(w) -> np.ndarray:
@@ -347,192 +346,146 @@ class CoshRegion(Domain):
         return out if out.shape else complex(out)
 
 
-class _BoundaryPolygon:
-    """Even-odd membership and distance against a sampled closed curve.
+def _lemniscate_inverse(w):
+    s = (SQRT2 - w) / (SQRT2 - 1.0)
+    return ((1.0 - s * s) / (1.0 + 2.0 * (SQRT2 - 1.0) * s * s))[None]
 
-    Vertices sit at half-offset parameters t_j = (j + 1/2) 2pi/m so that no
-    vertex lies exactly on the real axis, where most touch points live.
-    Work is blocked over edges to keep intermediates small.
-    """
 
-    _block = 1024
+_PM = np.array([[1.0], [-1.0]])   # the two signs of a square root, along axis 0
 
-    def __init__(self, points: np.ndarray):
-        self.points = np.asarray(points, dtype=complex)
-        self.m = len(self.points)
-        nxt = np.roll(self.points, -1)
-        self.ax, self.ay = self.points.real, self.points.imag
-        self.bx, self.by = nxt.real, nxt.imag
-        # inscribed-polygon sag bound from the second differences of the curve
-        self.sag = float(np.max(np.abs(np.diff(self.points, 2, append=self.points[:2]))) / 8.0)
-        self._build_polar_table()
+# candidate roots z of psi(z) = w, stacked along axis 0; wrong-branch roots
+# are filtered afterwards by mapping them back through the generator
+_INVERSES = {
+    # z^2 + k w z - k^2 (w - 1) = 0 with k = 1 + sqrt 2
+    "rational": lambda w: 0.5 * (1.0 + SQRT2) * (-w + _PM * np.sqrt(w * w + 4.0 * w - 4.0)),
+    # s = sqrt((1-z)/(1+2(sqrt2-1)z)); the branch check rejects Re s < 0
+    "rational_lemniscate": _lemniscate_inverse,
+    "cardioid_wide": lambda w: -1.0 + _PM * np.sqrt((3.0 * w - 1.0) / 2.0),
+    "limacon": lambda w: -SQRT2 + _PM * np.sqrt(2.0 * w),
+    # the branch check rejects the root of w = z - sqrt(1 + z^2)
+    "lune": lambda w: ((w * w - 1.0) / (2.0 * w))[None],
+    "sine": lambda w: np.arcsin(w - 1.0)[None],
+    # trigonometric roots of z^3 - 3z + 3(w - 1) = 0
+    "nephroid": lambda w: 2.0 * np.cos(
+        (np.arccos(1.5 * (1.0 - w)) + 2.0 * math.pi * np.arange(3)[:, None]) / 3.0),
+    # alpha u z^2 + z - u = 0 with u = w - 1, rationalized so alpha = 0 works
+    "booth": lambda w, alpha: 2.0 * (w - 1.0) / (
+        1.0 + _PM * np.sqrt(1.0 + 4.0 * alpha * (w - 1.0) ** 2)),
+}
 
-    def _build_polar_table(self):
-        # Every registered image region is starlike with respect to 1, so a
-        # radial table rho(theta) about 1 classifies points far from the
-        # boundary in O(log m); uncertain points fall back to the full test.
-        theta = np.unwrap(np.angle(self.points - 1.0))
-        d = np.diff(theta)
-        self.polar_ok = bool(
-            (np.all(d > 0) or np.all(d < 0))
-            and abs(abs(theta[-1] - theta[0]) - 2.0 * math.pi) < 0.1)
-        if not self.polar_ok:
-            return
-        principal = np.angle(self.points - 1.0)
-        order = np.argsort(principal)
-        th = principal[order]
-        rho = np.abs(self.points - 1.0)[order]
-        # periodic extension by two samples on each side for window lookups
-        self._th = np.concatenate([th[-2:] - 2.0 * math.pi, th, th[:2] + 2.0 * math.pi])
-        self._rho = np.concatenate([rho[-2:], rho, rho[:2]])
-        self._slack = 4.0 * self.sag + 1e-12
-
-    def polar_bounds(self, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Conservative per-point bounds on the radial boundary distance from 1
-        in the direction of each query point."""
-        th_q = np.angle(ws - 1.0)
-        j = np.clip(np.searchsorted(self._th, th_q), 2, len(self._th) - 2)
-        window = [self._rho[j - 2], self._rho[j - 1], self._rho[j], self._rho[j + 1]]
-        return (np.minimum.reduce(window) - self._slack,
-                np.maximum.reduce(window) + self._slack)
-
-    def crossings(self, ws: np.ndarray) -> np.ndarray:
-        x, y = ws.real, ws.imag
-        total = np.zeros(len(ws), dtype=np.int64)
-        for j0 in range(0, self.m, self._block):
-            sl = slice(j0, min(j0 + self._block, self.m))
-            ay, by = self.ay[sl][None, :], self.by[sl][None, :]
-            ax, bx = self.ax[sl][None, :], self.bx[sl][None, :]
-            cond = (ay > y[:, None]) != (by > y[:, None])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xin = (bx - ax) * (y[:, None] - ay) / (by - ay) + ax
-            total += np.count_nonzero(cond & (x[:, None] < xin), axis=1)
-        return total
-
-    def inside(self, ws: np.ndarray) -> np.ndarray:
-        return (self.crossings(ws) % 2) == 1
-
-    def distance(self, ws: np.ndarray) -> np.ndarray:
-        x, y = ws.real, ws.imag
-        best = np.full(len(ws), np.inf)
-        for j0 in range(0, self.m, self._block):
-            sl = slice(j0, min(j0 + self._block, self.m))
-            ax, ay = self.ax[sl][None, :], self.ay[sl][None, :]
-            dx = (self.bx[sl] - self.ax[sl])[None, :]
-            dy = (self.by[sl] - self.ay[sl])[None, :]
-            denom = dx * dx + dy * dy
-            tp = np.clip(((x[:, None] - ax) * dx + (y[:, None] - ay) * dy) / denom, 0.0, 1.0)
-            d2 = (ax + tp * dx - x[:, None]) ** 2 + (ay + tp * dy - y[:, None]) ** 2
-            best = np.minimum(best, d2.min(axis=1))
-        return np.sqrt(best)
+# points of the unit circle where psi' vanishes (cusps) or is infinite
+# (corners); steps in the boundary angle cannot settle there, so their images
+# are distance candidates of their own
+_SINGULAR_POINTS = {
+    "nephroid": (1.0, -1.0),
+    "cardioid_wide": (-1.0,),
+    "rational": (-1.0,),
+    "lune": (1j, -1j),
+    "rational_lemniscate": (1.0,),
+}
 
 
 class GeneratorImageRegion(Domain):
-    """Image of the unit disk under a univalent generator, via winding test.
+    """Image of the unit disk under a univalent generator psi (open region).
 
-    Membership is decided against the sampled boundary polygon psi(e^{it});
-    strict containment requires clearing the polygon sag, which makes the
-    open-region test conservative within a ~1e-7 band of the true curve.
+    Membership is the preimage test that `cardioid` uses: w is inside when
+    the smallest root of psi(z) = w lies in the unit disk.  Each kind has a
+    closed-form inverse in `_INVERSES`; a candidate root counts only if psi
+    maps it back to w within relative 1e-8, which discards the wrong branch
+    of square-root generators.  The margin is the Euclidean distance to the
+    boundary curve psi(e^{it}), refined from the angle of that root.
     """
 
-    # boundary corner/cusp parameters; inserting them as exact vertices keeps
-    # the polygon faithful where a square-root factor compresses the grid
-    _CORNERS = {
-        "nephroid": (0.0, math.pi),
-        "rational_lemniscate": (0.0,),
-        "rational": (math.pi,),
-        "cardioid_wide": (math.pi,),
-        "lune": (0.5 * math.pi, 1.5 * math.pi),
-    }
+    _REFINE_STEPS = 12
 
-    def __init__(self, name: str, resolution: int = 8192, **params):
+    def __init__(self, name: str, **params):
         self.kind = name
         self.params = dict(params)
         self.generator = functions.generator(name, **params)
-        t = (np.arange(resolution) + 0.5) * (2.0 * math.pi / resolution)
-        corners = self._CORNERS.get(name)
-        if corners:
-            t = np.unique(np.concatenate([t, np.asarray(corners)]))
-        self._t = t
-        self._polygon = _BoundaryPolygon(self.generator(np.exp(1j * t)))
-        self.resolution = resolution
+        self._inverse = _INVERSES[name]
+        self._singular_values = self.generator(
+            np.asarray(_SINGULAR_POINTS.get(name, ()), dtype=complex))
+
+    def _roots(self, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate roots of psi(z) = w along axis 0 and their moduli, inf
+        for a root in the disk that psi does not map back to w."""
+        with np.errstate(all="ignore"):
+            z = self._inverse(ws, **self.params)
+            size = np.abs(z)
+            size[np.isnan(size)] = np.inf
+            # only a root in the disk can make w a member, so only those are
+            # checked against the generator
+            i, j = np.nonzero(size < 1.0)
+            w = ws[j]
+            wrong = ~(np.abs(self.generator(z[i, j]) - w) <= 1e-8 * np.maximum(np.abs(w), 1.0))
+            size[i[wrong], j[wrong]] = np.inf
+        return z, size
+
+    def _distance(self, ws: np.ndarray, z: np.ndarray, size: np.ndarray) -> np.ndarray:
+        """min_t |psi(e^{it}) - w| by Gauss-Newton steps from the angle of
+        the smallest root.
+
+        A step that does not bring the boundary point closer is halved
+        instead of taken, so the iteration stays on the nearest arc when it
+        straddles a corner; every iterate is a boundary point, so the result
+        never undershoots."""
+        def curve(t):
+            return self.generator(np.exp(1j * t))
+
+        def gauss_newton_step(t, g):
+            # a derivative error moves the fixed point only in proportion to
+            # the distance, so the step can stay far below the angular
+            # distance of a query near a corner, where psi' is infinite
+            tp, tm = t + 1e-11, t - 1e-11
+            dg = (curve(tp) - curve(tm)) / (tp - tm)
+            return np.nan_to_num(np.real(np.conj(g - ws) * dg) / np.abs(dg) ** 2)
+
+        nearest = np.take_along_axis(z, np.argmin(size, axis=0)[None], axis=0)[0]
+        t = np.nan_to_num(np.angle(nearest))
+        with np.errstate(all="ignore"):
+            g = curve(t)
+            best = np.abs(g - ws)
+            step = gauss_newton_step(t, g)
+            for _ in range(self._REFINE_STEPS):
+                t_try = t - step
+                g_try = curve(t_try)
+                gap = np.abs(g_try - ws)
+                closer = gap < best
+                t = np.where(closer, t_try, t)
+                g = np.where(closer, g_try, g)
+                best = np.where(closer, gap, best)
+                step = np.where(closer, gauss_newton_step(t, g), 0.5 * step)
+        for c in self._singular_values:
+            best = np.minimum(best, np.abs(ws - c))
+        return best
 
     def margin(self, w):
         ws = _as_points(w)
-        ins = self._polygon.inside(ws)
-        dist = self._polygon.distance(ws)
-        out = np.where(ins, dist, -dist)
+        z, size = self._roots(ws)
+        dist = self._distance(ws, z, size)
+        out = np.where(size.min(axis=0) < 1.0, dist, -dist)
         return out if np.ndim(w) else float(out[0])
-
-    def contains(self, w, tol: float = 0.0) -> bool:
-        ws = _as_points(w)
-        if tol > 0.0:
-            return bool(np.min(self.margin(ws)) > -tol)
-        return bool(
-            self._polygon.inside(ws).all()
-            and (self._polygon.distance(ws) > self._polygon.sag).all()
-        )
 
     def contains_all(self, ws, tol: float = 0.0) -> bool:
         ws = _as_points(ws)
-        if self._polygon.polar_ok:
-            lo, hi = self._polygon.polar_bounds(ws)
-            rho = np.abs(ws - 1.0)
-            if bool(np.all(rho < lo)):
-                return True
-            if tol <= 0.0 and bool(np.any(rho > hi)):
-                return False
-            undecided = ~(rho < lo)
-            ws = ws[undecided]
-        ins = self._polygon.inside(ws)
-        if ins.all():
+        z, size = self._roots(ws)
+        out = size.min(axis=0) >= 1.0
+        if not out.any():
             return True
         if tol <= 0.0:
             return False
-        outliers = ws[~ins]
-        return bool((self._polygon.distance(outliers) <= tol).all())
-
-    def worst_point(self, ws) -> tuple[complex, float]:
-        ws = _as_points(ws)
-        m = self.margin(ws)
-        i = int(np.argmin(m))
-        return complex(ws[i]), float(m[i])
+        return bool((self._distance(ws[out], z[:, out], size[:, out]) <= tol).all())
 
     def boundary(self, t):
         t = np.asarray(t, dtype=float)
         out = self.generator(np.exp(1j * t))
         return out if out.shape else complex(out)
 
-    def boundary_gap(self, w: complex) -> float:
-        """min_t |psi(e^{it}) - w| refined by golden-section to ~1e-12."""
-        w = complex(w)
-        tt = self._t
-        j = int(np.argmin(np.abs(self._polygon.points - w)))
-        lo = tt[j - 1] if j > 0 else tt[-1] - 2.0 * math.pi
-        hi = tt[j + 1] if j + 1 < len(tt) else tt[0] + 2.0 * math.pi
-
-        def gap(t):
-            return abs(complex(self.generator(cmath.exp(1j * t))) - w)
-
-        return gap(radii.golden_section_min(gap, lo, hi))
-
     def describe(self) -> str:
         if self.params:
             inner = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
             return f"image of generator {self.kind}({inner})"
         return f"image of generator {self.kind}"
-
-
-_WINDING_KINDS = (
-    "rational",             # 1 + (z/k)(k+z)/(k-z), k = 1 + sqrt 2
-    "rational_lemniscate",  # sqrt2 - (sqrt2 - 1) sqrt((1-z)/(1+2(sqrt2-1)z))
-    "cardioid_wide",        # 1 + 4z/3 + 2z^2/3
-    "limacon",              # 1 + sqrt2 z + z^2/2
-    "lune",                 # z + sqrt(1 + z^2)
-    "sine",                 # 1 + sin z
-    "nephroid",             # 1 + z - z^3/3
-    "booth",                # 1 + z/(1 - alpha z^2)
-)
 
 
 def janowski_disk(A: float, B: float, r: float) -> Disk:
@@ -548,7 +501,7 @@ def janowski_disk(A: float, B: float, r: float) -> Disk:
     return Disk((1.0 - A * B * r * r) / denom, (A - B) * r / denom)
 
 
-def make_domain(kind: str, *params: float, resolution: int = 8192) -> Domain:
+def make_domain(kind: str, *params: float) -> Domain:
     """Factory over every registered region kind.
 
     Raises ValueError naming the violated constraint for bad parameters.
@@ -584,14 +537,14 @@ def make_domain(kind: str, *params: float, resolution: int = 8192) -> Domain:
         (alpha,) = params
         if not 0.0 <= alpha < 1.0:
             raise ValueError("Booth-curve parameter must lie in [0, 1)")
-        return GeneratorImageRegion("booth", resolution=resolution, alpha=alpha)
-    if kind in _WINDING_KINDS:
+        return GeneratorImageRegion("booth", alpha=alpha)
+    if kind in _INVERSES:
         if params:
             raise ValueError(f"kind {kind!r} takes no parameters")
-        return GeneratorImageRegion(kind, resolution=resolution)
+        return GeneratorImageRegion(kind)
     raise ValueError(f"unknown domain kind {kind!r}; known: "
                      f"cardioid, disk, bounded_re, min_re, sector, conic, exponential, "
-                     f"lemniscate, cassinian, sigmoid, cosh, janowski_disk, {', '.join(_WINDING_KINDS)}")
+                     f"lemniscate, cassinian, sigmoid, cosh, janowski_disk, {', '.join(_INVERSES)}")
 
 
 def disk_in_domain(disk: Disk, d: Domain, n: int = 2048, tol: float = 1e-7) -> bool:

@@ -326,7 +326,7 @@ class ClassSpec:
     class and "within" for the radius of the cardioid class in the named
     class.  A row with a `param` checks it with `valid` (raising `error`)
     and falls back to `default` when none is given; a row without one
-    ignores any parameter.  `claim` is formatted with the parameter as p.
+    rejects a parameter.  `claim` is formatted with the parameter as p.
 
     The radius is 1, capped, where `capped(p)` holds.  Otherwise rows of the
     two-parameter family give `janowski(p) = (A, B)`, and the rest a
@@ -352,7 +352,8 @@ class ClassSpec:
 
     def radius(self, p: float | None = None) -> RadiusResult:
         if self.param is None:
-            p = None
+            if p is not None:
+                raise ValueError(f"tag {self.tag!r} takes no parameter")
         else:
             p = self.default if p is None else p
             if p is None:

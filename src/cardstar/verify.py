@@ -9,9 +9,10 @@ are analytic, so the image boundary lies on the circle image, and a small
 interior spot-check guards against misuse.
 
 Near-boundary points count as inside within a small tolerance so that the
-sharp radii themselves (tangential touches) pass: 1e-7 for regions with a
-defining inequality, 1e-6 for sampled-polygon regions, whose distance
-measure is only curve-resolution accurate.
+sharp radii themselves (tangential touches) pass: 1e-6 for the generator
+images other than the cardioid, whose margins are Euclidean distances, and
+1e-7 for the cardioid, whose margin is in preimage units, and for the
+regions with a defining inequality.
 """
 
 from __future__ import annotations

@@ -46,6 +46,9 @@ def test_radius_command(capsys):
     assert code == 2 and out == "" and "must lie in (0, 1]" in err
     code, out, err = run(["radius", "janowski-m", "--param", "0"], capsys)
     assert code == 2 and out == "" and "must exceed 1/2" in err
+    # a tag without a parameter rejects one instead of ignoring it
+    code, out, err = run(["radius", "sine", "--param", "0.3"], capsys)
+    assert code == 2 and out == "" and "tag 'sine' takes no parameter" in err
 
 
 # expected `cardstar radius` output of every tag at its default parameter;

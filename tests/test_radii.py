@@ -121,6 +121,8 @@ def test_corollary_examples():
         radius_of_cardioid_in_class("padmanabhan")
     with pytest.raises(ValueError, match="must lie in"):
         radius_of_class_in_cardioid("padmanabhan", 0.0)
+    with pytest.raises(ValueError, match="tag 'sine' takes no parameter"):
+        radius_of_class_in_cardioid("sine", 0.3)
 
 
 # (tag, (A, B) of the two-parameter family, the corollary's closed form)
