@@ -32,15 +32,12 @@ from . import cardioid, domains, functions, radii, series, verify
 @dataclass
 class CliConfig:
     samples: int = 4096
-    tolerance: float = 1e-6
     output_format: str = "text"
     seed: int = 0
 
     def __post_init__(self):
         if self.samples < 256:
             raise ValueError("sample count must be at least 256")
-        if not 1e-12 <= self.tolerance <= 1e-2:
-            raise ValueError("tolerance must lie in [1e-12, 1e-2]")
         if self.output_format not in ("text", "csv", "svg"):
             raise ValueError("output format must be text, csv or svg")
 
@@ -56,7 +53,7 @@ def constants_table(config: CliConfig, with_oracle: bool = True) -> str:
         oracle_val = ""
         diff = ""
         if with_oracle and entry.oracle is not None:
-            measured = verify.measure_constant(entry, config.samples, config.tolerance)
+            measured = verify.measure_constant(entry, config.samples)
             oracle_val = f"{measured:.9g}"
             diff = f"{abs(measured - entry.value):.2e}"
         published = f"{entry.published:.9g}" if entry.published is not None else "-"
@@ -92,11 +89,6 @@ def _curve(name: str, pts: np.ndarray, outer: domains.Domain | None = None,
     return {"name": name, "points": np.asarray(pts), "outer": outer, "tol": tol}
 
 
-def _circle_pts(center: complex, radius: float, n: int) -> np.ndarray:
-    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    return center + radius * np.exp(1j * t)
-
-
 def _boundary_pts(d: domains.Domain, n: int) -> np.ndarray:
     t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     return np.asarray(d.boundary(t))
@@ -107,106 +99,106 @@ def _image_circle(w_of, r: float, n: int) -> np.ndarray:
     return np.asarray(w_of(r * np.exp(1j * t)))
 
 
+def _cardioid_curve(n: int) -> dict:
+    return _curve("cardioid", _boundary_pts(domains.CardioidDomain(), n))
+
+
+def _lemma_disks(a: float):
+    def build(n: int) -> list[dict]:
+        card = domains.CardioidDomain()
+        r_in, r_out = cardioid.inner_outer_radii(a)
+        return [
+            _cardioid_curve(n),
+            _curve(f"inscribed_disk_a{a:g}", _boundary_pts(domains.Disk(a, r_in), n),
+                   outer=card),
+            _curve(f"cardioid_in_circumscribed_a{a:g}", _boundary_pts(card, n),
+                   outer=domains.Disk(a, r_out + 1e-9)),
+            _curve(f"circumscribed_disk_a{a:g}", _boundary_pts(domains.Disk(a, r_out), n)),
+        ]
+    return build
+
+
+def _inclusion_figure(family: str, param, drawn: str, checked: str | None = None):
+    """A `verify.INCLUSION_FAMILIES` pair at its sharp parameter `param()`.
+
+    When the outer region is the cardioid, the inner boundary is drawn as
+    `drawn` and checked; otherwise the outer boundary is drawn as `drawn`
+    and the cardioid boundary, as `checked`, is checked against it.
+    """
+    def build(n: int) -> list[dict]:
+        inner, outer = verify.INCLUSION_FAMILIES[family].regions(param())
+        if checked is None:
+            return [_cardioid_curve(n), _curve(drawn, _boundary_pts(inner, n), outer=outer)]
+        return [_cardioid_curve(n), _curve(drawn, _boundary_pts(outer, n)),
+                _curve(checked, _boundary_pts(inner, n), outer=outer)]
+    return build
+
+
+def _subdisk_image(gen_name: str):
+    def build(n: int) -> list[dict]:
+        r = radii.radius_of_class_in_cardioid(gen_name).value
+        return [_cardioid_curve(n),
+                _curve(f"{gen_name}_subdisk_image",
+                       _image_circle(functions.generator(gen_name), r, n),
+                       outer=domains.CardioidDomain())]
+    return build
+
+
+def _univalent_p_disk(n: int) -> list[dict]:
+    w = functions.extremal("koebe").w_of
+    return [_cardioid_curve(n),
+            _curve("half_plane_quotient_subdisk", _image_circle(w, 1.0 / 3.0, n),
+                   outer=domains.CardioidDomain())]
+
+
+def _sharpness_s2_s3_s7_s8(n: int) -> list[dict]:
+    curves = [_cardioid_curve(n)]
+    for name, params in (("lemniscate", (0.0,)), ("rational_lemniscate", ()),
+                         ("nephroid", ()), ("sigmoid", ())):
+        outer = domains.make_domain(name, *params)
+        r = radii.radius_of_cardioid_in_class(name, *params).value
+        curves.append(_curve(f"{name}_target", _boundary_pts(outer, n)))
+        curves.append(_curve(f"cardioid_subdisk_in_{name}",
+                             _image_circle(functions.gen_cardioid, r, n), outer=outer, tol=2e-5))
+    return curves
+
+
+def _scar_in_psi_c(n: int) -> list[dict]:
+    outer = domains.make_domain("cardioid_wide")
+    return [_curve("wide_cardioid", _boundary_pts(outer, n)),
+            _curve("cardioid_inside_wide", _boundary_pts(domains.CardioidDomain(), n),
+                   outer=outer)]
+
+
+# every figure tag with the builder of its curves at n points
+FIGURES = {
+    "lemma_disks_a1": _lemma_disks(1.0),
+    "lemma_disks_a2": _lemma_disks(2.0),
+    "inclusion_g1": _inclusion_figure("half_plane", lambda: 0.25, "order_line",
+                                      "cardioid_in_half_plane"),
+    "inclusion_g2": _inclusion_figure("sector", radii.beta_zero, "sector_rays",
+                                      "cardioid_in_sector"),
+    "inclusion_g3": _inclusion_figure("conic", lambda: 5.0 / 3.0, "conic_ellipse"),
+    "inclusion_g4": _inclusion_figure("exponential", radii.alpha_zero, "exponential_region"),
+    "inclusion_g5": _inclusion_figure("lemniscate", lambda: 0.5, "lemniscate_region"),
+    "inclusion_g6": _inclusion_figure("cassinian", lambda: 0.75, "cassinian_loop"),
+    "inclusion_g7": _inclusion_figure("self_centered_disk", radii.m_fixed_point,
+                                      "self_centered_circle", "cardioid_in_disk"),
+    **{f"radius_r{i}": _subdisk_image(name) for i, name in
+       enumerate(("cardioid_wide", "limacon", "lune", "sine", "nephroid"), start=5)},
+    "univalent_p_disk": _univalent_p_disk,
+    "sharpness_s2_s3_s7_s8": _sharpness_s2_s3_s7_s8,
+    "scar_in_psiC": _scar_in_psi_c,
+}
+FIGURE_TAGS = tuple(FIGURES)
+
+
 def figure_curves(tag: str, n: int = 512) -> list[dict]:
     """Curves of a registered figure; inner curves carry the region they must
     lie inside, which the figure self-check samples."""
-    card = domains.CardioidDomain()
-    boundary = _boundary_pts(card, n)
-
-    def cardioid_curve():
-        return _curve("cardioid", boundary)
-
-    if tag in ("lemma_disks_a1", "lemma_disks_a2"):
-        a = 1.0 if tag.endswith("a1") else 2.0
-        r_in, r_out = cardioid.inner_outer_radii(a)
-        return [
-            cardioid_curve(),
-            _curve(f"inscribed_disk_a{a:g}", _circle_pts(a, r_in, n), outer=card),
-            _curve(f"cardioid_in_circumscribed_a{a:g}", boundary,
-                   outer=domains.Disk(a, r_out + 1e-9)),
-            _curve(f"circumscribed_disk_a{a:g}", _circle_pts(a, r_out, n)),
-        ]
-    if tag == "inclusion_g1":
-        half = domains.HalfPlaneReAbove(0.25)
-        return [cardioid_curve(),
-                _curve("order_line", _boundary_pts(half, n)),
-                _curve("cardioid_in_half_plane", boundary, outer=half)]
-    if tag == "inclusion_g2":
-        sector = domains.Sector(radii.beta_zero())
-        return [cardioid_curve(),
-                _curve("sector_rays", _boundary_pts(sector, n)),
-                _curve("cardioid_in_sector", boundary, outer=sector)]
-    if tag == "inclusion_g3":
-        conic = domains.ConicRegion(5.0 / 3.0)
-        return [cardioid_curve(),
-                _curve("conic_ellipse", _boundary_pts(conic, n), outer=card)]
-    if tag == "inclusion_g4":
-        d = domains.ExponentialRegion(radii.alpha_zero())
-        return [cardioid_curve(),
-                _curve("exponential_region", _boundary_pts(d, n), outer=card)]
-    if tag == "inclusion_g5":
-        d = domains.LemniscateRegion(0.5)
-        return [cardioid_curve(),
-                _curve("lemniscate_region", _boundary_pts(d, n), outer=card)]
-    if tag == "inclusion_g6":
-        d = domains.CassinianRegion(0.75)
-        return [cardioid_curve(),
-                _curve("cassinian_loop", _boundary_pts(d, n), outer=card)]
-    if tag == "inclusion_g7":
-        m0 = radii.m_fixed_point()
-        return [cardioid_curve(),
-                _curve("self_centered_circle", _circle_pts(m0, m0, n)),
-                _curve("cardioid_in_disk", boundary, outer=domains.Disk(m0, m0 + 1e-9))]
-    table = {
-        "radius_r5": ("cardioid_wide", radii.radius_of_class_in_cardioid("cardioid_wide").value),
-        "radius_r6": ("limacon", radii.radius_of_class_in_cardioid("limacon").value),
-        "radius_r7": ("lune", radii.radius_of_class_in_cardioid("lune").value),
-        "radius_r8": ("sine", radii.radius_of_class_in_cardioid("sine").value),
-        "radius_r9": ("nephroid", radii.radius_of_class_in_cardioid("nephroid").value),
-    }
-    if tag in table:
-        gen_name, r = table[tag]
-        gen = functions.generator(gen_name)
-        return [cardioid_curve(),
-                _curve(f"{gen_name}_subdisk_image", _image_circle(gen, r, n), outer=card)]
-    if tag == "univalent_p_disk":
-        w = functions.extremal("koebe").w_of
-        return [cardioid_curve(),
-                _curve("half_plane_quotient_subdisk", _image_circle(w, 1.0 / 3.0, n),
-                       outer=card)]
-    if tag == "sharpness_s2_s3_s7_s8":
-        phi = functions.gen_cardioid
-        curves = [cardioid_curve()]
-        targets = (
-            ("lemniscate", ("lemniscate", (0.0,)),
-             radii.radius_of_cardioid_in_class("lemniscate", 0.0).value),
-            ("rational_lemniscate", ("rational_lemniscate", ()),
-             radii.radius_of_cardioid_in_class("rational_lemniscate").value),
-            ("nephroid", ("nephroid", ()),
-             radii.radius_of_cardioid_in_class("nephroid").value),
-            ("sigmoid", ("sigmoid", ()),
-             radii.radius_of_cardioid_in_class("sigmoid").value),
-        )
-        for name, (kind, params), r in targets:
-            outer = domains.make_domain(kind, *params)
-            curves.append(_curve(f"{name}_target", _boundary_pts(outer, n)))
-            curves.append(_curve(f"cardioid_subdisk_in_{name}",
-                                 _image_circle(phi, r, n), outer=outer, tol=2e-5))
-        return curves
-    if tag == "scar_in_psiC":
-        outer = domains.make_domain("cardioid_wide")
-        return [_curve("wide_cardioid", _boundary_pts(outer, n)),
-                _curve("cardioid_inside_wide", boundary, outer=outer)]
-    raise ValueError(f"unknown figure tag {tag!r}; known: {', '.join(sorted(FIGURE_TAGS))}")
-
-
-FIGURE_TAGS = (
-    "lemma_disks_a1", "lemma_disks_a2",
-    "inclusion_g1", "inclusion_g2", "inclusion_g3", "inclusion_g4",
-    "inclusion_g5", "inclusion_g6", "inclusion_g7",
-    "radius_r5", "radius_r6", "radius_r7", "radius_r8", "radius_r9",
-    "univalent_p_disk", "sharpness_s2_s3_s7_s8", "scar_in_psiC",
-)
+    if tag not in FIGURES:
+        raise ValueError(f"unknown figure tag {tag!r}; known: {', '.join(sorted(FIGURE_TAGS))}")
+    return FIGURES[tag](n)
 
 
 def check_figure(tag: str, n: int = 512) -> list[tuple[str, bool]]:
@@ -379,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cardstar",
         description="radius constants and verification for the cardioid starlike class")
+    # a string default goes through type=int, so a bad value is a usage error
     parser.add_argument("--samples", type=int,
-                        default=int(os.environ.get("CARDIOID_SAMPLES", "4096")))
-    parser.add_argument("--tolerance", type=float, default=1e-6)
+                        default=os.environ.get("CARDIOID_SAMPLES", "4096"))
     parser.add_argument("--format", choices=("text", "csv", "svg"), default="text")
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -419,8 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = CliConfig(samples=args.samples, tolerance=args.tolerance,
-                           output_format=args.format, seed=args.seed)
+        config = CliConfig(samples=args.samples, output_format=args.format, seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
     try:

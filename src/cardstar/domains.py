@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -501,50 +502,48 @@ def janowski_disk(A: float, B: float, r: float) -> Disk:
     return Disk((1.0 - A * B * r * r) / denom, (A - B) * r / denom)
 
 
+def _disk(cx: float, cy: float, r: float) -> Disk:
+    if r <= 0:
+        raise ValueError("disk region radius must be positive")
+    return Disk(complex(cx, cy), r)
+
+
+def _booth(alpha: float) -> GeneratorImageRegion:
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError("Booth-curve parameter must lie in [0, 1)")
+    return GeneratorImageRegion("booth", alpha=alpha)
+
+
+# every region kind with its constructor over the kind's parameters
+_KINDS = {
+    "cardioid": CardioidDomain,
+    "disk": _disk,
+    "bounded_re": HalfPlaneReBelow,
+    "min_re": HalfPlaneReAbove,
+    "sector": Sector,
+    "conic": ConicRegion,
+    "exponential": ExponentialRegion,
+    "lemniscate": LemniscateRegion,
+    "cassinian": CassinianRegion,
+    "sigmoid": SigmoidRegion,
+    "cosh": CoshRegion,
+    "janowski_disk": janowski_disk,
+    **{kind: partial(GeneratorImageRegion, kind) for kind in _INVERSES},
+    "booth": _booth,
+}
+_WITHOUT_PARAMETERS = {"cardioid", "sigmoid", "cosh", *_INVERSES} - {"booth"}
+
+
 def make_domain(kind: str, *params: float) -> Domain:
     """Factory over every registered region kind.
 
     Raises ValueError naming the violated constraint for bad parameters.
     """
-    if kind == "cardioid":
-        return CardioidDomain()
-    if kind == "disk":
-        cx, cy, r = params
-        if r <= 0:
-            raise ValueError("disk region radius must be positive")
-        return Disk(complex(cx, cy), r)
-    if kind == "bounded_re":
-        return HalfPlaneReBelow(*params)
-    if kind == "min_re":
-        return HalfPlaneReAbove(*params)
-    if kind == "sector":
-        return Sector(*params)
-    if kind == "conic":
-        return ConicRegion(*params)
-    if kind == "exponential":
-        return ExponentialRegion(*params)
-    if kind == "lemniscate":
-        return LemniscateRegion(*params)
-    if kind == "cassinian":
-        return CassinianRegion(*params)
-    if kind == "sigmoid":
-        return SigmoidRegion()
-    if kind == "cosh":
-        return CoshRegion()
-    if kind == "janowski_disk":
-        return janowski_disk(*params)
-    if kind == "booth":
-        (alpha,) = params
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError("Booth-curve parameter must lie in [0, 1)")
-        return GeneratorImageRegion("booth", alpha=alpha)
-    if kind in _INVERSES:
-        if params:
-            raise ValueError(f"kind {kind!r} takes no parameters")
-        return GeneratorImageRegion(kind)
-    raise ValueError(f"unknown domain kind {kind!r}; known: "
-                     f"cardioid, disk, bounded_re, min_re, sector, conic, exponential, "
-                     f"lemniscate, cassinian, sigmoid, cosh, janowski_disk, {', '.join(_INVERSES)}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown domain kind {kind!r}; known: {', '.join(_KINDS)}")
+    if params and kind in _WITHOUT_PARAMETERS:
+        raise ValueError(f"kind {kind!r} takes no parameters")
+    return _KINDS[kind](*params)
 
 
 def disk_in_domain(disk: Disk, d: Domain, n: int = 2048, tol: float = 1e-7) -> bool:
@@ -575,7 +574,3 @@ def domain_in_domain(inner: Domain, outer: Domain, n: int = 2048, tol: float = 1
     t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     return outer.contains_all(np.asarray(inner.boundary(t)), tol)
 
-
-def sample_boundary(d: Domain, n: int) -> tuple[np.ndarray, np.ndarray]:
-    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    return t, np.asarray(d.boundary(t))

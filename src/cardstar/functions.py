@@ -324,11 +324,6 @@ def extremal_names() -> tuple[str, ...]:
     return tuple(sorted(_EXTREMALS))
 
 
-def w_of_named(name: str, z, **params):
-    """Evaluate the closed-form quotient of a registered function at z."""
-    return extremal(name, **params).w_of(z)
-
-
 def registry_listing() -> str:
     """Plain-text listing: name and claim of every registered quotient."""
     width = max(len(n) for n in _EXTREMALS)

@@ -311,7 +311,9 @@ class OracleSpec:
       quotient_into_domain     payload: name, domain, domain_params
       cardioid_into_domain     payload: domain, domain_params
       disk_family              payload: center, spread, domain, domain_params
-      threshold                payload: name (special measurement in `verify`)
+      threshold                payload: name (special measurement in `verify`);
+                               name "inclusion" with family: the sharp
+                               parameter of that `verify.INCLUSION_FAMILIES` row
     """
 
     kind: str
@@ -382,6 +384,10 @@ def _into_cardioid(generator: str, params: dict) -> OracleSpec:
 
 def _cardioid_into(domain: str, params: tuple) -> OracleSpec:
     return OracleSpec("cardioid_into_domain", {"domain": domain, "params": params})
+
+
+def _inclusion(family: str) -> OracleSpec:
+    return OracleSpec("threshold", {"name": "inclusion", "family": family})
 
 
 def _unit_from_zero(p: float) -> bool:
@@ -715,19 +721,19 @@ def constants_registry() -> tuple[ConstantEntry, ...]:
                      "the measured value is reported")))
     add(_entry("incl.conic", "smallest conic parameter whose region fits inside",
                5.0 / 3.0,
-               oracle=OracleSpec("threshold", {"name": "conic_inclusion"})))
+               oracle=_inclusion("conic")))
     add(_entry("incl.exponential", "smallest exponential-region parameter fitting inside",
                alpha_zero(), published=0.209011,
-               oracle=OracleSpec("threshold", {"name": "exponential_inclusion"})))
+               oracle=_inclusion("exponential")))
     add(_entry("incl.lemniscate", "smallest lemniscate parameter fitting inside",
                0.5,
-               oracle=OracleSpec("threshold", {"name": "lemniscate_inclusion"})))
+               oracle=_inclusion("lemniscate")))
     add(_entry("incl.cassinian", "largest Cassinian parameter fitting inside",
                0.75,
-               oracle=OracleSpec("threshold", {"name": "cassinian_inclusion"})))
+               oracle=_inclusion("cassinian")))
     add(_entry("incl.outer_disk", "self-centered circumscribed disk parameter",
                m_fixed_point(), published=1.309017,
-               oracle=OracleSpec("threshold", {"name": "outer_disk_fixed_point"})))
+               oracle=_inclusion("self_centered_disk")))
 
     # ---- radii of classes in the cardioid class --------------------
     add(_class_row("of", "cassinian", "cassinian", 1.0))
@@ -774,7 +780,7 @@ def constants_registry() -> tuple[ConstantEntry, ...]:
     add(_entry("within.padmanabhan_knot",
                "parameter above which the whole region fits the Apollonius disk",
                alpha_knot(), published=0.672505,
-               oracle=OracleSpec("threshold", {"name": "apollonius_full_inclusion"})))
+               oracle=_inclusion("in_apollonius_disk")))
     add(_class_row("within", "janowski_M_low", "janowski_M", 1.05,
                    note="published first-branch term -1+sqrt(M-1) is not a real radius; "
                         "the measured value is reported"))
@@ -861,6 +867,3 @@ def constants_registry() -> tuple[ConstantEntry, ...]:
         raise RuntimeError("duplicate registry keys")
     return tuple(rows)
 
-
-def registry_row_count() -> int:
-    return len(constants_registry())

@@ -8,6 +8,11 @@ Containment is tested on the circle |z| = r only; the quotients involved
 are analytic, so the image boundary lies on the circle image, and a small
 interior spot-check guards against misuse.
 
+Each inclusion relation is declared once, in `INCLUSION_FAMILIES`, as its
+region pair p -> (inner, outer).  Its threshold oracle (the sign change of
+the sampled inclusion margin), its sharp claim in `inclusion_suite` and its
+figure in the command line all read that pair.
+
 Near-boundary points count as inside within a small tolerance so that the
 sharp radii themselves (tangential touches) pass: 1e-6 for the generator
 images other than the cardioid, whose margins are Euclidean distances, and
@@ -19,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -205,55 +212,6 @@ def measured_max_arg_order(n: int = 1 << 18) -> float:
     return (2.0 / math.pi) * (-neg_arg(t_max))
 
 
-def _inclusion_margin(inner: domains.Domain, outer: domains.Domain, n: int) -> float:
-    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    return float(np.min(outer.margin(np.asarray(inner.boundary(t)))))
-
-
-def measured_conic_threshold(n: int = DEFAULT_SAMPLES) -> float:
-    card = domains.CardioidDomain()
-    return radii.bisect_sign_change(
-        lambda k: -_inclusion_margin(domains.ConicRegion(k), card, n), 1.2, 4.0)
-
-
-def measured_exponential_threshold(n: int = DEFAULT_SAMPLES) -> float:
-    card = domains.CardioidDomain()
-    return radii.bisect_sign_change(
-        lambda a: -_inclusion_margin(domains.ExponentialRegion(a), card, n), 0.05, 0.6)
-
-
-def measured_lemniscate_threshold(n: int = DEFAULT_SAMPLES) -> float:
-    card = domains.CardioidDomain()
-    return radii.bisect_sign_change(
-        lambda a: -_inclusion_margin(domains.LemniscateRegion(a), card, n), 0.2, 0.9)
-
-
-def measured_cassinian_threshold(n: int = DEFAULT_SAMPLES) -> float:
-    card = domains.CardioidDomain()
-    return radii.bisect_sign_change(
-        lambda c: _inclusion_margin(domains.CassinianRegion(c), card, n), 0.3, 1.0)
-
-
-def measured_outer_disk_parameter(n: int = DEFAULT_SAMPLES) -> float:
-    w = cardioid.boundary_samples(n)
-
-    def margin(M: float) -> float:
-        return float(np.min(M - np.abs(w - M)))
-
-    return radii.bisect_sign_change(lambda M: -margin(M), 1.0, 2.4)
-
-
-def measured_apollonius_threshold(n: int = DEFAULT_SAMPLES) -> float:
-    w = cardioid.boundary_samples(n)
-
-    def margin(a: float) -> float:
-        c = (1.0 + a * a) / (1.0 - a * a)
-        rr = 2.0 * a / (1.0 - a * a)
-        return float(np.min(rr - np.abs(w - c)))
-
-    return radii.bisect_sign_change(lambda a: -margin(a), 0.3, 0.95)
-
-
 def _disk_touch_angle(M: float, n: int) -> float:
     """Circle angle of the binding tangency at the containment radius."""
     r = radii.cardioid_disk_radius(M, n)
@@ -311,15 +269,84 @@ def measured_series_coefficient(index: int, order: int = 16) -> float:
     return abs(f.coeffs[index - 1])
 
 
+# ---------------------------------------------------------------------------
+# inclusion relations
+# ---------------------------------------------------------------------------
+
+_CARDIOID = domains.CardioidDomain()
+
+
+@lru_cache(maxsize=4)
+def _cardioid_boundary(n: int) -> np.ndarray:
+    # the cardioid is the fixed side of every family: sample it once per n
+    # rather than at each step of a threshold bisection
+    w = cardioid.boundary_samples(n)
+    w.flags.writeable = False
+    return w
+
+
+def _inclusion_margin(inner: domains.Domain, outer: domains.Domain, n: int) -> float:
+    if inner is _CARDIOID:
+        w = _cardioid_boundary(n)
+    else:
+        w = np.asarray(inner.boundary(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)))
+    return float(np.min(outer.margin(w)))
+
+
+@dataclass(frozen=True)
+class InclusionFamily:
+    """Region pairs p -> (inner, outer) whose inclusion is sharp at one p.
+
+    The inclusion holds at and above the sharp parameter when `holds_above`,
+    at and below it otherwise.  A family with a `bracket` has a threshold
+    oracle: the sign change of its inclusion margin on that interval.
+    """
+
+    regions: Callable[[float], tuple[domains.Domain, domains.Domain]]
+    holds_above: bool
+    bracket: tuple[float, float] | None = None
+
+    def margin(self, p: float, n: int) -> float:
+        return _inclusion_margin(*self.regions(p), n)
+
+    def threshold(self, n: int = DEFAULT_SAMPLES) -> float:
+        # oriented positive at the low end of the bracket, so that a margin of
+        # exactly 0 counts toward the high end
+        sign = -1.0 if self.holds_above else 1.0
+        return radii.bisect_sign_change(lambda p: sign * self.margin(p, n), *self.bracket)
+
+
+INCLUSION_FAMILIES: dict[str, InclusionFamily] = {
+    # the cardioid region inside a family of regions
+    "half_plane": InclusionFamily(lambda a: (_CARDIOID, domains.HalfPlaneReAbove(a)), False),
+    "sector": InclusionFamily(lambda b: (_CARDIOID, domains.Sector(b)), True),
+    "self_centered_disk": InclusionFamily(lambda m: (_CARDIOID, domains.Disk(m, m)), True,
+                                          (1.0, 2.4)),
+    "in_apollonius_disk": InclusionFamily(
+        lambda a: (_CARDIOID, domains.make_domain("disk", *radii._apollonius_disk(a))), True,
+        (0.3, 0.95)),
+    # a family of regions inside the cardioid region
+    "conic": InclusionFamily(lambda k: (domains.ConicRegion(k), _CARDIOID), True, (1.2, 4.0)),
+    "exponential": InclusionFamily(lambda a: (domains.ExponentialRegion(a), _CARDIOID), True,
+                                   (0.05, 0.6)),
+    "lemniscate": InclusionFamily(lambda a: (domains.LemniscateRegion(a), _CARDIOID), True,
+                                  (0.2, 0.9)),
+    "cassinian": InclusionFamily(lambda c: (domains.CassinianRegion(c), _CARDIOID), False,
+                                 (0.3, 1.0)),
+    # the two-parameter disks at fixed B, as A varies
+    **{f"two_parameter_B{B:g}": InclusionFamily(
+        lambda A, B=B: (domains.janowski_disk(A, B, 1.0), _CARDIOID), False)
+       for B in (-0.25, -0.5)},
+    "unit_centered_disk": InclusionFamily(lambda a: (domains.Disk(1.0, 1.0 - a), _CARDIOID),
+                                          True),
+    "apollonius_disk": InclusionFamily(
+        lambda a: (domains.make_domain("disk", *radii._apollonius_disk(a)), _CARDIOID), False),
+}
+
+
 _THRESHOLDS = {
     "min_re_limit": lambda n: measured_min_re_limit(max(n, 1 << 16)),
     "max_arg": lambda n: measured_max_arg_order(),
-    "conic_inclusion": measured_conic_threshold,
-    "exponential_inclusion": measured_exponential_threshold,
-    "lemniscate_inclusion": measured_lemniscate_threshold,
-    "cassinian_inclusion": measured_cassinian_threshold,
-    "outer_disk_fixed_point": measured_outer_disk_parameter,
-    "apollonius_full_inclusion": measured_apollonius_threshold,
     "disk_branch_crossover": lambda n: measured_disk_branch_crossover(max(n, 8192)),
     "generator_convexity": measured_generator_convexity_radius,
     "growth_lower_limit": lambda n: measured_growth_lower_limit(),
@@ -364,6 +391,8 @@ def measure_constant(entry: radii.ConstantEntry, samples: int = DEFAULT_SAMPLES,
                                   tol, samples)
     if kind == "threshold":
         name = payload["name"]
+        if name == "inclusion":
+            return INCLUSION_FAMILIES[payload["family"]].threshold(samples)
         if name == "series_coefficient":
             return measured_series_coefficient(payload["index"])
         return _THRESHOLDS[name](samples)
@@ -398,12 +427,12 @@ def verify_all_constants(samples: int = DEFAULT_SAMPLES,
 # claim suites
 # ---------------------------------------------------------------------------
 
-def _sharp_inclusion_report(name: str, regions, good: float, step: float,
+def _sharp_inclusion_report(name: str, family: str, good: float,
                             n: int) -> VerificationReport:
-    """Inclusion holds at parameter `good` and fails at `good + step`;
-    `regions(p)` is the (inner, outer) pair of regions at parameter p."""
-    ok_at = _inclusion_margin(*regions(good), n) > -1e-7
-    bad_margin = _inclusion_margin(*regions(good + step), n)
+    """The family's inclusion holds at parameter `good` and fails 0.01 past it."""
+    fam = INCLUSION_FAMILIES[family]
+    ok_at = fam.margin(good, n) > -1e-7
+    bad_margin = fam.margin(good - 0.01 if fam.holds_above else good + 0.01, n)
     if ok_at and not bad_margin > -1e-7:
         return VerificationReport(name, "boundary-sampling", n, "pass",
                                   measured_value=bad_margin)
@@ -414,51 +443,34 @@ def _sharp_inclusion_report(name: str, regions, good: float, step: float,
 def inclusion_suite(samples: int = DEFAULT_SAMPLES) -> list[VerificationReport]:
     """The inclusion relations, their special-case disks, and the unity-radius claims."""
     n = samples
-    card = domains.CardioidDomain()
-
-    def apol(a):
-        return domains.Disk((1.0 + a * a) / (1.0 - a * a), 2.0 * a / (1.0 - a * a))
-
     sharp = [
-        # cardioid region inside half-plane / sector: outer varies, inner fixed
-        ("class lies in starlike functions of order up to 1/4",
-         lambda a: (card, domains.HalfPlaneReAbove(a)), 0.25, 0.01),
-        ("class lies in strongly starlike functions of published order",
-         lambda b: (card, domains.Sector(b)), 0.743253, -0.01),
-        ("conic regions fit inside from parameter 5/3 on",
-         lambda k: (domains.ConicRegion(k), card), 5.0 / 3.0, -0.01),
-        ("exponential regions fit inside from the threshold on",
-         lambda a: (domains.ExponentialRegion(a), card), radii.alpha_zero(), -0.01),
-        ("lemniscate regions fit inside from parameter 1/2 on",
-         lambda a: (domains.LemniscateRegion(a), card), 0.5, -0.01),
-        ("Cassinian loops fit inside up to parameter 3/4",
-         lambda c: (domains.CassinianRegion(c), card), 0.75, 0.01),
-    ]
-    # two-parameter family: tangent disks at the condition boundary
-    for A, B in ((3.0 / 8.0, -0.25), (0.25, -0.5)):
-        sharp.append((f"two-parameter inclusion boundary at A={A:g}, B={B:g}",
-                      lambda a, B=B: (domains.janowski_disk(a, B, 1.0), card), A, 0.01))
-    sharp += [
-        # circumscribed disk with the self-centered parameter
-        ("region fits the self-centered disk and no smaller one",
-         lambda m: (card, domains.Disk(m, m)), radii.m_fixed_point(), -0.01),
+        ("class lies in starlike functions of order up to 1/4", "half_plane", 0.25),
+        ("class lies in strongly starlike functions of published order", "sector", 0.743253),
+        ("conic regions fit inside from parameter 5/3 on", "conic", 5.0 / 3.0),
+        ("exponential regions fit inside from the threshold on", "exponential",
+         radii.alpha_zero()),
+        ("lemniscate regions fit inside from parameter 1/2 on", "lemniscate", 0.5),
+        ("Cassinian loops fit inside up to parameter 3/4", "cassinian", 0.75),
+        # tangent disks at the condition boundary
+        *((f"two-parameter inclusion boundary at A={A:g}, B={B:g}",
+           f"two_parameter_B{B:g}", A) for A, B in ((3.0 / 8.0, -0.25), (0.25, -0.5))),
+        ("region fits the self-centered disk and no smaller one", "self_centered_disk",
+         radii.m_fixed_point()),
         # corollary disks
-        ("unit-centered disks fit inside up to radius 1/2",
-         lambda a: (domains.Disk(1.0, 1.0 - a), card), 0.5, -0.01),
-        ("Apollonius disks fit inside up to parameter 1/3",
-         lambda a: (apol(a), card), 1.0 / 3.0, 0.01),
+        ("unit-centered disks fit inside up to radius 1/2", "unit_centered_disk", 0.5),
+        ("Apollonius disks fit inside up to parameter 1/3", "apollonius_disk", 1.0 / 3.0),
     ]
     reports = [_sharp_inclusion_report(*claim, n) for claim in sharp]
 
     # unity-radius inclusions
     for kind in ("sigmoid", "cosh", "rational"):
         d = _domain(kind, ())
-        margin = _inclusion_margin(d, card, n)
+        margin = _inclusion_margin(d, _CARDIOID, n)
         reports.append(VerificationReport(
             f"{kind} image lies inside the region (unit radius)",
             "boundary-sampling", n, "pass" if margin > -1e-7 else "fail",
             witness=None if margin > -1e-7 else 0j, measured_value=margin))
-    margin = _inclusion_margin(card, _domain("cardioid_wide", ()), n)
+    margin = _inclusion_margin(_CARDIOID, _domain("cardioid_wide", ()), n)
     reports.append(VerificationReport(
         "region lies inside the wide-cardioid image (unit radius)",
         "boundary-sampling", n, "pass" if margin > -1e-6 else "fail",

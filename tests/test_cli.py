@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, formats, determinism, figures."""
 
+import hashlib
+
 import pytest
 
 from cardstar import cli, radii
@@ -15,8 +17,6 @@ def run(argv, capsys):
 def test_config_validation():
     with pytest.raises(ValueError):
         CliConfig(samples=64)
-    with pytest.raises(ValueError):
-        CliConfig(tolerance=1.0)
     with pytest.raises(ValueError):
         CliConfig(output_format="pdf")
 
@@ -175,6 +175,52 @@ def test_plot_deterministic(capsys):
     assert out1 == out2
 
 
+# sha256 of figure_csv(tag) and figure_svg(tag) at the default 512 points
+_FIGURE_DIGESTS = {
+    "lemma_disks_a1": ("bdbe19c1a6f1c8e2632ae77e1596bac0b9f8d88ef74d2a792dc95c0063d63304",
+                       "604dbb026e51d548ff6a8caa6595a625a4a8faa818dadac974b12595aef24b5d"),
+    "lemma_disks_a2": ("8a0767ac5cb747c1f053f7958883d6974cd04c0b38397699c04dd1506c769b34",
+                       "dc6309749b0ad189815dc9ffdcf04c09b54808c94a3e3a7299f81f792f6c1361"),
+    "inclusion_g1": ("f18a18cd78901a8015d6a37a75240eb4231c94526fad0ac3683092a6929a5869",
+                     "4cdf2746e60834cef3f58182ddb354ec8b0125c2aa9e9c9f7303e4ea6f1e9ba9"),
+    "inclusion_g2": ("a1b12a42a960db92d7d21c4676f77ed765747447bc9cf62f65ecfd792fc5df3c",
+                     "8dc6620a57473d2c54f91d79c21b2426bf296bbb5c5af0e596cc0e462afd5c93"),
+    "inclusion_g3": ("b6553f74131fc8b543393ce2ec5366e83a6b1f4e31052bf66b1171f7f6dc4f04",
+                     "f81e037c67411d8f6002bd240d0535fa6d5fdd359ec45b84647fbae400fff50c"),
+    "inclusion_g4": ("2b04eac3c6334527a358a562f001282e076c394648817abb14f851b93e674c10",
+                     "e03ecc6adb94ef3ab658146a700a4d9cfb1a3b462c8f20afdec83e0de835b54d"),
+    "inclusion_g5": ("60eff888bc93108ff00d161b17626eccb20feeed05a35670ad1d2f6df634999e",
+                     "daa7646bd13b4d8963c2dbbad06b16d9f372c99399f7bdb88321c14205058571"),
+    "inclusion_g6": ("a384651fea67768237381d5eba9d845baeac8452f68d6d05c5ac85a9a2af8b0e",
+                     "257e9f80babc0664956cf270502d245f45407871805b2e0902a05f4fd739c332"),
+    "inclusion_g7": ("689a30a3147d560feca2917bd35db7c3da360aec6ff8e0605510856059031284",
+                     "49cae3eaa5e011203c3d77be74a97e1e517b8d29d4e478719169cb894010aa54"),
+    "radius_r5": ("3fdc3361836b74f3aaac56331a67f5744022c348958660085e26b5bf713de4b4",
+                  "1235c045616ae17466f27c1705e2b53a5540590daf8f91970811caa3f7c9b9ee"),
+    "radius_r6": ("395b894e6166128e2f0b8627aa74d913299aa5f34a53bac55a573294c2b2dc83",
+                  "0ed596e59278243fd217f1a27f86fd807033172f009c24a4ae93eb5584b33d14"),
+    "radius_r7": ("176f80135befa270fa42d83a91ef502bd4d1e0eaff5c22627d83b75502851c09",
+                  "7a22f0c187c514b3ef2682123a82e66e3db763cdae2c587af4a77049d933b2c0"),
+    "radius_r8": ("46291bb961fe114171a1c8a7d2d719dded5f880453cfbba3afe73594e2870463",
+                  "3dcf5a630bd948257e9d114d6f4bd2f391138f6e97b02fa5d7664bd703e7f95e"),
+    "radius_r9": ("3af4fb59946bf77f4f8920472e87659bc1e869bfe909a1fff5063dba9bfc6ca2",
+                  "5b4ffbbbc9f9d2d60d64d8d3dada949e137a3fdb4c699eef25ff4ba6cd9bdc84"),
+    "univalent_p_disk": ("1187bf0599ece9542dd7a79b0b0a4cb14337954f8cf1c3a9f2042d9f3103fee9",
+                         "f6b4440f2c1202a5afa94b37477a7c6c546b81744a8d5115f617d3d240222840"),
+    "sharpness_s2_s3_s7_s8": ("70904f146fc65123196c49b9f478c09166c590f76ceec4417949a1007f07dc8e",
+                              "383d8b76513d835373142861a21046a97ff744bc48277b0a73fc3f1ff1ab76b0"),
+    "scar_in_psiC": ("c869ec9c17299c5f1258942b56aa0899c5a458113fdce03fd3401f236c41e82c",
+                     "a721de65578e21f6fa7508c96f921f6eec45e4399bdc1d961255c35433cd9052"),
+}
+
+
+def test_figure_output_pinned():
+    assert tuple(_FIGURE_DIGESTS) == cli.FIGURE_TAGS
+    for tag, (csv_digest, svg_digest) in _FIGURE_DIGESTS.items():
+        assert hashlib.sha256(cli.figure_csv(tag).encode()).hexdigest() == csv_digest, tag
+        assert hashlib.sha256(cli.figure_svg(tag).encode()).hexdigest() == svg_digest, tag
+
+
 def test_figure_checks_all_tags():
     for tag in cli.FIGURE_TAGS:
         for name, ok in cli.check_figure(tag):
@@ -206,3 +252,18 @@ def test_samples_env_override(monkeypatch):
     parser = cli.build_parser()
     args = parser.parse_args(["constants"])
     assert args.samples == 512
+
+
+def test_samples_env_not_an_integer(monkeypatch, capsys):
+    # a bad value is a usage error (exit 2), not a crash
+    monkeypatch.setenv("CARDIOID_SAMPLES", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["member", "1", "0"])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_tolerance_option_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--tolerance", "1e-6", "constants"])
+    assert exc.value.code == 2

@@ -57,6 +57,9 @@ def test_make_domain_rejects_bad_parameters():
         ("booth", (1.0,)),
         ("janowski_disk", (0.5, 1.0, 0.5)),      # needs B < A
         ("janowski_disk", (1.0, -1.0, 1.0)),     # degenerate at r = 1, |B| = 1
+        ("nephroid", (1.0,)),                    # takes no parameters
+        ("cardioid", (1e-9,)),
+        ("sigmoid", (1.0,)),
         ("nonexistent", ()),
     ]
     for kind, params in cases:
@@ -284,6 +287,7 @@ def test_degenerate_disk_allowed_as_value():
         Disk(1.0, -0.1)
 
 
-def test_sample_boundary_shape():
-    t, pts = domains.sample_boundary(CardioidDomain(), 64)
+def test_boundary_shape():
+    t = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    pts = np.asarray(CardioidDomain().boundary(t))
     assert len(t) == len(pts) == 64

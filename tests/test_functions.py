@@ -15,7 +15,6 @@ from cardstar.functions import (
     monomial_image_disk,
     registry_listing,
     sine_integral_series,
-    w_of_named,
 )
 from cardstar.series import PowerSeries, f_cardioid_series
 
@@ -59,13 +58,13 @@ def test_partial_sum_examples():
         f.truncate(0)
 
 
-def test_w_of_named_values():
-    assert w_of_named("cardioid_extremal", -1.0 / 3.0) == pytest.approx(13.0 / 18.0)
+def test_extremal_w_of_values():
+    assert extremal("cardioid_extremal").w_of(-1.0 / 3.0) == pytest.approx(13.0 / 18.0)
     # bounded-turning extremal at its sharp point
-    w = w_of_named("bounded_re_extremal", 0.2, beta=2.0)
+    w = extremal("bounded_re_extremal", beta=2.0).w_of(0.2)
     assert complex(w) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        w_of_named("no_such_function", 0.1)
+        extremal("no_such_function").w_of(0.1)
 
 
 def test_monomial_quotient_image_disk():

@@ -325,7 +325,7 @@ def test_registry_unique_keys_and_size():
     keys = [e.key for e in reg]
     assert len(keys) == len(set(keys))
     assert len(reg) >= 45
-    assert radii.registry_row_count() == len(reg)
+    assert len(constants_registry()) == len(reg)
 
 
 def test_registry_published_decimals_match_unflagged():

@@ -126,15 +126,23 @@ def test_threshold_measurements():
     assert verify.measured_max_arg_order() == pytest.approx(radii.beta_zero(), abs=1e-9)
     assert verify.measured_generator_convexity_radius() == pytest.approx(0.5, abs=1e-6)
     assert verify.measured_min_re_limit() == pytest.approx(0.25, abs=1e-6)
-    assert verify.measured_outer_disk_parameter() == pytest.approx(
-        radii.m_fixed_point(), abs=1e-6)
-    assert verify.measured_apollonius_threshold() == pytest.approx(
-        radii.alpha_knot(), abs=1e-6)
     assert verify.measured_disk_branch_crossover() == pytest.approx(
         radii.m_knot(), abs=2e-4)
     assert verify.measured_growth_lower_limit() == pytest.approx(
         math.exp(-0.75), abs=1e-12)
     assert verify.measured_series_coefficient(4) == pytest.approx(5.0 / 12.0, abs=1e-14)
+
+
+def test_inclusion_thresholds_match_registry():
+    # every inclusion family with a threshold oracle, against its registry row
+    rows = {e.oracle.payload["family"]: e for e in radii.constants_registry()
+            if e.oracle is not None and e.oracle.payload.get("name") == "inclusion"}
+    with_oracle = {name for name, fam in verify.INCLUSION_FAMILIES.items() if fam.bracket}
+    assert set(rows) == with_oracle
+    for name, entry in rows.items():
+        measured = verify.INCLUSION_FAMILIES[name].threshold(4096)
+        assert measured == pytest.approx(entry.value, abs=1e-5), name
+        assert verify.measure_constant(entry, 4096) == measured, name
 
 
 def test_verify_constants_subset_quick():
