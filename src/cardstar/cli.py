@@ -49,6 +49,7 @@ class CliConfig:
 def constants_table(config: CliConfig, with_oracle: bool = True) -> str:
     rows = []
     header = ("key", "value", "method", "published", "oracle", "diff", "flags")
+    max_arg = None  # the strong-order row's oracle value, reused by the notes
     for entry in radii.constants_registry():
         oracle_val = ""
         diff = ""
@@ -56,6 +57,8 @@ def constants_table(config: CliConfig, with_oracle: bool = True) -> str:
             measured = verify.measure_constant(entry, config.samples)
             oracle_val = f"{measured:.9g}"
             diff = f"{abs(measured - entry.value):.2e}"
+            if entry.key == "incl.strong_order":
+                max_arg = measured
         published = f"{entry.published:.9g}" if entry.published is not None else "-"
         rows.append((entry.key, f"{entry.value:.9g}", entry.method, published,
                      oracle_val or "-", diff or "-", ",".join(entry.flags) or "-"))
@@ -68,12 +71,14 @@ def constants_table(config: CliConfig, with_oracle: bool = True) -> str:
     for row in rows:
         lines.append("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
     bz = radii.beta_zero_candidates()
+    if max_arg is None:
+        max_arg = verify.measured_max_arg_order()
     lines.append("")
     lines.append("notes:")
     lines.append(f"  strong-order candidates: statement form {bz['statement_form']:.9g}, "
                  f"variant reading {bz['proof_form']:.9g}, "
                  f"published decimal {bz['published_decimal']:.9g}; "
-                 f"measured maximum {verify.measured_max_arg_order():.9g}")
+                 f"measured maximum {max_arg:.9g}")
     for entry in radii.constants_registry():
         if entry.note:
             lines.append(f"  {entry.key}: {entry.note}")

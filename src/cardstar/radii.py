@@ -260,12 +260,29 @@ def m_fixed_point() -> float:
 def cardioid_disk_radius(M: float, n: int = 4096) -> float:
     """Largest r with the cardioid generator image of |z| < r inside
     |w - M| < M, by bisection over n circle samples.  Self-contained oracle
-    used where the published branch formula is unreliable."""
-    e = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
+    used where the published branch formula is unreliable.
+
+    Only the closed upper half of the n-point grid (its first n//2 + 1
+    points, angles 0 to pi) is probed.  The generator has real
+    coefficients, so the image of the lower half is the mirror image of
+    the upper half in the real axis, and the disk is centred on that axis:
+    both halves have the same distances to M.  Each probe evaluates the
+    generator as `cardioid.eval_phi` does, in preallocated buffers, and
+    M - max|w - M| equals min(M - |w - M|) because rounding is monotone.
+    """
+    e = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)[: n // 2 + 1])
+    z, w, sq, dist = np.empty_like(e), np.empty_like(e), np.empty_like(e), np.empty(e.shape)
 
     def ok(r: float) -> bool:
-        w = cardioid.eval_phi(r * e)
-        return bool(np.min(M - np.abs(w - M)) > -1e-9)
+        # w = 1 + z + (0.5 z) z, in the order of eval_phi
+        np.multiply(r, e, out=z)
+        np.add(1.0, z, out=w)
+        np.multiply(0.5, z, out=sq)
+        np.multiply(sq, z, out=sq)
+        np.add(w, sq, out=w)
+        np.subtract(w, M, out=w)
+        np.abs(w, out=dist)
+        return bool(M - dist.max() > -1e-9)
 
     return bisect_predicate(ok, 1e-4, 1.0, steps=50, scan=(1.0 - 1e-9,), floor=RADIUS_FLOOR)
 

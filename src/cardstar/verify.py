@@ -107,17 +107,30 @@ def image_in_domain(spec: FunctionSpec, r: float, d: domains.Domain,
 _RADIUS_SCAN = tuple(np.linspace(1e-4, 1.0 - 1e-9, 65)[1:].tolist())
 
 
-def _bisect_radius(ok, tol: float) -> float:
-    return radii.bisect_predicate(ok, 1e-4, 1.0, tol=tol, scan=_RADIUS_SCAN,
-                                  floor=radii.RADIUS_FLOOR)
+# relative bracket width for radii below tol / _RADIUS_REL_TOL
+_RADIUS_REL_TOL = 1e-3
+
+
+def _bisect_radius(ok, tol: float) -> tuple[float, float]:
+    """The radius where `ok` stops holding, and the bracket width it was
+    bisected to: `tol`, or relative `_RADIUS_REL_TOL` for a radius so small
+    that `tol` would be coarse, bisected again from half the first result."""
+    r = radii.bisect_predicate(ok, 1e-4, 1.0, tol=tol, scan=_RADIUS_SCAN,
+                               floor=radii.RADIUS_FLOOR)
+    width = min(tol, _RADIUS_REL_TOL * r)
+    if width < tol:
+        r = radii.bisect_predicate(ok, 0.5 * r, 2.0 * r, tol=width, floor=radii.RADIUS_FLOOR)
+    return r, width
 
 
 def subordination_radius(spec: FunctionSpec, d: domains.Domain,
                          tol: float = DEFAULT_TOL, n: int = DEFAULT_SAMPLES) -> float:
     """Largest r with spec's image of |z| < r inside d, by bisection.
 
-    Returns 1.0 when the full-disk image fits.  The bracket property
-    (pass at r - tol, fail at r + tol) is checked before returning.
+    Returns 1.0 when the full-disk image fits.  The radius is bisected to
+    `tol`, or to relative 1e-3 when it is below 1000 tol.  The bracket
+    property (pass at r - width, fail at r + width, with that width) is
+    checked before returning.
     """
     near = near_tolerance(d)
     e = _circle(n)
@@ -125,9 +138,9 @@ def subordination_radius(spec: FunctionSpec, d: domains.Domain,
     def ok(r: float) -> bool:
         return d.contains_all(np.asarray(spec.w_of(r * e)), near)
 
-    r_star = _bisect_radius(ok, tol)
-    if r_star < 1.0 and not (ok(max(r_star - tol, radii.RADIUS_FLOOR))
-                             and not ok(min(r_star + tol, 1.0 - 1e-10))):
+    r_star, width = _bisect_radius(ok, tol)
+    if r_star < 1.0 and not (ok(max(r_star - width, radii.RADIUS_FLOOR))
+                             and not ok(min(r_star + width, 1.0 - 1e-10))):
         raise ArithmeticError("bisection bracket violated")
     return r_star
 
@@ -141,7 +154,7 @@ def disk_family_radius(center, spread, d: domains.Domain,
     def ok(r: float) -> bool:
         return d.contains_all(center(r) + spread(r) * e, near)
 
-    return _bisect_radius(ok, tol)
+    return _bisect_radius(ok, tol)[0]
 
 
 def sharpness_touch(spec: FunctionSpec, r_star: float, touch_point_z: complex,
@@ -199,11 +212,34 @@ def measured_min_re_limit(n: int = 1 << 16) -> float:
     return float(np.min(w.real))
 
 
+def _boundary_arg(t: np.ndarray) -> np.ndarray:
+    return np.angle(np.asarray(cardioid.eval_phi(np.exp(1j * t))))
+
+
+def _unimodal_argmax(f: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> int:
+    """Index of the maximum of f over the grid t, for f unimodal on t.
+
+    f is evaluated on every 256th grid point, then on the grid points
+    within 256 of the coarse winner: the maximum of a unimodal sequence
+    lies between the coarse winner's coarse neighbours.
+    """
+    coarse = 256 * int(np.argmax(f(t[::256])))
+    lo = max(coarse - 256, 0)
+    return lo + int(np.argmax(f(t[lo:coarse + 257])))
+
+
 def measured_max_arg_order(n: int = 1 << 18) -> float:
-    """(2/pi) max |arg| over the boundary, grid search plus golden refinement."""
+    """(2/pi) max |arg| over the boundary, grid search plus golden refinement.
+
+    The argmax over the n-point grid on [0, pi] is found coarse to fine
+    (`_unimodal_argmax`), about 1,500 evaluations in place of n.  The
+    argument is unimodal there: d/dt arg phi(e^{it}) = Re(z phi'(z)/phi(z))
+    = (4 cos t + 1)(cos t + 1) / (2 |phi|^2), which changes sign once, at
+    cos t = -1/4.  Golden-section search then refines between the argmax's
+    grid neighbours.
+    """
     t = np.linspace(0.0, math.pi, n)
-    a = np.angle(np.asarray(cardioid.eval_phi(np.exp(1j * t))))
-    j = int(np.argmax(a))
+    j = _unimodal_argmax(_boundary_arg, t)
 
     def neg_arg(tt: float) -> float:
         return -np.angle(complex(cardioid.eval_phi(np.exp(1j * tt))))
@@ -403,6 +439,10 @@ def agreement_tolerance(samples: int) -> float:
     return AGREEMENT_TOL if samples >= DEFAULT_SAMPLES else AGREEMENT_TOL_COARSE
 
 
+def _row_claim(entry: radii.ConstantEntry) -> str:
+    return f"{entry.key}: {entry.description}"
+
+
 def verify_all_constants(samples: int = DEFAULT_SAMPLES,
                          keys: tuple[str, ...] | None = None) -> list[VerificationReport]:
     """Reproduce every registry constant by its oracle and compare."""
@@ -415,7 +455,7 @@ def verify_all_constants(samples: int = DEFAULT_SAMPLES,
         diff = abs(measured - entry.value)
         verdict = "pass" if diff < tol else "fail"
         reports.append(VerificationReport(
-            f"{entry.key}: {entry.description}", f"oracle:{entry.oracle.kind}",
+            _row_claim(entry), f"oracle:{entry.oracle.kind}",
             samples, verdict,
             witness=complex(entry.value) if verdict == "fail" else None,
             measured_value=measured, flags=entry.flags,
@@ -565,7 +605,14 @@ def convolution_suite(samples: int = 2048, order: int = 32) -> list[Verification
 
 def run_all_suites(samples: int = DEFAULT_SAMPLES, seed: int = 0,
                    key_filter: str | None = None) -> list[VerificationReport]:
-    reports = verify_all_constants(samples)
+    """Registry oracles and claim suites.  With `key_filter`, only the claims
+    containing it (ignoring case) are reported; registry rows are selected
+    by their claim text before their oracles run, suites after they run."""
+    keys = None
+    if key_filter:
+        keys = tuple(e.key for e in radii.constants_registry()
+                     if key_filter.lower() in _row_claim(e).lower())
+    reports = verify_all_constants(samples, keys)
     reports += inclusion_suite(samples)
     reports += coefficient_suite(seed=seed, samples=min(samples, 2048))
     reports += partial_sum_suite(samples)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cardstar import domains, functions, radii, verify
+from cardstar import cardioid, domains, functions, radii, verify
 from cardstar.functions import FunctionSpec
 from cardstar.series import PowerSeries, f_cardioid_series
 
@@ -67,7 +67,7 @@ def test_subordination_radius_no_positive_radius():
 def test_subordination_radius_below_1e4():
     steep = FunctionSpec("steep", lambda z: 1.0 + 5000.0 * np.asarray(z, dtype=complex))
     assert verify.subordination_radius(steep, domains.Disk(1.0, 0.01)) == pytest.approx(
-        2e-6, abs=1e-6)
+        2e-6, rel=1e-3)
     # the cardioid class in starlike functions of order 0.99995: 1 - r + r^2/2 = 0.99995
     r = verify.subordination_radius(functions.extremal("cardioid_extremal"),
                                     domains.make_domain("min_re", 0.99995))
@@ -82,6 +82,13 @@ def test_subordination_radius_bracket_violation_raises(monkeypatch):
                         lambda *args, **kw: bisect(*args, **kw) + 10 * verify.DEFAULT_TOL)
     with pytest.raises(ArithmeticError, match="bisection bracket violated"):
         verify.subordination_radius(functions.extremal("koebe"), CARD)
+    # a 2e-6 radius returned 2.5e-7 too large passes a check at +-tol = 1e-6;
+    # the check at +-1e-3 r catches it
+    steep = FunctionSpec("steep", lambda z: 1.0 + 5000.0 * np.asarray(z, dtype=complex))
+    monkeypatch.setattr(radii, "bisect_predicate",
+                        lambda *args, **kw: bisect(*args, **kw) + 0.25 * verify.DEFAULT_TOL)
+    with pytest.raises(ArithmeticError, match="bisection bracket violated"):
+        verify.subordination_radius(steep, domains.Disk(1.0, 0.01))
 
 
 def test_disk_family_radius_matches_ratio_class():
@@ -131,6 +138,40 @@ def test_threshold_measurements():
     assert verify.measured_growth_lower_limit() == pytest.approx(
         math.exp(-0.75), abs=1e-12)
     assert verify.measured_series_coefficient(4) == pytest.approx(5.0 / 12.0, abs=1e-14)
+
+
+def _full_circle_disk_radius(M: float, n: int = 4096) -> float:
+    # reference for radii.cardioid_disk_radius: every point of the n-point circle
+    e = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
+
+    def ok(r: float) -> bool:
+        w = cardioid.eval_phi(r * e)
+        return bool(np.min(M - np.abs(w - M)) > -1e-9)
+
+    return radii.bisect_predicate(ok, 1e-4, 1.0, steps=50, scan=(1.0 - 1e-9,),
+                                  floor=radii.RADIUS_FLOOR)
+
+
+@pytest.mark.parametrize("n", [4096, 8192])
+def test_cardioid_disk_radius_matches_full_circle(n):
+    # the half circle gives the full circle's radius; rounding differs between
+    # the mirrored halves, which can move the result by one 8.9e-16 bisection step
+    for M in np.linspace(0.5, 1.309, 202)[1:-1]:
+        assert radii.cardioid_disk_radius(M, n) == pytest.approx(
+            _full_circle_disk_radius(M, n), abs=2e-15), M
+
+
+def test_disk_branch_crossover_matches_full_circle(monkeypatch):
+    fast = verify.measured_disk_branch_crossover()
+    monkeypatch.setattr(radii, "cardioid_disk_radius", _full_circle_disk_radius)
+    assert fast == verify.measured_disk_branch_crossover()
+
+
+@pytest.mark.parametrize("n", [1 << 18, 1 << 12, 3000, 1000, 700, 257, 100])
+def test_max_arg_coarse_to_fine_matches_full_grid(n):
+    t = np.linspace(0.0, math.pi, n)
+    assert verify._unimodal_argmax(verify._boundary_arg, t) == int(np.argmax(
+        np.angle(np.asarray(cardioid.eval_phi(np.exp(1j * t))))))
 
 
 def test_inclusion_thresholds_match_registry():
