@@ -180,12 +180,3 @@ def boundary_samples(n: int) -> np.ndarray:
     """n boundary points phi(e^{it}) on the uniform grid t_j = 2 pi j / n."""
     t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     return np.asarray(eval_phi(np.exp(1j * t)))
-
-
-def boundary_csv(n: int = 512) -> str:
-    """CSV rows "t, x, y" tracing the cardioid once."""
-    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    w = np.asarray(eval_phi(np.exp(1j * t)))
-    lines = ["t,x,y"]
-    lines += [f"{ti:.9g},{wi.real:.9g},{wi.imag:.9g}" for ti, wi in zip(t, w)]
-    return "\n".join(lines) + "\n"

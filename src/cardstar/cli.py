@@ -9,7 +9,8 @@ Subcommands:
   member RE IM                  classify a point against the cardioid region
   radius CLASS [--param V]      look up a radius constant by class tag
   coeff-check FILE              coefficient-condition test of a series file
-  plot FIGURE                   emit figure curve data (CSV or SVG)
+  plot FIGURE                   emit figure curve data (CSV or SVG), with
+                                as many points per curve as samples
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  The sample
 count defaults to 4096 and may be overridden with --samples or the
@@ -360,15 +361,12 @@ def cmd_plot(config: CliConfig, args) -> int:
     if tag not in FIGURE_TAGS:
         sys.stderr.write(f"unknown figure tag; known: {', '.join(FIGURE_TAGS)}\n")
         return 2
-    checks = check_figure(tag)
-    for name, ok in checks:
+    n = config.samples
+    for name, ok in check_figure(tag, n):
         if not ok:
             sys.stderr.write(f"containment self-check failed for curve {name}\n")
             return 1
-    if config.output_format == "svg":
-        sys.stdout.write(figure_svg(tag))
-    else:
-        sys.stdout.write(figure_csv(tag))
+    sys.stdout.write(figure_svg(tag, n) if config.output_format == "svg" else figure_csv(tag, n))
     return 0
 
 

@@ -72,21 +72,14 @@ class CardioidDomain(Domain):
 
     kind = "cardioid"
 
-    def __init__(self, eps_boundary: float = 1e-12):
-        self.eps_boundary = eps_boundary
-
     def margin(self, w):
         return cardioid.preimage_margin(w)
 
     def boundary(self, t):
         return cardioid.boundary_point(t)
 
-    def contains(self, w, tol: float | None = None) -> bool:
-        eps = self.eps_boundary if tol is None else tol
-        return cardioid.contains(complex(w), eps).inside
-
-    def verdict(self, w: complex) -> cardioid.MembershipVerdict:
-        return cardioid.contains(w, self.eps_boundary)
+    def contains(self, w, tol: float = 1e-12) -> bool:
+        return cardioid.contains(complex(w), tol).inside
 
 
 @dataclass

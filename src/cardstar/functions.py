@@ -324,13 +324,6 @@ def extremal_names() -> tuple[str, ...]:
     return tuple(sorted(_EXTREMALS))
 
 
-def registry_listing() -> str:
-    """Plain-text listing: name and claim of every registered quotient."""
-    width = max(len(n) for n in _EXTREMALS)
-    lines = [f"{name:<{width}}  {spec.claim}" for name, spec in sorted(_EXTREMALS.items())]
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # monomial image disk, growth envelope, sine-integral series
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ Conventions used throughout:
     |z| < r inside X's region.
   * Ratio-class radii (`ratio_class_radius`) come from quotient bounds of
     the form |w - c(r)| <= rho(r); the radius is where that disk stops
-    fitting inside the cardioid region.
+    fitting inside the cardioid region.  Each class is one `RATIO_CLASSES`
+    row with its disk, published decimal, radius and flags.
 
 Both directions are rows of one table, `CLASS_TABLE`: a `ClassSpec` per
 (direction, tag) holds the parameter with its valid range and default, the
@@ -318,23 +319,37 @@ def janowski_radius_in_cardioid(A: float, B: float) -> RadiusResult:
 # the class table
 # ---------------------------------------------------------------------------
 
+ORACLE_KINDS = ("generator_into_cardioid", "quotient_into_cardioid", "quotient_into_domain",
+                "cardioid_into_domain", "disk_family", "threshold")
+
+
 @dataclass(frozen=True)
 class OracleSpec:
     """Declarative description of the independent check for one constant.
 
-    kinds:
-      generator_into_cardioid  payload: name, params
-      quotient_into_cardioid   payload: name
-      quotient_into_domain     payload: name, domain, domain_params
-      cardioid_into_domain     payload: domain, domain_params
-      disk_family              payload: center, spread, domain, domain_params
-      threshold                payload: name (special measurement in `verify`);
-                               name "inclusion" with family: the sharp
-                               parameter of that `verify.INCLUSION_FAMILIES` row
+    The four subordination kinds, generator_into_cardioid,
+    quotient_into_cardioid, quotient_into_domain and cardioid_into_domain,
+    measure the largest r with a quotient's image of |z| < r inside a region.
+    Their payload holds `quotient` (a `functions.extremal` name, default
+    "cardioid_extremal"), `params` (the quotient's parameters, default none)
+    and `region` (the `domains.make_domain` arguments, default
+    ("cardioid",)).  Their kinds differ only as labels: the report's method
+    is `oracle:<kind>`.
+
+    disk_family measures the largest r with |w - center(r)| <= spread(r)
+    inside a region: payload `center`, `spread` and `region`.
+
+    threshold is a special measurement in `verify`: payload `name` and the
+    `args` it takes, such as the `verify.INCLUSION_FAMILIES` row whose sharp
+    parameter "inclusion" measures.
     """
 
     kind: str
     payload: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind not in ORACLE_KINDS:
+            raise ValueError(f"unknown oracle kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -392,19 +407,24 @@ class ClassSpec:
             return self.oracle(p)
         if self.direction == "of":
             return _into_cardioid(self.tag, {self.param: p} if self.param else {})
-        return _cardioid_into(self.tag, (p,) if self.param else ())
+        return _cardioid_into(self.tag, *((p,) if self.param else ()))
 
 
 def _into_cardioid(generator: str, params: dict) -> OracleSpec:
-    return OracleSpec("generator_into_cardioid", {"name": generator, "params": params})
+    return OracleSpec("generator_into_cardioid", {"quotient": generator, "params": params})
 
 
-def _cardioid_into(domain: str, params: tuple) -> OracleSpec:
-    return OracleSpec("cardioid_into_domain", {"domain": domain, "params": params})
+def _cardioid_into(*region) -> OracleSpec:
+    return OracleSpec("cardioid_into_domain", {"region": region})
 
 
-def _inclusion(family: str) -> OracleSpec:
-    return OracleSpec("threshold", {"name": "inclusion", "family": family})
+def _disk_family(center: Callable, spread: Callable, *region) -> OracleSpec:
+    return OracleSpec("disk_family",
+                      {"center": center, "spread": spread, "region": region or ("cardioid",)})
+
+
+def _threshold(name: str, *args) -> OracleSpec:
+    return OracleSpec("threshold", {"name": name, "args": args})
 
 
 def _unit_from_zero(p: float) -> bool:
@@ -459,7 +479,7 @@ _BOUNDED_RE = dict(param="beta", valid=lambda b: b > 1.0,
 # min of the half-plane-quotient bound 1/3 and the starlikeness radius
 # tanh(pi/4) of univalent functions
 _UNIVALENT = dict(formula=lambda _: min(1.0 / 3.0, math.tanh(math.pi / 4.0)),
-                  oracle=lambda _: OracleSpec("quotient_into_cardioid", {"name": "koebe"}))
+                  oracle=lambda _: OracleSpec("quotient_into_cardioid", {"quotient": "koebe"}))
 
 CLASS_TABLE: dict[tuple[str, str], ClassSpec] = {(s.direction, s.tag): s for s in (
     # ---- radii of named classes in the cardioid class ----------------
@@ -503,7 +523,7 @@ CLASS_TABLE: dict[tuple[str, str], ClassSpec] = {(s.direction, s.tag): s for s i
     _of("close_to_convex", "the close-to-convex class", **_UNIVALENT),
     # ---- radii of the cardioid class in named classes ----------------
     _within("order", "starlike functions of order {p:g}", **_ORDER,
-            oracle=lambda a: _cardioid_into("min_re", (a,)), capped=lambda a: a <= 0.25,
+            oracle=lambda a: _cardioid_into("min_re", a), capped=lambda a: a <= 0.25,
             formula=lambda a: (math.sqrt((3.0 - 4.0 * a) / 2.0) if a <= 0.625
                                else 1.0 - math.sqrt(2.0 * a - 1.0))),
     _within("lemniscate", "the lemniscate class (alpha={p:g})", **_LEMNISCATE,
@@ -513,10 +533,8 @@ CLASS_TABLE: dict[tuple[str, str], ClassSpec] = {(s.direction, s.tag): s for s i
                 -1.0 + math.sqrt(1.0 + 2.0 * math.sqrt(math.sqrt(2.0 * SQRT2 - 2.0)
                                                        - (2.0 * SQRT2 - 2.0))),
                 flags=("bounding-disk-route",)),
-            oracle=lambda _: OracleSpec("disk_family", {"center": lambda r: 1.0,
-                                                        "spread": lambda r: r + 0.5 * r * r,
-                                                        "domain": "rational_lemniscate",
-                                                        "params": ()})),
+            oracle=lambda _: _disk_family(lambda r: 1.0, lambda r: r + 0.5 * r * r,
+                                          "rational_lemniscate")),
     _within("rational", "the rational-generator class",
             formula=lambda _: 1.0 - math.sqrt(4.0 * SQRT2 - 5.0)),
     _within("sine", "the sine class",
@@ -528,13 +546,13 @@ CLASS_TABLE: dict[tuple[str, str], ClassSpec] = {(s.direction, s.tag): s for s i
             formula=lambda _: -1.0 + math.sqrt(1.0 + 2.0 * (E - 1.0) / (E + 1.0))),
     _within("ram_singh", "the [1-a, 0] family at a={p:g}", **_RAM_SINGH,
             formula=lambda a: -1.0 + math.sqrt(3.0 - 2.0 * a),
-            oracle=lambda a: _cardioid_into("disk", (1.0, 0.0, 1.0 - a))),
+            oracle=lambda a: _cardioid_into("disk", 1.0, 0.0, 1.0 - a)),
     _within("padmanabhan", "the [a, -a] family at a={p:g}", **_PADMANABHAN,
             capped=lambda a: a >= alpha_knot(), formula=w_alpha,
-            oracle=lambda a: _cardioid_into("disk", _apollonius_disk(a))),
+            oracle=lambda a: _cardioid_into("disk", *_apollonius_disk(a))),
     _within("janowski_M", "the bounded-quotient family at M={p:g}", **_BOUNDED_QUOTIENT,
             capped=lambda M: M >= m_fixed_point(), formula=_cardioid_in_bounded_quotient,
-            oracle=lambda M: _cardioid_into("disk", (M, 0.0, M))),
+            oracle=lambda M: _cardioid_into("disk", M, 0.0, M)),
     _within("cardioid_wide", "the wide-cardioid class", capped=lambda _: True),
     _within("bounded_re", "the bounded-real-part class (beta={p:g})", **_BOUNDED_RE,
             capped=lambda b: b >= 2.5, formula=lambda b: math.sqrt(2.0 * b - 1.0) - 1.0),
@@ -575,74 +593,85 @@ def corollary_radius(tag: str, param: float) -> RadiusResult:
 # ratio classes
 # ---------------------------------------------------------------------------
 
-_CHI_TAGS = ("z", "z_over_1plusz", "z_over_1minusz2", "koebe", "z_plus_half_z2")
+@dataclass(frozen=True)
+class RatioClass:
+    """Ratio class i over chi: its quotient disk |w - center(r)| <= spread(r),
+    the literature's decimal, and its radius, a closed form or the ascending
+    coefficients of the polynomial whose smallest root in (0, 1) it is."""
 
-# quotient disk |w - center(r)| <= spread(r) for each (i, chi) pair
-_RATIO_DISKS: dict[tuple[int, str], tuple[Callable, Callable]] = {
-    (1, "z"): (lambda r: 1.0, lambda r: 4.0 * r / (1.0 - r * r)),
-    (2, "z"): (lambda r: 1.0, lambda r: (3.0 * r + r * r) / (1.0 - r * r)),
-    (3, "z"): (lambda r: 1.0, lambda r: 2.0 * r / (1.0 - r * r)),
-    (1, "z_over_1plusz"): (lambda r: 1.0 / (1.0 - r * r), lambda r: 5.0 * r / (1.0 - r * r)),
-    (2, "z_over_1plusz"): (lambda r: 1.0 / (1.0 - r * r),
-                           lambda r: (4.0 * r + r * r) / (1.0 - r * r)),
-    (3, "z_over_1plusz"): (lambda r: 1.0 / (1.0 - r * r), lambda r: 3.0 * r / (1.0 - r * r)),
-    (1, "z_over_1minusz2"): (lambda r: (1.0 + r**4) / (1.0 - r**4),
-                             lambda r: 2.0 * r * (2.0 * r * r + r + 2.0) / (1.0 - r**4)),
-    (2, "z_over_1minusz2"): (lambda r: (1.0 + r**4) / (1.0 - r**4),
-                             lambda r: r * (r**3 + 3.0 * r * r + 3.0 * r + 3.0) / (1.0 - r**4)),
-    (3, "z_over_1minusz2"): (lambda r: (1.0 + r**4) / (1.0 - r**4),
-                             lambda r: 2.0 * r * (r * r + r + 1.0) / (1.0 - r**4)),
-    (1, "koebe"): (lambda r: (1.0 + r * r) / (1.0 - r * r), lambda r: 6.0 * r / (1.0 - r * r)),
-    (2, "koebe"): (lambda r: (1.0 + r * r) / (1.0 - r * r),
-                   lambda r: (5.0 * r + r * r) / (1.0 - r * r)),
-    (3, "koebe"): (lambda r: (1.0 + r * r) / (1.0 - r * r), lambda r: 4.0 * r / (1.0 - r * r)),
-    (1, "z_plus_half_z2"): (lambda r: (4.0 - 2.0 * r * r) / (4.0 - r * r),
-                            lambda r: 6.0 * r * (3.0 - r * r) / ((1.0 - r * r) * (4.0 - r * r))),
-    (2, "z_plus_half_z2"): (lambda r: (4.0 - 2.0 * r * r) / (4.0 - r * r),
-                            lambda r: r * (-r**3 - 5.0 * r * r + 4.0 * r + 14.0)
-                            / ((1.0 - r * r) * (4.0 - r * r))),
-    (3, "z_plus_half_z2"): (lambda r: (4.0 - 2.0 * r * r) / (4.0 - r * r),
-                            lambda r: 2.0 * r * (5.0 - 2.0 * r * r)
-                            / ((1.0 - r * r) * (4.0 - r * r))),
+    center: Callable
+    spread: Callable
+    published: float
+    radius: float | tuple[float, ...]
+    flags: tuple[str, ...] = ()
+    note: str = ""
+
+
+def _ratio_classes(center: Callable, *rows: tuple) -> dict[int, RatioClass]:
+    # the rows i = 1, 2, 3 over one chi share its disk center
+    return {i: RatioClass(center, *row) for i, row in enumerate(rows, start=1)}
+
+
+# chi -> i -> ratio class, in registry order
+RATIO_CLASSES: dict[str, dict[int, RatioClass]] = {
+    "z": _ratio_classes(
+        lambda r: 1.0,
+        (lambda r: 4.0 * r / (1.0 - r * r), 0.1231, math.sqrt(17.0) - 4.0),
+        (lambda r: (3.0 * r + r * r) / (1.0 - r * r), 0.154701,
+         1.0 / (3.0 + 2.0 * math.sqrt(3.0))),
+        (lambda r: 2.0 * r / (1.0 - r * r), 0.23606, math.sqrt(5.0) - 2.0)),
+    "z_over_1plusz": _ratio_classes(
+        lambda r: 1.0 / (1.0 - r * r),
+        (lambda r: 5.0 * r / (1.0 - r * r), 0.10102, 5.0 - 2.0 * math.sqrt(6.0)),
+        (lambda r: (4.0 * r + r * r) / (1.0 - r * r), 0.12310, math.sqrt(17.0) - 4.0),
+        (lambda r: 3.0 * r / (1.0 - r * r), 0.17157, 3.0 - 2.0 * SQRT2)),
+    "z_over_1minusz2": _ratio_classes(
+        lambda r: (1.0 + r**4) / (1.0 - r**4),
+        (lambda r: 2.0 * r * (2.0 * r * r + r + 2.0) / (1.0 - r**4), 0.116675,
+         (1.0, -8.0, -4.0, -8.0, 3.0)),
+        (lambda r: r * (r**3 + 3.0 * r * r + 3.0 * r + 3.0) / (1.0 - r**4), 0.14326,
+         (1.0, -6.0, -6.0, -6.0, 1.0), ("published-decimal-ambiguous",),
+         "printed as 0.14326 in the table and 0.14327 in the derivation; "
+         "both round the same root"),
+        (lambda r: 2.0 * r * (r * r + r + 1.0) / (1.0 - r**4), 0.202135,
+         (1.0, -4.0, -4.0, -4.0, 3.0))),
+    "koebe": _ratio_classes(
+        lambda r: (1.0 + r * r) / (1.0 - r * r),
+        (lambda r: 6.0 * r / (1.0 - r * r), 0.0851458, (6.0 - math.sqrt(33.0)) / 3.0),
+        (lambda r: (5.0 * r + r * r) / (1.0 - r * r), 0.101021, 5.0 - 2.0 * math.sqrt(6.0)),
+        (lambda r: 4.0 * r / (1.0 - r * r), 0.13148, (4.0 - math.sqrt(13.0)) / 3.0)),
+    "z_plus_half_z2": _ratio_classes(
+        lambda r: (4.0 - 2.0 * r * r) / (4.0 - r * r),
+        (lambda r: 6.0 * r * (3.0 - r * r) / ((1.0 - r * r) * (4.0 - r * r)), 0.10924,
+         (2.0, -19.0, 6.0, 3.0)),
+        (lambda r: r * (-r**3 - 5.0 * r * r + 4.0 * r + 14.0) / ((1.0 - r * r) * (4.0 - r * r)),
+         0.134138, (2.0, -15.0, 0.0, 5.0)),
+        (lambda r: 2.0 * r * (5.0 - 2.0 * r * r) / ((1.0 - r * r) * (4.0 - r * r)), 0.19028,
+         (2.0, -11.0, 2.0, 3.0))),
 }
 
-# closed forms / defining polynomials, ascending coefficients
-_RATIO_VALUES: dict[tuple[int, str], tuple] = {
-    (1, "z"): (math.sqrt(17.0) - 4.0, None),
-    (2, "z"): (1.0 / (3.0 + 2.0 * math.sqrt(3.0)), None),
-    (3, "z"): (math.sqrt(5.0) - 2.0, None),
-    (1, "z_over_1plusz"): (5.0 - 2.0 * math.sqrt(6.0), None),
-    (2, "z_over_1plusz"): (math.sqrt(17.0) - 4.0, None),
-    (3, "z_over_1plusz"): (3.0 - 2.0 * SQRT2, None),
-    (1, "z_over_1minusz2"): (None, (1.0, -8.0, -4.0, -8.0, 3.0)),
-    (2, "z_over_1minusz2"): (None, (1.0, -6.0, -6.0, -6.0, 1.0)),
-    (3, "z_over_1minusz2"): (None, (1.0, -4.0, -4.0, -4.0, 3.0)),
-    (1, "koebe"): ((6.0 - math.sqrt(33.0)) / 3.0, None),
-    (2, "koebe"): (5.0 - 2.0 * math.sqrt(6.0), None),
-    (3, "koebe"): ((4.0 - math.sqrt(13.0)) / 3.0, None),
-    (1, "z_plus_half_z2"): (None, (2.0, -19.0, 6.0, 3.0)),
-    (2, "z_plus_half_z2"): (None, (2.0, -15.0, 0.0, 5.0)),
-    (3, "z_plus_half_z2"): (None, (2.0, -11.0, 2.0, 3.0)),
-}
+
+def _ratio_class(i: int, chi: str) -> RatioClass:
+    try:
+        return RATIO_CLASSES[chi][i]
+    except KeyError:
+        raise ValueError(f"unknown ratio class ({i}, {chi!r}); "
+                         f"chi tags: {', '.join(RATIO_CLASSES)}") from None
 
 
 def ratio_disk_family(i: int, chi: str) -> tuple[Callable, Callable]:
     """(center(r), spread(r)) of the quotient disk for the ratio class (i, chi)."""
-    try:
-        return _RATIO_DISKS[(i, chi)]
-    except KeyError:
-        raise ValueError(f"unknown ratio class ({i}, {chi!r}); chi tags: {', '.join(_CHI_TAGS)}")
+    row = _ratio_class(i, chi)
+    return row.center, row.spread
 
 
 def ratio_class_radius(i: int, chi: str) -> RadiusResult:
     """Cardioid-class radius of the three ratio-comparison classes over chi."""
-    if (i, chi) not in _RATIO_VALUES:
-        raise ValueError(f"unknown ratio class ({i}, {chi!r}); chi tags: {', '.join(_CHI_TAGS)}")
-    closed, poly = _RATIO_VALUES[(i, chi)]
+    row = _ratio_class(i, chi)
     text = f"radius of the ratio class {i} over chi={chi} in the cardioid class"
-    if closed is not None:
-        return RadiusResult(closed, CLOSED_FORM, claim=text)
-    return replace(_root_result(poly), claim=text)
+    if isinstance(row.radius, tuple):
+        return replace(_root_result(row.radius), claim=text)
+    return RadiusResult(row.radius, CLOSED_FORM, claim=text)
 
 
 def ratio2_rotated_closed_form() -> float:
@@ -726,31 +755,31 @@ def constants_registry() -> tuple[ConstantEntry, ...]:
     # ---- inclusion thresholds -------------------------------------
     add(_entry("incl.min_re", "largest order of starlikeness containing the class",
                0.25,
-               oracle=OracleSpec("threshold", {"name": "min_re_limit"})))
+               oracle=_threshold("min_re_limit")))
     bz = beta_zero_candidates()
     add(_entry("incl.strong_order", "strong starlikeness order of the class",
                bz["statement_form"],
                published=bz["published_decimal"], published_tol=5e-5,
-               oracle=OracleSpec("threshold", {"name": "max_arg"}),
+               oracle=_threshold("max_arg"),
                flags=("published-decimal-mismatch",),
                note=(f"published decimal {bz['published_decimal']} and variant reading "
                      f"{bz['proof_form']:.6f} both differ from the measured maximum; "
                      "the measured value is reported")))
     add(_entry("incl.conic", "smallest conic parameter whose region fits inside",
                5.0 / 3.0,
-               oracle=_inclusion("conic")))
+               oracle=_threshold("inclusion", "conic")))
     add(_entry("incl.exponential", "smallest exponential-region parameter fitting inside",
                alpha_zero(), published=0.209011,
-               oracle=_inclusion("exponential")))
+               oracle=_threshold("inclusion", "exponential")))
     add(_entry("incl.lemniscate", "smallest lemniscate parameter fitting inside",
                0.5,
-               oracle=_inclusion("lemniscate")))
+               oracle=_threshold("inclusion", "lemniscate")))
     add(_entry("incl.cassinian", "largest Cassinian parameter fitting inside",
                0.75,
-               oracle=_inclusion("cassinian")))
+               oracle=_threshold("inclusion", "cassinian")))
     add(_entry("incl.outer_disk", "self-centered circumscribed disk parameter",
                m_fixed_point(), published=1.309017,
-               oracle=_inclusion("self_centered_disk")))
+               oracle=_threshold("inclusion", "self_centered_disk")))
 
     # ---- radii of classes in the cardioid class --------------------
     add(_class_row("of", "cassinian", "cassinian", 1.0))
@@ -775,8 +804,7 @@ def constants_registry() -> tuple[ConstantEntry, ...]:
     add(_class_row("of", "univalent", "univalent"))
     res = janowski_radius_in_cardioid(0.5, -0.5)
     add(_entry("of.janowski_mixed", res.claim, res,
-               oracle=OracleSpec("generator_into_cardioid",
-                                 {"name": "janowski", "params": {"A": 0.5, "B": -0.5}})))
+               oracle=_into_cardioid("janowski", {"A": 0.5, "B": -0.5})))
 
     # ---- radii of the cardioid class in other classes --------------
     add(_class_row("within", "order_mid", "order", 0.45))
@@ -797,7 +825,7 @@ def constants_registry() -> tuple[ConstantEntry, ...]:
     add(_entry("within.padmanabhan_knot",
                "parameter above which the whole region fits the Apollonius disk",
                alpha_knot(), published=0.672505,
-               oracle=_inclusion("in_apollonius_disk")))
+               oracle=_threshold("inclusion", "in_apollonius_disk")))
     add(_class_row("within", "janowski_M_low", "janowski_M", 1.05,
                    note="published first-branch term -1+sqrt(M-1) is not a real radius; "
                         "the measured value is reported"))
@@ -806,78 +834,55 @@ def constants_registry() -> tuple[ConstantEntry, ...]:
                "disk parameter where the binding tangency leaves the real axis",
                m_knot(),
                published=1.1423, published_tol=5e-4,
-               oracle=OracleSpec("threshold", {"name": "disk_branch_crossover"})))
+               oracle=_threshold("disk_branch_crossover")))
     add(_class_row("within", "cardioid_wide", "cardioid_wide"))
     add(_class_row("within", "bounded_re", "bounded_re", 2.0))
     add(_class_row("within", "bounded_re_capped", "bounded_re", 3.0))
 
     # ---- ratio classes ----------------------------------------------
-    ratio_published = {
-        (1, "z"): 0.1231, (2, "z"): 0.154701, (3, "z"): 0.23606,
-        (1, "z_over_1plusz"): 0.10102, (2, "z_over_1plusz"): 0.12310,
-        (3, "z_over_1plusz"): 0.17157,
-        (1, "z_over_1minusz2"): 0.116675, (2, "z_over_1minusz2"): 0.14326,
-        (3, "z_over_1minusz2"): 0.202135,
-        (1, "koebe"): 0.0851458, (2, "koebe"): 0.101021, (3, "koebe"): 0.13148,
-        (1, "z_plus_half_z2"): 0.10924, (2, "z_plus_half_z2"): 0.134138,
-        (3, "z_plus_half_z2"): 0.19028,
-    }
-    for (i, chi), published in ratio_published.items():
-        res = ratio_class_radius(i, chi)
-        center, spread = ratio_disk_family(i, chi)
-        flags = ()
-        note = ""
-        if (i, chi) == (2, "z_over_1minusz2"):
-            flags = ("published-decimal-ambiguous",)
-            note = "printed as 0.14326 in the table and 0.14327 in the derivation; " \
-                   "both round the same root"
-        add(_entry(f"ratio.f{i}.{chi}", res.claim, res, published,
-                   oracle=OracleSpec("disk_family",
-                                     {"center": center, "spread": spread,
-                                      "domain": "cardioid", "params": ()}),
-                   flags=flags, note=note))
+    for chi, classes in RATIO_CLASSES.items():
+        for i, row in classes.items():
+            res = ratio_class_radius(i, chi)
+            add(_entry(f"ratio.f{i}.{chi}", res.claim, res, row.published,
+                       oracle=_disk_family(row.center, row.spread),
+                       flags=row.flags, note=row.note))
 
     # ---- partial sums and convolution -------------------------------
     ps = partial_sum_radii()
     add(_entry("psum.starlike", "starlikeness radius of second partial sums",
                ps["starlike"],
                oracle=OracleSpec("quotient_into_domain",
-                                 {"name": "second_sum", "domain": "min_re",
-                                  "params": (0.0,)})))
+                                 {"quotient": "second_sum", "region": ("min_re", 0.0)})))
     add(_entry("psum.convex", "convexity radius of second partial sums",
                ps["convex"],
                oracle=OracleSpec("quotient_into_domain",
-                                 {"name": "second_sum_convexity", "domain": "min_re",
-                                  "params": (0.0,)})))
+                                 {"quotient": "second_sum_convexity",
+                                  "region": ("min_re", 0.0)})))
     add(_entry("psum.cardioid_dilation", "dilation keeping second sums in the class",
                ps["cardioid_dilation"],
-               oracle=OracleSpec("quotient_into_cardioid", {"name": "second_sum"})))
+               oracle=OracleSpec("quotient_into_cardioid", {"quotient": "second_sum"})))
     add(_entry("psum.from_convex", "dilation bound for second sums of convex functions",
                ps["from_convex"],
-               oracle=OracleSpec("quotient_into_cardioid", {"name": "second_sum"})))
+               oracle=OracleSpec("quotient_into_cardioid", {"quotient": "second_sum"})))
     add(_entry("psum.from_univalent", "dilation bound for second sums of univalent functions",
                ps["from_univalent"],
-               oracle=OracleSpec("quotient_into_cardioid", {"name": "koebe_second_sum"})))
+               oracle=OracleSpec("quotient_into_cardioid", {"quotient": "koebe_second_sum"})))
     cv = convolution_radii()
     add(_entry("conv.convex_factor", "dilation keeping convolutions with convex functions",
                cv["convex_factor"],
-               oracle=OracleSpec("threshold", {"name": "generator_convexity"})))
-    center, spread = ratio_disk_family(3, "koebe")
+               oracle=_threshold("generator_convexity")))
     add(_entry("conv.starlike_pair", "dilation bound for convolutions of two starlike functions",
                cv["starlike_pair"], published=0.1314829,
-               oracle=OracleSpec("disk_family",
-                                 {"center": center, "spread": spread,
-                                  "domain": "cardioid", "params": ()})))
+               oracle=_disk_family(*ratio_disk_family(3, "koebe"))))
 
     # ---- growth and coefficient constants ----------------------------
     add(_entry("growth.inner_disk", "radius of the disk covered by every image",
                math.exp(-0.75), published=0.47236,
-               oracle=OracleSpec("threshold", {"name": "growth_lower_limit"})))
+               oracle=_threshold("growth_lower_limit")))
     for n, bound in ((2, 1.0), (3, 0.75), (4, 5.0 / 12.0)):
         add(_entry(f"coeff.bound_{n}", f"sharp bound on the coefficient a{n}",
                    bound,
-                   oracle=OracleSpec("threshold", {"name": "series_coefficient",
-                                                   "index": n})))
+                   oracle=_threshold("series_coefficient", n)))
 
     keys = [r.key for r in rows]
     if len(keys) != len(set(keys)):

@@ -146,13 +146,3 @@ def test_annulus_type_invariant():
     assert 0 < ann.r_inner <= ann.r_outer
     with pytest.raises(ValueError):
         cardioid.AnnulusOfDisks(1.0, 0.5, 0.4)
-
-
-def test_boundary_csv_format():
-    text = cardioid.boundary_csv(16)
-    lines = text.strip().splitlines()
-    assert lines[0] == "t,x,y"
-    assert len(lines) == 17
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[1]) == pytest.approx(2.5)

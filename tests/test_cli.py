@@ -221,6 +221,17 @@ def test_figure_output_pinned():
         assert hashlib.sha256(cli.figure_svg(tag).encode()).hexdigest() == svg_digest, tag
 
 
+def test_plot_command_uses_samples(capsys):
+    # one header line and 1024 points for each of the two curves
+    code, out, _ = run(["--samples", "1024", "plot", "inclusion_g3"], capsys)
+    assert code == 0 and len(out.splitlines()) == 2049
+    for tag, (csv_digest, svg_digest) in _FIGURE_DIGESTS.items():
+        for fmt, digest in (("csv", csv_digest), ("svg", svg_digest)):
+            code, out, _ = run(["--samples", "512", "--format", fmt, "plot", tag], capsys)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (tag, fmt)
+
+
 def test_figure_checks_all_tags():
     for tag in cli.FIGURE_TAGS:
         for name, ok in cli.check_figure(tag):
@@ -245,19 +256,26 @@ def test_verify_command_filtered(monkeypatch, capsys):
 
 
 # sha256 of the stdout of `cardstar --samples 512 verify` and `... constants`,
-# recorded from the code before the two special threshold oracles were sped
-# up; a different libm could move a last printed digit
+# in text and in `--format csv` (the only output with the `method` and
+# `witness` columns); the text digests were recorded from the code before the
+# two special threshold oracles were sped up, the CSV digests from the code
+# before the oracle decoder and the report constructor were merged.  A
+# different libm could move a last printed digit.
 _CLI_DIGESTS = {
     "verify": "7fc39004dd8bb0b7aaaadce70f26c73a6141db978e70aa298516891543df09a8",
     "constants": "76d73a7135469de5b427fa9ae7bc7b44968a5debb582a7781dedbcc63a41d9a5",
+    "verify-csv": "da4400c15b4a7ded5eaeea9fb360dbb1c9580f0f2330d9205374865c4a65ae1a",
+    "constants-csv": "8cc46f42debd036cf7d92360cda517901e564ac0943128198d45d803a8bedeb7",
 }
 
 
-@pytest.mark.parametrize("command", sorted(_CLI_DIGESTS))
-def test_cli_output_pinned(command, capsys):
-    code, out, _ = run(["--samples", "512", command], capsys)
+@pytest.mark.parametrize("case", sorted(_CLI_DIGESTS))
+def test_cli_output_pinned(case, capsys):
+    command, _, fmt = case.partition("-")
+    code, out, _ = run(["--samples", "512"] + (["--format", fmt] if fmt else []) + [command],
+                       capsys)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == _CLI_DIGESTS[command]
+    assert hashlib.sha256(out.encode()).hexdigest() == _CLI_DIGESTS[case]
 
 
 @pytest.mark.parametrize("argv", [["--samples", "512", "constants"],

@@ -13,7 +13,6 @@ from cardstar.functions import (
     generator_names,
     growth_envelope,
     monomial_image_disk,
-    registry_listing,
     sine_integral_series,
 )
 from cardstar.series import PowerSeries, f_cardioid_series
@@ -158,10 +157,17 @@ def test_ratio_extremal_formulas_from_stated_products():
     assert np.max(np.abs(got - want)) < 1e-6
 
 
-def test_registry_listing_contains_all_names():
-    text = registry_listing()
-    for name in extremal_names():
-        assert name in text
+def test_lune_corners():
+    # the corners +-i are hit exactly; at fl(pi/2) the image is the true one
+    # of that rounded parameter, which psi' (infinite at the corner) moves by
+    # sqrt(delta)(1 + i), delta = cos(fl(pi/2)) ~ 6.1e-17
+    lune = generator("lune")
+    assert complex(lune(1j)) == 1j
+    assert complex(lune(-1j)) == -1j
+    delta = math.cos(math.pi / 2.0)
+    assert 6e-17 < delta < 6.2e-17
+    w = complex(lune(np.exp(1j * math.pi / 2.0)))
+    assert abs(w - (1j + math.sqrt(delta) * (1.0 + 1j))) < 1e-15
 
 
 def test_unknown_generator_raises():

@@ -97,6 +97,32 @@ def test_disk_family_radius_matches_ratio_class():
     assert measured == pytest.approx(radii.ratio_class_radius(3, "koebe").value, abs=2e-3)
 
 
+def test_disk_family_radius_bracket_violation_raises(monkeypatch):
+    # the disk-family search certifies its bracket as the subordination search does
+    center, spread = radii.ratio_disk_family(3, "koebe")
+    bisect = radii.bisect_predicate
+    for shift in (10 * verify.DEFAULT_TOL, -10 * verify.DEFAULT_TOL):
+        monkeypatch.setattr(radii, "bisect_predicate",
+                            lambda *args, shift=shift, **kw: bisect(*args, **kw) + shift)
+        with pytest.raises(ArithmeticError, match="bisection bracket violated"):
+            verify.disk_family_radius(center, spread, CARD)
+
+
+def test_oracle_kind_validated():
+    with pytest.raises(ValueError, match="unknown oracle kind"):
+        radii.OracleSpec("quotient_into_nowhere", {"quotient": "koebe"})
+
+
+def test_oracle_payloads_use_the_shared_keys():
+    # subordination kinds: quotient, params, region; disk_family: center,
+    # spread, region; threshold: name, args
+    keys = {"disk_family": {"center", "spread", "region"}, "threshold": {"name", "args"}}
+    for entry in radii.constants_registry():
+        if entry.oracle is not None:
+            allowed = keys.get(entry.oracle.kind, {"quotient", "params", "region"})
+            assert set(entry.oracle.payload) <= allowed, entry.key
+
+
 def test_sharpness_touch_examples():
     jan = FunctionSpec("janowski_extremal", functions.generator("janowski", A=1.0, B=-1.0))
     assert verify.sharpness_touch(jan, 1.0 / 3.0, -1.0 / 3.0, 0.5, CARD).passed
@@ -176,7 +202,7 @@ def test_max_arg_coarse_to_fine_matches_full_grid(n):
 
 def test_inclusion_thresholds_match_registry():
     # every inclusion family with a threshold oracle, against its registry row
-    rows = {e.oracle.payload["family"]: e for e in radii.constants_registry()
+    rows = {e.oracle.payload["args"][0]: e for e in radii.constants_registry()
             if e.oracle is not None and e.oracle.payload.get("name") == "inclusion"}
     with_oracle = {name for name, fam in verify.INCLUSION_FAMILIES.items() if fam.bracket}
     assert set(rows) == with_oracle
@@ -243,7 +269,13 @@ def test_coefficient_suite_passes():
     assert report.passed
 
 
-def test_partial_sum_suite_passes():
+def test_partial_sum_suite_passes(monkeypatch):
+    # the suite measures the registry's psum rows, but not through
+    # measure_constant, whose calls are the registry-row operations
+    def refuse(*args, **kwargs):
+        raise AssertionError("measure_constant called by a claim suite")
+
+    monkeypatch.setattr(verify, "measure_constant", refuse)
     reports = verify.partial_sum_suite(2048)
     assert all(r.passed for r in reports)
 
