@@ -28,13 +28,6 @@ def eval_phi(z):
     return out if out.shape else complex(out)
 
 
-def boundary_point(t):
-    """Boundary parametrization phi(e^{it})."""
-    t = np.asarray(t, dtype=float)
-    out = eval_phi(np.exp(1j * t))
-    return out if np.ndim(out) else complex(out)
-
-
 def min_re_on_circle(r: float) -> float:
     """min of Re phi on |z| = r: 1 - r + r^2/2 up to r = 1/2, then (3 - 2r^2)/4.
 

@@ -14,7 +14,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  The sample
 count defaults to 4096 and may be overridden with --samples or the
-CARDIOID_SAMPLES environment variable.
+CARDIOID_SAMPLES environment variable; it must be at least 256 and
+divisible by 4.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ class CliConfig:
     def __post_init__(self):
         if self.samples < 256:
             raise ValueError("sample count must be at least 256")
+        if self.samples % 4:
+            # the circle grids must hold t = pi/2 and pi, where sharp radii touch
+            raise ValueError("sample count must be divisible by 4")
         if self.output_format not in ("text", "csv", "svg"):
             raise ValueError("output format must be text, csv or svg")
 
@@ -165,7 +169,7 @@ def _sharpness_s2_s3_s7_s8(n: int) -> list[dict]:
         r = radii.radius_of_cardioid_in_class(name, *params).value
         curves.append(_curve(f"{name}_target", _boundary_pts(outer, n)))
         curves.append(_curve(f"cardioid_subdisk_in_{name}",
-                             _image_circle(functions.gen_cardioid, r, n), outer=outer, tol=2e-5))
+                             _image_circle(cardioid.eval_phi, r, n), outer=outer, tol=2e-5))
     return curves
 
 

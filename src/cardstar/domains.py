@@ -1,23 +1,36 @@
-"""Comparison regions of the plane with a uniform membership interface.
+"""Comparison regions of the plane with one membership interface.
 
 Every region that the radius and inclusion computations compare against is
-wrapped as a `Domain` with three capabilities:
+a `Domain` with four capabilities:
 
   * ``margin(w)``   -- vectorized signed membership indicator, positive inside,
                        zero on the boundary (units vary by kind; all vanish
                        linearly in w-distance except where noted);
-  * ``boundary(t)`` -- parametrization of the topological boundary, t in [0, 2pi);
+  * ``contains_all(ws, tol)`` -- the containment test: every point inside or
+                       within tol of the boundary;
+  * ``boundary(t)`` -- parametrization of the topological boundary,
+                       t in [0, 2pi), by default ``generator(e^{it})``;
   * ``boundary_gap(w)`` -- high-accuracy distance-like gap used by the
                        sharpness (boundary touch) checks.
 
-Kinds fall into two groups.  Regions with a defining inequality (disks,
-half-planes, sectors, conics, the exponential / lemniscate / Cassinian /
-sigmoid / cosh regions) evaluate it directly.  Generator images -- the
-cardioid (see `cardioid`), nephroid, limacon, lune, sine, the rational and
-shifted-lemniscate generators, the wide cardioid and the Booth curve -- are
-classified by subordination: w is inside when a root of psi(z) = w lies in
-the unit disk.  The cardioid margin is in preimage units (1 - |z|); the
-other generator margins are Euclidean distances to the boundary curve.
+There are four classes of region:
+
+  * the cardioid, the image of the unit disk under `cardioid.eval_phi`,
+    with its margin in preimage units (1 - |z|);
+  * disks, the images of center + radius z;
+  * the nine regions with a defining inequality (two half-planes, sectors,
+    conics, the exponential / lemniscate / Cassinian / sigmoid / cosh
+    regions), each one row of the `_INEQUALITIES` table: its parameter
+    check, its margin, its description and, for the four kinds whose
+    boundary is a line, two rays or an ellipse, that curve; the other five
+    draw the image of the unit circle under their `functions` generator;
+  * generator images -- the nephroid, limacon, lune, sine, the rational and
+    shifted-lemniscate generators, the wide cardioid and the Booth curve --
+    classified by subordination: w is inside when a root of psi(z) = w lies
+    in the unit disk.  Their margins are Euclidean distances to the
+    boundary curve.
+
+`make_domain(kind, *params)` builds every kind by name.
 """
 
 from __future__ import annotations
@@ -25,11 +38,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import cardioid, functions
 from .functions import SQRT2
+
+# how far the drawn boundaries of the unbounded inequality regions reach:
+# half the length of a half-plane's boundary line and the length of a ray
+_LINE_HALF_LENGTH = 8.0
+_RAY_LENGTH = 6.0
 
 
 def _as_points(w) -> np.ndarray:
@@ -37,19 +56,24 @@ def _as_points(w) -> np.ndarray:
 
 
 class Domain:
-    """Base interface; subclasses provide `margin` and `boundary`."""
+    """Base interface; subclasses provide `margin` and either a `generator`
+    of the region or their own boundary curve."""
 
     kind: str = "abstract"
-    interior_point: complex = 1.0 + 0j  # all registered regions contain 1
 
     def margin(self, w):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def boundary(self, t):  # pragma: no cover - abstract
+    def generator(self, z):  # pragma: no cover - abstract
+        """The map of the unit disk onto the region."""
         raise NotImplementedError
 
-    def contains(self, w, tol: float = 0.0) -> bool:
-        return bool(np.min(self.margin(w)) > -tol)
+    def _curve(self, t: np.ndarray):
+        return self.generator(np.exp(1j * t))
+
+    def boundary(self, t):
+        out = np.asarray(self._curve(np.asarray(t, dtype=float)))
+        return out if out.shape else complex(out)
 
     def contains_all(self, ws, tol: float = 0.0) -> bool:
         """True iff every point is inside or within tol of the boundary."""
@@ -75,11 +99,8 @@ class CardioidDomain(Domain):
     def margin(self, w):
         return cardioid.preimage_margin(w)
 
-    def boundary(self, t):
-        return cardioid.boundary_point(t)
-
-    def contains(self, w, tol: float = 1e-12) -> bool:
-        return cardioid.contains(complex(w), tol).inside
+    def generator(self, z):
+        return cardioid.eval_phi(z)
 
 
 @dataclass
@@ -100,244 +121,147 @@ class Disk(Domain):
         w = np.asarray(w, dtype=complex)
         return self.radius - np.abs(w - self.center)
 
-    def boundary(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.center + self.radius * np.exp(1j * t)
+    def generator(self, z):
+        return self.center + self.radius * z
 
     def describe(self) -> str:
         return f"disk(center={self.center:g}, radius={self.radius:g})"
 
 
-class HalfPlaneReBelow(Domain):
-    """Re w < beta, the region of functions with bounded turning quotient."""
-
-    kind = "bounded_re"
-
-    def __init__(self, beta: float, extent: float = 8.0):
-        if beta <= 1.0:
-            raise ValueError("bounded-real-part parameter must exceed 1")
-        self.beta = beta
-        self._extent = extent
-
-    def margin(self, w):
-        w = np.asarray(w, dtype=complex)
-        return self.beta - w.real
-
-    def boundary(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.beta + 1j * self._extent * (t - math.pi) / math.pi
-
-    def describe(self) -> str:
-        return f"half-plane Re w < {self.beta:g}"
+def conic_ellipse(k: float) -> tuple[float, float, float]:
+    """Center k^2/(k^2-1) and semi-axes k/(k^2-1), 1/sqrt(k^2-1) of the
+    ellipse Re w = k |w - 1|, which exists for k > 1 only; the conics with
+    k <= 1 are unbounded and membership-only."""
+    if k <= 1:
+        raise ValueError("ellipse parameters exist only for k > 1")
+    k2 = k * k
+    return k2 / (k2 - 1), k / (k2 - 1), 1.0 / math.sqrt(k2 - 1)
 
 
-class HalfPlaneReAbove(Domain):
-    """Re w > alpha, the region defining starlikeness of a given order."""
-
-    kind = "min_re"
-
-    def __init__(self, alpha: float, extent: float = 8.0):
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError("order parameter must lie in [0, 1)")
-        self.alpha = alpha
-        self._extent = extent
-
-    def margin(self, w):
-        w = np.asarray(w, dtype=complex)
-        return w.real - self.alpha
-
-    def boundary(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.alpha + 1j * self._extent * (t - math.pi) / math.pi
-
-    def describe(self) -> str:
-        return f"half-plane Re w > {self.alpha:g}"
+def _conic_ellipse_curve(t, k):
+    lam, a, b = conic_ellipse(k)
+    return lam + a * np.cos(t) + 1j * b * np.sin(t)
 
 
-class Sector(Domain):
-    """|arg w| < beta pi/2, the strongly starlike region of order beta."""
-
-    kind = "sector"
-
-    def __init__(self, beta: float, extent: float = 6.0):
-        if not 0.0 < beta <= 1.0:
-            raise ValueError("sector order must lie in (0, 1]")
-        self.beta = beta
-        self._extent = extent
-
-    def margin(self, w):
-        # angular units; vanishes like w-distance / |w| near the rays, and
-        # the apex w = 0 is a boundary point
-        w = np.asarray(w, dtype=complex)
-        m = self.beta * math.pi / 2.0 - np.abs(np.angle(w))
-        return np.where(np.abs(w) == 0.0, 0.0, m)
-
-    def boundary(self, t):
-        t = np.asarray(t, dtype=float)
-        half = self.beta * math.pi / 2.0
-        upper = t < math.pi
-        radial = np.where(upper, t / math.pi, (t - math.pi) / math.pi) * self._extent
-        ang = np.where(upper, half, -half)
-        out = radial * np.exp(1j * ang)
-        return out if out.shape else complex(out)
-
-    def describe(self) -> str:
-        return f"sector |arg w| < {self.beta:g} pi/2"
+def _sector_margin(w, beta):
+    # angular units; vanishes like w-distance / |w| near the rays, and the
+    # apex w = 0 is a boundary point
+    m = beta * math.pi / 2.0 - np.abs(np.angle(w))
+    return np.where(np.abs(w) == 0.0, 0.0, m)
 
 
-class ConicRegion(Domain):
-    """Re w > k |w - 1|: half-plane (k=0), parabola/hyperbola interior
-    (0 < k <= 1) or ellipse interior (k > 1).
-
-    The boundary parametrization is available for k > 1 only, where the
-    region is the ellipse with center k^2/(k^2-1) and semi-axes
-    k/(k^2-1), 1/sqrt(k^2-1); the unbounded conics are membership-only.
-    """
-
-    kind = "conic"
-
-    def __init__(self, k: float):
-        if k < 0:
-            raise ValueError("conic parameter must be nonnegative")
-        self.k = k
-
-    @property
-    def ellipse_parameters(self) -> tuple[float, float, float]:
-        if self.k <= 1:
-            raise ValueError("ellipse parameters exist only for k > 1")
-        k2 = self.k * self.k
-        return k2 / (k2 - 1), self.k / (k2 - 1), 1.0 / math.sqrt(k2 - 1)
-
-    def margin(self, w):
-        w = np.asarray(w, dtype=complex)
-        return w.real - self.k * np.abs(w - 1.0)
-
-    def boundary(self, t):
-        lam, a, b = self.ellipse_parameters
-        t = np.asarray(t, dtype=float)
-        out = lam + a * np.cos(t) + 1j * b * np.sin(t)
-        return out if out.shape else complex(out)
-
-    def describe(self) -> str:
-        return f"conic region Re w > {self.k:g} |w-1|"
+def _sector_rays(t, beta):
+    # the upper ray for t < pi, the lower ray for t >= pi, each from the apex
+    half = beta * math.pi / 2.0
+    upper = t < math.pi
+    radial = np.where(upper, t / math.pi, (t - math.pi) / math.pi) * _RAY_LENGTH
+    return radial * np.exp(1j * np.where(upper, half, -half))
 
 
-class ExponentialRegion(Domain):
-    """|log((w - alpha)/(1 - alpha))| < 1, image of alpha + (1-alpha) e^z."""
-
-    kind = "exponential"
-
-    def __init__(self, alpha: float):
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError("exponential-region parameter must lie in [0, 1)")
-        self.alpha = alpha
-
-    def margin(self, w):
-        w = np.asarray(w, dtype=complex)
+def _log_margin(margin):
+    """`margin`, which takes a logarithm, with the zeros and poles of its
+    argument counted outside."""
+    def guarded(w, *params):
         with np.errstate(divide="ignore", invalid="ignore"):
-            u = (w - self.alpha) / (1.0 - self.alpha)
-            m = 1.0 - np.abs(np.log(u))
+            m = margin(w, *params)
         return np.where(np.isfinite(m), m, -np.inf)
+    return guarded
 
-    def boundary(self, t):
-        t = np.asarray(t, dtype=float)
-        out = self.alpha + (1.0 - self.alpha) * np.exp(np.exp(1j * t))
-        return out if out.shape else complex(out)
+
+def _lemniscate_margin(w, alpha):
+    # the right-lobe selector Re u > 0 is part of the region: the generator
+    # alpha + (1 - alpha) sqrt(1 + z) has range in that lobe only
+    u = (w - alpha) / (1.0 - alpha)
+    return np.minimum(1.0 - np.abs(u * u - 1.0), u.real)
+
+
+def _cosh_margin(w):
+    # both square-root branches are tried; they give reciprocal arguments, so
+    # the smaller |log| is the right one away from the branch cut
+    s = np.sqrt(w * w - 1.0)
+    return 1.0 - np.minimum(np.abs(np.log(w + s)), np.abs(np.log(w - s)))
+
+
+@dataclass(frozen=True)
+class _Inequality:
+    """One region kind given by an inequality in w."""
+
+    params: tuple[str, ...]                # parameter names, in `make_domain` order
+    margin: Callable                       # (w, *params) -> signed margin
+    text: str                              # `describe` format over the parameter names
+    valid: Callable[..., bool] = lambda *params: True
+    error: str = ""                        # the ValueError text when not `valid`
+    curve: Callable | None = None          # (t, *params) -> boundary, if not a generator's
+
+
+_INEQUALITIES: dict[str, _Inequality] = {
+    # the region of functions with bounded turning quotient
+    "bounded_re": _Inequality(
+        ("beta",), lambda w, beta: beta - w.real, "half-plane Re w < {beta:g}",
+        lambda beta: beta > 1.0, "bounded-real-part parameter must exceed 1",
+        lambda t, beta: beta + 1j * _LINE_HALF_LENGTH * (t - math.pi) / math.pi),
+    # starlikeness of order alpha
+    "min_re": _Inequality(
+        ("alpha",), lambda w, alpha: w.real - alpha, "half-plane Re w > {alpha:g}",
+        lambda alpha: 0.0 <= alpha < 1.0, "order parameter must lie in [0, 1)",
+        lambda t, alpha: alpha + 1j * _LINE_HALF_LENGTH * (t - math.pi) / math.pi),
+    # |arg w| < beta pi/2, strong starlikeness of order beta
+    "sector": _Inequality(
+        ("beta",), _sector_margin, "sector |arg w| < {beta:g} pi/2",
+        lambda beta: 0.0 < beta <= 1.0, "sector order must lie in (0, 1]", _sector_rays),
+    # Re w > k |w - 1|: half-plane (k = 0), parabola or hyperbola interior
+    # (0 < k <= 1), ellipse interior (k > 1)
+    "conic": _Inequality(
+        ("k",), lambda w, k: w.real - k * np.abs(w - 1.0), "conic region Re w > {k:g} |w-1|",
+        lambda k: k >= 0.0, "conic parameter must be nonnegative", _conic_ellipse_curve),
+    # |log((w - alpha)/(1 - alpha))| < 1, image of alpha + (1 - alpha) e^z
+    "exponential": _Inequality(
+        ("alpha",), _log_margin(lambda w, alpha: 1.0 - np.abs(np.log((w - alpha) / (1.0 - alpha)))),
+        "exponential region (alpha={alpha:g})",
+        lambda alpha: 0.0 <= alpha < 1.0, "exponential-region parameter must lie in [0, 1)"),
+    # right lobe of |((w - alpha)/(1 - alpha))^2 - 1| < 1
+    "lemniscate": _Inequality(
+        ("alpha",), _lemniscate_margin, "lemniscate region (alpha={alpha:g})",
+        lambda alpha: 0.0 <= alpha < 1.0, "lemniscate-region parameter must lie in [0, 1)"),
+    # right loop |w^2 - 1| < c, Re w > 0 of the Cassinian ovals
+    "cassinian": _Inequality(
+        ("c",), lambda w, c: np.minimum(c - np.abs(w * w - 1.0), w.real),
+        "Cassinian right loop (c={c:g})",
+        lambda c: 0.0 < c <= 1.0, "Cassinian parameter must lie in (0, 1]"),
+    # |log(w/(2 - w))| < 1, image of the modified sigmoid 2/(1 + e^-z)
+    "sigmoid": _Inequality((), _log_margin(lambda w: 1.0 - np.abs(np.log(w / (2.0 - w)))),
+                           "sigmoid"),
+    # |log(w + sqrt(w^2 - 1))| < 1, image of cosh z
+    "cosh": _Inequality((), _log_margin(_cosh_margin), "cosh"),
+}
+
+
+class InequalityRegion(Domain):
+    """A region with a defining inequality, declared by its `_INEQUALITIES` row."""
+
+    def __init__(self, kind: str, *params: float):
+        row = _INEQUALITIES[kind]
+        if not row.valid(*params):
+            raise ValueError(row.error)
+        self.kind = kind
+        self.params = params
+        self._row = row
+
+    def margin(self, w):
+        return self._row.margin(np.asarray(w, dtype=complex), *self.params)
+
+    def generator(self, z):
+        """The kind's `functions` generator, which draws the boundary of
+        every row without its own `curve`."""
+        return functions.generator(self.kind)(z, *self.params)
+
+    def _curve(self, t: np.ndarray):
+        if self._row.curve is None:
+            return super()._curve(t)
+        return self._row.curve(t, *self.params)
 
     def describe(self) -> str:
-        return f"exponential region (alpha={self.alpha:g})"
-
-
-class LemniscateRegion(Domain):
-    """Right lobe of |((w - alpha)/(1 - alpha))^2 - 1| < 1.
-
-    The right-lobe selector Re u > 0 is part of the region: the generator
-    alpha + (1 - alpha) sqrt(1 + z) has range in that lobe only.
-    """
-
-    kind = "lemniscate"
-
-    def __init__(self, alpha: float):
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError("lemniscate-region parameter must lie in [0, 1)")
-        self.alpha = alpha
-
-    def margin(self, w):
-        w = np.asarray(w, dtype=complex)
-        u = (w - self.alpha) / (1.0 - self.alpha)
-        return np.minimum(1.0 - np.abs(u * u - 1.0), u.real)
-
-    def boundary(self, t):
-        t = np.asarray(t, dtype=float)
-        out = self.alpha + (1.0 - self.alpha) * np.sqrt(1.0 + np.exp(1j * t))
-        return out if out.shape else complex(out)
-
-    def describe(self) -> str:
-        return f"lemniscate region (alpha={self.alpha:g})"
-
-
-class CassinianRegion(Domain):
-    """Right loop |w^2 - 1| < c, Re w > 0 of the Cassinian ovals."""
-
-    kind = "cassinian"
-
-    def __init__(self, c: float):
-        if not 0.0 < c <= 1.0:
-            raise ValueError("Cassinian parameter must lie in (0, 1]")
-        self.c = c
-
-    def margin(self, w):
-        w = np.asarray(w, dtype=complex)
-        return np.minimum(self.c - np.abs(w * w - 1.0), w.real)
-
-    def boundary(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.sqrt(1.0 + self.c * np.exp(1j * t))
-        return out if out.shape else complex(out)
-
-    def describe(self) -> str:
-        return f"Cassinian right loop (c={self.c:g})"
-
-
-class SigmoidRegion(Domain):
-    """|log(w/(2 - w))| < 1, image of the modified sigmoid 2/(1 + e^-z)."""
-
-    kind = "sigmoid"
-
-    def margin(self, w):
-        w = np.asarray(w, dtype=complex)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m = 1.0 - np.abs(np.log(w / (2.0 - w)))
-        return np.where(np.isfinite(m), m, -np.inf)
-
-    def boundary(self, t):
-        t = np.asarray(t, dtype=float)
-        out = 2.0 / (1.0 + np.exp(-np.exp(1j * t)))
-        return out if out.shape else complex(out)
-
-
-class CoshRegion(Domain):
-    """|log(w + sqrt(w^2 - 1))| < 1, image of cosh z.
-
-    Both square-root branches are tried; they give reciprocal arguments, so
-    the smaller |log| is the right one away from the branch cut.
-    """
-
-    kind = "cosh"
-
-    def margin(self, w):
-        w = np.asarray(w, dtype=complex)
-        s = np.sqrt(w * w - 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m1 = np.abs(np.log(w + s))
-            m2 = np.abs(np.log(w - s))
-        m = 1.0 - np.minimum(m1, m2)
-        return np.where(np.isfinite(m), m, -np.inf)
-
-    def boundary(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.cosh(np.exp(1j * t))
-        return out if out.shape else complex(out)
+        return self._row.text.format(**dict(zip(self._row.params, self.params)))
 
 
 def _lemniscate_inverse(w):
@@ -470,11 +394,6 @@ class GeneratorImageRegion(Domain):
             return False
         return bool((self._distance(ws[out], z[:, out], size[:, out]) <= tol).all())
 
-    def boundary(self, t):
-        t = np.asarray(t, dtype=float)
-        out = self.generator(np.exp(1j * t))
-        return out if out.shape else complex(out)
-
     def describe(self) -> str:
         if self.params:
             inner = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
@@ -507,36 +426,30 @@ def _booth(alpha: float) -> GeneratorImageRegion:
     return GeneratorImageRegion("booth", alpha=alpha)
 
 
-# every region kind with its constructor over the kind's parameters
-_KINDS = {
-    "cardioid": CardioidDomain,
-    "disk": _disk,
-    "bounded_re": HalfPlaneReBelow,
-    "min_re": HalfPlaneReAbove,
-    "sector": Sector,
-    "conic": ConicRegion,
-    "exponential": ExponentialRegion,
-    "lemniscate": LemniscateRegion,
-    "cassinian": CassinianRegion,
-    "sigmoid": SigmoidRegion,
-    "cosh": CoshRegion,
-    "janowski_disk": janowski_disk,
-    **{kind: partial(GeneratorImageRegion, kind) for kind in _INVERSES},
-    "booth": _booth,
+# every region kind with its constructor and the names of its parameters
+_KINDS: dict[str, tuple[Callable[..., Domain], tuple[str, ...]]] = {
+    "cardioid": (CardioidDomain, ()),
+    "disk": (_disk, ("cx", "cy", "r")),
+    **{kind: (partial(InequalityRegion, kind), row.params) for kind, row in _INEQUALITIES.items()},
+    "janowski_disk": (janowski_disk, ("A", "B", "r")),
+    **{kind: (partial(GeneratorImageRegion, kind), ()) for kind in _INVERSES},
+    "booth": (_booth, ("alpha",)),
 }
-_WITHOUT_PARAMETERS = {"cardioid", "sigmoid", "cosh", *_INVERSES} - {"booth"}
 
 
 def make_domain(kind: str, *params: float) -> Domain:
     """Factory over every registered region kind.
 
-    Raises ValueError naming the violated constraint for bad parameters.
+    Raises ValueError naming the violated constraint for bad parameters,
+    a wrong number of them included.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown domain kind {kind!r}; known: {', '.join(_KINDS)}")
-    if params and kind in _WITHOUT_PARAMETERS:
-        raise ValueError(f"kind {kind!r} takes no parameters")
-    return _KINDS[kind](*params)
+    build, names = _KINDS[kind]
+    if len(params) != len(names):
+        wanted = f"parameters ({', '.join(names)})" if names else "no parameters"
+        raise ValueError(f"kind {kind!r} takes {wanted}")
+    return build(*params)
 
 
 def disk_in_domain(disk: Disk, d: Domain, n: int = 2048, tol: float = 1e-7) -> bool:

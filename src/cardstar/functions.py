@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .cardioid import eval_phi
 from .series import PowerSeries
 
 SQRT2 = math.sqrt(2.0)
@@ -33,10 +34,6 @@ def _asc(z):
 # ---------------------------------------------------------------------------
 # generators psi (image boundaries are psi(e^{it}))
 # ---------------------------------------------------------------------------
-
-def gen_cardioid(z):
-    return 1.0 + _asc(z) * (1.0 + 0.5 * _asc(z))
-
 
 def gen_cardioid_wide(z):
     z = _asc(z)
@@ -131,7 +128,7 @@ def gen_padmanabhan(z, alpha: float = 1.0):
 
 
 _GENERATORS: dict[str, Callable] = {
-    "cardioid": gen_cardioid,
+    "cardioid": eval_phi,
     "cardioid_wide": gen_cardioid_wide,
     "limacon": gen_limacon,
     "nephroid": gen_nephroid,
@@ -235,7 +232,7 @@ def _register(name: str, w_of: Callable, claim: str) -> None:
     _EXTREMALS[name] = FunctionSpec(name, w_of, claim)
 
 
-_register("cardioid_extremal", gen_cardioid,
+_register("cardioid_extremal", eval_phi,
           "z exp(z + z^2/4); quotient is the cardioid generator itself")
 _register("koebe", _w_koebe, "z/(1-z)^2; quotient (1+z)/(1-z)")
 _register("half_plane", _w_half_plane, "z/(1-z); quotient 1/(1-z)")

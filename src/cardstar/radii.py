@@ -65,7 +65,6 @@ class RadiusResult:
     claim: str = ""
     clamped: bool = False          # a min{1, .} cap was applied
     flags: tuple[str, ...] = ()
-    verified: bool | None = None   # oracle verdict, attached by the verification layer
 
     def __post_init__(self):
         if not 0.0 < self.value <= 1.0 + 1e-15:

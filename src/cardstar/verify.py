@@ -84,8 +84,10 @@ def near_tolerance(d: domains.Domain) -> float:
 
 
 def _circle(n: int) -> np.ndarray:
-    # includes t = 0 and, for n divisible by 4, t = pi/2 and pi: the touch
-    # points of every sharp radius live on these rays
+    # includes t = 0, pi/2 and pi: the touch points of every sharp radius
+    # live on these rays
+    if n % 4:
+        raise ValueError("circle sample count must be divisible by 4")
     return np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
 
 
@@ -351,21 +353,23 @@ class InclusionFamily:
 
 INCLUSION_FAMILIES: dict[str, InclusionFamily] = {
     # the cardioid region inside a family of regions
-    "half_plane": InclusionFamily(lambda a: (_CARDIOID, domains.HalfPlaneReAbove(a)), False),
-    "sector": InclusionFamily(lambda b: (_CARDIOID, domains.Sector(b)), True),
+    "half_plane": InclusionFamily(lambda a: (_CARDIOID, domains.make_domain("min_re", a)),
+                                  False),
+    "sector": InclusionFamily(lambda b: (_CARDIOID, domains.make_domain("sector", b)), True),
     "self_centered_disk": InclusionFamily(lambda m: (_CARDIOID, domains.Disk(m, m)), True,
                                           (1.0, 2.4)),
     "in_apollonius_disk": InclusionFamily(
         lambda a: (_CARDIOID, domains.make_domain("disk", *radii._apollonius_disk(a))), True,
         (0.3, 0.95)),
     # a family of regions inside the cardioid region
-    "conic": InclusionFamily(lambda k: (domains.ConicRegion(k), _CARDIOID), True, (1.2, 4.0)),
-    "exponential": InclusionFamily(lambda a: (domains.ExponentialRegion(a), _CARDIOID), True,
-                                   (0.05, 0.6)),
-    "lemniscate": InclusionFamily(lambda a: (domains.LemniscateRegion(a), _CARDIOID), True,
-                                  (0.2, 0.9)),
-    "cassinian": InclusionFamily(lambda c: (domains.CassinianRegion(c), _CARDIOID), False,
-                                 (0.3, 1.0)),
+    "conic": InclusionFamily(lambda k: (domains.make_domain("conic", k), _CARDIOID), True,
+                             (1.2, 4.0)),
+    "exponential": InclusionFamily(lambda a: (domains.make_domain("exponential", a), _CARDIOID),
+                                   True, (0.05, 0.6)),
+    "lemniscate": InclusionFamily(lambda a: (domains.make_domain("lemniscate", a), _CARDIOID),
+                                  True, (0.2, 0.9)),
+    "cassinian": InclusionFamily(lambda c: (domains.make_domain("cassinian", c), _CARDIOID),
+                                 False, (0.3, 1.0)),
     # the two-parameter disks at fixed B, as A varies
     **{f"two_parameter_B{B:g}": InclusionFamily(
         lambda A, B=B: (domains.janowski_disk(A, B, 1.0), _CARDIOID), False)
@@ -399,7 +403,7 @@ def _domain(kind: str, *params: float) -> domains.Domain:
     return _DOMAIN_CACHE[key]
 
 
-def _measure(oracle: radii.OracleSpec, samples: int, tol: float = DEFAULT_TOL) -> float:
+def _measure(oracle: radii.OracleSpec, samples: int) -> float:
     """Evaluate an oracle descriptor: a threshold, a disk family, or the
     subordination radius of a quotient in a region."""
     p = oracle.payload
@@ -407,17 +411,16 @@ def _measure(oracle: radii.OracleSpec, samples: int, tol: float = DEFAULT_TOL) -
         return _THRESHOLDS[p["name"]](samples, *p.get("args", ()))
     region = _domain(*p.get("region", ("cardioid",)))
     if oracle.kind == "disk_family":
-        return disk_family_radius(p["center"], p["spread"], region, tol, samples)
+        return disk_family_radius(p["center"], p["spread"], region, n=samples)
     quotient = functions.extremal(p.get("quotient", "cardioid_extremal"), **p.get("params", {}))
-    return subordination_radius(quotient, region, tol, samples)
+    return subordination_radius(quotient, region, n=samples)
 
 
-def measure_constant(entry: radii.ConstantEntry, samples: int = DEFAULT_SAMPLES,
-                     tol: float = DEFAULT_TOL) -> float:
+def measure_constant(entry: radii.ConstantEntry, samples: int = DEFAULT_SAMPLES) -> float:
     """Evaluate the registry entry's oracle descriptor."""
     if entry.oracle is None:
         raise ValueError(f"registry entry {entry.key} has no oracle")
-    return _measure(entry.oracle, samples, tol)
+    return _measure(entry.oracle, samples)
 
 
 def agreement_tolerance(samples: int) -> float:

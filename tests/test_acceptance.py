@@ -178,14 +178,14 @@ def test_criterion_6_sharpness_suite():
         (ext("half_plane"), 0.6, 0.6, 2.5, card),
         (ext("bounded_re_extremal"), 0.2, 0.2, 0.5, card),
         # the class extremal touching other regions' boundaries
-        (phi, s2, s2, SQRT2, domains.LemniscateRegion(0.0)),
+        (phi, s2, s2, SQRT2, domains.make_domain("lemniscate", 0.0)),
         (phi, s4, -s4, 2.0 * (SQRT2 - 1.0), domains.make_domain("rational")),
         (phi, s5, s5, 1.0 + math.sin(1.0), domains.make_domain("sine")),
-        (phi, s6, s6, math.cosh(1.0), domains.CoshRegion()),
+        (phi, s6, s6, math.cosh(1.0), domains.make_domain("cosh")),
         (phi, s7, s7, 5.0 / 3.0, domains.make_domain("nephroid")),
-        (phi, s8, s8, 2.0 * e_const / (1.0 + e_const), domains.SigmoidRegion()),
+        (phi, s8, s8, 2.0 * e_const / (1.0 + e_const), domains.make_domain("sigmoid")),
         (phi, s9, s9, 2.0, domains.Disk(1.0, 1.0)),
-        (phi, s13, s13, 2.0, domains.HalfPlaneReBelow(2.0)),
+        (phi, s13, s13, 2.0, domains.make_domain("bounded_re", 2.0)),
         # second partial sum displays
         (ext("second_sum"), 0.5, -0.5, 0.0, None),
         (ext("second_sum"), 1 / 3, -1 / 3, 0.5, card),

@@ -21,6 +21,21 @@ def test_config_validation():
         CliConfig(output_format="pdf")
 
 
+def test_samples_must_be_divisible_by_four(monkeypatch, capsys):
+    # the circle grids must hold t = pi, where the cusp touches happen; an odd
+    # count is a usage error before any work runs
+    monkeypatch.setattr(verify, "run_all_suites", lambda *a, **kw: pytest.fail("work ran"))
+    with pytest.raises(ValueError):
+        CliConfig(samples=257)
+    for argv, env in ((["--samples", "257", "verify"], None), (["verify"], "258")):
+        if env is not None:
+            monkeypatch.setenv("CARDIOID_SAMPLES", env)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "divisible by 4" in capsys.readouterr().err
+
+
 def test_member_command(capsys):
     code, out, _ = run(["member", "1", "0"], capsys)
     assert code == 0 and "inside" in out and "preimage" in out

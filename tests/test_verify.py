@@ -38,6 +38,8 @@ def test_image_in_domain_validation():
         verify.image_in_domain(spec, 1.2, CARD)
     with pytest.raises(ValueError):
         verify.image_in_domain(spec, 0.5, CARD, n=64)
+    with pytest.raises(ValueError):
+        verify.image_in_domain(spec, 0.5, CARD, n=258)  # t = pi not on the grid
 
 
 def test_subordination_radius_classics():
