@@ -60,11 +60,11 @@ class MembershipVerdict:
         return self.verdict == "inside"
 
 
-def _preimage_roots(w: complex) -> tuple[complex, complex]:
-    # Solve z^2/2 + z + (1 - w) = 0; the principal square root plus the sign
-    # flip covers both branches, and univalence guarantees at most one root
-    # lies in the open disk.
-    s = np.sqrt(complex(2.0 * w - 1.0))
+def _preimage_roots(w):
+    # Solve z^2/2 + z + (1 - w) = 0 for a complex scalar or array w; the
+    # principal square root plus the sign flip covers both branches, and
+    # univalence guarantees at most one root lies in the open disk.
+    s = np.sqrt(2.0 * w - 1.0)
     return -1.0 + s, -1.0 - s
 
 
@@ -74,7 +74,7 @@ def contains(w: complex, eps_boundary: float = 1e-12) -> MembershipVerdict:
     The verdict tolerance acts on the preimage modulus, not on the implicit
     quartic, which degenerates quartically near the cusp at w = 1/2.
     """
-    r1, r2 = _preimage_roots(w)
+    r1, r2 = _preimage_roots(complex(w))
     z = r1 if abs(r1) <= abs(r2) else r2
     m = abs(z)
     near_cusp = abs(w - 0.5) < 1e-6
@@ -91,9 +91,8 @@ def preimage_margin(w):
     Measured in preimage units: near smooth boundary it scales like
     w-distance / |phi'|, near the cusp it is more permissive from inside.
     """
-    w = np.asarray(w, dtype=complex)
-    s = np.sqrt(2.0 * w - 1.0)
-    m = 1.0 - np.minimum(np.abs(-1.0 + s), np.abs(-1.0 - s))
+    r1, r2 = _preimage_roots(np.asarray(w, dtype=complex))
+    m = 1.0 - np.minimum(np.abs(r1), np.abs(r2))
     return m if m.shape else float(m)
 
 

@@ -35,6 +35,7 @@ There are four classes of region:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -113,9 +114,13 @@ class Disk(Domain):
     kind: str = field(default="disk", init=False)
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("disk radius must be nonnegative")
         self.center = complex(self.center)
+        if not cmath.isfinite(self.center):
+            raise ValueError("disk center must be finite")
+        if not math.isfinite(self.radius):
+            raise ValueError("disk radius must be finite")
+        if not self.radius >= 0:
+            raise ValueError("disk radius must be nonnegative")
 
     def margin(self, w):
         w = np.asarray(w, dtype=complex)
@@ -415,7 +420,9 @@ def janowski_disk(A: float, B: float, r: float) -> Disk:
 
 
 def _disk(cx: float, cy: float, r: float) -> Disk:
-    if r <= 0:
+    if not math.isfinite(r):
+        raise ValueError("disk region radius must be finite")
+    if not r > 0:
         raise ValueError("disk region radius must be positive")
     return Disk(complex(cx, cy), r)
 

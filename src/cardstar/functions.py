@@ -1,11 +1,16 @@
 """Named generators and extremal functions with closed-form quotients.
 
-Two registries live here.  `GENERATORS` maps a kind tag to the univalent
-map psi with psi(0) = 1, psi'(0) > 0 whose image defines the corresponding
-starlike family; these are the curves the region module samples.
-`EXTREMALS` maps a name to the closed-form quotient w(z) = z f'(z)/f(z) of
-the function attaining a sharp bound; every sharpness check in the test
-suite evaluates one of these at its touch point.
+`generator(kind)` looks up the univalent map psi with psi(0) = 1,
+psi'(0) > 0 whose image defines the corresponding starlike family; these
+are the curves the region module samples.  `extremal(name)` looks up, in
+one table, a generator kind or the closed-form quotient w(z) = z f'(z)/f(z)
+of a function attaining a sharp bound, closed over its parameters; every
+sharpness check in the test suite evaluates one of these at its touch point.
+
+The ratio classes are declared by their factors, one `RATIO_CHI` row per
+function chi and one `RATIO_P` row per class i: the sharp function of class
+i over chi is chi(z) p_i(eps z), and `radii.ratio_disk_family` builds the
+class's quotient disk from the same two rows.
 
 Also here: the image disk of the monomial z + a z^n under its quotient,
 the modulus growth envelope of the cardioid class, and the series of
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -107,15 +113,9 @@ def gen_order(z, alpha: float = 0.0):
 
 def gen_bounded_re(z, beta: float = 2.0):
     """Half-plane map onto Re w < beta, oriented so the derivative at 0 is
-    positive; the sharp function's quotient is `w_bounded_re_extremal`."""
+    positive; at -z it is the sharp quotient `bounded_re_extremal`."""
     z = _asc(z)
     return (1.0 + (2.0 * beta - 1.0) * z) / (1.0 + z)
-
-
-def w_bounded_re_extremal(z, beta: float = 2.0):
-    """Quotient of z(1-z)^(2(beta-1)), reaching 1/2 at z = 1/(4 beta - 3)."""
-    z = _asc(z)
-    return (1.0 - (2.0 * beta - 1.0) * z) / (1.0 - z)
 
 
 def gen_ram_singh(z, alpha: float = 0.0):
@@ -152,13 +152,9 @@ _GENERATORS: dict[str, Callable] = {
 
 def generator(name: str, **params) -> Callable:
     """Look up a generator; parametrized kinds are closed over their params."""
-    try:
-        base = _GENERATORS[name]
-    except KeyError:
+    if name not in _GENERATORS:
         raise ValueError(f"unknown generator {name!r}; known: {', '.join(sorted(_GENERATORS))}")
-    if not params:
-        return base
-    return lambda z: base(z, **params)
+    return extremal(name, **params).w_of
 
 
 def generator_names() -> tuple[str, ...]:
@@ -177,9 +173,6 @@ class FunctionSpec:
     w_of: Callable
     claim: str = ""
 
-    def __call__(self, z):
-        return self.w_of(z)
-
 
 def _w_koebe(z):
     z = _asc(z)
@@ -190,17 +183,6 @@ def _w_half_plane(z):
     return 1.0 / (1.0 - _asc(z))
 
 
-def w_monomial(n: int, a: complex) -> Callable:
-    """Quotient of z + a z^n: (1 + n a z^{n-1})/(1 + a z^{n-1})."""
-
-    def w(z):
-        z = _asc(z)
-        p = a * z ** (n - 1)
-        return (1.0 + n * p) / (1.0 + p)
-
-    return w
-
-
 def _w_second_sum(z):
     # z + z^2, the second partial sum of the extremal function
     z = _asc(z)
@@ -208,117 +190,102 @@ def _w_second_sum(z):
 
 
 def _w_second_sum_convexity(z):
-    # convexity functional 1 + z f''/f' of z + z^2
+    # convexity functional 1 + z f''/f' of z + z^2, and the quotient of
+    # z + 2 z^2, the second partial sum of the Koebe function
     z = _asc(z)
     return (1.0 + 4.0 * z) / (1.0 + 2.0 * z)
 
 
-def _w_koebe_second_sum(z):
-    # quotient of z + 2 z^2, the second partial sum of the Koebe function
-    z = _asc(z)
-    return (1.0 + 4.0 * z) / (1.0 + 2.0 * z)
+@dataclass(frozen=True)
+class RatioChi:
+    """A function chi of the ratio classes: its quotient z chi'/chi, the
+    circle |w - center(r)| = radius(r) that this quotient draws on |z| = r,
+    the rotation eps of the sharp functions chi(z) p_i(eps z), and the
+    suffix of their extremal names ratio{i}_{suffix}."""
+
+    quotient: Callable
+    center: Callable[[float], float]
+    radius: Callable[[float], float]
+    rotation: complex
+    suffix: str
 
 
-def _w_squared_koebe(z):
-    # quotient of z(1+z)/(1-z)^3 = sum n^2 z^n (Koebe convolved with itself)
-    z = _asc(z)
-    return (1.0 + 4.0 * z + z * z) / (1.0 - z * z)
+@dataclass(frozen=True)
+class RatioP:
+    """A factor p_i of the ratio classes: its quotient u p_i'/p_i and the
+    bound of that quotient's modulus on |u| = r."""
+
+    quotient: Callable
+    bound: Callable[[float], float]
 
 
-_EXTREMALS: dict[str, FunctionSpec] = {}
+RATIO_CHI: dict[str, RatioChi] = {
+    "z": RatioChi(lambda z: 1.0, lambda r: 1.0, lambda r: 0.0, 1.0, "z"),
+    "z_over_1plusz": RatioChi(lambda z: 1.0 / (1.0 + z), lambda r: 1.0 / (1.0 - r * r),
+                              lambda r: r / (1.0 - r * r), -1.0, "shifted"),
+    "z_over_1minusz2": RatioChi(lambda z: _w_koebe(z * z), lambda r: (1.0 + r**4) / (1.0 - r**4),
+                                lambda r: 2.0 * r * r / (1.0 - r**4), 1j, "rotated"),
+    "koebe": RatioChi(_w_koebe, lambda r: (1.0 + r * r) / (1.0 - r * r),
+                      lambda r: 2.0 * r / (1.0 - r * r), 1.0, "koebe"),
+    "z_plus_half_z2": RatioChi(lambda z: 2.0 * (1.0 + z) / (2.0 + z),
+                               lambda r: (4.0 - 2.0 * r * r) / (4.0 - r * r),
+                               lambda r: 2.0 * r / (4.0 - r * r), 1.0, "half_square"),
+}
+
+# p_1 = ((1+u)/(1-u))^2, p_2 = (1+u)^2/(1-u), p_3 = (1+u)/(1-u)
+RATIO_P: dict[int, RatioP] = {
+    1: RatioP(lambda u: 4.0 * u / (1.0 - u * u), lambda r: 4.0 * r / (1.0 - r * r)),
+    2: RatioP(lambda u: (3.0 * u - u * u) / (1.0 - u * u),
+              lambda r: (3.0 * r + r * r) / (1.0 - r * r)),
+    3: RatioP(lambda u: 2.0 * u / (1.0 - u * u), lambda r: 2.0 * r / (1.0 - r * r)),
+}
 
 
-def _register(name: str, w_of: Callable, claim: str) -> None:
-    _EXTREMALS[name] = FunctionSpec(name, w_of, claim)
-
-
-_register("cardioid_extremal", eval_phi,
-          "z exp(z + z^2/4); quotient is the cardioid generator itself")
-_register("koebe", _w_koebe, "z/(1-z)^2; quotient (1+z)/(1-z)")
-_register("half_plane", _w_half_plane, "z/(1-z); quotient 1/(1-z)")
-_register("second_sum", _w_second_sum, "z + z^2; starlikeness quotient")
-_register("second_sum_convexity", _w_second_sum_convexity,
-          "z + z^2; convexity functional 1 + z f''/f'")
-_register("koebe_second_sum", _w_koebe_second_sum, "z + 2 z^2; quotient")
-_register("squared_koebe", _w_squared_koebe,
-          "z(1+z)/(1-z)^3; quotient of the self-convolved Koebe function")
-
-# ratio-class sharp functions, chi = z
-_register("ratio1_z", lambda z: (1.0 + 4.0 * _asc(z) - _asc(z) ** 2) / (1.0 - _asc(z) ** 2),
-          "z(1+z)^2/(1-z)^2; touches 1/2 at the negative real radius")
-_register("ratio2_z", lambda z: (1.0 + 3.0 * _asc(z) - 2.0 * _asc(z) ** 2) / (1.0 - _asc(z) ** 2),
-          "z(1+z)^2/(1-z); touches 1/2 at the negative real radius")
-_register("ratio3_z", lambda z: (1.0 + 2.0 * _asc(z) - _asc(z) ** 2) / (1.0 - _asc(z) ** 2),
-          "z(1+z)/(1-z); touches 1/2 at the negative real radius")
-
-# chi = z/(1+z); touches occur at the positive real radius
-_register("ratio1_shifted", lambda z: (1.0 - 5.0 * _asc(z)) / (1.0 - _asc(z) ** 2),
-          "z(1-z)^2/(1+z)^3")
-_register("ratio2_shifted", lambda z: (1.0 - 4.0 * _asc(z) - _asc(z) ** 2) / (1.0 - _asc(z) ** 2),
-          "z(1-z)^2/(1+z)^2")
-_register("ratio3_shifted", lambda z: (1.0 - 3.0 * _asc(z)) / (1.0 - _asc(z) ** 2),
-          "z(1-z)/(1+z)^2")
-
-# chi = z/(1-z^2); rotated functions, touches at z = i r
-_register("ratio1_rotated",
-          lambda z: ((_asc(z) ** 4 - 4j * _asc(z) ** 3 + 2.0 * _asc(z) ** 2 + 4j * _asc(z) + 1.0)
-                     / (1.0 - _asc(z) ** 4)),
-          "z(1+iz)^2/((1-z^2)(1-iz)^2)")
-_register("ratio2_rotated",
-          lambda z: ((1.0 + 3j * _asc(z) + 3.0 * _asc(z) ** 2 - 3j * _asc(z) ** 3)
-                     / (1.0 - _asc(z) ** 4)),
-          "z(1+iz)^2/((1-z^2)(1-iz))")
-_register("ratio3_rotated",
-          lambda z: ((_asc(z) ** 4 - 2j * _asc(z) ** 3 + 2.0 * _asc(z) ** 2 + 2j * _asc(z) + 1.0)
-                     / (1.0 - _asc(z) ** 4)),
-          "z(1+iz)/((1-z^2)(1-iz))")
-
-# chi = z/(1-z)^2
-_register("ratio1_koebe", lambda z: (1.0 + 6.0 * _asc(z) + _asc(z) ** 2) / (1.0 - _asc(z) ** 2),
-          "z(1+z)^2/(1-z)^4")
-_register("ratio2_koebe", lambda z: (1.0 + 5.0 * _asc(z)) / (1.0 - _asc(z) ** 2),
-          "z(1+z)^2/(1-z)^3")
-_register("ratio3_koebe", _w_squared_koebe, "z(1+z)/(1-z)^3")
-
-
-def _w_half_square(extra: Callable) -> Callable:
+def _ratio_quotient(chi: RatioChi, p: RatioP) -> Callable:
+    # the quotient of the sharp function chi(z) p(eps z)
     def w(z):
         z = _asc(z)
-        return 2.0 * (1.0 + z) / (2.0 + z) + extra(z)
+        return chi.quotient(z) + p.quotient(chi.rotation * z)
     return w
 
 
-# chi = z + z^2/2
-_register("ratio1_half_square",
-          _w_half_square(lambda z: 4.0 * z / (1.0 - z * z)),
-          "(1+z)^2 (z + z^2/2)/(1-z)^2")
-_register("ratio2_half_square",
-          _w_half_square(lambda z: (3.0 * z - z * z) / (1.0 - z * z)),
-          "(1+z)^2 (z + z^2/2)/(1-z)")
-_register("ratio3_half_square",
-          _w_half_square(lambda z: 2.0 * z / (1.0 - z * z)),
-          "(1+z)(z + z^2/2)/(1-z)")
+# every name `extremal` accepts; a quotient's parameters are its keywords
+_EXTREMALS: dict[str, FunctionSpec] = {spec.name: spec for spec in (
+    *(FunctionSpec(name, psi, f"generator {name}") for name, psi in _GENERATORS.items()),
+    FunctionSpec("cardioid_extremal", eval_phi,
+                 "z exp(z + z^2/4); quotient is the cardioid generator itself"),
+    FunctionSpec("koebe", _w_koebe, "z/(1-z)^2; quotient (1+z)/(1-z)"),
+    FunctionSpec("half_plane", _w_half_plane, "z/(1-z); quotient 1/(1-z)"),
+    FunctionSpec("second_sum", _w_second_sum, "z + z^2; starlikeness quotient"),
+    FunctionSpec("second_sum_convexity", _w_second_sum_convexity,
+                 "z + z^2; convexity functional 1 + z f''/f'"),
+    FunctionSpec("koebe_second_sum", _w_second_sum_convexity, "z + 2 z^2; quotient"),
+    # sum n^2 z^n, the Koebe function convolved with itself, is the sharp
+    # function of ratio class 3 over the Koebe function
+    FunctionSpec("squared_koebe", _ratio_quotient(RATIO_CHI["koebe"], RATIO_P[3]),
+                 "z(1+z)/(1-z)^3; quotient of the self-convolved Koebe function"),
+    FunctionSpec("bounded_re_extremal", lambda z, beta=2.0: gen_bounded_re(-_asc(z), beta),
+                 "z(1-z)^(2(beta-1)); quotient reaches 1/2 at z = 1/(4 beta - 3)"),
+    *(FunctionSpec(f"ratio{i}_{chi.suffix}", _ratio_quotient(chi, p),
+                   f"chi(z) p_{i}(eps z) with chi {tag} and eps {chi.rotation:g}")
+      for tag, chi in RATIO_CHI.items() for i, p in RATIO_P.items()),
+)}
 
 
 def extremal(name: str, **params) -> FunctionSpec:
-    """Look up an extremal quotient; generator kinds are accepted too."""
-    if name in _EXTREMALS and not params:
-        return _EXTREMALS[name]
-    if name in _GENERATORS:
-        label = f"generator {name}" + (f" {params}" if params else "")
-        return FunctionSpec(name, generator(name, **params), label)
-    if name == "monomial":
-        return FunctionSpec("monomial", w_monomial(int(params["n"]), params["a"]),
-                            "z + a z^n quotient")
-    if name == "bounded_re_extremal":
-        beta = params.get("beta", 2.0)
-        return FunctionSpec(name, lambda z: w_bounded_re_extremal(z, beta),
-                            "z(1-z)^(2(beta-1)) quotient")
-    raise ValueError(f"unknown extremal {name!r}")
+    """Look up an extremal quotient or a generator kind, closed over `params`."""
+    try:
+        spec = _EXTREMALS[name]
+    except KeyError:
+        raise ValueError(f"unknown extremal {name!r}") from None
+    if not params:
+        return spec
+    return FunctionSpec(name, partial(spec.w_of, **params), f"{spec.claim} {params}")
 
 
 def extremal_names() -> tuple[str, ...]:
-    return tuple(sorted(_EXTREMALS))
+    """The registered sharp functions, without the generator kinds."""
+    return tuple(sorted(name for name in _EXTREMALS if name not in _GENERATORS))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ Conventions used throughout:
     |z| < r inside X's region.
   * Ratio-class radii (`ratio_class_radius`) come from quotient bounds of
     the form |w - c(r)| <= rho(r); the radius is where that disk stops
-    fitting inside the cardioid region.  Each class is one `RATIO_CLASSES`
-    row with its disk, published decimal, radius and flags.
+    fitting inside the cardioid region.  The disk is built from the factors
+    chi and p_i in `functions` (`ratio_disk_family`); each class is one
+    `RATIO_CLASSES` row with its published decimal, radius and flags.
 
 Both directions are rows of one table, `CLASS_TABLE`: a `ClassSpec` per
 (direction, tag) holds the parameter with its valid range and default, the
@@ -42,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import cardioid
+from . import cardioid, functions
 
 SQRT2 = math.sqrt(2.0)
 E = math.e
@@ -594,59 +595,37 @@ def corollary_radius(tag: str, param: float) -> RadiusResult:
 
 @dataclass(frozen=True)
 class RatioClass:
-    """Ratio class i over chi: its quotient disk |w - center(r)| <= spread(r),
-    the literature's decimal, and its radius, a closed form or the ascending
-    coefficients of the polynomial whose smallest root in (0, 1) it is."""
+    """Ratio class i over chi: the literature's decimal for its radius, and
+    the radius, a closed form or the ascending coefficients of the
+    polynomial whose smallest root in (0, 1) it is.  Its quotient disk comes
+    from the factors chi and p_i (`ratio_disk_family`)."""
 
-    center: Callable
-    spread: Callable
     published: float
     radius: float | tuple[float, ...]
     flags: tuple[str, ...] = ()
     note: str = ""
 
 
-def _ratio_classes(center: Callable, *rows: tuple) -> dict[int, RatioClass]:
-    # the rows i = 1, 2, 3 over one chi share its disk center
-    return {i: RatioClass(center, *row) for i, row in enumerate(rows, start=1)}
-
-
 # chi -> i -> ratio class, in registry order
 RATIO_CLASSES: dict[str, dict[int, RatioClass]] = {
-    "z": _ratio_classes(
-        lambda r: 1.0,
-        (lambda r: 4.0 * r / (1.0 - r * r), 0.1231, math.sqrt(17.0) - 4.0),
-        (lambda r: (3.0 * r + r * r) / (1.0 - r * r), 0.154701,
-         1.0 / (3.0 + 2.0 * math.sqrt(3.0))),
-        (lambda r: 2.0 * r / (1.0 - r * r), 0.23606, math.sqrt(5.0) - 2.0)),
-    "z_over_1plusz": _ratio_classes(
-        lambda r: 1.0 / (1.0 - r * r),
-        (lambda r: 5.0 * r / (1.0 - r * r), 0.10102, 5.0 - 2.0 * math.sqrt(6.0)),
-        (lambda r: (4.0 * r + r * r) / (1.0 - r * r), 0.12310, math.sqrt(17.0) - 4.0),
-        (lambda r: 3.0 * r / (1.0 - r * r), 0.17157, 3.0 - 2.0 * SQRT2)),
-    "z_over_1minusz2": _ratio_classes(
-        lambda r: (1.0 + r**4) / (1.0 - r**4),
-        (lambda r: 2.0 * r * (2.0 * r * r + r + 2.0) / (1.0 - r**4), 0.116675,
-         (1.0, -8.0, -4.0, -8.0, 3.0)),
-        (lambda r: r * (r**3 + 3.0 * r * r + 3.0 * r + 3.0) / (1.0 - r**4), 0.14326,
-         (1.0, -6.0, -6.0, -6.0, 1.0), ("published-decimal-ambiguous",),
-         "printed as 0.14326 in the table and 0.14327 in the derivation; "
-         "both round the same root"),
-        (lambda r: 2.0 * r * (r * r + r + 1.0) / (1.0 - r**4), 0.202135,
-         (1.0, -4.0, -4.0, -4.0, 3.0))),
-    "koebe": _ratio_classes(
-        lambda r: (1.0 + r * r) / (1.0 - r * r),
-        (lambda r: 6.0 * r / (1.0 - r * r), 0.0851458, (6.0 - math.sqrt(33.0)) / 3.0),
-        (lambda r: (5.0 * r + r * r) / (1.0 - r * r), 0.101021, 5.0 - 2.0 * math.sqrt(6.0)),
-        (lambda r: 4.0 * r / (1.0 - r * r), 0.13148, (4.0 - math.sqrt(13.0)) / 3.0)),
-    "z_plus_half_z2": _ratio_classes(
-        lambda r: (4.0 - 2.0 * r * r) / (4.0 - r * r),
-        (lambda r: 6.0 * r * (3.0 - r * r) / ((1.0 - r * r) * (4.0 - r * r)), 0.10924,
-         (2.0, -19.0, 6.0, 3.0)),
-        (lambda r: r * (-r**3 - 5.0 * r * r + 4.0 * r + 14.0) / ((1.0 - r * r) * (4.0 - r * r)),
-         0.134138, (2.0, -15.0, 0.0, 5.0)),
-        (lambda r: 2.0 * r * (5.0 - 2.0 * r * r) / ((1.0 - r * r) * (4.0 - r * r)), 0.19028,
-         (2.0, -11.0, 2.0, 3.0))),
+    "z": {1: RatioClass(0.1231, math.sqrt(17.0) - 4.0),
+          2: RatioClass(0.154701, 1.0 / (3.0 + 2.0 * math.sqrt(3.0))),
+          3: RatioClass(0.23606, math.sqrt(5.0) - 2.0)},
+    "z_over_1plusz": {1: RatioClass(0.10102, 5.0 - 2.0 * math.sqrt(6.0)),
+                      2: RatioClass(0.12310, math.sqrt(17.0) - 4.0),
+                      3: RatioClass(0.17157, 3.0 - 2.0 * SQRT2)},
+    "z_over_1minusz2": {
+        1: RatioClass(0.116675, (1.0, -8.0, -4.0, -8.0, 3.0)),
+        2: RatioClass(0.14326, (1.0, -6.0, -6.0, -6.0, 1.0), ("published-decimal-ambiguous",),
+                      "printed as 0.14326 in the table and 0.14327 in the derivation; "
+                      "both round the same root"),
+        3: RatioClass(0.202135, (1.0, -4.0, -4.0, -4.0, 3.0))},
+    "koebe": {1: RatioClass(0.0851458, (6.0 - math.sqrt(33.0)) / 3.0),
+              2: RatioClass(0.101021, 5.0 - 2.0 * math.sqrt(6.0)),
+              3: RatioClass(0.13148, (4.0 - math.sqrt(13.0)) / 3.0)},
+    "z_plus_half_z2": {1: RatioClass(0.10924, (2.0, -19.0, 6.0, 3.0)),
+                       2: RatioClass(0.134138, (2.0, -15.0, 0.0, 5.0)),
+                       3: RatioClass(0.19028, (2.0, -11.0, 2.0, 3.0))},
 }
 
 
@@ -659,9 +638,12 @@ def _ratio_class(i: int, chi: str) -> RatioClass:
 
 
 def ratio_disk_family(i: int, chi: str) -> tuple[Callable, Callable]:
-    """(center(r), spread(r)) of the quotient disk for the ratio class (i, chi)."""
-    row = _ratio_class(i, chi)
-    return row.center, row.spread
+    """(center(r), spread(r)) of the quotient disk for the ratio class (i, chi):
+    the circle that z chi'/chi draws on |z| = r, widened by the bound of
+    u p_i'/p_i on |u| = r."""
+    _ratio_class(i, chi)  # raises ValueError for an unknown class
+    c, p = functions.RATIO_CHI[chi], functions.RATIO_P[i]
+    return c.center, lambda r: c.radius(r) + p.bound(r)
 
 
 def ratio_class_radius(i: int, chi: str) -> RadiusResult:
@@ -702,10 +684,11 @@ def partial_sum_radii() -> dict[str, float]:
 
 def convolution_radii() -> dict[str, float]:
     """convex_factor: dilation keeping f * g in the class for convex g;
-    starlike_pair: dilation for the convolution of two starlike functions."""
+    starlike_pair: dilation for the convolution of two starlike functions,
+    the radius of ratio class 3 over the Koebe function."""
     return {
         "convex_factor": 0.5,
-        "starlike_pair": (4.0 - math.sqrt(13.0)) / 3.0,
+        "starlike_pair": ratio_class_radius(3, "koebe").value,
     }
 
 
@@ -843,7 +826,7 @@ def constants_registry() -> tuple[ConstantEntry, ...]:
         for i, row in classes.items():
             res = ratio_class_radius(i, chi)
             add(_entry(f"ratio.f{i}.{chi}", res.claim, res, row.published,
-                       oracle=_disk_family(row.center, row.spread),
+                       oracle=_disk_family(*ratio_disk_family(i, chi)),
                        flags=row.flags, note=row.note))
 
     # ---- partial sums and convolution -------------------------------

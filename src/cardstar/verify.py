@@ -131,9 +131,10 @@ def _radius(image: Callable[[float, np.ndarray], np.ndarray], d: domains.Domain,
 
     A scan brackets the first failure, and bisection narrows the bracket to
     `tol`, or to relative 1e-3 when the radius is below 1000 tol, bisecting
-    again from half the first result.  The result is certified: the image
-    fits at r - width and leaves d at r + width, with that width, or the
-    search raises ArithmeticError.  1.0 means the whole disk fits.
+    again from half the first result with the near-boundary tolerance
+    shrunk by the same factor as the bracket.  The result is certified: the
+    image fits at r - width and leaves d at r + width, with that width, or
+    the search raises ArithmeticError.  1.0 means the whole disk fits.
     """
     near = near_tolerance(d)
     e = _circle(n)
@@ -145,6 +146,7 @@ def _radius(image: Callable[[float, np.ndarray], np.ndarray], d: domains.Domain,
                                floor=radii.RADIUS_FLOOR)
     width = min(tol, _RADIUS_REL_TOL * r)
     if width < tol:
+        near *= width / tol
         r = radii.bisect_predicate(ok, 0.5 * r, 2.0 * r, tol=width, floor=radii.RADIUS_FLOOR)
     if r < 1.0 and not (ok(max(r - width, radii.RADIUS_FLOOR))
                         and not ok(min(r + width, 1.0 - 1e-10))):

@@ -457,6 +457,25 @@ def test_degenerate_disk_allowed_as_value():
         Disk(1.0, -0.1)
 
 
+def test_disks_reject_nonfinite_parameters():
+    # a NaN radius would contain nothing and an infinite one everything
+    nan, inf = math.nan, math.inf
+    cases = [
+        (lambda: make_domain("disk", 1.0, 0.0, nan), "disk region radius must be finite"),
+        (lambda: make_domain("disk", 1.0, 0.0, inf), "disk region radius must be finite"),
+        (lambda: make_domain("disk", nan, 0.0, 1.0), "disk center must be finite"),
+        (lambda: make_domain("disk", 1.0, -inf, 1.0), "disk center must be finite"),
+        (lambda: Disk(nan, 1.0), "disk center must be finite"),
+        (lambda: Disk(complex(1.0, inf), 1.0), "disk center must be finite"),
+        (lambda: Disk(1.0, nan), "disk radius must be finite"),
+        (lambda: Disk(1.0, inf), "disk radius must be finite"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
 def test_boundary_shape():
     t = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     pts = np.asarray(CardioidDomain().boundary(t))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cardstar import radii
+from cardstar import functions, radii
 from cardstar.radii import (
     ConstantEntry,
     RadiusResult,
@@ -304,6 +304,24 @@ def test_ratio2_rotated_closed_form_matches_root():
     # both published decimals round the same root
     assert abs(root - 0.14326) < 5e-5
     assert abs(root - 0.14327) < 5e-5
+
+
+def test_ratio_factors_give_the_radii_and_sharp_functions():
+    # each radius is where the quotient disk's leftmost point center - spread
+    # reaches the cusp 1/2; on |z| = r each sharp quotient stays in its disk
+    # and reaches that leftmost point at z = -r/eps
+    z = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False))
+    for i, chi in RATIO_DECIMALS:
+        center, spread = radii.ratio_disk_family(i, chi)
+        r_star = ratio_class_radius(i, chi).value
+        assert abs(center(r_star) - spread(r_star) - 0.5) < 1e-12, (i, chi)
+        factor = functions.RATIO_CHI[chi]
+        w_of = functions.extremal(f"ratio{i}_{factor.suffix}").w_of
+        for r in (0.05, 0.3, 0.7, 0.9):
+            c, s = center(r), spread(r)
+            assert np.max(np.abs(w_of(r * z) - c)) <= s * (1.0 + 1e-12), (i, chi, r)
+            touch = complex(w_of(-r / factor.rotation))
+            assert abs(touch - (c - s)) <= 1e-12 * abs(c - s), (i, chi, r)
 
 
 def test_partial_sum_and_convolution_records():

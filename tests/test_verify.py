@@ -73,9 +73,23 @@ def test_subordination_radius_below_1e4():
     # the cardioid class in starlike functions of order 0.99995: 1 - r + r^2/2 = 0.99995
     r = verify.subordination_radius(functions.extremal("cardioid_extremal"),
                                     domains.make_domain("min_re", 0.99995))
-    assert r == pytest.approx(1.0 - math.sqrt(1.0 - 2.0 * 5e-5), abs=1e-6)
+    assert r == pytest.approx(1.0 - math.sqrt(1.0 - 2.0 * 5e-5), rel=1e-3)
     assert r == pytest.approx(
-        radii.radius_of_cardioid_in_class("order", 0.99995).value, abs=1e-6)
+        radii.radius_of_cardioid_in_class("order", 0.99995).value, rel=1e-3)
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_radius_below_1e4_meets_relative_bracket(n):
+    # the near-boundary tolerance shrinks with the relative bracket, so it
+    # no longer dominates the error of a tiny radius
+    phi = functions.extremal("cardioid_extremal")
+    cases = [(("min_re", 0.99995), 1.0 - math.sqrt(1.0 - 2.0 * 5e-5)),
+             # the circle image reaches furthest from 1 at z = r: r + r^2/2
+             (("disk", 1.0, 0.0, 1e-5), -1.0 + math.sqrt(1.0 + 2e-5)),
+             (("disk", 0.50002, 0.0, 0.50002), radii.disk_real_axis_radius(0.50002))]
+    for region, true in cases:
+        r = verify.subordination_radius(phi, domains.make_domain(*region), n=n)
+        assert r == pytest.approx(true, rel=1e-3), region
 
 
 def test_subordination_radius_bracket_violation_raises(monkeypatch):
@@ -97,6 +111,36 @@ def test_disk_family_radius_matches_ratio_class():
     center, spread = radii.ratio_disk_family(3, "koebe")
     measured = verify.disk_family_radius(center, spread, CARD)
     assert measured == pytest.approx(radii.ratio_class_radius(3, "koebe").value, abs=2e-3)
+
+
+# repr of each ratio class's disk-family oracle on the cardioid region; the
+# same at 1024 and 4096 samples
+RATIO_ORACLE_PINS = {
+    (1, "z"): "0.12310548603153851",
+    (2, "z"): "0.15470041731631612",
+    (3, "z"): "0.2360683553719945",
+    (1, "z_over_1plusz"): "0.10102059759537363",
+    (2, "z_over_1plusz"): "0.12310548603153851",
+    (3, "z_over_1plusz"): "0.17157304322259853",
+    (1, "z_over_1minusz2"): "0.11667454960608531",
+    (2, "z_over_1minusz2"): "0.14326986646638917",
+    (3, "z_over_1minusz2"): "0.20213429492772145",
+    (1, "koebe"): "0.0851454152687211",
+    (2, "koebe"): "0.10102059759537363",
+    (3, "koebe"): "0.1314826770899024",
+    (1, "z_plus_half_z2"): "0.10923758739047001",
+    (2, "z_plus_half_z2"): "0.13413744088119267",
+    (3, "z_plus_half_z2"): "0.19028035502487328",
+}
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_ratio_disk_family_oracles_pinned(n):
+    got = {key: repr(verify.disk_family_radius(*radii.ratio_disk_family(*key), CARD, n=n))
+           for key in RATIO_ORACLE_PINS}
+    assert got == RATIO_ORACLE_PINS
+    entry = {e.key: e for e in radii.constants_registry()}["conv.starlike_pair"]
+    assert repr(verify.measure_constant(entry, n)) == RATIO_ORACLE_PINS[(3, "koebe")]
 
 
 def test_disk_family_radius_bracket_violation_raises(monkeypatch):
