@@ -104,17 +104,18 @@ class CardioidDomain(Domain):
         return cardioid.eval_phi(z)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Disk(Domain):
     """Open disk; a zero radius (degenerate point, empty interior) is allowed
-    so that image disks of vanishing coefficients remain representable."""
+    so that image disks of vanishing coefficients remain representable.
+    Frozen, so the checks of the constructor hold for its lifetime."""
 
     center: complex
     radius: float
     kind: str = field(default="disk", init=False)
 
     def __post_init__(self):
-        self.center = complex(self.center)
+        object.__setattr__(self, "center", complex(self.center))
         if not cmath.isfinite(self.center):
             raise ValueError("disk center must be finite")
         if not math.isfinite(self.radius):

@@ -19,9 +19,10 @@ z exp(int_0^z sin(t)/t dt).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -272,14 +273,27 @@ _EXTREMALS: dict[str, FunctionSpec] = {spec.name: spec for spec in (
 )}
 
 
+@lru_cache(maxsize=None)
+def _parameters(name: str) -> tuple[str, ...]:
+    # the keywords the quotient of a registered extremal takes after z
+    return tuple(inspect.signature(_EXTREMALS[name].w_of).parameters)[1:]
+
+
 def extremal(name: str, **params) -> FunctionSpec:
-    """Look up an extremal quotient or a generator kind, closed over `params`."""
+    """Look up an extremal quotient or a generator kind, closed over `params`.
+
+    Raises ValueError for an unknown name, or for a keyword that is not a
+    parameter of the quotient.
+    """
     try:
         spec = _EXTREMALS[name]
     except KeyError:
         raise ValueError(f"unknown extremal {name!r}") from None
     if not params:
         return spec
+    for key in params:
+        if key not in _parameters(name):
+            raise ValueError(f"extremal {name!r} has no parameter {key!r}")
     return FunctionSpec(name, partial(spec.w_of, **params), f"{spec.claim} {params}")
 
 

@@ -258,32 +258,79 @@ def m_fixed_point() -> float:
     return cardioid.self_centered_fixed_point()
 
 
+# grid points kept on each side of the one nearest the farthest point
+_DISK_WINDOW = 3
+
+
+@lru_cache(maxsize=4)
+def _half_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # angles and e^{it} of the closed upper half of the n-point circle grid
+    # (its first n//2 + 1 points, 0 to pi), read-only
+    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)[: n // 2 + 1]
+    e = np.exp(1j * t)
+    t.flags.writeable = e.flags.writeable = False
+    return t, e
+
+
+def _disk_window_distances(M: float, r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Angles t and distances |phi(r e^{it}) - M| on the seven points of the
+    n-point half grid around the largest distance (see
+    `cardioid_disk_radius`)."""
+    t, e = _half_grid(n)
+    if M > 1.0:
+        a = 1.0 - M
+        x = min(1.0, max(-1.0, -(2.0 * a + r * r) / (4.0 * a * r)))
+        k = round(math.acos(x) / (2.0 * math.pi) * n)
+    else:
+        k = 0
+    # the window k - 3 .. k + 3, shifted inside the grid at its ends
+    start = max(min(k - _DISK_WINDOW, len(t) - 2 * _DISK_WINDOW - 1), 0)
+    window = slice(start, start + 2 * _DISK_WINDOW + 1)
+    return t[window], np.abs(cardioid.eval_phi(r * e[window]) - M)
+
+
 def cardioid_disk_radius(M: float, n: int = 4096) -> float:
     """Largest r with the cardioid generator image of |z| < r inside
     |w - M| < M, by bisection over n circle samples.  Self-contained oracle
     used where the published branch formula is unreliable.
 
     Only the closed upper half of the n-point grid (its first n//2 + 1
-    points, angles 0 to pi) is probed.  The generator has real
+    points, angles 0 to pi) can bind.  The generator has real
     coefficients, so the image of the lower half is the mirror image of
     the upper half in the real axis, and the disk is centred on that axis:
-    both halves have the same distances to M.  Each probe evaluates the
-    generator as `cardioid.eval_phi` does, in preallocated buffers, and
-    M - max|w - M| equals min(M - |w - M|) because rounding is monotone.
+    both halves have the same distances to M.  M - max|w - M| equals
+    min(M - |w - M|) because rounding is monotone.
+
+    Each probe evaluates only seven points of that half grid
+    (`_disk_window_distances`).  With a = 1 - M and x = cos t,
+    |phi(r e^{it}) - M|^2 = |a e^{-it} + r + (r^2/2) e^{it}|^2
+    = 2 a r^2 x^2 + (2 a r + r^3) x + (a - r^2/2)^2 + r^2,
+    a quadratic in x.  For M > 1 it is concave, largest at the vertex
+    x* = -(2a + r^2)/(4 a r) clipped to [-1, 1].  For M <= 1 it is convex
+    (linear at M = 1) and its value at x = 1 exceeds that at x = -1 by
+    2(2 a r + r^3) > 0, so it is largest at t = 0.  Since cos is monotone
+    on [0, pi], the grid point with the largest exact value is one of the
+    two neighbours of t* = arccos x*, so within one of the grid index
+    nearest t*.  The window is that index +- 3, shifted inside the grid at
+    its ends.  Its two further points on each side are for rounding ties:
+    a point outside the window could take the largest computed distance
+    only if its exact value lay within a few ulps of the largest, two or
+    more grid steps beyond the best point.  The tests check that it never
+    does: the radius is == to a search of the whole half grid for n from
+    512 to 8192, with M across (1/2, 1.309), densely around M = 1, where
+    the quadratic turns from convex to concave, and around the branch
+    crossover.
+
+    Raises ValueError unless M is finite and exceeds 1/2 (for M <= 1/2 no
+    positive radius exists).
     """
-    e = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)[: n // 2 + 1])
-    z, w, sq, dist = np.empty_like(e), np.empty_like(e), np.empty_like(e), np.empty(e.shape)
+    if not math.isfinite(M):
+        raise ValueError("disk parameter must be finite")
+    if not M > 0.5:
+        raise ValueError("disk parameter must exceed 1/2")
 
     def ok(r: float) -> bool:
-        # w = 1 + z + (0.5 z) z, in the order of eval_phi
-        np.multiply(r, e, out=z)
-        np.add(1.0, z, out=w)
-        np.multiply(0.5, z, out=sq)
-        np.multiply(sq, z, out=sq)
-        np.add(w, sq, out=w)
-        np.subtract(w, M, out=w)
-        np.abs(w, out=dist)
-        return bool(M - dist.max() > -1e-9)
+        return bool(M - _disk_window_distances(M, r, n)[1].max() > -1e-9)
 
     return bisect_predicate(ok, 1e-4, 1.0, steps=50, scan=(1.0 - 1e-9,), floor=RADIUS_FLOOR)
 

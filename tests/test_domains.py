@@ -1,5 +1,6 @@
 """Region kinds: construction, membership, boundaries, containment tests."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -474,6 +475,15 @@ def test_disks_reject_nonfinite_parameters():
         with pytest.raises(ValueError) as exc:
             build()
         assert str(exc.value) == message
+
+
+def test_disk_is_frozen():
+    # its finiteness checks cannot be bypassed by assignment
+    d = Disk(1.0, 0.5)
+    for field_name, value in [("radius", math.nan), ("center", complex(math.inf, 0.0))]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(d, field_name, value)
+    assert d == Disk(1.0, 0.5)
 
 
 def test_boundary_shape():

@@ -66,6 +66,16 @@ def test_extremal_w_of_values():
         extremal("no_such_function").w_of(0.1)
 
 
+def test_extremal_rejects_unknown_keyword_at_lookup():
+    for name, params in [("koebe", {"beta": 2.0}), ("sine", {"alpha": 0.5})]:
+        with pytest.raises(ValueError) as exc:
+            extremal(name, **params)
+        assert str(exc.value) == f"extremal {name!r} has no parameter {next(iter(params))!r}"
+    # the keywords a quotient does take still bind
+    assert complex(extremal("booth", alpha=0.5).w_of(0.0)) == 1.0
+    assert complex(extremal("bounded_re_extremal", beta=3.0).w_of(1.0 / 9.0)) == pytest.approx(0.5)
+
+
 def test_monomial_quotient_image_disk():
     # quotient z f'/f of f = z + a z^2 at a = 1/3
     z = np.exp(1j * np.linspace(0, 2 * math.pi, 512, endpoint=False)) * 0.99999

@@ -253,6 +253,19 @@ def test_disk_family_branches_and_flags():
     assert tiny.value < 5e-5
 
 
+def test_cardioid_disk_radius_rejects_bad_parameter():
+    # checked before any probe: no positive radius exists for M <= 1/2
+    cases = [(math.nan, "disk parameter must be finite"),
+             (math.inf, "disk parameter must be finite"),
+             (-math.inf, "disk parameter must be finite"),
+             (0.5, "disk parameter must exceed 1/2"),
+             (0.3, "disk parameter must exceed 1/2")]
+    for M, message in cases:
+        with pytest.raises(ValueError) as exc:
+            radii.cardioid_disk_radius(M)
+        assert str(exc.value) == message
+
+
 def test_corollary_order_knot_continuity():
     eps = 1e-10
     below = corollary_radius("order", 0.25 - eps).value

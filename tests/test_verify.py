@@ -239,6 +239,52 @@ def test_disk_branch_crossover_matches_full_circle(monkeypatch):
     assert fast == verify.measured_disk_branch_crossover()
 
 
+def _half_grid_disk_radius(M: float, n: int = 4096) -> float:
+    # reference for the windowed probes: every point of the half grid
+    e = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)[: n // 2 + 1])
+    z, w, sq, dist = np.empty_like(e), np.empty_like(e), np.empty_like(e), np.empty(e.shape)
+
+    def ok(r: float) -> bool:
+        np.multiply(r, e, out=z)
+        np.add(1.0, z, out=w)
+        np.multiply(0.5, z, out=sq)
+        np.multiply(sq, z, out=sq)
+        np.add(w, sq, out=w)
+        np.subtract(w, M, out=w)
+        np.abs(w, out=dist)
+        return bool(M - dist.max() > -1e-9)
+
+    return radii.bisect_predicate(ok, 1e-4, 1.0, steps=50, scan=(1.0 - 1e-9,),
+                                  floor=radii.RADIUS_FLOOR)
+
+
+def _full_grid_touch_angle(M: float, n: int) -> float:
+    # reference for verify._disk_touch_angle: argmin over the whole half grid
+    r = radii.cardioid_disk_radius(M, n)
+    t = np.linspace(0.0, math.pi, n // 2 + 1)
+    w = cardioid.eval_phi(r * np.exp(1j * t))
+    return float(t[int(np.argmin(M - np.abs(w - M)))])
+
+
+# across the valid range, densely where the quadratic in cos t changes from
+# convex to concave (M = 1) and around the branch crossover
+_WINDOW_TEST_M = [*np.linspace(0.5, 1.309, 32)[1:-1],
+                  *(1.0 + np.linspace(-1e-3, 1e-3, 21)), 1.0 - 1e-12, 1.0 + 1e-12,
+                  *np.linspace(1.13, 1.15, 21)]
+
+
+@pytest.mark.parametrize("n", [512, 1024, 4096, 8192])
+def test_windowed_disk_probe_matches_half_grid(n):
+    for M in _WINDOW_TEST_M:
+        assert radii.cardioid_disk_radius(M, n) == _half_grid_disk_radius(M, n), M
+        if M > 1.0:
+            assert verify._disk_touch_angle(M, n) == _full_grid_touch_angle(M, n), M
+
+
+def test_disk_branch_crossover_is_pinned():
+    assert repr(verify.measured_disk_branch_crossover()) == "1.1423205942754318"
+
+
 @pytest.mark.parametrize("n", [1 << 18, 1 << 12, 3000, 1000, 700, 257, 100])
 def test_max_arg_coarse_to_fine_matches_full_grid(n):
     t = np.linspace(0.0, math.pi, n)
