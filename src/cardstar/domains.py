@@ -6,8 +6,8 @@ a `Domain` with four capabilities:
   * ``margin(w)``   -- vectorized signed membership indicator, positive inside,
                        zero on the boundary (units vary by kind; all vanish
                        linearly in w-distance except where noted);
-  * ``contains_all(ws, tol)`` -- the containment test: every point inside or
-                       within tol of the boundary;
+  * ``contains_all(ws, tol)`` -- the containment test: every point finite and
+                       inside or within tol >= 0 of the boundary;
   * ``boundary(t)`` -- parametrization of the topological boundary,
                        t in [0, 2pi), by default ``generator(e^{it})``;
   * ``boundary_gap(w)`` -- high-accuracy distance-like gap used by the
@@ -30,6 +30,16 @@ There are four classes of region:
     in the unit disk.  Their margins are Euclidean distances to the
     boundary curve.
 
+The cardioid, the generator images other than the shifted lemniscate, and
+the sigmoid and cosh regions also carry ``inscribed``, a disk certified to
+lie inside the open region: the paper's disk lemma for the cardioid, a
+closed-form distance from psi(0) = 1 to the boundary for the others.
+`contains_all` accepts the points strictly inside that disk with one `abs`
+each and runs the exact test on the rest only.  Every accepted point has an
+exact margin > 0, and the exact tests decide point by point, so every
+verdict is the exact test's.  The other regions keep no disk and run their
+exact test on every point.
+
 `make_domain(kind, *params)` builds every kind by name.
 """
 
@@ -51,6 +61,12 @@ from .functions import SQRT2
 _LINE_HALF_LENGTH = 8.0
 _RAY_LENGTH = 6.0
 
+# how far an inscribed disk is shrunk below its closed-form radius.  Where
+# the disk touches the boundary, the exact tests then see a margin of about
+# this much (or its square root at a cusp), far above their rounding and
+# that of |w - center|, so every point the disk accepts they accept too.
+_INSCRIBED_GUARD = 1e-9
+
 
 def _as_points(w) -> np.ndarray:
     return np.atleast_1d(np.asarray(w, dtype=complex))
@@ -61,6 +77,8 @@ class Domain:
     of the region or their own boundary curve."""
 
     kind: str = "abstract"
+    # (center, radius) of a disk certified to lie inside the open region
+    inscribed: tuple[complex, float] | None = None
 
     def margin(self, w):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -77,8 +95,31 @@ class Domain:
         return out if out.shape else complex(out)
 
     def contains_all(self, ws, tol: float = 0.0) -> bool:
-        """True iff every point is inside or within tol of the boundary."""
-        return bool(np.min(self.margin(ws)) > -tol)
+        """True iff every point is finite and inside or within tol of the
+        boundary.
+
+        Points strictly inside `inscribed` are accepted without the exact
+        test, which runs on the other points only; the verdict is the same
+        as the exact test's on all of them, because that test decides point
+        by point and each accepted point has margin > 0 >= -tol.  A
+        non-finite point is outside.  Raises ValueError for an empty point
+        set and for a negative (or NaN) tol, where the shortcut is unsound.
+        """
+        ws = _as_points(ws)
+        if not ws.size:
+            raise ValueError("need at least one point")
+        if not tol >= 0.0:
+            raise ValueError("tolerance must be nonnegative")
+        if self.inscribed is not None:
+            center, radius = self.inscribed
+            # written with < so that NaN points are kept, and rejected below
+            ws = ws[~(np.abs(ws - center) < radius)]
+            if not ws.size:
+                return True
+        return bool(np.isfinite(ws).all()) and self._contains_exact(ws, tol)
+
+    def _contains_exact(self, ws: np.ndarray, tol: float) -> bool:
+        return bool(self.margin(ws).min() > -tol)
 
     def worst_point(self, ws) -> tuple[complex, float]:
         m = np.asarray(self.margin(ws))
@@ -96,6 +137,11 @@ class CardioidDomain(Domain):
     """Image of the unit disk under 1 + z + z^2/2 (open region)."""
 
     kind = "cardioid"
+
+    def __init__(self):
+        # the paper's lemma: |w - 3/2| < r_{3/2} = 1 lies inside the region
+        r_in, _ = cardioid.inner_outer_radii(1.5)
+        self.inscribed = (1.5, r_in - _INSCRIBED_GUARD)
 
     def margin(self, w):
         return cardioid.preimage_margin(w)
@@ -242,6 +288,38 @@ _INEQUALITIES: dict[str, _Inequality] = {
 }
 
 
+# radius of a disk about psi(0) = 1 inside the region, psi its generator, in
+# closed form: for the generator images, min |psi(e^{it}) - 1| over the
+# circle.  The shifted lemniscate has no closed form and keeps no disk; of
+# the inequality regions only the sigmoid and cosh regions, whose margins
+# take complex logarithms, were measured to gain from one.
+_INRADII = {
+    # |log(w/(2 - w))| = 2 |artanh(w - 1)| <= 2 artanh |w - 1| < 1, as the
+    # Taylor coefficients of artanh are positive
+    "sigmoid": lambda: math.tanh(0.5),
+    # w = 1 + 2 q^2 has |arccosh w| = 2 |arcsinh q| <= 2 arcsin |q| < 1 for
+    # |q| < sin(1/2), as arcsin's Taylor coefficients are the moduli of arcsinh's
+    "cosh": lambda: 1.0 - math.cos(1.0),
+    # |psi - 1| = |k + z| / (k |k - z|) >= (k - 1)/(k (k + 1)) = 3 - 2 sqrt 2
+    # with k = 1 + sqrt 2, at z = -1
+    "rational": lambda: 3.0 - 2.0 * SQRT2,
+    # |psi - 1| = (2/3) |2 + z| >= 2/3, at z = -1
+    "cardioid_wide": lambda: 2.0 / 3.0,
+    # |psi - 1| = |sqrt 2 + z/2| >= sqrt 2 - 1/2, at z = -1
+    "limacon": lambda: SQRT2 - 0.5,
+    # the lune is |w - 1| < sqrt 2 outside |w + 1| <= sqrt 2, whose circle
+    # passes 2 - sqrt 2 from 1
+    "lune": lambda: 2.0 - SQRT2,
+    # |sin(x + iy)|^2 = sin^2 x + sinh^2 y >= sin^2(1) (x^2 + y^2), as
+    # sin x / x >= sin 1 for |x| <= 1
+    "sine": lambda: math.sin(1.0),
+    # |psi - 1| = |1 - z^2/3| >= 2/3, at z = +-1
+    "nephroid": lambda: 2.0 / 3.0,
+    # |psi - 1| = 1 / |1 - alpha z^2| >= 1/(1 + alpha), at z = +-i
+    "booth": lambda alpha: 1.0 / (1.0 + alpha),
+}
+
+
 class InequalityRegion(Domain):
     """A region with a defining inequality, declared by its `_INEQUALITIES` row."""
 
@@ -252,6 +330,8 @@ class InequalityRegion(Domain):
         self.kind = kind
         self.params = params
         self._row = row
+        if kind in _INRADII:
+            self.inscribed = (1.0, _INRADII[kind](*params) - _INSCRIBED_GUARD)
 
     def margin(self, w):
         return self._row.margin(np.asarray(w, dtype=complex), *self.params)
@@ -329,6 +409,8 @@ class GeneratorImageRegion(Domain):
         self._inverse = _INVERSES[name]
         self._singular_values = self.generator(
             np.asarray(_SINGULAR_POINTS.get(name, ()), dtype=complex))
+        if name in _INRADII:
+            self.inscribed = (1.0, _INRADII[name](**params) - _INSCRIBED_GUARD)
 
     def _roots(self, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Candidate roots of psi(z) = w along axis 0 and their moduli, inf
@@ -390,8 +472,7 @@ class GeneratorImageRegion(Domain):
         out = np.where(size.min(axis=0) < 1.0, dist, -dist)
         return out if np.ndim(w) else float(out[0])
 
-    def contains_all(self, ws, tol: float = 0.0) -> bool:
-        ws = _as_points(ws)
+    def _contains_exact(self, ws: np.ndarray, tol: float) -> bool:
         z, size = self._roots(ws)
         out = size.min(axis=0) >= 1.0
         if not out.any():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardstar import domains, radii
+from cardstar import cardioid, domains, radii
 from cardstar.domains import (
     CardioidDomain,
     Disk,
@@ -490,3 +490,94 @@ def test_boundary_shape():
     t = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     pts = np.asarray(CardioidDomain().boundary(t))
     assert len(t) == len(pts) == 64
+
+
+_NONFINITE = (math.inf, -math.inf, complex(0.0, math.inf), complex(0.0, -math.inf),
+              complex(math.inf, math.inf), complex(-math.inf, math.inf), math.nan,
+              complex(0.0, math.nan), complex(1.0, math.nan), complex(math.nan, 1.0))
+
+
+@pytest.mark.parametrize("kind, params", ALL_KINDS)
+def test_nonfinite_points_are_outside(kind, params):
+    # half-planes and sectors used to count -inf, +inf or i inf inside; under
+    # the suite's warning filter this also checks that no region warns
+    d = make_domain(kind, *params)
+    for w in _NONFINITE:
+        assert not d.contains_all([w]), (kind, w)
+        assert not d.contains_all([1.0, w], 1e-6), (kind, w)
+    assert d.contains_all([1.0, 1.0 + 1e-3j])
+
+
+@pytest.mark.parametrize("kind, params", ALL_KINDS)
+def test_contains_all_input_contract(kind, params):
+    d = make_domain(kind, *params)
+    for empty in ([], np.zeros(0, dtype=complex)):
+        with pytest.raises(ValueError, match="need at least one point"):
+            d.contains_all(empty)
+    for tol in (-1e-9, math.nan):
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            d.contains_all([1.0], tol)
+
+
+# kinds whose region carries an inscribed disk, at the parameters of
+# ALL_KINDS and at the ends of the Booth range
+_WITH_DISK = [(kind, params) for kind, params in ALL_KINDS
+              if kind in ("cardioid", "sigmoid", "cosh", "rational", "cardioid_wide", "limacon",
+                          "lune", "sine", "nephroid", "booth")]
+_WITH_DISK += [("booth", (0.0,)), ("booth", (0.999,))]
+
+
+def test_only_certified_kinds_carry_a_disk():
+    for kind, params in ALL_KINDS:
+        d = make_domain(kind, *params)
+        assert (d.inscribed is not None) == ((kind, params) in _WITH_DISK), kind
+
+
+def test_cardioid_disk_is_the_lemma_disk():
+    r_in, _ = cardioid.inner_outer_radii(1.5)
+    assert r_in == 1.0
+    assert CardioidDomain().inscribed == (1.5, r_in - domains._INSCRIBED_GUARD)
+
+
+@pytest.mark.parametrize("kind, params", _WITH_DISK)
+def test_inscribed_disk_lies_inside(kind, params):
+    # the exact margin is positive on the disk's circle; the circle 1% wider
+    # leaves the region, so the disk is close to the largest about its center
+    d = make_domain(kind, *params)
+    center, radius = d.inscribed
+    e = np.exp(2j * math.pi * np.arange(1 << 16) / (1 << 16))
+    assert np.asarray(d.margin(center + radius * e)).min() > 0.0, kind
+    assert np.asarray(d.margin(center + 1.01 * radius * e)).min() < 0.0, kind
+
+
+def _cloud(d, shape: str, rng) -> np.ndarray:
+    """32 points: some strictly inside the region's disk (or, for a region
+    without one, the disk |w - 1| < 0.3), the rest of the given shape."""
+    center, radius = d.inscribed or (1.0, 0.3)
+    k = int(rng.integers(0, 17))
+    ring = np.exp(2j * math.pi * rng.uniform(size=32))
+    inside = center + radius * np.sqrt(rng.uniform(size=k)) * ring[:k]
+    m = 32 - k
+    if shape == "inside":
+        rest = center + radius * np.sqrt(rng.uniform(size=m)) * ring[k:]
+    elif shape == "edge":
+        rest = center + radius * (1.0 + rng.uniform(-1e-3, 1e-3, m)) * ring[k:]
+    elif shape == "boundary":
+        w = np.asarray(d.boundary(rng.uniform(0.0, 2.0 * math.pi, m)))
+        rest = w + 10.0 ** rng.uniform(-10.0, -5.0, m) * ring[k:]
+    else:
+        rest = center + radius * np.sqrt(rng.uniform(size=m)) * ring[k:]
+        rest[rng.integers(0, m)] = complex(math.nan, rng.choice([0.0, math.nan]))
+    return np.concatenate([inside, rest])
+
+
+@pytest.mark.parametrize("kind, params", ALL_KINDS)
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(tol=st.sampled_from([0.0, 1e-7, 1e-6]),
+       shape=st.sampled_from(["inside", "edge", "boundary", "nan"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_fast_containment_matches_exact(kind, params, tol, shape, seed):
+    d = make_domain(kind, *params)
+    ws = _cloud(d, shape, np.random.default_rng(seed))
+    exact = bool(np.min(d.margin(ws)) > -tol)
+    assert d.contains_all(ws, tol) == exact, (shape, tol)

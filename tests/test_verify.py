@@ -143,6 +143,65 @@ def test_ratio_disk_family_oracles_pinned(n):
     assert repr(verify.measure_constant(entry, n)) == RATIO_ORACLE_PINS[(3, "koebe")]
 
 
+# the benchmark's param-sweep families, copied from its tables: each class
+# inside the cardioid region, by its extremal's parameter and range, and the
+# cardioid class inside each class's region, by that region and its range
+PARAM_SWEEP_CLASS_IN_CARDIOID = {
+    "order": ("alpha", 0.0, 1.0),
+    "ram_singh": ("alpha", 0.0, 1.0),
+    "padmanabhan": ("alpha", 0.0, 1.0),
+    "lemniscate": ("alpha", 0.0, 1.0),
+    "exponential": ("alpha", 0.0, 1.0),
+    "cassinian": ("c", 0.0, 1.0),
+    "booth": ("alpha", 0.0, 1.0),
+    "bounded_re": ("beta", 1.0, 4.0),
+}
+PARAM_SWEEP_CARDIOID_IN_CLASS = {
+    "order": (lambda p: ("min_re", p), 0.0, 0.9998),
+    "lemniscate": (lambda p: ("lemniscate", p), 0.0, 0.9995),
+    "ram_singh": (lambda p: ("disk", 1.0, 0.0, 1.0 - p), 0.0, 0.9998),
+    "bounded_re": (lambda p: ("bounded_re", p), 1.0002, 3.5),
+    "janowski_M": (lambda p: ("disk", p, 0.0, p), 0.5001, 2.0),
+}
+
+# repr of the subordination radius at the low end, the middle and the high
+# end of each range, recorded before membership tests gained the
+# inscribed-disk fast path; the same at 1024 and 4096 samples
+PARAM_SWEEP_PINS = {
+    ("class-in-cardioid", "order"): ("0.3333334080701299", "0.5999998537262883", "1.0"),
+    ("class-in-cardioid", "ram_singh"): ("0.4999999366052289", "1.0", "1.0"),
+    ("class-in-cardioid", "padmanabhan"): ("1.0", "0.6666664651403279", "0.3333334080701299"),
+    ("class-in-cardioid", "lemniscate"): ("0.7499997294078774", "1.0", "1.0"),
+    ("class-in-cardioid", "exponential"): ("0.6931473525268693", "1.0", "1.0"),
+    ("class-in-cardioid", "cassinian"): ("1.0", "1.0", "0.7499997294078774"),
+    ("class-in-cardioid", "booth"): ("0.4999999366052289", "0.44948981330750803",
+                                     "0.4142140672833695"),
+    ("class-in-cardioid", "bounded_re"): ("1.0", "0.14285696678189608", "0.07692270399993656"),
+    ("cardioid-in-class", "order"): ("1.0", "0.7072479244312547", "0.00020006331073727456"),
+    ("cardioid-in-class", "lemniscate"): ("0.35219329250408793", "0.18929435439261955",
+                                          "0.0002071005145354648"),
+    ("cardioid-in-class", "ram_singh"): ("0.7320505128692792", "0.41428463212552313",
+                                         "0.00020006331073727456"),
+    ("cardioid-in-class", "bounded_re"): ("0.00020006331073727456", "0.8708820719116471", "1.0"),
+    ("cardioid-in-class", "janowski_M"): ("0.00020006331073727456", "0.9713034709277318", "1.0"),
+}
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_param_sweep_oracles_pinned(n):
+    got = {}
+    for tag, (name, lo, hi) in PARAM_SWEEP_CLASS_IN_CARDIOID.items():
+        got["class-in-cardioid", tag] = tuple(
+            repr(verify.subordination_radius(functions.extremal(tag, **{name: p}), CARD, n=n))
+            for p in (lo, 0.5 * (lo + hi), hi))
+    phi = functions.extremal("cardioid_extremal")
+    for tag, (region, lo, hi) in PARAM_SWEEP_CARDIOID_IN_CLASS.items():
+        got["cardioid-in-class", tag] = tuple(
+            repr(verify.subordination_radius(phi, domains.make_domain(*region(p)), n=n))
+            for p in (lo, 0.5 * (lo + hi), hi))
+    assert got == PARAM_SWEEP_PINS
+
+
 def test_disk_family_radius_bracket_violation_raises(monkeypatch):
     # the disk-family search certifies its bracket as the subordination search does
     center, spread = radii.ratio_disk_family(3, "koebe")
