@@ -10,20 +10,18 @@ from .series import (
     monomial_member,
 )
 from .cardioid import (
-    AnnulusOfDisks,
     eval_phi,
     inner_outer_radii,
     min_re_on_circle,
     max_re_on_circle,
 )
-from .domains import Domain, Disk, CardioidDomain, make_domain, domain_in_domain, disk_in_domain
-from .functions import FunctionSpec, generator, extremal, growth_envelope
+from .domains import Domain, Disk, CardioidDomain, make_domain
+from .functions import FunctionSpec, generator, extremal
 from .radii import (
     RadiusResult,
     ConstantEntry,
     constants_registry,
     janowski_radius_in_cardioid,
-    corollary_radius,
     radius_of_class_in_cardioid,
     radius_of_cardioid_in_class,
     ratio_class_radius,
@@ -41,14 +39,12 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnulusOfDisks", "CardioidDomain", "ConstantEntry", "Disk", "Domain",
-    "FunctionSpec", "LogDerivativeSeries", "PowerSeries", "RadiusResult",
-    "VerificationReport", "coefficient_condition", "constants_registry",
-    "convolution_membership_check", "corollary_radius", "disk_in_domain",
-    "domain_in_domain", "eval_phi", "extremal", "f_cardioid_series",
-    "generator", "growth_envelope", "image_in_domain", "inner_outer_radii",
-    "janowski_radius_in_cardioid", "make_domain", "max_re_on_circle",
-    "min_re_on_circle", "monomial_member",
+    "CardioidDomain", "ConstantEntry", "Disk", "Domain", "FunctionSpec",
+    "LogDerivativeSeries", "PowerSeries", "RadiusResult", "VerificationReport",
+    "coefficient_condition", "constants_registry", "convolution_membership_check",
+    "eval_phi", "extremal", "f_cardioid_series", "generator", "image_in_domain",
+    "inner_outer_radii", "janowski_radius_in_cardioid", "make_domain",
+    "max_re_on_circle", "min_re_on_circle", "monomial_member",
     "radius_of_cardioid_in_class", "radius_of_class_in_cardioid",
     "ratio_class_radius", "sharpness_touch", "smallest_root_in_unit_interval",
     "subordination_radius", "verify_all_constants",

@@ -5,9 +5,8 @@ The generator maps the unit disk onto the region bounded by the cardioid
 right half-plane with real-axis extent (1/2, 5/2).  This module collects
 everything specific to that region: evaluation, the circle extrema of the
 real part, membership through the quadratic preimage (with the implicit
-quartic as an independent cross-check), the largest inscribed and smallest
-circumscribed disks about a real center, and the convexity radius of the
-generator.
+quartic as an independent cross-check), and the largest inscribed and
+smallest circumscribed disks about a real center.
 """
 
 from __future__ import annotations
@@ -114,19 +113,6 @@ def contains_implicit(w: complex) -> bool:
     return bool(implicit_value(w.real, w.imag) < 0.0)
 
 
-@dataclass(frozen=True)
-class AnnulusOfDisks:
-    """Largest inscribed and smallest circumscribed disk radii about (a, 0)."""
-
-    a: float
-    r_inner: float
-    r_outer: float
-
-    def __post_init__(self):
-        if not (0 < self.r_inner <= self.r_outer):
-            raise ValueError("need 0 < r_inner <= r_outer")
-
-
 def inner_outer_radii(a: float) -> tuple[float, float]:
     """(r_a, R_a) with {|w-a| < r_a} inside the domain inside {|w-a| < R_a}.
 
@@ -146,26 +132,12 @@ def inner_outer_radii(a: float) -> tuple[float, float]:
     return r_in, r_out
 
 
-def annulus_of_disks(a: float) -> AnnulusOfDisks:
-    r_in, r_out = inner_outer_radii(a)
-    return AnnulusOfDisks(a, r_in, r_out)
-
-
 def self_centered_fixed_point() -> float:
     """The unique center with R_a = a, namely (3 + sqrt 5)/4 ~ 1.309017.
 
     For every M at least this large the domain sits in {|w - M| < M}.
     """
     return (3.0 + math.sqrt(5.0)) / 4.0
-
-
-def convexity_radius() -> float:
-    """Radius 1/2 below which the generator image of the subdisk is convex.
-
-    1 + Re(z phi''/phi') = 1 + Re(z/(1+z)) has circle minimum 1 - r/(1-r),
-    positive exactly for r < 1/2.
-    """
-    return 0.5
 
 
 def boundary_samples(n: int) -> np.ndarray:

@@ -192,7 +192,7 @@ FIGURES = {
     "inclusion_g4": _inclusion_figure("exponential", radii.alpha_zero, "exponential_region"),
     "inclusion_g5": _inclusion_figure("lemniscate", lambda: 0.5, "lemniscate_region"),
     "inclusion_g6": _inclusion_figure("cassinian", lambda: 0.75, "cassinian_loop"),
-    "inclusion_g7": _inclusion_figure("self_centered_disk", radii.m_fixed_point,
+    "inclusion_g7": _inclusion_figure("self_centered_disk", cardioid.self_centered_fixed_point,
                                       "self_centered_circle", "cardioid_in_disk"),
     **{f"radius_r{i}": _subdisk_image(name) for i, name in
        enumerate(("cardioid_wide", "limacon", "lune", "sine", "nephroid"), start=5)},

@@ -4,8 +4,9 @@ Every region that the radius and inclusion computations compare against is
 a `Domain` with four capabilities:
 
   * ``margin(w)``   -- vectorized signed membership indicator, positive inside,
-                       zero on the boundary (units vary by kind; all vanish
-                       linearly in w-distance except where noted);
+                       zero on the boundary, -inf at a non-finite point
+                       (units vary by kind; all vanish linearly in
+                       w-distance except where noted);
   * ``contains_all(ws, tol)`` -- the containment test: every point finite and
                        inside or within tol >= 0 of the boundary;
   * ``boundary(t)`` -- parametrization of the topological boundary,
@@ -73,15 +74,28 @@ def _as_points(w) -> np.ndarray:
 
 
 class Domain:
-    """Base interface; subclasses provide `margin` and either a `generator`
-    of the region or their own boundary curve."""
+    """Base interface; subclasses provide `_margin`, the margin formula for
+    finite points, and either a `generator` of the region or their own
+    boundary curve."""
 
     kind: str = "abstract"
     # (center, radius) of a disk certified to lie inside the open region
     inscribed: tuple[complex, float] | None = None
 
-    def margin(self, w):  # pragma: no cover - abstract
+    def _margin(self, w):  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def margin(self, w):
+        """`_margin` at the finite points and -inf at the others, which the
+        formula never sees."""
+        w = np.asarray(w, dtype=complex)
+        finite = np.isfinite(w)
+        if finite.all():
+            return self._margin(w)
+        out = np.full(w.shape, -np.inf)
+        if finite.any():
+            out[finite] = self._margin(w[finite])
+        return out if out.shape else float(out)
 
     def generator(self, z):  # pragma: no cover - abstract
         """The map of the unit disk onto the region."""
@@ -119,12 +133,14 @@ class Domain:
         return bool(np.isfinite(ws).all()) and self._contains_exact(ws, tol)
 
     def _contains_exact(self, ws: np.ndarray, tol: float) -> bool:
-        return bool(self.margin(ws).min() > -tol)
+        # `contains_all` has removed the non-finite points
+        return bool(self._margin(ws).min() > -tol)
 
     def worst_point(self, ws) -> tuple[complex, float]:
-        m = np.asarray(self.margin(ws))
+        ws = _as_points(ws)
+        m = self.margin(ws)
         i = int(np.argmin(m))
-        return complex(_as_points(ws)[i]), float(m[i])
+        return complex(ws[i]), float(m[i])
 
     def boundary_gap(self, w: complex) -> float:
         return abs(float(np.min(self.margin(w))))
@@ -143,7 +159,7 @@ class CardioidDomain(Domain):
         r_in, _ = cardioid.inner_outer_radii(1.5)
         self.inscribed = (1.5, r_in - _INSCRIBED_GUARD)
 
-    def margin(self, w):
+    def _margin(self, w):
         return cardioid.preimage_margin(w)
 
     def generator(self, z):
@@ -169,8 +185,7 @@ class Disk(Domain):
         if not self.radius >= 0:
             raise ValueError("disk radius must be nonnegative")
 
-    def margin(self, w):
-        w = np.asarray(w, dtype=complex)
+    def _margin(self, w):
         return self.radius - np.abs(w - self.center)
 
     def generator(self, z):
@@ -333,8 +348,8 @@ class InequalityRegion(Domain):
         if kind in _INRADII:
             self.inscribed = (1.0, _INRADII[kind](*params) - _INSCRIBED_GUARD)
 
-    def margin(self, w):
-        return self._row.margin(np.asarray(w, dtype=complex), *self.params)
+    def _margin(self, w):
+        return self._row.margin(w, *self.params)
 
     def generator(self, z):
         """The kind's `functions` generator, which draws the boundary of
@@ -465,7 +480,7 @@ class GeneratorImageRegion(Domain):
             best = np.minimum(best, np.abs(ws - c))
         return best
 
-    def margin(self, w):
+    def _margin(self, w):
         ws = _as_points(w)
         z, size = self._roots(ws)
         dist = self._distance(ws, z, size)
@@ -539,33 +554,3 @@ def make_domain(kind: str, *params: float) -> Domain:
         wanted = f"parameters ({', '.join(names)})" if names else "no parameters"
         raise ValueError(f"kind {kind!r} takes {wanted}")
     return build(*params)
-
-
-def disk_in_domain(disk: Disk, d: Domain, n: int = 2048, tol: float = 1e-7) -> bool:
-    """Sampled test that the closed disk boundary lies in `d`.
-
-    For a real-centered disk against the cardioid region the closed-form
-    inscribed radius provides a consistency check; a clear conflict between
-    the two routes raises.
-    """
-    if n < 64:
-        raise ValueError("need at least 64 samples")
-    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    sampled = d.contains_all(disk.boundary(t), tol)
-    if isinstance(d, CardioidDomain) and abs(disk.center.imag) < 1e-12:
-        a = disk.center.real
-        if cardioid.RE_MIN < a < cardioid.RE_MAX:
-            r_in, _ = cardioid.inner_outer_radii(a)
-            if abs(disk.radius - r_in) > 1e-6 and sampled != (disk.radius <= r_in):
-                raise RuntimeError(
-                    f"sampled disk containment disagrees with the closed form at center {a:g}")
-    return sampled
-
-
-def domain_in_domain(inner: Domain, outer: Domain, n: int = 2048, tol: float = 1e-7) -> bool:
-    """Sampled test that the boundary of `inner` lies in (the closure of) `outer`."""
-    if n < 256:
-        raise ValueError("need at least 256 samples")
-    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    return outer.contains_all(np.asarray(inner.boundary(t)), tol)
-

@@ -13,8 +13,7 @@ i over chi is chi(z) p_i(eps z), and `radii.ratio_disk_family` builds the
 class's quotient disk from the same two rows.
 
 Also here: the image disk of the monomial z + a z^n under its quotient,
-the modulus growth envelope of the cardioid class, and the series of
-z exp(int_0^z sin(t)/t dt).
+and the series of z exp(int_0^z sin(t)/t dt).
 """
 
 from __future__ import annotations
@@ -303,7 +302,7 @@ def extremal_names() -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# monomial image disk, growth envelope, sine-integral series
+# monomial image disk, sine-integral series
 # ---------------------------------------------------------------------------
 
 def monomial_image_disk(n: int, a_abs: float):
@@ -320,13 +319,6 @@ def monomial_image_disk(n: int, a_abs: float):
         raise ValueError("coefficient modulus must lie in [0, 1)")
     a2 = a_abs * a_abs
     return Disk((1.0 - n * a2) / (1.0 - a2), (n - 1) * a_abs / (1.0 - a2))
-
-
-def growth_envelope(r: float) -> tuple[float, float]:
-    """Sharp modulus bounds (r e^{-r + r^2/4}, r e^{r + r^2/4}) on |z| = r."""
-    if not 0.0 < r < 1.0:
-        raise ValueError("radius must lie in (0, 1)")
-    return r * math.exp(-r + 0.25 * r * r), r * math.exp(r + 0.25 * r * r)
 
 
 def sine_integral_series(order: int) -> PowerSeries:

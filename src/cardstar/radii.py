@@ -253,11 +253,6 @@ def m_knot() -> float:
         1.01, cardioid.self_centered_fixed_point() - 1e-9, steps=200)
 
 
-def m_fixed_point() -> float:
-    """(3 + sqrt 5)/4, the unique real center with circumradius equal to it."""
-    return cardioid.self_centered_fixed_point()
-
-
 # grid points kept on each side of the one nearest the farthest point
 _DISK_WINDOW = 3
 
@@ -354,7 +349,9 @@ def janowski_radius_in_cardioid(A: float, B: float) -> RadiusResult:
     clamped = two_a_minus_b <= 1.0
     if B >= 0.0:
         return RadiusResult(r2, CLOSED_FORM, claim=claim, clamped=clamped)
-    r1 = 1.0 / math.sqrt(B * (3.0 * B - 2.0 * A))
+    # B (3B - 2A) > 0 here; it underflows to 0 only where R1 is beyond any R2
+    q = B * (3.0 * B - 2.0 * A)
+    r1 = 1.0 / math.sqrt(q) if q > 0.0 else math.inf
     if r2 <= r1:
         return RadiusResult(r2, CLOSED_FORM, claim=claim, clamped=clamped)
     denom = 2.0 * A - 5.0 * B
@@ -501,6 +498,11 @@ def _cardioid_in_bounded_quotient(M: float) -> float | RadiusResult:
     return RadiusResult(cardioid_disk_radius(M), ORACLE, flags=("formula-suspect",))
 
 
+def _sqrt1p_minus_1(x: float) -> float:
+    # sqrt(1 + x) - 1, which keeps its digits as x -> 0
+    return x / (1.0 + math.sqrt(1.0 + x))
+
+
 _NEPHROID_POLY = (3.0, -6.0, 0.0, 2.0)  # 2r^3 - 6r + 3 ascending
 
 
@@ -550,7 +552,7 @@ CLASS_TABLE: dict[tuple[str, str], ClassSpec] = {(s.direction, s.tag): s for s i
         default=0.0, error="Booth parameter must lie in [0, 1)",
         formula=lambda a: 1.0 / (1.0 + math.sqrt(1.0 + a))),
     _of("bounded_re", "the bounded-real-part class (beta={p:g})", **_BOUNDED_RE, default=2.0,
-        formula=lambda b: 1.0 / (4.0 * b - 3.0)),
+        formula=lambda b: 0.25 / (b - 0.75)),
     # corollaries of the two-parameter family
     ClassSpec("of", "order", "radius of starlike functions of order {p:g}", **_ORDER,
               janowski=lambda a: (1.0 - 2.0 * a, -1.0)),
@@ -573,8 +575,9 @@ CLASS_TABLE: dict[tuple[str, str], ClassSpec] = {(s.direction, s.tag): s for s i
             oracle=lambda a: _cardioid_into("min_re", a), capped=lambda a: a <= 0.25,
             formula=lambda a: (math.sqrt((3.0 - 4.0 * a) / 2.0) if a <= 0.625
                                else 1.0 - math.sqrt(2.0 * a - 1.0))),
+    # -1 + sqrt((2 sqrt2 - 1) - 2 (sqrt2 - 1) a)
     _within("lemniscate", "the lemniscate class (alpha={p:g})", **_LEMNISCATE,
-            formula=lambda a: -1.0 + math.sqrt((2.0 * SQRT2 - 1.0) - 2.0 * (SQRT2 - 1.0) * a)),
+            formula=lambda a: _sqrt1p_minus_1(2.0 * (SQRT2 - 1.0) * (1.0 - a))),
     _within("rational_lemniscate", "the shifted-lemniscate class",
             formula=lambda _: RadiusResult(
                 -1.0 + math.sqrt(1.0 + 2.0 * math.sqrt(math.sqrt(2.0 * SQRT2 - 2.0)
@@ -591,22 +594,21 @@ CLASS_TABLE: dict[tuple[str, str], ClassSpec] = {(s.direction, s.tag): s for s i
     _within("nephroid", "the nephroid class", formula=lambda _: (math.sqrt(21.0) - 3.0) / 3.0),
     _within("sigmoid", "the sigmoid class",
             formula=lambda _: -1.0 + math.sqrt(1.0 + 2.0 * (E - 1.0) / (E + 1.0))),
+    # -1 + sqrt(3 - 2a)
     _within("ram_singh", "the [1-a, 0] family at a={p:g}", **_RAM_SINGH,
-            formula=lambda a: -1.0 + math.sqrt(3.0 - 2.0 * a),
+            formula=lambda a: _sqrt1p_minus_1(2.0 * (1.0 - a)),
             oracle=lambda a: _cardioid_into("disk", 1.0, 0.0, 1.0 - a)),
     _within("padmanabhan", "the [a, -a] family at a={p:g}", **_PADMANABHAN,
             capped=lambda a: a >= alpha_knot(), formula=w_alpha,
             oracle=lambda a: _cardioid_into("disk", *_apollonius_disk(a))),
     _within("janowski_M", "the bounded-quotient family at M={p:g}", **_BOUNDED_QUOTIENT,
-            capped=lambda M: M >= m_fixed_point(), formula=_cardioid_in_bounded_quotient,
+            capped=lambda M: M >= cardioid.self_centered_fixed_point(),
+            formula=_cardioid_in_bounded_quotient,
             oracle=lambda M: _cardioid_into("disk", M, 0.0, M)),
     _within("cardioid_wide", "the wide-cardioid class", capped=lambda _: True),
     _within("bounded_re", "the bounded-real-part class (beta={p:g})", **_BOUNDED_RE,
             capped=lambda b: b >= 2.5, formula=lambda b: math.sqrt(2.0 * b - 1.0) - 1.0),
 )}
-
-# the one-parameter specializations of the two-parameter family
-_COROLLARY_TAGS = tuple(s.tag for s in CLASS_TABLE.values() if s.janowski and s.param)
 
 
 def class_spec(direction: str, tag: str) -> ClassSpec:
@@ -627,13 +629,6 @@ def radius_of_cardioid_in_class(tag: str, param: float | None = None) -> RadiusR
     """Largest subdisk radius on which every cardioid-starlike function
     belongs to the named class."""
     return class_spec("within", tag).radius(param)
-
-
-def corollary_radius(tag: str, param: float) -> RadiusResult:
-    """Cardioid-class radius for the classical one-parameter specializations."""
-    if tag not in _COROLLARY_TAGS:
-        raise ValueError(f"unknown corollary tag {tag!r}; known: {', '.join(_COROLLARY_TAGS)}")
-    return class_spec("of", tag).radius(param)
 
 
 # ---------------------------------------------------------------------------
@@ -709,37 +704,6 @@ def ratio2_rotated_closed_form() -> float:
 
 
 # ---------------------------------------------------------------------------
-# partial sums and convolution
-# ---------------------------------------------------------------------------
-
-def partial_sum_radii() -> dict[str, float]:
-    """Sharp constants for second partial sums.
-
-    starlike/convex: where f2 of a cardioid-starlike f keeps the property;
-    cardioid_dilation: f2(rho z)/rho stays in the class; from_convex and
-    from_univalent: the same dilation bound when f ranges over the convex
-    and univalent classes.
-    """
-    return {
-        "starlike": 0.5,
-        "convex": 0.25,
-        "cardioid_dilation": 1.0 / 3.0,
-        "from_convex": 1.0 / 3.0,
-        "from_univalent": 1.0 / 6.0,
-    }
-
-
-def convolution_radii() -> dict[str, float]:
-    """convex_factor: dilation keeping f * g in the class for convex g;
-    starlike_pair: dilation for the convolution of two starlike functions,
-    the radius of ratio class 3 over the Koebe function."""
-    return {
-        "convex_factor": 0.5,
-        "starlike_pair": ratio_class_radius(3, "koebe").value,
-    }
-
-
-# ---------------------------------------------------------------------------
 # the constants registry
 # ---------------------------------------------------------------------------
 
@@ -807,7 +771,7 @@ def constants_registry() -> tuple[ConstantEntry, ...]:
                0.75,
                oracle=_threshold("inclusion", "cassinian")))
     add(_entry("incl.outer_disk", "self-centered circumscribed disk parameter",
-               m_fixed_point(), published=1.309017,
+               cardioid.self_centered_fixed_point(), published=1.309017,
                oracle=_threshold("inclusion", "self_centered_disk")))
 
     # ---- radii of classes in the cardioid class --------------------
@@ -877,31 +841,30 @@ def constants_registry() -> tuple[ConstantEntry, ...]:
                        flags=row.flags, note=row.note))
 
     # ---- partial sums and convolution -------------------------------
-    ps = partial_sum_radii()
     add(_entry("psum.starlike", "starlikeness radius of second partial sums",
-               ps["starlike"],
+               0.5,
                oracle=OracleSpec("quotient_into_domain",
                                  {"quotient": "second_sum", "region": ("min_re", 0.0)})))
     add(_entry("psum.convex", "convexity radius of second partial sums",
-               ps["convex"],
+               0.25,
                oracle=OracleSpec("quotient_into_domain",
                                  {"quotient": "second_sum_convexity",
                                   "region": ("min_re", 0.0)})))
     add(_entry("psum.cardioid_dilation", "dilation keeping second sums in the class",
-               ps["cardioid_dilation"],
+               1.0 / 3.0,
                oracle=OracleSpec("quotient_into_cardioid", {"quotient": "second_sum"})))
     add(_entry("psum.from_convex", "dilation bound for second sums of convex functions",
-               ps["from_convex"],
+               1.0 / 3.0,
                oracle=OracleSpec("quotient_into_cardioid", {"quotient": "second_sum"})))
     add(_entry("psum.from_univalent", "dilation bound for second sums of univalent functions",
-               ps["from_univalent"],
+               1.0 / 6.0,
                oracle=OracleSpec("quotient_into_cardioid", {"quotient": "koebe_second_sum"})))
-    cv = convolution_radii()
     add(_entry("conv.convex_factor", "dilation keeping convolutions with convex functions",
-               cv["convex_factor"],
+               0.5,
                oracle=_threshold("generator_convexity")))
+    # the radius of ratio class 3 over the Koebe function
     add(_entry("conv.starlike_pair", "dilation bound for convolutions of two starlike functions",
-               cv["starlike_pair"], published=0.1314829,
+               ratio_class_radius(3, "koebe").value, published=0.1314829,
                oracle=_disk_family(*ratio_disk_family(3, "koebe"))))
 
     # ---- growth and coefficient constants ----------------------------

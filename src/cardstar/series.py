@@ -15,6 +15,7 @@ and the coefficient tests used for membership in the cardioid starlike class.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -245,14 +246,17 @@ def to_text(f: PowerSeries) -> str:
 
 def from_text(text: str) -> PowerSeries:
     coeffs = []
-    for raw in text.splitlines():
+    for k, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"expected 're im' pair, got {line!r}")
-        coeffs.append(complex(float(parts[0]), float(parts[1])))
+        c = complex(float(parts[0]), float(parts[1]))
+        if not cmath.isfinite(c):
+            raise ValueError(f"line {k}: coefficient {line!r} is not finite")
+        coeffs.append(c)
     if not coeffs:
         raise ValueError("no coefficients found")
     return PowerSeries(tuple(coeffs))

@@ -96,7 +96,8 @@ def image_in_domain(spec: FunctionSpec, r: float, d: domains.Domain,
     """Does spec.w_of map the closed subdisk of radius r into d?
 
     Tested on the circle |z| = r (maximum principle) plus a 64-point
-    interior spot-check on two inner rings.
+    interior spot-check on two inner rings.  A fail reports the worst point
+    of the circle and the rings together.
     """
     if not 0.0 < r <= 1.0:
         raise ValueError("radius must lie in (0, 1]")
@@ -110,7 +111,7 @@ def image_in_domain(spec: FunctionSpec, r: float, d: domains.Domain,
     claim = f"{spec.name} image of |z|<{r:g} inside {d.describe()}"
     if d.contains_all(pts, tol) and d.contains_all(inner, tol):
         return _report(claim, "circle-sampling", n, True)
-    witness, margin = d.worst_point(pts)
+    witness, margin = d.worst_point(np.concatenate([pts, inner]))
     return _report(claim, "circle-sampling", n, False, margin, witness)
 
 
@@ -274,23 +275,7 @@ def measured_disk_branch_crossover(n: int = 8192) -> float:
         1.05, cardioid.self_centered_fixed_point() - 1e-6, 40)
 
 
-def apollonius_positivity_margin(alpha: float, r: float, grid: int = 512) -> float:
-    """min over x = cos t of a^2 |phi + 1|^2 - |phi - 1|^2 on |z| = r.
-
-    Positive exactly while the quotient disk condition |(w-1)/(w+1)| < alpha
-    holds on the circle; an independent route to the interior-tangency radius
-    that never forms the tangency formula itself.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("parameter must lie in (0, 1]")
-    x = np.linspace(-1.0, 1.0, grid)
-    a2 = alpha * alpha
-    g = (4.0 * a2 + 4.0 * a2 * r * x - a2 * r * r + 4.0 * a2 * r * r * x * x
-         + a2 * r**3 * x + a2 * r**4 / 4.0 - r * r - r**3 * x - r**4 / 4.0)
-    return float(np.min(g))
-
-
-def measured_generator_convexity_radius(n: int = DEFAULT_SAMPLES) -> float:
+def measured_generator_convexity(n: int = DEFAULT_SAMPLES) -> float:
     e = _circle(n)
 
     def min_conv(r: float) -> float:
@@ -392,7 +377,7 @@ _THRESHOLDS = {
     "min_re_limit": lambda n: measured_min_re_limit(max(n, 1 << 16)),
     "max_arg": lambda n: measured_max_arg_order(),
     "disk_branch_crossover": lambda n: measured_disk_branch_crossover(max(n, 8192)),
-    "generator_convexity": measured_generator_convexity_radius,
+    "generator_convexity": measured_generator_convexity,
     "growth_lower_limit": lambda n: measured_growth_lower_limit(),
     "inclusion": lambda n, family: INCLUSION_FAMILIES[family].threshold(n),
     "series_coefficient": lambda n, index: measured_series_coefficient(index),
@@ -482,7 +467,7 @@ def inclusion_suite(samples: int = DEFAULT_SAMPLES) -> list[VerificationReport]:
         *((f"two-parameter inclusion boundary at A={A:g}, B={B:g}",
            f"two_parameter_B{B:g}", A) for A, B in ((3.0 / 8.0, -0.25), (0.25, -0.5))),
         ("region fits the self-centered disk and no smaller one", "self_centered_disk",
-         radii.m_fixed_point()),
+         cardioid.self_centered_fixed_point()),
         # corollary disks
         ("unit-centered disks fit inside up to radius 1/2", "unit_centered_disk", 0.5),
         ("Apollonius disks fit inside up to parameter 1/3", "apollonius_disk", 1.0 / 3.0),
@@ -555,7 +540,7 @@ def partial_sum_suite(samples: int = DEFAULT_SAMPLES) -> list[VerificationReport
 def convolution_suite(samples: int = 2048, order: int = 32) -> list[VerificationReport]:
     """Convolution dilation bounds checked on truncated series."""
     reports = []
-    rho0 = radii.convolution_radii()["starlike_pair"]
+    rho0 = {e.key: e.value for e in radii.constants_registry()}["conv.starlike_pair"]
     koebe = PowerSeries.koebe(order)
     half = PowerSeries.half_plane(order)
     fcar = f_cardioid_series(order)

@@ -39,8 +39,8 @@ def test_criterion_1_closed_form_constants():
         ("s8", radii.radius_of_cardioid_in_class("sigmoid").value, 0.387168, 5e-5),
         ("alpha*", radii.alpha_knot(), 0.672505, 5e-5),
         ("M*", radii.m_knot(), 1.1423, 5e-4),
-        ("M0", radii.m_fixed_point(), 1.309017, 5e-5),
-        ("conv", radii.convolution_radii()["starlike_pair"], 0.1314829, 5e-5),
+        ("M0", cardioid.self_centered_fixed_point(), 1.309017, 5e-5),
+        ("conv", radii.ratio_class_radius(3, "koebe").value, 0.1314829, 5e-5),
     ]
     ratio_decimals = {
         (1, "z"): (0.1231,), (2, "z"): (0.154701,), (3, "z"): (0.23606,),
@@ -117,9 +117,11 @@ def test_criterion_4_disk_lemma_suites():
         re = np.asarray(cardioid.eval_phi(r * e)).real
         worst = max(worst, abs(re.min() - cardioid.min_re_on_circle(r)),
                     abs(re.max() - cardioid.max_re_on_circle(r)))
+    nested = True
     for a in np.linspace(0.51, 2.49, 50):
         d = np.abs(boundary - a)
         r_in, r_out = cardioid.inner_outer_radii(a)
+        nested = nested and 0.0 < r_in <= r_out
         worst = max(worst, abs(d.min() - r_in), abs(d.max() - r_out))
     knots = max(
         abs((1.0 - 0.5 + 0.125) - (3.0 - 0.5) / 4.0),
@@ -127,9 +129,10 @@ def test_criterion_4_disk_lemma_suites():
             - math.sqrt((7.0 / 3.0 - 1.0) ** 3 / (8.0 * (7.0 / 6.0 - 1.0)))),
         abs((2.0 * 1.5 - 1.0) / 2.0 - (5.0 - 3.0) / 2.0),
     )
-    ok = worst < 1e-6 and knots < 1e-12
+    ok = worst < 1e-6 and knots < 1e-12 and nested
     _verdict(4, ok, f"circle-extrema and disk lemmas vs brute force "
-                    f"(worst {worst:.1e}), knot continuity {knots:.1e}")
+                    f"(worst {worst:.1e}), knot continuity {knots:.1e}, "
+                    f"0 < r_a <= R_a {'holds' if nested else 'FAILS'}")
 
 
 def test_criterion_5_inclusion_suite():

@@ -1,0 +1,40 @@
+"""The public API: what `cardstar` exports, and how its code checks input."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import cardstar
+
+MODULES = ("cardioid", "cli", "domains", "functions", "radii", "series", "verify")
+
+# names the package no longer has: each restated what another mechanism
+# already computes, and only tests called it
+DELETED = (
+    "AnnulusOfDisks", "annulus_of_disks", "convexity_radius", "growth_envelope",
+    "disk_in_domain", "domain_in_domain", "apollonius_positivity_margin",
+    "corollary_radius", "_COROLLARY_TAGS", "m_fixed_point", "partial_sum_radii",
+    "convolution_radii",
+)
+
+
+def test_exported_names_resolve_once():
+    assert len(cardstar.__all__) == len(set(cardstar.__all__))
+    namespace = {}
+    exec("from cardstar import *", namespace)
+    for name in cardstar.__all__:
+        assert namespace[name] is getattr(cardstar, name), name
+
+
+def test_deleted_names_stay_deleted():
+    for module in [cardstar] + [importlib.import_module(f"cardstar.{m}") for m in MODULES]:
+        for name in DELETED:
+            assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_package_code_has_no_assert():
+    # control flow must not rely on assert, which python -O strips
+    for path in sorted(Path(cardstar.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, (path.name, lines)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cardstar import cardioid
+from cardstar import cardioid, radii
 
 
 def test_generator_values():
@@ -132,17 +132,12 @@ def test_self_centered_fixed_point():
     assert above < m0 + 0.01
 
 
-def test_convexity_radius_sampled():
-    assert cardioid.convexity_radius() == 0.5
+def test_generator_convexity_sampled():
+    # the registry row that states the convexity radius 1/2 of the generator
+    rows = {e.key: e for e in radii.constants_registry()}
+    assert rows["conv.convex_factor"].value == 0.5
     t = np.linspace(0, 2 * math.pi, 100_000)
     for r, positive in ((0.49, True), (0.51, False)):
         z = r * np.exp(1j * t)
         m = float(np.min((1.0 + z / (1.0 + z)).real))
         assert (m > 0) == positive
-
-
-def test_annulus_type_invariant():
-    ann = cardioid.annulus_of_disks(1.2)
-    assert 0 < ann.r_inner <= ann.r_outer
-    with pytest.raises(ValueError):
-        cardioid.AnnulusOfDisks(1.0, 0.5, 0.4)

@@ -151,6 +151,11 @@ def test_coeff_check_command(tmp_path, capsys):
     assert code == 2
     code, out, err = run(["coeff-check", str(tmp_path / "missing.txt")], capsys)
     assert code == 2
+    for bad in ("nan 0", "0.1 inf"):
+        path.write_text(f"1.0 0.0\n{bad}\n")
+        code, out, err = run(["coeff-check", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert f"line 2: coefficient '{bad}' is not finite" in err
 
 
 def test_constants_table_rows_and_determinism(capsys):

@@ -1,5 +1,6 @@
 """Region kinds: construction, membership, boundaries, containment tests."""
 
+import cmath
 import dataclasses
 import hashlib
 import math
@@ -14,10 +15,9 @@ from cardstar.domains import (
     CardioidDomain,
     Disk,
     GeneratorImageRegion,
-    disk_in_domain,
-    domain_in_domain,
     make_domain,
 )
+from cardstar.verify import INCLUSION_FAMILIES
 
 ALL_KINDS = [
     ("cardioid", ()),
@@ -284,55 +284,63 @@ def test_boundary_point_examples():
     assert complex(Disk(1.0, 0.5).boundary(0.0)) == pytest.approx(1.5)
 
 
-def test_disk_in_domain_sharp_at_inscribed_radius():
-    card = CardioidDomain()
-    assert disk_in_domain(Disk(1.0, 0.49), card)
-    assert not disk_in_domain(Disk(1.0, 0.51), card)
-    with pytest.raises(ValueError):
-        disk_in_domain(Disk(1.0, 0.1), card, n=32)
+# the near tolerance of the cardioid and of the inequality regions
+_NEAR = 1e-7
+_GRID = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
 
 
-def test_domain_in_domain_thresholds():
-    card = CardioidDomain()
-    assert domain_in_domain(make_domain("conic", 5.0 / 3.0), card)
-    assert not domain_in_domain(make_domain("conic", 1.6), card)
+def _family_holds(family: str, p: float) -> bool:
+    return INCLUSION_FAMILIES[family].margin(p, 2048) > -_NEAR
+
+
+def _boundary_inside(inner, outer, tol: float = _NEAR) -> bool:
+    return outer.contains_all(inner.boundary(_GRID), tol)
+
+
+def test_unit_centered_disk_sharp_at_inscribed_radius():
+    # the disks |w - 1| < 1 - a, so radius 0.49 at a = 0.51; r_1 = 1/2
+    assert cardioid.inner_outer_radii(1.0)[0] == 0.5
+    assert _family_holds("unit_centered_disk", 0.51)
+    assert not _family_holds("unit_centered_disk", 0.49)
+
+
+def test_inclusion_thresholds_by_margin_sign():
+    assert _family_holds("conic", 5.0 / 3.0)
+    assert not _family_holds("conic", 1.6)
     a0 = radii.alpha_zero()
-    assert domain_in_domain(make_domain("exponential", a0 + 1e-6), card)
-    assert not domain_in_domain(make_domain("exponential", 0.19), card)
-    assert domain_in_domain(make_domain("lemniscate", 0.5), card)
-    assert not domain_in_domain(make_domain("lemniscate", 0.49), card)
-    assert domain_in_domain(make_domain("cassinian", 0.75), card)
-    assert not domain_in_domain(make_domain("cassinian", 0.76), card)
-    m0 = radii.m_fixed_point()
-    assert domain_in_domain(card, Disk(m0, m0))
-    assert not domain_in_domain(card, Disk(m0 - 0.01, m0 - 0.01))
+    assert _family_holds("exponential", a0 + 1e-6)
+    assert not _family_holds("exponential", 0.19)
+    assert _family_holds("lemniscate", 0.5)
+    assert not _family_holds("lemniscate", 0.49)
+    assert _family_holds("cassinian", 0.75)
+    assert not _family_holds("cassinian", 0.76)
+    m0 = cardioid.self_centered_fixed_point()
+    assert _family_holds("self_centered_disk", m0)
+    assert not _family_holds("self_centered_disk", m0 - 0.01)
+    card = CardioidDomain()
     for kind in ("sigmoid", "cosh", "rational"):
-        assert domain_in_domain(make_domain(kind), card)
-    with pytest.raises(ValueError):
-        domain_in_domain(card, card, n=128)
+        assert _boundary_inside(make_domain(kind), card)
 
 
 def test_monotone_families_shrink():
-    card = CardioidDomain()
     for lo, hi in ((0.25, 0.21), (0.4, 0.3), (0.6, 0.45), (0.8, 0.7), (0.95, 0.9)):
-        assert domain_in_domain(make_domain("exponential", lo),
+        assert _boundary_inside(make_domain("exponential", lo),
                                 make_domain("exponential", hi), tol=1e-9)
-        assert domain_in_domain(make_domain("lemniscate", lo),
+        assert _boundary_inside(make_domain("lemniscate", lo),
                                 make_domain("lemniscate", hi), tol=1e-9)
     for hi_k, lo_k in ((2.0, 5.0 / 3.0), (3.0, 2.0), (5.0, 3.0), (8.0, 5.0), (12.0, 8.0)):
-        assert domain_in_domain(make_domain("conic", hi_k), make_domain("conic", lo_k),
+        assert _boundary_inside(make_domain("conic", hi_k), make_domain("conic", lo_k),
                                 tol=1e-9)
-    del card
 
 
 def test_corollary_disk_thresholds_at_limit_radius():
     card = CardioidDomain()
-    assert disk_in_domain(domains.janowski_disk(0.5, 0.0, 1.0), card)       # radius 1/2
-    assert not disk_in_domain(domains.janowski_disk(0.52, 0.0, 1.0), card)
+    assert _boundary_inside(domains.janowski_disk(0.5, 0.0, 1.0), card)       # radius 1/2
+    assert not _boundary_inside(domains.janowski_disk(0.52, 0.0, 1.0), card)
     a = 1.0 / 3.0
-    assert disk_in_domain(domains.janowski_disk(a, -a, 1.0), card)
+    assert _boundary_inside(domains.janowski_disk(a, -a, 1.0), card)
     a = 1.0 / 3.0 + 0.01
-    assert not disk_in_domain(domains.janowski_disk(a, -a, 1.0), card)
+    assert not _boundary_inside(domains.janowski_disk(a, -a, 1.0), card)
 
 
 class _DenseBoundary:
@@ -497,15 +505,29 @@ _NONFINITE = (math.inf, -math.inf, complex(0.0, math.inf), complex(0.0, -math.in
               complex(0.0, math.nan), complex(1.0, math.nan), complex(math.nan, 1.0))
 
 
-@pytest.mark.parametrize("kind, params", ALL_KINDS)
+# every kind that make_domain builds
+_EVERY_KIND = ALL_KINDS + [("janowski_disk", (0.5, -0.5, 0.5))]
+
+
+def test_every_kind_listed():
+    assert {kind for kind, _ in _EVERY_KIND} == set(domains._KINDS)
+
+
+@pytest.mark.parametrize("kind, params", _EVERY_KIND)
 def test_nonfinite_points_are_outside(kind, params):
-    # half-planes and sectors used to count -inf, +inf or i inf inside; under
-    # the suite's warning filter this also checks that no region warns
+    # a non-finite point is outside, and margin and worst_point score it
+    # -inf without the region's formula; under the suite's warning filter
+    # this also checks that no region warns
     d = make_domain(kind, *params)
     for w in _NONFINITE:
         assert not d.contains_all([w]), (kind, w)
         assert not d.contains_all([1.0, w], 1e-6), (kind, w)
+        assert d.margin(w) == -math.inf, (kind, w)
+        assert d.margin([1.0, w])[1] == -math.inf, (kind, w)
+        z, m = d.worst_point([1.0, w])
+        assert m == -math.inf and (z == w or cmath.isnan(z)), (kind, w)
     assert d.contains_all([1.0, 1.0 + 1e-3j])
+    assert d.margin([1.0, 1.0 + 1e-3j]).min() > 0
 
 
 @pytest.mark.parametrize("kind, params", ALL_KINDS)

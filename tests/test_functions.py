@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from cardstar import domains
+from cardstar import domains, radii
 from cardstar.functions import (
     extremal,
     extremal_names,
     generator,
     generator_names,
-    growth_envelope,
     monomial_image_disk,
     sine_integral_series,
 )
@@ -107,17 +106,18 @@ def test_monomial_boundary_tangency():
         assert abs((d.center - d.radius) - 0.5) < 1e-12
 
 
-def test_growth_envelope():
-    lo, hi = growth_envelope(1.0 - 1e-12)
-    assert lo == pytest.approx(math.exp(-0.75), abs=1e-9)
-    assert hi == pytest.approx(math.exp(1.25), abs=1e-9)
-    lo, hi = growth_envelope(0.5)
-    assert lo == pytest.approx(0.5 * math.exp(-7.0 / 16.0))
-    lo, hi = growth_envelope(1e-12)
-    assert lo == pytest.approx(0.0, abs=1e-11) and hi == pytest.approx(0.0, abs=1e-11)
-    for bad in (0.0, 1.0, -0.1):
-        with pytest.raises(ValueError):
-            growth_envelope(bad)
+def test_growth_bounds_attained_by_extremal_series():
+    # on |z| = r every member has r e^{-r + r^2/4} <= |f| <= r e^{r + r^2/4};
+    # f = z exp(z + z^2/4) attains both, at z = -r and z = r
+    f = f_cardioid_series(64)
+    t = np.linspace(0, 2 * math.pi, 512, endpoint=False)
+    for r in (1e-12, 0.5, 0.9, 1.0 - 1e-12):
+        moduli = np.abs(f.eval(r * np.exp(1j * t)))
+        assert moduli.min() == pytest.approx(r * math.exp(-r + 0.25 * r * r), rel=1e-12)
+        assert moduli.max() == pytest.approx(r * math.exp(r + 0.25 * r * r), rel=1e-12)
+    # the r -> 1 lower bound is the radius of the covered disk
+    rows = {e.key: e for e in radii.constants_registry()}
+    assert rows["growth.inner_disk"].value == math.exp(-0.75)
 
 
 def test_series_and_closed_form_quotients_agree():

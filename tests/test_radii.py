@@ -1,19 +1,19 @@
 """Radius formulas, the root solver, piecewise knots, and the registry."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cardstar import functions, radii
+from cardstar import cardioid, functions, radii
 from cardstar.radii import (
     ConstantEntry,
     RadiusResult,
     constants_registry,
-    corollary_radius,
     janowski_radius_in_cardioid,
-    partial_sum_radii,
-    convolution_radii,
     radius_of_cardioid_in_class,
     radius_of_class_in_cardioid,
     ratio_class_radius,
@@ -99,20 +99,20 @@ def test_janowski_monotonicity_grid():
 
 
 def test_corollary_examples():
-    lo = corollary_radius("order", 0.25).value
+    lo = radius_of_class_in_cardioid("order", 0.25).value
     hi = 3.0 / (7.0 - 1.0)
     assert lo == pytest.approx(0.5) and hi == pytest.approx(0.5)
-    assert corollary_radius("padmanabhan", 1.0).value == pytest.approx(1.0 / 3.0)
-    m1 = corollary_radius("janowski_M", 1.0).value
+    assert radius_of_class_in_cardioid("padmanabhan", 1.0).value == pytest.approx(1.0 / 3.0)
+    m1 = radius_of_class_in_cardioid("janowski_M", 1.0).value
     assert m1 == pytest.approx(0.5)
     assert m1 == pytest.approx(janowski_radius_in_cardioid(1.0, 0.0).value)
-    assert corollary_radius("ram_singh", 0.0).value == pytest.approx(0.5)
+    assert radius_of_class_in_cardioid("ram_singh", 0.0).value == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        corollary_radius("order", 1.0)
+        radius_of_class_in_cardioid("order", 1.0)
     with pytest.raises(ValueError):
-        corollary_radius("janowski_M", 0.5)
+        radius_of_class_in_cardioid("janowski_M", 0.5)
     with pytest.raises(ValueError):
-        corollary_radius("mystery", 0.5)
+        radius_of_class_in_cardioid("mystery", 0.5)
     # the API falls back to the same defaults as the command line
     assert radius_of_class_in_cardioid("order").value == pytest.approx(1.0 / 3.0)
     assert radius_of_class_in_cardioid("padmanabhan").value == pytest.approx(1.0 / 3.0)
@@ -140,7 +140,7 @@ def test_corollary_rows_follow_two_parameter_family(tag, ab, closed):
     lo, hi = (0.5, 3.0) if tag == "janowski_M" else (0.0, 1.0)
     grid = np.linspace(lo, hi, 401)[1:-1]
     for p in grid:
-        res = corollary_radius(tag, float(p))
+        res = radius_of_class_in_cardioid(tag, float(p))
         fam = janowski_radius_in_cardioid(*ab(float(p)))
         assert (res.value, res.clamped, res.method) == (fam.value, fam.clamped, fam.method)
         assert res.value == pytest.approx(closed(float(p)), rel=1e-15, abs=0.0), (tag, p)
@@ -237,7 +237,7 @@ def test_disk_family_branches_and_flags():
     # the two touch-radius curves are tangent at the crossover
     assert abs(radii.disk_real_axis_radius(m_star) - radii.disk_interior_radius(m_star)) < 1e-9
     # continuity at the self-centered parameter
-    m0 = radii.m_fixed_point()
+    m0 = cardioid.self_centered_fixed_point()
     assert abs(radii.disk_interior_radius(m0 - 1e-12) - 1.0) < 1e-6
     low = radius_of_cardioid_in_class("janowski_M", 1.05)
     assert low.method == "oracle"
@@ -268,9 +268,65 @@ def test_cardioid_disk_radius_rejects_bad_parameter():
 
 def test_corollary_order_knot_continuity():
     eps = 1e-10
-    below = corollary_radius("order", 0.25 - eps).value
-    above = corollary_radius("order", 0.25 + eps).value
+    below = radius_of_class_in_cardioid("order", 0.25 - eps).value
+    above = radius_of_class_in_cardioid("order", 0.25 + eps).value
     assert abs(below - above) < 1e-9
+
+
+# every class-table row with a parameter: the ends of its valid range, and
+# the direction of its radius in the parameter (+1 nondecreasing, -1
+# nonincreasing)
+_FROM_ZERO = (0.0, math.nextafter(1.0, 0.0))
+_TO_ONE = (math.ulp(0.0), 1.0)
+_ABOVE_HALF = (math.nextafter(0.5, 1.0), sys.float_info.max)
+_ABOVE_ONE = (math.nextafter(1.0, 2.0), sys.float_info.max)
+_MONOTONE = {
+    ("of", "cassinian"): (_TO_ONE, -1),
+    ("of", "lemniscate"): (_FROM_ZERO, 1),
+    ("of", "exponential"): (_FROM_ZERO, 1),
+    ("of", "booth"): (_FROM_ZERO, -1),
+    ("of", "bounded_re"): (_ABOVE_ONE, -1),
+    ("of", "order"): (_FROM_ZERO, 1),
+    ("of", "ram_singh"): (_FROM_ZERO, 1),
+    ("of", "padmanabhan"): (_TO_ONE, -1),
+    ("of", "janowski_M"): (_ABOVE_HALF, -1),
+    ("within", "order"): (_FROM_ZERO, -1),
+    ("within", "lemniscate"): (_FROM_ZERO, -1),
+    ("within", "ram_singh"): (_FROM_ZERO, -1),
+    ("within", "padmanabhan"): (_TO_ONE, 1),
+    ("within", "janowski_M"): (_ABOVE_HALF, 1),
+    ("within", "bounded_re"): (_ABOVE_ONE, 1),
+}
+
+
+def test_monotone_cases_cover_every_parameterized_row():
+    assert set(_MONOTONE) == {key for key, spec in radii.CLASS_TABLE.items() if spec.param}
+
+
+def test_class_radius_at_the_ends_of_each_range():
+    # the low end is the first valid parameter, and both ends give a radius
+    # in (0, 1]: no cancellation to 0, no overflow, no division by an
+    # underflowed product
+    for key, (ends, direction) in _MONOTONE.items():
+        spec = radii.CLASS_TABLE[key]
+        assert not spec.valid(math.nextafter(ends[0], -math.inf)), key
+        lo, hi = (spec.radius(p).value for p in ends)
+        assert direction * (hi - lo) > 0, key
+
+
+@pytest.mark.parametrize("key", _MONOTONE, ids=[".".join(key) for key in _MONOTONE])
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_class_radius_monotone_across_parameter_range(key, data):
+    ends, direction = _MONOTONE[key]
+    p, q = sorted((data.draw(st.floats(*ends)), data.draw(st.floats(*ends))))
+    spec = radii.CLASS_TABLE[key]
+    assert spec.valid(p) and spec.valid(q)
+    rp, rq = spec.radius(p).value, spec.radius(q).value
+    # the branch below the crossover is a sampled search, whose distance
+    # tolerance 1e-9 moves the radius by less than that
+    sampled = key == ("within", "janowski_M") and p <= radii.m_knot()
+    assert direction * (rq - rp) >= (-1e-9 if sampled else 0.0), (p, q, rp, rq)
 
 
 def test_class_radius_knots_meet_unit_cap():
@@ -280,8 +336,8 @@ def test_class_radius_knots_meet_unit_cap():
     assert abs((3.0 - 4.0 * a) / (4.0 * (1.0 - a) ** 2) - 1.0) < 1e-12   # lemniscate
     a0 = radii.alpha_zero()
     assert abs(math.log(2.0 * (1.0 - a0) / (1.0 - 2.0 * a0)) - 1.0) < 1e-9  # exponential
-    assert abs(corollary_radius("ram_singh",  0.5 - 1e-12).value - 1.0) < 1e-9
-    assert abs(corollary_radius("padmanabhan", 1.0 / 3.0 + 1e-12).value - 1.0) < 1e-9
+    assert abs(radius_of_class_in_cardioid("ram_singh",  0.5 - 1e-12).value - 1.0) < 1e-9
+    assert abs(radius_of_class_in_cardioid("padmanabhan", 1.0 / 3.0 + 1e-12).value - 1.0) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +394,13 @@ def test_ratio_factors_give_the_radii_and_sharp_functions():
 
 
 def test_partial_sum_and_convolution_records():
-    ps = partial_sum_radii()
-    assert ps == {"starlike": 0.5, "convex": 0.25, "cardioid_dilation": 1.0 / 3.0,
-                  "from_convex": 1.0 / 3.0, "from_univalent": 1.0 / 6.0}
-    cv = convolution_radii()
-    assert cv["convex_factor"] == 0.5
-    assert cv["starlike_pair"] == pytest.approx(0.1314829, abs=5e-7)
-    assert cv["starlike_pair"] == ratio_class_radius(3, "koebe").value
+    rows = {e.key: e.value for e in constants_registry()
+            if e.key.startswith(("psum.", "conv."))}
+    assert rows == {"psum.starlike": 0.5, "psum.convex": 0.25,
+                    "psum.cardioid_dilation": 1.0 / 3.0, "psum.from_convex": 1.0 / 3.0,
+                    "psum.from_univalent": 1.0 / 6.0, "conv.convex_factor": 0.5,
+                    "conv.starlike_pair": ratio_class_radius(3, "koebe").value}
+    assert rows["conv.starlike_pair"] == pytest.approx(0.1314829, abs=5e-7)
 
 
 # ---------------------------------------------------------------------------

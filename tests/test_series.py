@@ -229,6 +229,13 @@ def test_text_round_trip():
         from_text("")
 
 
+@pytest.mark.parametrize("bad", ["nan 0", "0 inf", "-inf 0", "nan nan"])
+def test_from_text_rejects_nonfinite_coefficients(bad):
+    # the error names the line, counting blank lines
+    with pytest.raises(ValueError, match=f"line 3: coefficient '{bad}' is not finite"):
+        from_text(f"1 0\n\n{bad}\n")
+
+
 def test_log_derivative_series_type():
     w = f_cardioid_series(8).log_derivative()
     assert isinstance(w, LogDerivativeSeries)

@@ -23,6 +23,15 @@ def test_image_in_domain_sharp_radius_passes():
     assert abs(rep.witness - 0.5) < 0.05
 
 
+def test_image_in_domain_fail_reports_worst_of_circle_and_rings():
+    # only the inner rings (|z| = 0.25 and 0.375) leave the region here
+    spec = FunctionSpec("x", lambda z: np.where(abs(z) < 0.45, 10.0 + 0j, 1.0 + 0j))
+    rep = verify.image_in_domain(spec, 0.5, CARD)
+    assert not rep.passed
+    assert rep.witness == 10.0
+    assert rep.measured_value == pytest.approx(CARD.margin(10.0)) and rep.measured_value < 0
+
+
 def test_image_in_domain_koebe_third():
     assert verify.image_in_domain(functions.extremal("koebe"), 1.0 / 3.0, CARD).passed
 
@@ -249,7 +258,7 @@ def test_sharpness_touch_fails_off_boundary():
 def test_convolution_membership():
     order = 32
     koebe = PowerSeries.koebe(order)
-    rho0 = radii.convolution_radii()["starlike_pair"]
+    rho0 = radii.ratio_class_radius(3, "koebe").value
     assert verify.convolution_membership_check(koebe, koebe, rho0).passed
     assert not verify.convolution_membership_check(koebe, koebe, rho0 + 0.02).passed
     half = PowerSeries.half_plane(order)
@@ -262,7 +271,7 @@ def test_convolution_membership():
 
 def test_threshold_measurements():
     assert verify.measured_max_arg_order() == pytest.approx(radii.beta_zero(), abs=1e-9)
-    assert verify.measured_generator_convexity_radius() == pytest.approx(0.5, abs=1e-6)
+    assert verify.measured_generator_convexity() == pytest.approx(0.5, abs=1e-6)
     assert verify.measured_min_re_limit() == pytest.approx(0.25, abs=1e-6)
     assert verify.measured_disk_branch_crossover() == pytest.approx(
         radii.m_knot(), abs=2e-4)
@@ -391,14 +400,18 @@ def test_sampling_density_convergence():
 
 
 def test_apollonius_positivity_validates_tangency_radius():
-    # the bivariate positivity margin changes sign exactly at the formula value
+    # the cardioid image of |z| <= r fits the Apollonius disk
+    # |(w-1)/(w+1)| < alpha up to the formula value and no further, by the
+    # oracle of the registry row within.padmanabhan
+    quotient = functions.extremal("cardioid_extremal")
     for alpha in np.linspace(0.1, radii.alpha_knot() - 0.01, 10):
         r = radii.w_alpha(float(alpha))
-        assert verify.apollonius_positivity_margin(alpha, r) > -1e-8
-        assert verify.apollonius_positivity_margin(alpha, r - 2e-3) > 0
-        assert verify.apollonius_positivity_margin(alpha, r + 2e-3) < 0
+        disk = domains.make_domain("disk", *radii._apollonius_disk(float(alpha)))
+        assert verify.image_in_domain(quotient, r, disk).passed, alpha
+        assert verify.image_in_domain(quotient, r - 2e-3, disk).passed, alpha
+        assert not verify.image_in_domain(quotient, r + 2e-3, disk).passed, alpha
     with pytest.raises(ValueError):
-        verify.apollonius_positivity_margin(0.0, 0.5)
+        radii.w_alpha(0.0)
 
 
 def test_reports_to_csv():
