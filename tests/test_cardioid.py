@@ -132,6 +132,16 @@ def test_self_centered_fixed_point():
     assert above < m0 + 0.01
 
 
+def test_annulus_type_invariant():
+    # the annulus {r_a < |w - a| < R_a} about every admissible centre is proper
+    for a in (0.51, 1.0, 7.0 / 6.0, 1.2, 1.5, 2.0, 2.49):
+        r_in, r_out = cardioid.inner_outer_radii(a)
+        assert 0 < r_in <= r_out
+    for a in (0.5, 2.5):
+        with pytest.raises(ValueError):
+            cardioid.inner_outer_radii(a)
+
+
 def test_generator_convexity_sampled():
     # the registry row that states the convexity radius 1/2 of the generator
     rows = {e.key: e for e in radii.constants_registry()}
