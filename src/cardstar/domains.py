@@ -41,6 +41,9 @@ exact margin > 0, and the exact tests decide point by point, so every
 verdict is the exact test's.  The other regions keep no disk and run their
 exact test on every point.
 
+Every region is mirror-symmetric in the real axis (``symmetric``) except a
+disk whose center is off it.
+
 `make_domain(kind, *params)` builds every kind by name.
 """
 
@@ -81,6 +84,8 @@ class Domain:
     kind: str = "abstract"
     # (center, radius) of a disk certified to lie inside the open region
     inscribed: tuple[complex, float] | None = None
+    # mirror-symmetric in the real axis: margin(conj w) = margin(w)
+    symmetric: bool = True
 
     def _margin(self, w):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -184,6 +189,10 @@ class Disk(Domain):
             raise ValueError("disk radius must be finite")
         if not self.radius >= 0:
             raise ValueError("disk radius must be nonnegative")
+
+    @property
+    def symmetric(self) -> bool:
+        return self.center.imag == 0.0
 
     def _margin(self, w):
         return self.radius - np.abs(w - self.center)

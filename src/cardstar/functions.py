@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable
@@ -167,11 +168,13 @@ def generator_names() -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """A named analytic quotient w(z) with w(0) = 1."""
+    """A named analytic quotient w(z) with w(0) = 1; `real` declares
+    w(conj z) = conj w(z), which lets `verify` sample half the circle."""
 
     name: str
     w_of: Callable
     claim: str = ""
+    real: bool = False
 
 
 def _w_koebe(z):
@@ -249,25 +252,29 @@ def _ratio_quotient(chi: RatioChi, p: RatioP) -> Callable:
     return w
 
 
-# every name `extremal` accepts; a quotient's parameters are its keywords
+# every name `extremal` accepts; a quotient's parameters are its keywords.
+# Every quotient has real Taylor coefficients at its default parameters
+# except the ratio quotients with a rotation off the real axis.
 _EXTREMALS: dict[str, FunctionSpec] = {spec.name: spec for spec in (
-    *(FunctionSpec(name, psi, f"generator {name}") for name, psi in _GENERATORS.items()),
+    *(FunctionSpec(name, psi, f"generator {name}", real=True)
+      for name, psi in _GENERATORS.items()),
     FunctionSpec("cardioid_extremal", eval_phi,
-                 "z exp(z + z^2/4); quotient is the cardioid generator itself"),
-    FunctionSpec("koebe", _w_koebe, "z/(1-z)^2; quotient (1+z)/(1-z)"),
-    FunctionSpec("half_plane", _w_half_plane, "z/(1-z); quotient 1/(1-z)"),
-    FunctionSpec("second_sum", _w_second_sum, "z + z^2; starlikeness quotient"),
+                 "z exp(z + z^2/4); quotient is the cardioid generator itself", real=True),
+    FunctionSpec("koebe", _w_koebe, "z/(1-z)^2; quotient (1+z)/(1-z)", real=True),
+    FunctionSpec("half_plane", _w_half_plane, "z/(1-z); quotient 1/(1-z)", real=True),
+    FunctionSpec("second_sum", _w_second_sum, "z + z^2; starlikeness quotient", real=True),
     FunctionSpec("second_sum_convexity", _w_second_sum_convexity,
-                 "z + z^2; convexity functional 1 + z f''/f'"),
-    FunctionSpec("koebe_second_sum", _w_second_sum_convexity, "z + 2 z^2; quotient"),
+                 "z + z^2; convexity functional 1 + z f''/f'", real=True),
+    FunctionSpec("koebe_second_sum", _w_second_sum_convexity, "z + 2 z^2; quotient", real=True),
     # sum n^2 z^n, the Koebe function convolved with itself, is the sharp
     # function of ratio class 3 over the Koebe function
     FunctionSpec("squared_koebe", _ratio_quotient(RATIO_CHI["koebe"], RATIO_P[3]),
-                 "z(1+z)/(1-z)^3; quotient of the self-convolved Koebe function"),
+                 "z(1+z)/(1-z)^3; quotient of the self-convolved Koebe function", real=True),
     FunctionSpec("bounded_re_extremal", lambda z, beta=2.0: gen_bounded_re(-_asc(z), beta),
-                 "z(1-z)^(2(beta-1)); quotient reaches 1/2 at z = 1/(4 beta - 3)"),
+                 "z(1-z)^(2(beta-1)); quotient reaches 1/2 at z = 1/(4 beta - 3)", real=True),
     *(FunctionSpec(f"ratio{i}_{chi.suffix}", _ratio_quotient(chi, p),
-                   f"chi(z) p_{i}(eps z) with chi {tag} and eps {chi.rotation:g}")
+                   f"chi(z) p_{i}(eps z) with chi {tag} and eps {chi.rotation:g}",
+                   real=chi.rotation.imag == 0)
       for tag, chi in RATIO_CHI.items() for i, p in RATIO_P.items()),
 )}
 
@@ -281,6 +288,7 @@ def _parameters(name: str) -> tuple[str, ...]:
 def extremal(name: str, **params) -> FunctionSpec:
     """Look up an extremal quotient or a generator kind, closed over `params`.
 
+    The result keeps the entry's `real` only when every parameter is real.
     Raises ValueError for an unknown name, or for a keyword that is not a
     parameter of the quotient.
     """
@@ -293,7 +301,8 @@ def extremal(name: str, **params) -> FunctionSpec:
     for key in params:
         if key not in _parameters(name):
             raise ValueError(f"extremal {name!r} has no parameter {key!r}")
-    return FunctionSpec(name, partial(spec.w_of, **params), f"{spec.claim} {params}")
+    real = spec.real and all(isinstance(v, numbers.Real) for v in params.values())
+    return FunctionSpec(name, partial(spec.w_of, **params), f"{spec.claim} {params}", real)
 
 
 def extremal_names() -> tuple[str, ...]:

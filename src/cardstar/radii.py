@@ -257,11 +257,21 @@ def m_knot() -> float:
 _DISK_WINDOW = 3
 
 
-@lru_cache(maxsize=4)
-def _half_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # angles and e^{it} of the closed upper half of the n-point circle grid
-    # (its first n//2 + 1 points, 0 to pi), read-only
-    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)[: n // 2 + 1]
+@lru_cache(maxsize=16)
+def _circle_grid(n: int, half: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Angles t = 2 pi k/n and points e^{it} of the n-point unit circle grid,
+    read-only; with `half`, its closed upper half, the first n//2 + 1 points
+    (t = 0 to pi), as a slice of the full grid.
+
+    n must be divisible by 4, so that the grid holds t = 0, pi/2 and pi: the
+    touch points of every sharp radius lie on these rays.
+    """
+    if half:
+        t, e = _circle_grid(n)
+        return t[: n // 2 + 1], e[: n // 2 + 1]
+    if n % 4:
+        raise ValueError("circle sample count must be divisible by 4")
+    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     e = np.exp(1j * t)
     t.flags.writeable = e.flags.writeable = False
     return t, e
@@ -271,7 +281,7 @@ def _disk_window_distances(M: float, r: float, n: int) -> tuple[np.ndarray, np.n
     """Angles t and distances |phi(r e^{it}) - M| on the seven points of the
     n-point half grid around the largest distance (see
     `cardioid_disk_radius`)."""
-    t, e = _half_grid(n)
+    t, e = _circle_grid(n, half=True)
     if M > 1.0:
         a = 1.0 - M
         x = min(1.0, max(-1.0, -(2.0 * a + r * r) / (4.0 * a * r)))
@@ -290,11 +300,12 @@ def cardioid_disk_radius(M: float, n: int = 4096) -> float:
     used where the published branch formula is unreliable.
 
     Only the closed upper half of the n-point grid (its first n//2 + 1
-    points, angles 0 to pi) can bind.  The generator has real
-    coefficients, so the image of the lower half is the mirror image of
-    the upper half in the real axis, and the disk is centred on that axis:
-    both halves have the same distances to M.  M - max|w - M| equals
-    min(M - |w - M|) because rounding is monotone.
+    points, angles 0 to pi) can bind: the generator and the disk are
+    mirror-symmetric (see the `verify` module docstring).  M - max|w - M|
+    equals min(M - |w - M|) because rounding is monotone.  A probe passes
+    when that is above -1e-9, or above -1e-4 r where that is smaller
+    (r below 1e-5): the slack then moves the radius by relative 1e-4, as
+    the near-boundary tolerance of `verify._radius` does for small radii.
 
     Each probe evaluates only seven points of that half grid
     (`_disk_window_distances`).  With a = 1 - M and x = cos t,
@@ -317,7 +328,8 @@ def cardioid_disk_radius(M: float, n: int = 4096) -> float:
     crossover.
 
     Raises ValueError unless M is finite and exceeds 1/2 (for M <= 1/2 no
-    positive radius exists).
+    positive radius exists), and ArithmeticError when the radius is below
+    `RADIUS_FLOOR`.
     """
     if not math.isfinite(M):
         raise ValueError("disk parameter must be finite")
@@ -325,7 +337,7 @@ def cardioid_disk_radius(M: float, n: int = 4096) -> float:
         raise ValueError("disk parameter must exceed 1/2")
 
     def ok(r: float) -> bool:
-        return bool(M - _disk_window_distances(M, r, n)[1].max() > -1e-9)
+        return bool(M - _disk_window_distances(M, r, n)[1].max() > -min(1e-9, 1e-4 * r))
 
     return bisect_predicate(ok, 1e-4, 1.0, steps=50, scan=(1.0 - 1e-9,), floor=RADIUS_FLOOR)
 
@@ -402,9 +414,10 @@ class ClassSpec:
 
     `direction` is "of" for the radius of the named class in the cardioid
     class and "within" for the radius of the cardioid class in the named
-    class.  A row with a `param` checks it with `valid` (raising `error`)
-    and falls back to `default` when none is given; a row without one
-    rejects a parameter.  `claim` is formatted with the parameter as p.
+    class.  A row with a `param` rejects a non-finite one, checks it with
+    `valid` (raising `error`) and falls back to `default` when none is
+    given; a row without one rejects a parameter.  `claim` is formatted
+    with the parameter as p.
 
     The radius is 1, capped, where `capped(p)` holds.  Otherwise rows of the
     two-parameter family give `janowski(p) = (A, B)`, and the rest a
@@ -436,6 +449,8 @@ class ClassSpec:
             p = self.default if p is None else p
             if p is None:
                 raise ValueError(f"tag {self.tag!r} needs a parameter")
+            if not math.isfinite(p):
+                raise ValueError(f"parameter {self.param} of tag {self.tag!r} must be finite")
             if not self.valid(p):
                 raise ValueError(self.error)
         claim = self.claim.format(p=p)

@@ -26,6 +26,20 @@ sharp radii themselves (tangential touches) pass: 1e-6 for the generator
 images other than the cardioid, whose margins are Euclidean distances, and
 1e-7 for the cardioid, whose margin is in preimage units, and for the
 regions with a defining inequality.
+
+The mirror rule.  A circle-sampled oracle evaluates only the closed upper
+half of its n-point grid, its first n//2 + 1 points (t = 0 to pi), when
+both the sampled map and the region are mirror-symmetric in the real axis:
+a quotient with w(conj z) = conj w(z) (`FunctionSpec.real`), a disk with a
+real center, or a region boundary, and a region with margin(conj w) =
+margin(w) (`Domain.symmetric`).  The image of the lower half circle is then
+the mirror image of the upper half's, and each mirrored point has the
+margin of its original, so the lower half can never bind.  Every class of
+the paper is a Ma-Minda class and every comparison region is symmetric, so
+this holds for every oracle but the ratio quotients with rotation i, which
+sample the full grid.  `_radius` (the subordination and disk-family radii)
+and `_inclusion_margin` (the inclusion thresholds and sharp claims) apply
+the rule; `image_in_domain` samples the full grid.
 """
 
 from __future__ import annotations
@@ -83,14 +97,6 @@ def near_tolerance(d: domains.Domain) -> float:
     return 1e-7
 
 
-def _circle(n: int) -> np.ndarray:
-    # includes t = 0, pi/2 and pi: the touch points of every sharp radius
-    # live on these rays
-    if n % 4:
-        raise ValueError("circle sample count must be divisible by 4")
-    return np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
-
-
 def image_in_domain(spec: FunctionSpec, r: float, d: domains.Domain,
                     n: int = DEFAULT_SAMPLES, near: float | None = None) -> VerificationReport:
     """Does spec.w_of map the closed subdisk of radius r into d?
@@ -104,10 +110,11 @@ def image_in_domain(spec: FunctionSpec, r: float, d: domains.Domain,
     if n < 256:
         raise ValueError("need at least 256 samples")
     tol = near_tolerance(d) if near is None else near
-    e = _circle(n)
+    e = radii._circle_grid(n)[1]
     pts = np.asarray(spec.w_of(r * e))
-    inner = np.concatenate([np.asarray(spec.w_of(0.5 * r * _circle(32))),
-                            np.asarray(spec.w_of(0.75 * r * _circle(32)))])
+    ring = radii._circle_grid(32)[1]
+    inner = np.concatenate([np.asarray(spec.w_of(0.5 * r * ring)),
+                            np.asarray(spec.w_of(0.75 * r * ring))])
     claim = f"{spec.name} image of |z|<{r:g} inside {d.describe()}"
     if d.contains_all(pts, tol) and d.contains_all(inner, tol):
         return _report(claim, "circle-sampling", n, True)
@@ -127,8 +134,10 @@ _RADIUS_REL_TOL = 1e-3
 
 
 def _radius(image: Callable[[float, np.ndarray], np.ndarray], d: domains.Domain,
-            tol: float, n: int) -> float:
-    """Largest r with image(r, e) inside d on the n-point unit circle e.
+            tol: float, n: int, half: bool) -> float:
+    """Largest r with image(r, e) inside d on the n-point unit circle e, or
+    on its closed upper half when `half` (the mirror rule of the module
+    docstring).
 
     A scan brackets the first failure, and bisection narrows the bracket to
     `tol`, or to relative 1e-3 when the radius is below 1000 tol, bisecting
@@ -138,7 +147,7 @@ def _radius(image: Callable[[float, np.ndarray], np.ndarray], d: domains.Domain,
     the search raises ArithmeticError.  1.0 means the whole disk fits.
     """
     near = near_tolerance(d)
-    e = _circle(n)
+    e = radii._circle_grid(n, half)[1]
 
     def ok(r: float) -> bool:
         return d.contains_all(np.asarray(image(r, e)), near)
@@ -157,14 +166,23 @@ def _radius(image: Callable[[float, np.ndarray], np.ndarray], d: domains.Domain,
 
 def subordination_radius(spec: FunctionSpec, d: domains.Domain,
                          tol: float = DEFAULT_TOL, n: int = DEFAULT_SAMPLES) -> float:
-    """Largest r with spec's image of |z| < r inside d (see `_radius`)."""
-    return _radius(lambda r, e: spec.w_of(r * e), d, tol, n)
+    """Largest r with spec's image of |z| < r inside d (see `_radius`); on
+    the half circle when spec is real and d symmetric."""
+    return _radius(lambda r, e: spec.w_of(r * e), d, tol, n, spec.real and d.symmetric)
 
 
 def disk_family_radius(center, spread, d: domains.Domain,
                        tol: float = DEFAULT_TOL, n: int = DEFAULT_SAMPLES) -> float:
-    """Largest r with the disk |w - center(r)| <= spread(r) inside d (see `_radius`)."""
-    return _radius(lambda r, e: center(r) + spread(r) * e, d, tol, n)
+    """Largest r with the disk |w - center(r)| <= spread(r) inside d (see
+    `_radius`); on the half circle when d is symmetric, where a center off
+    the real axis raises ValueError."""
+    def image(r: float, e: np.ndarray) -> np.ndarray:
+        c = center(r)
+        if d.symmetric and complex(c).imag != 0.0:
+            raise ValueError("disk family center must be real for a mirror-symmetric region")
+        return c + spread(r) * e
+
+    return _radius(image, d, tol, n, d.symmetric)
 
 
 def sharpness_touch(spec: FunctionSpec, r_star: float, touch_point_z: complex,
@@ -196,7 +214,7 @@ def convolution_membership_check(f: PowerSeries, g: PowerSeries, rho: float,
     h = f.hadamard(g).dilate(rho)
     tail = abs(h.coeffs[-1]) * r_test ** h.order
     flags = ("truncation-limited",) if tail >= 1e-8 else ()
-    z = r_test * _circle(n)
+    z = r_test * radii._circle_grid(n)[1]
     w = np.asarray(h.eval_log_derivative(z))
     margins = cardioid.preimage_margin(w)
     i = int(np.argmin(margins))
@@ -276,7 +294,7 @@ def measured_disk_branch_crossover(n: int = 8192) -> float:
 
 
 def measured_generator_convexity(n: int = DEFAULT_SAMPLES) -> float:
-    e = _circle(n)
+    e = radii._circle_grid(n)[1]
 
     def min_conv(r: float) -> float:
         z = r * e
@@ -312,10 +330,11 @@ def _cardioid_boundary(n: int) -> np.ndarray:
 
 
 def _inclusion_margin(inner: domains.Domain, outer: domains.Domain, n: int) -> float:
-    if inner is _CARDIOID:
-        w = _cardioid_boundary(n)
-    else:
-        w = np.asarray(inner.boundary(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)))
+    """Least margin in outer of inner's boundary at the n grid angles, or at
+    the closed upper half of them when both regions are symmetric (the
+    mirror rule of the module docstring)."""
+    t = radii._circle_grid(n, inner.symmetric and outer.symmetric)[0]
+    w = _cardioid_boundary(n)[: t.size] if inner is _CARDIOID else np.asarray(inner.boundary(t))
     return float(np.min(outer.margin(w)))
 
 
@@ -490,7 +509,7 @@ def coefficient_suite(seed: int = 0, count: int = 100,
                       samples: int = 2048) -> list[VerificationReport]:
     """Random polynomials under the coefficient condition keep |w - 1| < 1/2."""
     rng = np.random.default_rng(seed)
-    z = 0.999 * _circle(samples)
+    z = 0.999 * radii._circle_grid(samples)[1]
     worst = 1.0
     witness = None
     for _ in range(count):

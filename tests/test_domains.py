@@ -603,3 +603,33 @@ def test_fast_containment_matches_exact(kind, params, tol, shape, seed):
     ws = _cloud(d, shape, np.random.default_rng(seed))
     exact = bool(np.min(d.margin(ws)) > -tol)
     assert d.contains_all(ws, tol) == exact, (shape, tol)
+
+
+# every make_domain kind, each at parameters that put it on the real axis
+_EVERY_KIND = ALL_KINDS + [("janowski_disk", (0.5, -0.5, 0.8))]
+
+
+def test_every_kind_is_symmetric_but_an_off_axis_disk():
+    assert {kind for kind, _ in _EVERY_KIND} == set(domains._KINDS)
+    assert all(make_domain(kind, *params).symmetric for kind, params in _EVERY_KIND)
+    off = make_domain("disk", 1.0, 0.5, 1.0)
+    assert not off.symmetric
+    assert off.margin(1.0 + 0.5j) != off.margin(1.0 - 0.5j)
+    assert not Disk(2.0 + 1e-300j, 1.0).symmetric
+
+
+@pytest.mark.parametrize("kind, params", _EVERY_KIND)
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(shape=st.sampled_from(["inside", "edge", "boundary"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_symmetric_regions_have_mirror_margins(kind, params, shape, seed):
+    # a symmetric region gives a point and its mirror image the same margin
+    # and the same verdict, near its boundary and across a box around it
+    d = make_domain(kind, *params)
+    rng = np.random.default_rng(seed)
+    box = rng.uniform(-1.0, 3.0, 32) + 1j * rng.uniform(-2.0, 2.0, 32)
+    ws = np.concatenate([_cloud(d, shape, rng), box])
+    assert np.array_equal(d.margin(np.conj(ws)), d.margin(ws)), shape
+    near = ws[:32]
+    assert ([d.contains_all(w, 1e-7) for w in np.conj(near)]
+            == [d.contains_all(w, 1e-7) for w in near]), shape

@@ -1,12 +1,17 @@
 """Generator and extremal registries, partial sums, growth bounds."""
 
+import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cardstar import domains, radii
+from cardstar import domains, functions, radii
 from cardstar.functions import (
+    FunctionSpec,
     extremal,
     extremal_names,
     generator,
@@ -73,6 +78,36 @@ def test_extremal_rejects_unknown_keyword_at_lookup():
     # the keywords a quotient does take still bind
     assert complex(extremal("booth", alpha=0.5).w_of(0.0)) == 1.0
     assert complex(extremal("bounded_re_extremal", beta=3.0).w_of(1.0 / 9.0)) == pytest.approx(0.5)
+
+
+_ROTATED = {f"ratio{i}_rotated" for i in functions.RATIO_P}
+
+
+def test_real_declarations():
+    # every table row is real but the quotients rotated by eps = i
+    assert {name for name, spec in functions._EXTREMALS.items() if not spec.real} == _ROTATED
+    # a lookup keeps the declaration for real parameters only, and an ad hoc
+    # spec is not declared real
+    assert extremal("janowski", A=1, B=-0.5).real
+    assert extremal("exponential", alpha=np.float64(0.2)).real
+    assert not extremal("janowski", A=0.5 + 0.1j, B=0.0).real
+    assert not extremal("janowski", A=0.5 + 0j, B=0.0).real
+    assert not FunctionSpec("adhoc", lambda z: z).real
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(r=st.sampled_from([0.3, 0.7, 0.95]), t=st.floats(0.0, 2.0 * math.pi))
+def test_real_extremals_commute_with_conjugation(r, t):
+    # w(conj z) = conj w(z) to within an ulp for every row declared real; a
+    # rotated row misses it by far more
+    z = r * cmath.exp(1j * t)
+    for name, spec in functions._EXTREMALS.items():
+        w = complex(np.asarray(spec.w_of(z)))
+        gap = abs(complex(np.asarray(spec.w_of(z.conjugate()))) - w.conjugate())
+        if spec.real:
+            assert gap <= sys.float_info.epsilon * max(abs(w), 1.0), (name, z)
+        else:
+            assert gap > 1e-3, (name, z)
 
 
 def test_monomial_quotient_image_disk():

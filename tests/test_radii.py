@@ -266,6 +266,30 @@ def test_cardioid_disk_radius_rejects_bad_parameter():
         assert str(exc.value) == message
 
 
+def test_cardioid_disk_radius_is_relative_near_half():
+    # near M = 1/2 the radius -1 + sqrt(4M - 1) is about 2(M - 1/2); the probe
+    # slack shrinks with r there, so the search keeps relative 1e-3 down to
+    # its floor, and below the floor it raises instead of returning the slack
+    for gap in (1e-8, 1e-10, 1e-11):
+        M = 0.5 + gap
+        true = 4.0 * (M - 0.5) / (1.0 + math.sqrt(4.0 * M - 1.0))
+        assert radius_of_cardioid_in_class("janowski_M", M).value == pytest.approx(
+            true, rel=1e-3), gap
+    with pytest.raises(ArithmeticError, match="no positive radius"):
+        radius_of_cardioid_in_class("janowski_M", 0.5 + 2.0**-53)
+
+
+def test_class_table_rejects_nonfinite_parameters():
+    lookup = {"of": radius_of_class_in_cardioid, "within": radius_of_cardioid_in_class}
+    rows = [(key, spec) for key, spec in radii.CLASS_TABLE.items() if spec.param]
+    assert {direction for (direction, _), _ in rows} == set(lookup)
+    for (direction, tag), spec in rows:
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError) as exc:
+                lookup[direction](tag, bad)
+            assert str(exc.value) == f"parameter {spec.param} of tag {tag!r} must be finite"
+
+
 def test_corollary_order_knot_continuity():
     eps = 1e-10
     below = radius_of_class_in_cardioid("order", 0.25 - eps).value
@@ -299,6 +323,12 @@ _MONOTONE = {
 }
 
 
+# the sampled branch of within.janowski_M measures no radius below
+# radii.RADIUS_FLOOR, so it raises at its first valid parameter, where the
+# radius is 2.2e-16; it is measured from M - 1/2 = 1e-11 on (radius 2e-11)
+_MEASURED_FROM = {("within", "janowski_M"): 0.5 + 1e-11}
+
+
 def test_monotone_cases_cover_every_parameterized_row():
     assert set(_MONOTONE) == {key for key, spec in radii.CLASS_TABLE.items() if spec.param}
 
@@ -306,11 +336,16 @@ def test_monotone_cases_cover_every_parameterized_row():
 def test_class_radius_at_the_ends_of_each_range():
     # the low end is the first valid parameter, and both ends give a radius
     # in (0, 1]: no cancellation to 0, no overflow, no division by an
-    # underflowed product
+    # underflowed product; a row measured from a later parameter raises at
+    # the first valid one instead
     for key, (ends, direction) in _MONOTONE.items():
         spec = radii.CLASS_TABLE[key]
         assert not spec.valid(math.nextafter(ends[0], -math.inf)), key
-        lo, hi = (spec.radius(p).value for p in ends)
+        low = _MEASURED_FROM.get(key, ends[0])
+        if low != ends[0]:
+            with pytest.raises(ArithmeticError):
+                spec.radius(ends[0])
+        lo, hi = (spec.radius(p).value for p in (low, ends[1]))
         assert direction * (hi - lo) > 0, key
 
 
@@ -319,6 +354,7 @@ def test_class_radius_at_the_ends_of_each_range():
 @given(data=st.data())
 def test_class_radius_monotone_across_parameter_range(key, data):
     ends, direction = _MONOTONE[key]
+    ends = (_MEASURED_FROM.get(key, ends[0]), ends[1])
     p, q = sorted((data.draw(st.floats(*ends)), data.draw(st.floats(*ends))))
     spec = radii.CLASS_TABLE[key]
     assert spec.valid(p) and spec.valid(q)

@@ -211,6 +211,124 @@ def test_param_sweep_oracles_pinned(n):
     assert got == PARAM_SWEEP_PINS
 
 
+def _on_full_circle(measure):
+    """measure() with every region declared asymmetric, so that each oracle
+    samples the whole circle, as before the mirror rule."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(domains.Domain, "symmetric", False)
+        m.setattr(domains.Disk, "symmetric", False)
+        return measure()
+
+
+@pytest.mark.parametrize("n", [512, 4096])
+def test_half_circle_radii_equal_full_circle_on_registry(n):
+    # every subordination and disk-family oracle of the registry gives the
+    # same float on the half circle as on the full one
+    rows = [e for e in radii.constants_registry()
+            if e.oracle is not None and e.oracle.kind != "threshold"]
+    assert len(rows) == 59
+
+    def measure():
+        return {e.key: verify.measure_constant(e, n) for e in rows}
+
+    assert measure() == _on_full_circle(measure)
+
+
+def test_half_circle_radii_equal_full_circle_on_param_sweep():
+    # seven points across the range of each of the 13 param-sweep families
+    phi = functions.extremal("cardioid_extremal")
+
+    def measure():
+        out = {}
+        for tag, (name, lo, hi) in PARAM_SWEEP_CLASS_IN_CARDIOID.items():
+            for p in np.linspace(lo, hi, 7):
+                spec = functions.extremal(tag, **{name: float(p)})
+                out["of", tag, p] = verify.subordination_radius(spec, CARD, n=1024)
+        for tag, (region, lo, hi) in PARAM_SWEEP_CARDIOID_IN_CLASS.items():
+            for p in np.linspace(lo, hi, 7):
+                d = domains.make_domain(*region(float(p)))
+                out["within", tag, p] = verify.subordination_radius(phi, d, n=1024)
+        return out
+
+    assert measure() == _on_full_circle(measure)
+
+
+def test_half_circle_inclusion_thresholds_match_full_circle():
+    # the cardioid's lower half is sampled at other angles than the mirror
+    # images of its upper half, so two thresholds move in the last bits
+    rows = [e for e in radii.constants_registry()
+            if e.oracle is not None and e.oracle.payload.get("name") == "inclusion"]
+
+    def measure():
+        return [verify.measure_constant(e, 4096) for e in rows]
+
+    assert measure() == pytest.approx(_on_full_circle(measure), rel=0.0, abs=1e-15)
+
+
+def _points_seen(monkeypatch, method: str, measure) -> list[int]:
+    # the number of points each call of Domain.<method> receives during measure()
+    sizes = []
+    original = getattr(domains.Domain, method)
+
+    def counted(self, ws, *args):
+        sizes.append(int(np.size(ws)))
+        return original(self, ws, *args)
+
+    monkeypatch.setattr(domains.Domain, method, counted)
+    measure()
+    monkeypatch.setattr(domains.Domain, method, original)
+    return sizes
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_mirror_rule_evaluates_half_the_points(monkeypatch, n):
+    # a deterministic cost guard: a symmetric pair evaluates n//2 + 1 points a
+    # probe, and a pair with a rotated quotient or an off-axis disk all n
+    half = n // 2 + 1
+    off_axis = domains.Disk(1.0 + 0.1j, 1.0)
+    center, spread = radii.ratio_disk_family(3, "koebe")
+    cases = [
+        ("contains_all", half, lambda: verify.subordination_radius(
+            functions.extremal("cardioid_extremal"), domains.make_domain("sine"), n=n)),
+        ("contains_all", half, lambda: verify.subordination_radius(
+            functions.extremal("booth", alpha=0.5), CARD, n=n)),
+        ("contains_all", n, lambda: verify.subordination_radius(
+            functions.extremal("ratio1_rotated"), CARD, n=n)),
+        ("contains_all", n, lambda: verify.subordination_radius(
+            functions.extremal("cardioid_extremal"), off_axis, n=n)),
+        ("contains_all", half, lambda: verify.disk_family_radius(center, spread, CARD, n=n)),
+        ("contains_all", n, lambda: verify.disk_family_radius(
+            lambda r: 1.0 + 0.1j, lambda r: r, off_axis, n=n)),
+        ("margin", half, lambda: verify.INCLUSION_FAMILIES["conic"].threshold(n)),
+        ("margin", half, lambda: verify.INCLUSION_FAMILIES["self_centered_disk"].threshold(n)),
+        ("margin", n, lambda: verify._inclusion_margin(CARD, off_axis, n)),
+    ]
+    for method, points, measure in cases:
+        sizes = _points_seen(monkeypatch, method, measure)
+        assert sizes and sizes == [points] * len(sizes), (method, points)
+
+
+def test_disk_family_center_must_be_real_on_a_symmetric_region():
+    with pytest.raises(ValueError) as exc:
+        verify.disk_family_radius(lambda r: 1.0 + 0.1j * r, lambda r: r, CARD)
+    assert str(exc.value) == "disk family center must be real for a mirror-symmetric region"
+    # an off-axis region takes any center, on the full circle
+    off_axis = domains.Disk(1.0 + 0.1j, 1.0)
+    assert verify.disk_family_radius(lambda r: 1.0 + 0.1j, lambda r: r, off_axis) == 1.0
+
+
+def test_half_grid_is_a_slice_of_the_full_grid():
+    for n in (512, 4096):
+        t, e = radii._circle_grid(n)
+        th, eh = radii._circle_grid(n, half=True)
+        assert len(eh) == n // 2 + 1 and abs(th[-1] - math.pi) < 1e-15
+        assert np.shares_memory(th, t) and np.shares_memory(eh, e)
+        assert np.array_equal(eh, e[: n // 2 + 1])
+        assert not (t.flags.writeable or e.flags.writeable or eh.flags.writeable)
+    with pytest.raises(ValueError, match="divisible by 4"):
+        radii._circle_grid(1026)
+
+
 def test_disk_family_radius_bracket_violation_raises(monkeypatch):
     # the disk-family search certifies its bracket as the subordination search does
     center, spread = radii.ratio_disk_family(3, "koebe")
