@@ -18,6 +18,7 @@ import numpy as np
 
 RE_MIN = 0.5   # value of the generator at z = -1
 RE_MAX = 2.5   # value of the generator at z = +1
+_BOUNDARY_EPS = 1e-12   # how far a boundary point's preimage modulus may stray from 1
 
 
 def eval_phi(z):
@@ -67,7 +68,7 @@ def _preimage_roots(w):
     return -1.0 + s, -1.0 - s
 
 
-def contains(w: complex, eps_boundary: float = 1e-12) -> MembershipVerdict:
+def contains(w: complex) -> MembershipVerdict:
     """Classify w against the open image domain via its generator preimage.
 
     The verdict tolerance acts on the preimage modulus, not on the implicit
@@ -77,9 +78,9 @@ def contains(w: complex, eps_boundary: float = 1e-12) -> MembershipVerdict:
     z = r1 if abs(r1) <= abs(r2) else r2
     m = abs(z)
     near_cusp = abs(w - 0.5) < 1e-6
-    if m < 1.0 - eps_boundary:
+    if m < 1.0 - _BOUNDARY_EPS:
         return MembershipVerdict("inside", complex(z), m, near_cusp)
-    if m <= 1.0 + eps_boundary:
+    if m <= 1.0 + _BOUNDARY_EPS:
         return MembershipVerdict("boundary", None, m, near_cusp)
     return MembershipVerdict("outside", None, m, near_cusp)
 

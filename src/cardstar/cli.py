@@ -30,6 +30,8 @@ import numpy as np
 
 from . import cardioid, domains, functions, radii, series, verify
 
+_SVG_SIZE = 480   # the longer side of a figure's SVG canvas, in pixels
+
 
 @dataclass
 class CliConfig:
@@ -231,14 +233,14 @@ def figure_csv(tag: str, n: int = 512) -> str:
     return "\n".join(lines) + "\n"
 
 
-def figure_svg(tag: str, n: int = 512, size: int = 480) -> str:
+def figure_svg(tag: str, n: int = 512) -> str:
     curves = figure_curves(tag, n)
     pts = np.concatenate([c["points"] for c in curves])
     x0, x1 = float(pts.real.min()), float(pts.real.max())
     y0, y1 = float(pts.imag.min()), float(pts.imag.max())
     pad = 0.05 * max(x1 - x0, y1 - y0)
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
-    scale = size / max(x1 - x0, y1 - y0)
+    scale = _SVG_SIZE / max(x1 - x0, y1 - y0)
 
     def sx(x: float) -> float:
         return (x - x0) * scale

@@ -21,15 +21,18 @@ There are four classes of region:
   * disks, the images of center + radius z;
   * the nine regions with a defining inequality (two half-planes, sectors,
     conics, the exponential / lemniscate / Cassinian / sigmoid / cosh
-    regions), each one row of the `_INEQUALITIES` table: its parameter
-    check, its margin, its description and, for the four kinds whose
-    boundary is a line, two rays or an ellipse, that curve; the other five
-    draw the image of the unit circle under their `functions` generator;
+    regions);
   * generator images -- the nephroid, limacon, lune, sine, the rational and
     shifted-lemniscate generators, the wide cardioid and the Booth curve --
     classified by subordination: w is inside when a root of psi(z) = w lies
     in the unit disk.  Their margins are Euclidean distances to the
-    boundary curve.
+    boundary curve, exact near the boundary and an upper bound elsewhere.
+
+Each kind of the last two classes is one row of `_REGIONS`: its parameters
+and their check, its inscribed radius, and either its margin, description
+and own curve (`InequalityRegion`) or its generator's inverse, singular
+points and branch rule (`GeneratorImageRegion`).  Each class declares
+``near``, the boundary tolerance in the unit of its margin.
 
 The cardioid, the generator images other than the shifted lemniscate, and
 the sigmoid and cosh regions also carry ``inscribed``, a disk certified to
@@ -52,7 +55,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -82,6 +85,9 @@ class Domain:
     boundary curve."""
 
     kind: str = "abstract"
+    # how far outside, in the unit of `margin`, a point still counts as on
+    # the boundary, so that sharp radii (tangential touches) pass
+    near: float = 1e-7
     # (center, radius) of a disk certified to lie inside the open region
     inscribed: tuple[complex, float] | None = None
     # mirror-symmetric in the real axis: margin(conj w) = margin(w)
@@ -258,112 +264,160 @@ def _cosh_margin(w):
     return 1.0 - np.minimum(np.abs(np.log(w + s)), np.abs(np.log(w - s)))
 
 
-@dataclass(frozen=True)
-class _Inequality:
-    """One region kind given by an inequality in w."""
+def _lemniscate_inverse(w):
+    s = (SQRT2 - w) / (SQRT2 - 1.0)
+    return ((1.0 - s * s) / (1.0 + 2.0 * (SQRT2 - 1.0) * s * s))[None]
 
-    params: tuple[str, ...]                # parameter names, in `make_domain` order
-    margin: Callable                       # (w, *params) -> signed margin
-    text: str                              # `describe` format over the parameter names
+
+_PM = np.array([[1.0], [-1.0]])   # the two signs of a square root, along axis 0
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One region kind: its parameters and their check, the radius of a disk
+    about psi(0) = 1 inside it (for a generator image, min |psi(e^{it}) - 1|),
+    and either its inequality (`InequalityRegion`) or its generator's
+    inverse (`GeneratorImageRegion`)."""
+
+    params: tuple[str, ...] = ()           # parameter names, in `make_domain` order
     valid: Callable[..., bool] = lambda *params: True
     error: str = ""                        # the ValueError text when not `valid`
+    inradius: Callable[..., float] | None = None
+    margin: Callable | None = None         # (w, *params) -> signed margin
+    text: str = ""                         # `describe` format over the parameter names
     curve: Callable | None = None          # (t, *params) -> boundary, if not a generator's
+    roots: Callable | None = None          # (w, *params) -> candidate roots of psi(z) = w, axis 0
+    # unit-circle points where psi' vanishes (cusps) or is infinite (corners):
+    # angle steps cannot settle there, so their images are distance candidates
+    singular: tuple[complex, ...] = ()
+    branch: Callable | None = None         # (w, z) -> which roots in the disk are psi's own
 
 
-_INEQUALITIES: dict[str, _Inequality] = {
+# Of the inequality regions only the sigmoid and cosh regions, whose margins
+# take complex logarithms, were measured to gain from an inscribed disk.  The
+# shifted lemniscate has no closed form for one and keeps none.
+_REGIONS: dict[str, _Kind] = {
     # the region of functions with bounded turning quotient
-    "bounded_re": _Inequality(
-        ("beta",), lambda w, beta: beta - w.real, "half-plane Re w < {beta:g}",
-        lambda beta: beta > 1.0, "bounded-real-part parameter must exceed 1",
-        lambda t, beta: beta + 1j * _LINE_HALF_LENGTH * (t - math.pi) / math.pi),
+    "bounded_re": _Kind(
+        ("beta",), lambda beta: beta > 1.0, "bounded-real-part parameter must exceed 1",
+        margin=lambda w, beta: beta - w.real, text="half-plane Re w < {beta:g}",
+        curve=lambda t, beta: beta + 1j * _LINE_HALF_LENGTH * (t - math.pi) / math.pi),
     # starlikeness of order alpha
-    "min_re": _Inequality(
-        ("alpha",), lambda w, alpha: w.real - alpha, "half-plane Re w > {alpha:g}",
-        lambda alpha: 0.0 <= alpha < 1.0, "order parameter must lie in [0, 1)",
-        lambda t, alpha: alpha + 1j * _LINE_HALF_LENGTH * (t - math.pi) / math.pi),
+    "min_re": _Kind(
+        ("alpha",), lambda alpha: 0.0 <= alpha < 1.0, "order parameter must lie in [0, 1)",
+        margin=lambda w, alpha: w.real - alpha, text="half-plane Re w > {alpha:g}",
+        curve=lambda t, alpha: alpha + 1j * _LINE_HALF_LENGTH * (t - math.pi) / math.pi),
     # |arg w| < beta pi/2, strong starlikeness of order beta
-    "sector": _Inequality(
-        ("beta",), _sector_margin, "sector |arg w| < {beta:g} pi/2",
-        lambda beta: 0.0 < beta <= 1.0, "sector order must lie in (0, 1]", _sector_rays),
+    "sector": _Kind(
+        ("beta",), lambda beta: 0.0 < beta <= 1.0, "sector order must lie in (0, 1]",
+        margin=_sector_margin, text="sector |arg w| < {beta:g} pi/2", curve=_sector_rays),
     # Re w > k |w - 1|: half-plane (k = 0), parabola or hyperbola interior
     # (0 < k <= 1), ellipse interior (k > 1)
-    "conic": _Inequality(
-        ("k",), lambda w, k: w.real - k * np.abs(w - 1.0), "conic region Re w > {k:g} |w-1|",
-        lambda k: k >= 0.0, "conic parameter must be nonnegative", _conic_ellipse_curve),
+    "conic": _Kind(
+        ("k",), lambda k: k >= 0.0, "conic parameter must be nonnegative",
+        margin=lambda w, k: w.real - k * np.abs(w - 1.0), text="conic region Re w > {k:g} |w-1|",
+        curve=_conic_ellipse_curve),
     # |log((w - alpha)/(1 - alpha))| < 1, image of alpha + (1 - alpha) e^z
-    "exponential": _Inequality(
-        ("alpha",), _log_margin(lambda w, alpha: 1.0 - np.abs(np.log((w - alpha) / (1.0 - alpha)))),
-        "exponential region (alpha={alpha:g})",
-        lambda alpha: 0.0 <= alpha < 1.0, "exponential-region parameter must lie in [0, 1)"),
+    "exponential": _Kind(
+        ("alpha",), lambda alpha: 0.0 <= alpha < 1.0,
+        "exponential-region parameter must lie in [0, 1)",
+        margin=_log_margin(lambda w, alpha: 1.0 - np.abs(np.log((w - alpha) / (1.0 - alpha)))),
+        text="exponential region (alpha={alpha:g})"),
     # right lobe of |((w - alpha)/(1 - alpha))^2 - 1| < 1
-    "lemniscate": _Inequality(
-        ("alpha",), _lemniscate_margin, "lemniscate region (alpha={alpha:g})",
-        lambda alpha: 0.0 <= alpha < 1.0, "lemniscate-region parameter must lie in [0, 1)"),
+    "lemniscate": _Kind(
+        ("alpha",), lambda alpha: 0.0 <= alpha < 1.0,
+        "lemniscate-region parameter must lie in [0, 1)",
+        margin=_lemniscate_margin, text="lemniscate region (alpha={alpha:g})"),
     # right loop |w^2 - 1| < c, Re w > 0 of the Cassinian ovals
-    "cassinian": _Inequality(
-        ("c",), lambda w, c: np.minimum(c - np.abs(w * w - 1.0), w.real),
-        "Cassinian right loop (c={c:g})",
-        lambda c: 0.0 < c <= 1.0, "Cassinian parameter must lie in (0, 1]"),
+    "cassinian": _Kind(
+        ("c",), lambda c: 0.0 < c <= 1.0, "Cassinian parameter must lie in (0, 1]",
+        margin=lambda w, c: np.minimum(c - np.abs(w * w - 1.0), w.real),
+        text="Cassinian right loop (c={c:g})"),
     # |log(w/(2 - w))| < 1, image of the modified sigmoid 2/(1 + e^-z)
-    "sigmoid": _Inequality((), _log_margin(lambda w: 1.0 - np.abs(np.log(w / (2.0 - w)))),
-                           "sigmoid"),
+    "sigmoid": _Kind(
+        margin=_log_margin(lambda w: 1.0 - np.abs(np.log(w / (2.0 - w)))), text="sigmoid",
+        # |log(w/(2 - w))| = 2 |artanh(w - 1)| <= 2 artanh |w - 1| < 1, as the
+        # Taylor coefficients of artanh are positive
+        inradius=lambda: math.tanh(0.5)),
     # |log(w + sqrt(w^2 - 1))| < 1, image of cosh z
-    "cosh": _Inequality((), _log_margin(_cosh_margin), "cosh"),
+    "cosh": _Kind(
+        margin=_log_margin(_cosh_margin), text="cosh",
+        # w = 1 + 2 q^2 has |arccosh w| = 2 |arcsinh q| <= 2 arcsin |q| < 1 for
+        # |q| < sin(1/2), as arcsin's Taylor coefficients are the moduli of arcsinh's
+        inradius=lambda: 1.0 - math.cos(1.0)),
+    # z^2 + k w z - k^2 (w - 1) = 0 with k = 1 + sqrt 2
+    "rational": _Kind(
+        roots=lambda w: 0.5 * (1.0 + SQRT2) * (-w + _PM * np.sqrt(w * w + 4.0 * w - 4.0)),
+        singular=(-1.0,),
+        # |psi - 1| = |k + z| / (k |k - z|) >= (k - 1)/(k (k + 1)) = 3 - 2 sqrt 2
+        # with k = 1 + sqrt 2, at z = -1
+        inradius=lambda: 3.0 - 2.0 * SQRT2),
+    # s = sqrt((1-z)/(1+2(sqrt2-1)z)) = (sqrt2 - w)/(sqrt2 - 1) is principal,
+    # so Re s >= 0, that is Re w <= sqrt 2
+    "rational_lemniscate": _Kind(
+        roots=_lemniscate_inverse, singular=(1.0,), branch=lambda w, z: w.real <= SQRT2),
+    "cardioid_wide": _Kind(
+        roots=lambda w: -1.0 + _PM * np.sqrt((3.0 * w - 1.0) / 2.0), singular=(-1.0,),
+        # |psi - 1| = (2/3) |2 + z| >= 2/3, at z = -1
+        inradius=lambda: 2.0 / 3.0),
+    "limacon": _Kind(
+        roots=lambda w: -SQRT2 + _PM * np.sqrt(2.0 * w),
+        # |psi - 1| = |sqrt 2 + z/2| >= sqrt 2 - 1/2, at z = -1
+        inradius=lambda: SQRT2 - 0.5),
+    # sqrt(1 + z^2) = w - z is principal, so Re(w - z) >= 0
+    "lune": _Kind(
+        roots=lambda w: ((w * w - 1.0) / (2.0 * w))[None], singular=(1j, -1j),
+        branch=lambda w, z: (w - z).real >= 0.0,
+        # the lune is |w - 1| < sqrt 2 outside |w + 1| <= sqrt 2, whose circle
+        # passes 2 - sqrt 2 from 1
+        inradius=lambda: 2.0 - SQRT2),
+    "sine": _Kind(
+        roots=lambda w: np.arcsin(w - 1.0)[None],
+        # |sin(x + iy)|^2 = sin^2 x + sinh^2 y >= sin^2(1) (x^2 + y^2), as
+        # sin x / x >= sin 1 for |x| <= 1
+        inradius=lambda: math.sin(1.0)),
+    # trigonometric roots of z^3 - 3z + 3(w - 1) = 0
+    "nephroid": _Kind(
+        roots=lambda w: 2.0 * np.cos(
+            (np.arccos(1.5 * (1.0 - w)) + 2.0 * math.pi * np.arange(3)[:, None]) / 3.0),
+        singular=(1.0, -1.0),
+        # |psi - 1| = |1 - z^2/3| >= 2/3, at z = +-1
+        inradius=lambda: 2.0 / 3.0),
+    # alpha u z^2 + z - u = 0 with u = w - 1, rationalized so alpha = 0 works
+    "booth": _Kind(
+        ("alpha",), lambda alpha: 0.0 <= alpha < 1.0, "Booth-curve parameter must lie in [0, 1)",
+        roots=lambda w, alpha: 2.0 * (w - 1.0) / (
+            1.0 + _PM * np.sqrt(1.0 + 4.0 * alpha * (w - 1.0) ** 2)),
+        # |psi - 1| = 1 / |1 - alpha z^2| >= 1/(1 + alpha), at z = +-i
+        inradius=lambda alpha: 1.0 / (1.0 + alpha)),
 }
 
 
-# radius of a disk about psi(0) = 1 inside the region, psi its generator, in
-# closed form: for the generator images, min |psi(e^{it}) - 1| over the
-# circle.  The shifted lemniscate has no closed form and keeps no disk; of
-# the inequality regions only the sigmoid and cosh regions, whose margins
-# take complex logarithms, were measured to gain from one.
-_INRADII = {
-    # |log(w/(2 - w))| = 2 |artanh(w - 1)| <= 2 artanh |w - 1| < 1, as the
-    # Taylor coefficients of artanh are positive
-    "sigmoid": lambda: math.tanh(0.5),
-    # w = 1 + 2 q^2 has |arccosh w| = 2 |arcsinh q| <= 2 arcsin |q| < 1 for
-    # |q| < sin(1/2), as arcsin's Taylor coefficients are the moduli of arcsinh's
-    "cosh": lambda: 1.0 - math.cos(1.0),
-    # |psi - 1| = |k + z| / (k |k - z|) >= (k - 1)/(k (k + 1)) = 3 - 2 sqrt 2
-    # with k = 1 + sqrt 2, at z = -1
-    "rational": lambda: 3.0 - 2.0 * SQRT2,
-    # |psi - 1| = (2/3) |2 + z| >= 2/3, at z = -1
-    "cardioid_wide": lambda: 2.0 / 3.0,
-    # |psi - 1| = |sqrt 2 + z/2| >= sqrt 2 - 1/2, at z = -1
-    "limacon": lambda: SQRT2 - 0.5,
-    # the lune is |w - 1| < sqrt 2 outside |w + 1| <= sqrt 2, whose circle
-    # passes 2 - sqrt 2 from 1
-    "lune": lambda: 2.0 - SQRT2,
-    # |sin(x + iy)|^2 = sin^2 x + sinh^2 y >= sin^2(1) (x^2 + y^2), as
-    # sin x / x >= sin 1 for |x| <= 1
-    "sine": lambda: math.sin(1.0),
-    # |psi - 1| = |1 - z^2/3| >= 2/3, at z = +-1
-    "nephroid": lambda: 2.0 / 3.0,
-    # |psi - 1| = 1 / |1 - alpha z^2| >= 1/(1 + alpha), at z = +-i
-    "booth": lambda alpha: 1.0 / (1.0 + alpha),
-}
-
-
-class InequalityRegion(Domain):
-    """A region with a defining inequality, declared by its `_INEQUALITIES` row."""
+class Region(Domain):
+    """A region kind declared by its `_REGIONS` row, over positional
+    parameters in the row's order."""
 
     def __init__(self, kind: str, *params: float):
-        row = _INEQUALITIES[kind]
+        row = _REGIONS[kind]
         if not row.valid(*params):
             raise ValueError(row.error)
         self.kind = kind
         self.params = params
         self._row = row
-        if kind in _INRADII:
-            self.inscribed = (1.0, _INRADII[kind](*params) - _INSCRIBED_GUARD)
-
-    def _margin(self, w):
-        return self._row.margin(w, *self.params)
+        if row.inradius is not None:
+            self.inscribed = (1.0, row.inradius(*params) - _INSCRIBED_GUARD)
 
     def generator(self, z):
         """The kind's `functions` generator, which draws the boundary of
         every row without its own `curve`."""
         return functions.generator(self.kind)(z, *self.params)
+
+
+class InequalityRegion(Region):
+    """A region with a defining inequality: its row's `margin`."""
+
+    def _margin(self, w):
+        return self._row.margin(w, *self.params)
 
     def _curve(self, t: np.ndarray):
         if self._row.curve is None:
@@ -374,91 +428,47 @@ class InequalityRegion(Domain):
         return self._row.text.format(**dict(zip(self._row.params, self.params)))
 
 
-def _lemniscate_inverse(w):
-    s = (SQRT2 - w) / (SQRT2 - 1.0)
-    return ((1.0 - s * s) / (1.0 + 2.0 * (SQRT2 - 1.0) * s * s))[None]
-
-
-_PM = np.array([[1.0], [-1.0]])   # the two signs of a square root, along axis 0
-
-# candidate roots z of psi(z) = w, stacked along axis 0; wrong-branch roots
-# are filtered afterwards by mapping them back through the generator
-_INVERSES = {
-    # z^2 + k w z - k^2 (w - 1) = 0 with k = 1 + sqrt 2
-    "rational": lambda w: 0.5 * (1.0 + SQRT2) * (-w + _PM * np.sqrt(w * w + 4.0 * w - 4.0)),
-    # s = sqrt((1-z)/(1+2(sqrt2-1)z)); the branch check rejects Re s < 0
-    "rational_lemniscate": _lemniscate_inverse,
-    "cardioid_wide": lambda w: -1.0 + _PM * np.sqrt((3.0 * w - 1.0) / 2.0),
-    "limacon": lambda w: -SQRT2 + _PM * np.sqrt(2.0 * w),
-    # the branch check rejects the root of w = z - sqrt(1 + z^2)
-    "lune": lambda w: ((w * w - 1.0) / (2.0 * w))[None],
-    "sine": lambda w: np.arcsin(w - 1.0)[None],
-    # trigonometric roots of z^3 - 3z + 3(w - 1) = 0
-    "nephroid": lambda w: 2.0 * np.cos(
-        (np.arccos(1.5 * (1.0 - w)) + 2.0 * math.pi * np.arange(3)[:, None]) / 3.0),
-    # alpha u z^2 + z - u = 0 with u = w - 1, rationalized so alpha = 0 works
-    "booth": lambda w, alpha: 2.0 * (w - 1.0) / (
-        1.0 + _PM * np.sqrt(1.0 + 4.0 * alpha * (w - 1.0) ** 2)),
-}
-
-# points of the unit circle where psi' vanishes (cusps) or is infinite
-# (corners); steps in the boundary angle cannot settle there, so their images
-# are distance candidates of their own
-_SINGULAR_POINTS = {
-    "nephroid": (1.0, -1.0),
-    "cardioid_wide": (-1.0,),
-    "rational": (-1.0,),
-    "lune": (1j, -1j),
-    "rational_lemniscate": (1.0,),
-}
-
-
-class GeneratorImageRegion(Domain):
+class GeneratorImageRegion(Region):
     """Image of the unit disk under a univalent generator psi (open region).
 
     Membership is the preimage test that `cardioid` uses: w is inside when
-    the smallest root of psi(z) = w lies in the unit disk.  Each kind has a
-    closed-form inverse in `_INVERSES`; a candidate root counts only if psi
-    maps it back to w within relative 1e-8, which discards the wrong branch
-    of square-root generators.  The margin is the Euclidean distance to the
-    boundary curve psi(e^{it}), refined from the angle of that root.
+    the smallest root of psi(z) = w lies in the unit disk.  Each row has a
+    closed-form inverse, `roots`; where that inverse squares away a
+    principal square root of psi, its `branch` rule discards the roots in
+    the disk that belong to the other branch.  The margin is the Euclidean
+    distance to the boundary curve psi(e^{it}), refined from the angle of
+    that root: exact near the boundary, an upper bound elsewhere.
     """
 
+    near = 1e-6
     _REFINE_STEPS = 12
 
-    def __init__(self, name: str, **params):
-        self.kind = name
-        self.params = dict(params)
-        self.generator = functions.generator(name, **params)
-        self._inverse = _INVERSES[name]
-        self._singular_values = self.generator(
-            np.asarray(_SINGULAR_POINTS.get(name, ()), dtype=complex))
-        if name in _INRADII:
-            self.inscribed = (1.0, _INRADII[name](**params) - _INSCRIBED_GUARD)
+    @cached_property
+    def _singular_values(self) -> np.ndarray:
+        return self.generator(np.asarray(self._row.singular, dtype=complex))
 
     def _roots(self, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Candidate roots of psi(z) = w along axis 0 and their moduli, inf
-        for a root in the disk that psi does not map back to w."""
+        for a root in the disk off psi's branch."""
         with np.errstate(all="ignore"):
-            z = self._inverse(ws, **self.params)
+            z = self._row.roots(ws, *self.params)
             size = np.abs(z)
             size[np.isnan(size)] = np.inf
-            # only a root in the disk can make w a member, so only those are
-            # checked against the generator
-            i, j = np.nonzero(size < 1.0)
-            w = ws[j]
-            wrong = ~(np.abs(self.generator(z[i, j]) - w) <= 1e-8 * np.maximum(np.abs(w), 1.0))
-            size[i[wrong], j[wrong]] = np.inf
+            if self._row.branch is not None:
+                # only a root in the disk can make w a member
+                size[(size < 1.0) & ~self._row.branch(ws, z)] = np.inf
         return z, size
 
     def _distance(self, ws: np.ndarray, z: np.ndarray, size: np.ndarray) -> np.ndarray:
         """min_t |psi(e^{it}) - w| by Gauss-Newton steps from the angle of
-        the smallest root.
+        the smallest root: exact near the boundary, an upper bound elsewhere.
 
         A step that does not bring the boundary point closer is halved
         instead of taken, so the iteration stays on the nearest arc when it
         straddles a corner; every iterate is a boundary point, so the result
-        never undershoots."""
+        never undershoots.  Far from the boundary the start can sit at a
+        distance maximum, where no step descends, and the result then
+        overestimates."""
         def curve(t):
             return self.generator(np.exp(1j * t))
 
@@ -507,7 +517,7 @@ class GeneratorImageRegion(Domain):
 
     def describe(self) -> str:
         if self.params:
-            inner = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
+            inner = ", ".join(f"{k}={v:g}" for k, v in zip(self._row.params, self.params))
             return f"image of generator {self.kind}({inner})"
         return f"image of generator {self.kind}"
 
@@ -533,20 +543,16 @@ def _disk(cx: float, cy: float, r: float) -> Disk:
     return Disk(complex(cx, cy), r)
 
 
-def _booth(alpha: float) -> GeneratorImageRegion:
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("Booth-curve parameter must lie in [0, 1)")
-    return GeneratorImageRegion("booth", alpha=alpha)
-
-
-# every region kind with its constructor and the names of its parameters
+# every region kind with its constructor and the names of its parameters, in
+# the order that the unknown-kind message lists them
 _KINDS: dict[str, tuple[Callable[..., Domain], tuple[str, ...]]] = {
     "cardioid": (CardioidDomain, ()),
     "disk": (_disk, ("cx", "cy", "r")),
-    **{kind: (partial(InequalityRegion, kind), row.params) for kind, row in _INEQUALITIES.items()},
+    **{kind: (partial(InequalityRegion, kind), row.params)
+       for kind, row in _REGIONS.items() if row.margin is not None},
     "janowski_disk": (janowski_disk, ("A", "B", "r")),
-    **{kind: (partial(GeneratorImageRegion, kind), ()) for kind in _INVERSES},
-    "booth": (_booth, ("alpha",)),
+    **{kind: (partial(GeneratorImageRegion, kind), row.params)
+       for kind, row in _REGIONS.items() if row.roots is not None},
 }
 
 

@@ -19,8 +19,8 @@ Both directions are rows of one table, `CLASS_TABLE`: a `ClassSpec` per
 (direction, tag) holds the parameter with its valid range and default, the
 formula and claim text, and the oracle the registry checks it with.  The
 classes of order alpha, [1-a, 0], [a, -a], |w - M| < M, starlike and convex
-are special cases of the two-parameter family [A, B]; their rows map the
-parameter to (A, B) and evaluate `janowski_radius_in_cardioid`.
+are special cases of the two-parameter family [A, B]; their formulas map
+the parameter to (A, B) and evaluate `janowski_radius_in_cardioid`.
 
 Every root and threshold in the package is located by the two search
 helpers here: `bisect_predicate` (with `bisect_sign_change` on top) and
@@ -122,11 +122,10 @@ def bisect_sign_change(f: Callable[[float], float], lo: float, hi: float,
     return bisect_predicate(lambda x: (f(x) > 0) == positive, lo, hi, steps=steps)
 
 
-def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
-                       steps: int = 120) -> float:
-    """Minimizer of a unimodal f on [lo, hi] by golden-section search."""
+def golden_section_min(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Minimizer of a unimodal f on [lo, hi] by 120 golden-section steps."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(steps):
+    for _ in range(120):
         c = hi - inv * (hi - lo)
         d = lo + inv * (hi - lo)
         if f(c) < f(d):
@@ -143,12 +142,11 @@ def _poly_eval(coeffs, x: float) -> float:
     return acc
 
 
-def smallest_root_in_unit_interval(coeffs, scan_step: float = 1e-3,
-                                   tol: float = 1e-14) -> float:
+def smallest_root_in_unit_interval(coeffs) -> float:
     """Smallest root in (0, 1) of a real polynomial (ascending coefficients).
 
-    A sign scan at `scan_step` brackets the first crossing, bisection
-    finishes to `tol`; the residual is required to vanish to 1e-12.
+    A sign scan in steps of 1e-3 brackets the first crossing, bisection
+    finishes to 1e-14; the residual is required to vanish to 1e-12.
     """
     coeffs = tuple(float(c) for c in coeffs)
     positive = _poly_eval(coeffs, 0.0) > 0
@@ -157,8 +155,8 @@ def smallest_root_in_unit_interval(coeffs, scan_step: float = 1e-3,
         f = _poly_eval(coeffs, x)
         return f != 0.0 and (f > 0) == positive
 
-    scan = itertools.takewhile(lambda x: x < 1.0, (k * scan_step for k in itertools.count(1)))
-    root = bisect_predicate(same_sign, 0.0, None, tol=tol, scan=scan)
+    scan = itertools.takewhile(lambda x: x < 1.0, (k * 1e-3 for k in itertools.count(1)))
+    root = bisect_predicate(same_sign, 0.0, None, tol=1e-14, scan=scan)
     if root is None:
         raise ValueError("no root bracketed in (0, 1)")
     if abs(_poly_eval(coeffs, root)) > 1e-12:
@@ -419,10 +417,9 @@ class ClassSpec:
     given; a row without one rejects a parameter.  `claim` is formatted
     with the parameter as p.
 
-    The radius is 1, capped, where `capped(p)` holds.  Otherwise rows of the
-    two-parameter family give `janowski(p) = (A, B)`, and the rest a
-    `formula(p)` returning the value, or a RadiusResult for a value with its
-    own method or flags.
+    The radius is 1, capped, where `capped(p)` holds, and `formula(p)`
+    otherwise: the value, or a RadiusResult for a value with its own method
+    or flags.
 
     The registry checks a row with `oracle(p)`; by default that maps the
     generator named by the tag into the cardioid region (direction "of"),
@@ -438,7 +435,6 @@ class ClassSpec:
     error: str = ""
     default: float | None = None
     capped: Callable | None = None
-    janowski: Callable | None = None
     oracle: Callable[[float | None], OracleSpec] | None = None
 
     def radius(self, p: float | None = None) -> RadiusResult:
@@ -456,7 +452,7 @@ class ClassSpec:
         claim = self.claim.format(p=p)
         if self.capped is not None and self.capped(p):
             return RadiusResult(1.0, CLOSED_FORM, claim=claim, clamped=True)
-        out = janowski_radius_in_cardioid(*self.janowski(p)) if self.janowski else self.formula(p)
+        out = self.formula(p)
         if isinstance(out, RadiusResult):
             return replace(out, claim=claim)
         return RadiusResult(out, CLOSED_FORM, claim=claim)
@@ -570,18 +566,19 @@ CLASS_TABLE: dict[tuple[str, str], ClassSpec] = {(s.direction, s.tag): s for s i
         formula=lambda b: 0.25 / (b - 0.75)),
     # corollaries of the two-parameter family
     ClassSpec("of", "order", "radius of starlike functions of order {p:g}", **_ORDER,
-              janowski=lambda a: (1.0 - 2.0 * a, -1.0)),
+              formula=lambda a: janowski_radius_in_cardioid(1.0 - 2.0 * a, -1.0)),
     ClassSpec("of", "ram_singh", "radius of the [1-a, 0] family at a={p:g}", **_RAM_SINGH,
-              janowski=lambda a: (1.0 - a, 0.0)),
+              formula=lambda a: janowski_radius_in_cardioid(1.0 - a, 0.0)),
     ClassSpec("of", "padmanabhan", "radius of the [a, -a] family at a={p:g}", **_PADMANABHAN,
-              default=1.0, janowski=lambda a: (a, -a)),
+              default=1.0, formula=lambda a: janowski_radius_in_cardioid(a, -a)),
     ClassSpec("of", "janowski_M", "radius of the bounded-quotient family at M={p:g}",
-              **_BOUNDED_QUOTIENT, default=1.0, janowski=_bounded_quotient_ab,
+              **_BOUNDED_QUOTIENT, default=1.0,
+              formula=lambda M: janowski_radius_in_cardioid(*_bounded_quotient_ab(M)),
               oracle=lambda M: _into_cardioid("janowski",
                                               dict(zip("AB", _bounded_quotient_ab(M))))),
-    _of("starlike", "the starlike class", janowski=lambda _: (1.0, -1.0),
+    _of("starlike", "the starlike class", formula=lambda _: janowski_radius_in_cardioid(1.0, -1.0),
         oracle=lambda _: _into_cardioid("janowski", {"A": 1.0, "B": -1.0})),
-    _of("convex", "the convex class", janowski=lambda _: (0.0, -1.0),
+    _of("convex", "the convex class", formula=lambda _: janowski_radius_in_cardioid(0.0, -1.0),
         oracle=lambda _: _into_cardioid("order", {"alpha": 0.5})),
     _of("univalent", "the univalent class", **_UNIVALENT),
     _of("close_to_convex", "the close-to-convex class", **_UNIVALENT),

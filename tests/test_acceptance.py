@@ -74,7 +74,7 @@ def test_criterion_2_oracle_agreement():
     failures = [r.claim for r in reports if not r.passed]
     ok = not failures and elapsed < 60.0
     _verdict(2, ok, f"{len(reports)} constants reproduced by oracle at 4096 samples "
-                    f"within 2e-3 ({elapsed:.1f}s)"
+                    f"within {verify.AGREEMENT_TOL:g} ({elapsed:.1f}s)"
                     f"{'; failures: ' + repr(failures) if failures else ''}")
 
 

@@ -9,12 +9,15 @@ import cardstar
 MODULES = ("cardioid", "cli", "domains", "functions", "radii", "series", "verify")
 
 # names the package no longer has: each restated what another mechanism
-# already computes, and only tests called it
+# already computes, and only tests called it, or kept a fact of a region
+# kind or of a gate apart from the one place that declares it
 DELETED = (
     "AnnulusOfDisks", "annulus_of_disks", "convexity_radius", "growth_envelope",
     "disk_in_domain", "domain_in_domain", "apollonius_positivity_margin",
     "corollary_radius", "_COROLLARY_TAGS", "m_fixed_point", "partial_sum_radii",
     "convolution_radii",
+    "_Inequality", "_INEQUALITIES", "_INVERSES", "_SINGULAR_POINTS", "_INRADII", "_booth",
+    "near_tolerance", "AGREEMENT_TOL_COARSE", "agreement_tolerance",
 )
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardstar import cardioid, domains, radii
+from cardstar import cardioid, domains, functions, radii
 from cardstar.domains import (
     CardioidDomain,
     Disk,
@@ -260,7 +260,15 @@ _PARAMETER_RANGES = {
 
 
 def test_parameter_ranges_cover_every_inequality_kind():
-    assert list(_PARAMETER_RANGES) == list(domains._INEQUALITIES)
+    assert list(_PARAMETER_RANGES) == [kind for kind, row in domains._REGIONS.items()
+                                       if row.margin is not None]
+
+
+def test_region_rows_list_their_generator_parameters():
+    # a region calls its generator as psi(z, *params), in the row's order
+    for kind, row in domains._REGIONS.items():
+        if kind in functions.generator_names():
+            assert row.params == functions._parameters(kind), kind
 
 
 @pytest.mark.parametrize("kind", _PARAMETER_RANGES)

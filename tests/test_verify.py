@@ -1,5 +1,6 @@
 """Oracle machinery: containment sampling, bisection, sharpness, suites."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -498,6 +499,27 @@ def test_verify_constants_subset_quick():
     assert all(r.passed for r in reports)
 
 
+@pytest.mark.parametrize("samples", [256, 512, 4096])
+def test_agreement_gate_catches_each_shifted_formula(samples, monkeypatch):
+    # a formula value moved by 6e-4, 3x the gate, either way fails its own
+    # row and no other; each oracle runs once, and the shifted runs reuse
+    # its value
+    registry = radii.constants_registry()
+    measured = {e.key: verify.measure_constant(e, samples) for e in registry if e.oracle}
+    monkeypatch.setattr(verify, "measure_constant", lambda entry, n: measured[entry.key])
+    assert all(r.passed for r in verify.verify_all_constants(samples))
+    shift = 6e-4
+    for i, entry in enumerate(registry):
+        if entry.oracle is None:
+            continue
+        for sign in (1.0, -1.0):
+            moved = dataclasses.replace(entry, value=entry.value + sign * shift)
+            shifted = registry[:i] + (moved,) + registry[i + 1:]
+            monkeypatch.setattr(radii, "constants_registry", lambda: shifted)
+            failed = [r.claim for r in verify.verify_all_constants(samples) if not r.passed]
+            assert failed == [verify._row_claim(entry)], (entry.key, sign)
+
+
 def test_report_requires_witness_on_fail():
     with pytest.raises(ValueError):
         verify.VerificationReport("c", "m", 1, "fail")
@@ -572,5 +594,5 @@ def test_truncation_guard_flag():
     f = PowerSeries(tuple(float((n + 1) ** 2) for n in range(8)))
     g = PowerSeries.half_plane(8)
     f = PowerSeries((1.0,) + f.coeffs[1:])
-    rep = verify.convolution_membership_check(f, g, 1.0, n=512, r_test=0.999)
+    rep = verify.convolution_membership_check(f, g, 1.0, n=512)
     assert "truncation-limited" in rep.flags
