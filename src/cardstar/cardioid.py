@@ -139,9 +139,3 @@ def self_centered_fixed_point() -> float:
     For every M at least this large the domain sits in {|w - M| < M}.
     """
     return (3.0 + math.sqrt(5.0)) / 4.0
-
-
-def boundary_samples(n: int) -> np.ndarray:
-    """n boundary points phi(e^{it}) on the uniform grid t_j = 2 pi j / n."""
-    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    return np.asarray(eval_phi(np.exp(1j * t)))

@@ -21,10 +21,8 @@ divisible by 4.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,50 +31,61 @@ from . import cardioid, domains, functions, radii, series, verify
 _SVG_SIZE = 480   # the longer side of a figure's SVG canvas, in pixels
 
 
-@dataclass
-class CliConfig:
-    samples: int = 4096
-    output_format: str = "text"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.samples < 256:
-            raise ValueError("sample count must be at least 256")
-        if self.samples % 4:
-            # the circle grids must hold t = pi/2 and pi, where sharp radii touch
-            raise ValueError("sample count must be divisible by 4")
-        if self.output_format not in ("text", "csv", "svg"):
-            raise ValueError("output format must be text, csv or svg")
-
-
 # ---------------------------------------------------------------------------
-# constants table
+# tables
 # ---------------------------------------------------------------------------
 
-def constants_table(config: CliConfig, with_oracle: bool = True) -> str:
+def _field(value, sep: str) -> str:
+    # a tuple field (flags) joins with sep
+    return sep.join(value) if isinstance(value, tuple) else str(value)
+
+
+def to_csv(header: tuple[str, ...], rows: list[tuple]) -> str:
+    """The one CSV writer, for the two tables and the figure curves: a tuple
+    field joins with '|' and a comma inside any field becomes ';', so every
+    row has the header's columns."""
+    return "".join(",".join(_field(v, "|").replace(",", ";") for v in row) + "\n"
+                   for row in (header, *rows))
+
+
+def reports_table(reports: list[verify.VerificationReport], output_format: str) -> str:
+    if output_format == "csv":
+        return to_csv(("claim", "method", "samples", "verdict", "measured", "witness", "flags"),
+                      [(r.claim, r.method, r.samples, r.verdict,
+                        f"{r.measured_value:.9g}" if r.measured_value is not None else "",
+                        f"{r.witness:.9g}" if r.witness is not None else "", r.flags)
+                       for r in reports])
+    lines = []
+    for r in reports:
+        status = "PASS" if r.passed else "FAIL"
+        extra = f"  [{','.join(r.flags)}]" if r.flags else ""
+        measured = f"  measured={r.measured_value:.9g}" if r.measured_value is not None else ""
+        note = "  (flagged, non-blocking)" if r.flags and not r.passed else ""
+        lines.append(f"{status}  {r.claim}{measured}{extra}{note}\n")
+    lines.append(f"{sum(r.passed for r in reports)}/{len(reports)} checks passed\n")
+    return "".join(lines)
+
+
+def constants_table(samples: int, output_format: str, with_oracle: bool) -> str:
     rows = []
     header = ("key", "value", "method", "published", "oracle", "diff", "flags")
     max_arg = None  # the strong-order row's oracle value, reused by the notes
     for entry in radii.constants_registry():
-        oracle_val = ""
-        diff = ""
+        oracle_val = diff = "-"
         if with_oracle and entry.oracle is not None:
-            measured = verify.measure_constant(entry, config.samples)
+            measured = verify.measure_constant(entry, samples)
             oracle_val = f"{measured:.9g}"
             diff = f"{abs(measured - entry.value):.2e}"
             if entry.key == "incl.strong_order":
                 max_arg = measured
         published = f"{entry.published:.9g}" if entry.published is not None else "-"
         rows.append((entry.key, f"{entry.value:.9g}", entry.method, published,
-                     oracle_val or "-", diff or "-", ",".join(entry.flags) or "-"))
-    if config.output_format == "csv":
-        out = [",".join(header)]
-        out += [",".join(str(c) for c in row) for row in rows]
-        return "\n".join(out) + "\n"
-    widths = [max(len(str(r[i])) for r in rows + [header]) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for row in rows:
-        lines.append("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
+                     oracle_val, diff, entry.flags or "-"))
+    if output_format == "csv":
+        return to_csv(header, rows)
+    table = [header] + [[_field(c, ",") for c in row] for row in rows]
+    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in table]
     bz = radii.beta_zero_candidates()
     if max_arg is None:
         max_arg = verify.measured_max_arg_order()
@@ -102,13 +111,11 @@ def _curve(name: str, pts: np.ndarray, outer: domains.Domain | None = None,
 
 
 def _boundary_pts(d: domains.Domain, n: int) -> np.ndarray:
-    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    return np.asarray(d.boundary(t))
+    return np.asarray(d.boundary(radii._circle_grid(n)[0]))
 
 
 def _image_circle(w_of, r: float, n: int) -> np.ndarray:
-    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    return np.asarray(w_of(r * np.exp(1j * t)))
+    return np.asarray(w_of(r * radii._circle_grid(n)[1]))
 
 
 def _cardioid_curve(n: int) -> dict:
@@ -206,8 +213,9 @@ FIGURE_TAGS = tuple(FIGURES)
 
 
 def figure_curves(tag: str, n: int = 512) -> list[dict]:
-    """Curves of a registered figure; inner curves carry the region they must
-    lie inside, which the figure self-check samples."""
+    """Curves of a registered figure at the n points of the circle grid (n
+    divisible by 4); inner curves carry the region they must lie inside,
+    which the figure self-check samples."""
     if tag not in FIGURES:
         raise ValueError(f"unknown figure tag {tag!r}; known: {', '.join(sorted(FIGURE_TAGS))}")
     return FIGURES[tag](n)
@@ -224,13 +232,10 @@ def check_figure(tag: str, n: int = 512) -> list[tuple[str, bool]]:
 
 
 def figure_csv(tag: str, n: int = 512) -> str:
-    lines = ["curve,t,x,y"]
-    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    for curve in figure_curves(tag, n):
-        pts = curve["points"]
-        for ti, w in zip(t, pts):
-            lines.append(f"{curve['name']},{ti:.9g},{w.real:.9g},{w.imag:.9g}")
-    return "\n".join(lines) + "\n"
+    t = radii._circle_grid(n)[0]
+    return to_csv(("curve", "t", "x", "y"),
+                  [(curve["name"], f"{ti:.9g}", f"{w.real:.9g}", f"{w.imag:.9g}")
+                   for curve in figure_curves(tag, n) for ti, w in zip(t, curve["points"])])
 
 
 def figure_svg(tag: str, n: int = 512) -> str:
@@ -280,30 +285,18 @@ _RADIUS_TAGS = {("cardioid-in-" if spec.direction == "within" else "")
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def cmd_constants(config: CliConfig, args) -> int:
-    sys.stdout.write(constants_table(config, with_oracle=not args.no_oracle))
+def cmd_constants(args) -> int:
+    sys.stdout.write(constants_table(args.samples, args.format, not args.no_oracle))
     return 0
 
 
-def cmd_verify(config: CliConfig, args) -> int:
-    reports = verify.run_all_suites(config.samples, seed=config.seed,
-                                    key_filter=args.filter)
-    hard_failures = sum(1 for r in reports if not r.passed and not r.flags)
-    if config.output_format == "csv":
-        sys.stdout.write(verify.reports_to_csv(reports))
-        return 1 if hard_failures else 0
-    for r in reports:
-        status = "PASS" if r.passed else "FAIL"
-        extra = f"  [{','.join(r.flags)}]" if r.flags else ""
-        measured = f"  measured={r.measured_value:.9g}" if r.measured_value is not None else ""
-        note = "  (flagged, non-blocking)" if r.flags and not r.passed else ""
-        sys.stdout.write(f"{status}  {r.claim}{measured}{extra}{note}\n")
-    total = len(reports)
-    sys.stdout.write(f"{total - sum(not r.passed for r in reports)}/{total} checks passed\n")
-    return 1 if hard_failures else 0
+def cmd_verify(args) -> int:
+    reports = verify.run_all_suites(args.samples, seed=args.seed, key_filter=args.filter)
+    sys.stdout.write(reports_table(reports, args.format))
+    return 1 if any(not r.passed and not r.flags for r in reports) else 0
 
 
-def cmd_member(config: CliConfig, args) -> int:
+def cmd_member(args) -> int:
     w = complex(args.re, args.im)
     v = cardioid.contains(w)
     also = cardioid.contains_implicit(w)
@@ -317,7 +310,7 @@ def cmd_member(config: CliConfig, args) -> int:
     return 0
 
 
-def cmd_radius(config: CliConfig, args) -> int:
+def cmd_radius(args) -> int:
     tag = args.klass.lower()
     if tag not in _RADIUS_TAGS:
         sys.stderr.write("unknown class; available tags:\n")
@@ -345,7 +338,7 @@ def cmd_radius(config: CliConfig, args) -> int:
     return 0
 
 
-def cmd_coeff_check(config: CliConfig, args) -> int:
+def cmd_coeff_check(args) -> int:
     try:
         with open(args.series_file, "r", encoding="utf-8") as fh:
             f = series.from_text(fh.read())
@@ -362,17 +355,17 @@ def cmd_coeff_check(config: CliConfig, args) -> int:
     return 0
 
 
-def cmd_plot(config: CliConfig, args) -> int:
+def cmd_plot(args) -> int:
     tag = args.figure
     if tag not in FIGURE_TAGS:
         sys.stderr.write(f"unknown figure tag; known: {', '.join(FIGURE_TAGS)}\n")
         return 2
-    n = config.samples
+    n = args.samples
     for name, ok in check_figure(tag, n):
         if not ok:
             sys.stderr.write(f"containment self-check failed for curve {name}\n")
             return 1
-    sys.stdout.write(figure_svg(tag, n) if config.output_format == "svg" else figure_csv(tag, n))
+    sys.stdout.write(figure_svg(tag, n) if args.format == "svg" else figure_csv(tag, n))
     return 0
 
 
@@ -419,12 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.samples < 256:
+        parser.error("sample count must be at least 256")
+    if args.samples % 4:
+        # the circle grids must hold t = pi/2 and pi, where sharp radii touch
+        parser.error("sample count must be divisible by 4")
     try:
-        config = CliConfig(samples=args.samples, output_format=args.format, seed=args.seed)
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        return args.fn(config, args)
+        return args.fn(args)
     except BrokenPipeError:
         # downstream consumer (head, less) closed the stream; not an error
         try:

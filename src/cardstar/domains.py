@@ -399,6 +399,9 @@ class Region(Domain):
 
     def __init__(self, kind: str, *params: float):
         row = _REGIONS[kind]
+        for name, p in zip(row.params, params):
+            if not math.isfinite(p):
+                raise ValueError(f"parameter {name} of region kind {kind!r} must be finite")
         if not row.valid(*params):
             raise ValueError(row.error)
         self.kind = kind

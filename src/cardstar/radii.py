@@ -205,9 +205,9 @@ def alpha_knot() -> float:
 
 def w_alpha(alpha: float) -> float:
     """Interior-tangency radius for the Apollonius disk target,
-    (2a/sqrt(1-a^2)) sqrt(2/sqrt(1+3a^2) - 1)."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("parameter must lie in (0, 1]")
+    (2a/sqrt(1-a^2)) sqrt(2/sqrt(1+3a^2) - 1), used below `alpha_knot`."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("parameter must lie in (0, 1)")
     a2 = alpha * alpha
     return (2.0 * alpha / math.sqrt(1.0 - a2)) * math.sqrt(2.0 / math.sqrt(1.0 + 3.0 * a2) - 1.0)
 

@@ -130,19 +130,20 @@ _RADIUS_REL_TOL = 1e-3
 
 
 def _radius(image: Callable[[float, np.ndarray], np.ndarray], d: domains.Domain,
-            tol: float, n: int, half: bool) -> float:
+            n: int, half: bool) -> float:
     """Largest r with image(r, e) inside d on the n-point unit circle e, or
     on its closed upper half when `half` (the mirror rule of the module
     docstring).
 
     A scan brackets the first failure, and bisection narrows the bracket to
-    `tol`, or to relative 1e-3 when the radius is below 1000 tol, bisecting
-    again from half the first result with the near-boundary tolerance
-    shrunk by the same factor as the bracket.  The result is certified: the
-    image fits at r - width and leaves d at r + width, with that width, or
-    the search raises ArithmeticError.  1.0 means the whole disk fits.
+    tol = `DEFAULT_TOL`, or to relative 1e-3 when the radius is below
+    1000 tol, bisecting again from half the first result with the
+    near-boundary tolerance shrunk by the same factor as the bracket.  The
+    result is certified: the image fits at r - width and leaves d at
+    r + width, with that width, or the search raises ArithmeticError.  1.0
+    means the whole disk fits.
     """
-    near = d.near
+    near, tol = d.near, DEFAULT_TOL
     e = radii._circle_grid(n, half)[1]
 
     def ok(r: float) -> bool:
@@ -161,14 +162,14 @@ def _radius(image: Callable[[float, np.ndarray], np.ndarray], d: domains.Domain,
 
 
 def subordination_radius(spec: FunctionSpec, d: domains.Domain,
-                         tol: float = DEFAULT_TOL, n: int = DEFAULT_SAMPLES) -> float:
+                         n: int = DEFAULT_SAMPLES) -> float:
     """Largest r with spec's image of |z| < r inside d (see `_radius`); on
     the half circle when spec is real and d symmetric."""
-    return _radius(lambda r, e: spec.w_of(r * e), d, tol, n, spec.real and d.symmetric)
+    return _radius(lambda r, e: spec.w_of(r * e), d, n, spec.real and d.symmetric)
 
 
 def disk_family_radius(center, spread, d: domains.Domain,
-                       tol: float = DEFAULT_TOL, n: int = DEFAULT_SAMPLES) -> float:
+                       n: int = DEFAULT_SAMPLES) -> float:
     """Largest r with the disk |w - center(r)| <= spread(r) inside d (see
     `_radius`); on the half circle when d is symmetric, where a center off
     the real axis raises ValueError."""
@@ -178,7 +179,7 @@ def disk_family_radius(center, spread, d: domains.Domain,
             raise ValueError("disk family center must be real for a mirror-symmetric region")
         return c + spread(r) * e
 
-    return _radius(image, d, tol, n, d.symmetric)
+    return _radius(image, d, n, d.symmetric)
 
 
 def sharpness_touch(spec: FunctionSpec, r_star: float, touch_point_z: complex,
@@ -212,8 +213,8 @@ def convolution_membership_check(f: PowerSeries, g: PowerSeries, rho: float,
     margins = cardioid.preimage_margin(w)
     i = int(np.argmin(margins))
     return _report(f"convolution dilated by {rho:g} stays in the cardioid class",
-                   "series-sampling", n, margins[i] > -1e-7, float(margins[i]), complex(w[i]),
-                   flags=flags, detail=f"truncation tail {tail:.2e}")
+                   "series-sampling", n, margins[i] > -_CARDIOID.near, float(margins[i]),
+                   complex(w[i]), flags=flags, detail=f"truncation tail {tail:.2e}")
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +222,7 @@ def convolution_membership_check(f: PowerSeries, g: PowerSeries, rho: float,
 # ---------------------------------------------------------------------------
 
 def measured_min_re_limit(n: int = 1 << 16) -> float:
-    w = cardioid.boundary_samples(n)
+    w = cardioid.eval_phi(radii._circle_grid(n)[1])
     return float(np.min(w.real))
 
 
@@ -241,16 +242,17 @@ def _unimodal_argmax(f: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> in
     return lo + int(np.argmax(f(t[lo:coarse + 257])))
 
 
-def measured_max_arg_order(n: int = 1 << 18) -> float:
+def measured_max_arg_order() -> float:
     """(2/pi) max |arg| over the boundary, grid search plus golden refinement.
 
-    The argmax over the n-point grid on [0, pi] is found coarse to fine
+    The argmax over the n = 2^18 point grid on [0, pi] is found coarse to fine
     (`_unimodal_argmax`), about 1,500 evaluations in place of n.  The
     argument is unimodal there: d/dt arg phi(e^{it}) = Re(z phi'(z)/phi(z))
     = (4 cos t + 1)(cos t + 1) / (2 |phi|^2), which changes sign once, at
     cos t = -1/4.  Golden-section search then refines between the argmax's
     grid neighbours.
     """
+    n = 1 << 18
     t = np.linspace(0.0, math.pi, n)
     j = _unimodal_argmax(_boundary_arg, t)
 
@@ -296,14 +298,14 @@ def measured_generator_convexity(n: int = DEFAULT_SAMPLES) -> float:
     return radii.bisect_sign_change(min_conv, 1e-3, 1.0 - 1e-9, 80)
 
 
-def measured_growth_lower_limit(order: int = 64) -> float:
-    f = f_cardioid_series(order)
-    return abs(f.eval(-1.0))
+def measured_growth_lower_limit() -> float:
+    """|f(-1)| from the order-64 series of the cardioid class's extremal."""
+    return abs(f_cardioid_series(64).eval(-1.0))
 
 
-def measured_series_coefficient(index: int, order: int = 16) -> float:
-    f = f_cardioid_series(order)
-    return abs(f.coeffs[index - 1])
+def measured_series_coefficient(index: int) -> float:
+    """|a_index| from the order-16 series of the cardioid class's extremal."""
+    return abs(f_cardioid_series(16).coeffs[index - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +319,7 @@ _CARDIOID = domains.CardioidDomain()
 def _cardioid_boundary(n: int) -> np.ndarray:
     # the cardioid is the fixed side of every family: sample it once per n
     # rather than at each step of a threshold bisection
-    w = cardioid.boundary_samples(n)
+    w = cardioid.eval_phi(radii._circle_grid(n)[1])
     w.flags.writeable = False
     return w
 
@@ -346,6 +348,13 @@ class InclusionFamily:
 
     def margin(self, p: float, n: int) -> float:
         return _inclusion_margin(*self.regions(p), n)
+
+    def holds(self, p: float, n: int) -> tuple[bool, float]:
+        """Whether the inclusion holds at p within the outer region's
+        `near`, and its margin."""
+        inner, outer = self.regions(p)
+        margin = _inclusion_margin(inner, outer, n)
+        return margin > -outer.near, margin
 
     def threshold(self, n: int = DEFAULT_SAMPLES) -> float:
         # oriented positive at the low end of the bracket, so that a margin of
@@ -454,9 +463,9 @@ def _sharp_inclusion_report(name: str, family: str, good: float,
                             n: int) -> VerificationReport:
     """The family's inclusion holds at parameter `good` and fails 0.01 past it."""
     fam = INCLUSION_FAMILIES[family]
-    ok_at = fam.margin(good, n) > -1e-7
-    bad_margin = fam.margin(good - 0.01 if fam.holds_above else good + 0.01, n)
-    return _report(name, "boundary-sampling", n, ok_at and not bad_margin > -1e-7, bad_margin)
+    held = fam.holds(good, n)[0]
+    past, bad_margin = fam.holds(good - 0.01 if fam.holds_above else good + 0.01, n)
+    return _report(name, "boundary-sampling", n, held and not past, bad_margin)
 
 
 def inclusion_suite(samples: int = DEFAULT_SAMPLES) -> list[VerificationReport]:
@@ -493,9 +502,9 @@ def inclusion_suite(samples: int = DEFAULT_SAMPLES) -> list[VerificationReport]:
     return reports
 
 
-def coefficient_suite(seed: int = 0, count: int = 100,
-                      samples: int = 2048) -> list[VerificationReport]:
-    """Random polynomials under the coefficient condition keep |w - 1| < 1/2."""
+def coefficient_suite(seed: int = 0, samples: int = 2048) -> list[VerificationReport]:
+    """100 random polynomials under the coefficient condition keep |w - 1| < 1/2."""
+    count = 100
     rng = np.random.default_rng(seed)
     z = _SERIES_RADIUS * radii._circle_grid(samples)[1]
     worst = 1.0
@@ -543,8 +552,9 @@ def partial_sum_suite(samples: int = DEFAULT_SAMPLES) -> list[VerificationReport
     return reports
 
 
-def convolution_suite(samples: int = 2048, order: int = 32) -> list[VerificationReport]:
-    """Convolution dilation bounds checked on truncated series."""
+def convolution_suite(samples: int = 2048) -> list[VerificationReport]:
+    """Convolution dilation bounds checked on truncated series of order 32."""
+    order = 32
     reports = []
     rho0 = {e.key: e.value for e in radii.constants_registry()}["conv.starlike_pair"]
     koebe = PowerSeries.koebe(order)
@@ -583,14 +593,3 @@ def run_all_suites(samples: int = DEFAULT_SAMPLES, seed: int = 0,
     if key_filter:
         reports = [r for r in reports if key_filter.lower() in r.claim.lower()]
     return reports
-
-
-def reports_to_csv(reports: list[VerificationReport]) -> str:
-    lines = ["claim,method,samples,verdict,measured,witness,flags"]
-    for r in reports:
-        measured = f"{r.measured_value:.9g}" if r.measured_value is not None else ""
-        witness = f"{r.witness:.9g}" if r.witness is not None else ""
-        claim = r.claim.replace(",", ";")
-        lines.append(f"{claim},{r.method},{r.samples},{r.verdict},{measured},"
-                     f"{witness},{'|'.join(r.flags)}")
-    return "\n".join(lines) + "\n"

@@ -220,7 +220,7 @@ def test_criterion_7_coefficient_suite():
         d = functions.monomial_image_disk(n, 1.0 / (2 * n - 1))
         if abs((d.center - d.radius) - 0.5) >= 1e-12:
             tangency_ok = False
-    (report,) = verify.coefficient_suite(seed=0, count=100, samples=2048)
+    (report,) = verify.coefficient_suite(seed=0, samples=2048)
     ok = tangency_ok and report.passed
     _verdict(7, ok, "monomial tangency for n=2..8 and 100 random polynomials "
                     "under the coefficient condition")

@@ -18,6 +18,7 @@ DELETED = (
     "convolution_radii",
     "_Inequality", "_INEQUALITIES", "_INVERSES", "_SINGULAR_POINTS", "_INRADII", "_booth",
     "near_tolerance", "AGREEMENT_TOL_COARSE", "agreement_tolerance",
+    "CliConfig", "reports_to_csv", "boundary_samples",
 )
 
 

@@ -1,11 +1,12 @@
 """Command-line surface: exit codes, formats, determinism, figures."""
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from cardstar import cli, radii, verify
-from cardstar.cli import CliConfig, main
+from cardstar.cli import main
 
 
 def run(argv, capsys):
@@ -14,19 +15,21 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        CliConfig(samples=64)
-    with pytest.raises(ValueError):
-        CliConfig(output_format="pdf")
+def test_config_validation(monkeypatch, capsys):
+    # the parsed arguments are checked before any work runs
+    monkeypatch.setattr(verify, "run_all_suites", lambda *a, **kw: pytest.fail("work ran"))
+    for argv, message in ((["--samples", "64", "verify"], "at least 256"),
+                          (["--format", "pdf", "verify"], "invalid choice")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_samples_must_be_divisible_by_four(monkeypatch, capsys):
     # the circle grids must hold t = pi, where the cusp touches happen; an odd
     # count is a usage error before any work runs
     monkeypatch.setattr(verify, "run_all_suites", lambda *a, **kw: pytest.fail("work ran"))
-    with pytest.raises(ValueError):
-        CliConfig(samples=257)
     for argv, env in ((["--samples", "257", "verify"], None), (["verify"], "258")):
         if env is not None:
             monkeypatch.setenv("CARDIOID_SAMPLES", env)
@@ -165,6 +168,19 @@ def test_constants_table_rows_and_determinism(capsys):
     assert out1 == out2
     rows = [line for line in out1.strip().splitlines()[1:] if line]
     assert len(rows) == len(radii.constants_registry())
+
+
+def test_constants_csv_keeps_columns_with_two_flags(monkeypatch, capsys):
+    # flags join with '|', as in the verify CSV, so that a row with two flags
+    # keeps the header's seven columns
+    rows = radii.constants_registry()
+    two = dataclasses.replace(rows[0], flags=("formula-suspect", "published-decimal-mismatch"))
+    monkeypatch.setattr(radii, "constants_registry", lambda: (two, *rows[1:]))
+    code, out, _ = run(["--format", "csv", "constants", "--no-oracle"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert {len(line.split(",")) for line in lines} == {7}
+    assert lines[1].endswith(",formula-suspect|published-decimal-mismatch")
 
 
 def test_constants_text_mentions_candidates(capsys):
@@ -312,7 +328,7 @@ def test_constants_measures_max_arg_once(argv, monkeypatch, capsys):
 
 
 def test_verify_command_coarse_sampling(capsys):
-    # the whole suite stays green at coarse sampling with relaxed tolerance
+    # the whole suite stays green at coarse sampling, under the same 2e-4 gate
     code, out, _ = run(["--samples", "256", "verify"], capsys)
     assert code == 0
 

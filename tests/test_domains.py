@@ -77,6 +77,18 @@ def test_make_domain_rejects_bad_parameters():
         assert str(exc.value) == message
 
 
+def test_region_rejects_non_finite_parameters():
+    # inf passes some range checks (conic, bounded_re) and NaN fails each one
+    # with the range's message, so finiteness is checked first and named
+    kinds = {kind: row.params for kind, row in domains._REGIONS.items() if row.params}
+    assert len(kinds) == 8
+    for kind, (name,) in kinds.items():
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError) as exc:
+                make_domain(kind, bad)
+            assert str(exc.value) == f"parameter {name} of region kind {kind!r} must be finite"
+
+
 def test_make_domain_counts_parameters():
     # a missing or surplus parameter is a ValueError naming the parameters,
     # not a TypeError from the constructor

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cardstar import cardioid, domains, functions, radii, verify
+from cardstar import cardioid, cli, domains, functions, radii, verify
 from cardstar.functions import FunctionSpec
 from cardstar.series import PowerSeries, f_cardioid_series
 
@@ -550,16 +550,35 @@ def test_apollonius_positivity_validates_tangency_radius():
         assert verify.image_in_domain(quotient, r, disk).passed, alpha
         assert verify.image_in_domain(quotient, r - 2e-3, disk).passed, alpha
         assert not verify.image_in_domain(quotient, r + 2e-3, disk).passed, alpha
-    with pytest.raises(ValueError):
-        radii.w_alpha(0.0)
+    # the formula divides by sqrt(1 - a^2) at a = 1, where the class's
+    # radius is already capped at 1 (from alpha_knot on)
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            radii.w_alpha(alpha)
+
+
+def test_shifted_lemniscate_direct_subordination_radius():
+    # the constants note on the shifted lemniscate compares the registry's
+    # 0.253734 with the direct subordination radius of the cardioid
+    # extremal, about 0.2601
+    r = verify.subordination_radius(functions.extremal("cardioid_extremal"),
+                                    domains.make_domain("rational_lemniscate"), n=4096)
+    assert r == pytest.approx(0.2601, abs=1e-4)
+    assert r > 0.253734
 
 
 def test_reports_to_csv():
+    # the command line's one CSV writer; a comma inside a claim becomes ';'
+    # and flags join with '|', so every row keeps the header's seven columns
     reports = verify.partial_sum_suite(1024)
-    text = verify.reports_to_csv(reports)
-    lines = text.strip().splitlines()
+    reports.append(dataclasses.replace(reports[0], claim="a claim, with a comma",
+                                       flags=("formula-suspect", "published-decimal-mismatch")))
+    lines = cli.reports_table(reports, "csv").strip().splitlines()
     assert lines[0].startswith("claim,method,samples,verdict")
     assert len(lines) == len(reports) + 1
+    assert {len(line.split(",")) for line in lines} == {7}
+    assert lines[-1].startswith("a claim; with a comma,")
+    assert lines[-1].endswith(",formula-suspect|published-decimal-mismatch")
 
 
 def test_inclusion_suite_passes():
@@ -569,7 +588,7 @@ def test_inclusion_suite_passes():
 
 
 def test_coefficient_suite_passes():
-    (report,) = verify.coefficient_suite(seed=1, count=40, samples=1024)
+    (report,) = verify.coefficient_suite(seed=1, samples=1024)
     assert report.passed
 
 
