@@ -417,6 +417,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.samples % 4:
         # the circle grids must hold t = pi/2 and pi, where sharp radii touch
         parser.error("sample count must be divisible by 4")
+    if args.format == "svg" and args.command != "plot":
+        parser.error("--format svg applies only to plot")
     try:
         return args.fn(args)
     except BrokenPipeError:

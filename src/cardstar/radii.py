@@ -251,10 +251,6 @@ def m_knot() -> float:
         1.01, cardioid.self_centered_fixed_point() - 1e-9, steps=200)
 
 
-# grid points kept on each side of the one nearest the farthest point
-_DISK_WINDOW = 3
-
-
 @lru_cache(maxsize=16)
 def _circle_grid(n: int, half: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Angles t = 2 pi k/n and points e^{it} of the n-point unit circle grid,
@@ -275,55 +271,19 @@ def _circle_grid(n: int, half: bool = False) -> tuple[np.ndarray, np.ndarray]:
     return t, e
 
 
-def _disk_window_distances(M: float, r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Angles t and distances |phi(r e^{it}) - M| on the seven points of the
-    n-point half grid around the largest distance (see
-    `cardioid_disk_radius`)."""
-    t, e = _circle_grid(n, half=True)
-    if M > 1.0:
-        a = 1.0 - M
-        x = min(1.0, max(-1.0, -(2.0 * a + r * r) / (4.0 * a * r)))
-        k = round(math.acos(x) / (2.0 * math.pi) * n)
-    else:
-        k = 0
-    # the window k - 3 .. k + 3, shifted inside the grid at its ends
-    start = max(min(k - _DISK_WINDOW, len(t) - 2 * _DISK_WINDOW - 1), 0)
-    window = slice(start, start + 2 * _DISK_WINDOW + 1)
-    return t[window], np.abs(cardioid.eval_phi(r * e[window]) - M)
-
-
-def cardioid_disk_radius(M: float, n: int = 4096) -> float:
+def cardioid_disk_radius(M: float) -> float:
     """Largest r with the cardioid generator image of |z| < r inside
-    |w - M| < M, by bisection over n circle samples.  Self-contained oracle
-    used where the published branch formula is unreliable.
+    |w - M| < M, by bisection over the closed upper half of the 4096-point
+    circle grid (its first 2049 points, angles 0 to pi), which is all that
+    can bind: the generator and the disk are mirror-symmetric (see the
+    `verify` module docstring).  Self-contained oracle used where the
+    published branch formula is unreliable.
 
-    Only the closed upper half of the n-point grid (its first n//2 + 1
-    points, angles 0 to pi) can bind: the generator and the disk are
-    mirror-symmetric (see the `verify` module docstring).  M - max|w - M|
-    equals min(M - |w - M|) because rounding is monotone.  A probe passes
-    when that is above -1e-9, or above -1e-4 r where that is smaller
-    (r below 1e-5): the slack then moves the radius by relative 1e-4, as
-    the near-boundary tolerance of `verify._radius` does for small radii.
-
-    Each probe evaluates only seven points of that half grid
-    (`_disk_window_distances`).  With a = 1 - M and x = cos t,
-    |phi(r e^{it}) - M|^2 = |a e^{-it} + r + (r^2/2) e^{it}|^2
-    = 2 a r^2 x^2 + (2 a r + r^3) x + (a - r^2/2)^2 + r^2,
-    a quadratic in x.  For M > 1 it is concave, largest at the vertex
-    x* = -(2a + r^2)/(4 a r) clipped to [-1, 1].  For M <= 1 it is convex
-    (linear at M = 1) and its value at x = 1 exceeds that at x = -1 by
-    2(2 a r + r^3) > 0, so it is largest at t = 0.  Since cos is monotone
-    on [0, pi], the grid point with the largest exact value is one of the
-    two neighbours of t* = arccos x*, so within one of the grid index
-    nearest t*.  The window is that index +- 3, shifted inside the grid at
-    its ends.  Its two further points on each side are for rounding ties:
-    a point outside the window could take the largest computed distance
-    only if its exact value lay within a few ulps of the largest, two or
-    more grid steps beyond the best point.  The tests check that it never
-    does: the radius is == to a search of the whole half grid for n from
-    512 to 8192, with M across (1/2, 1.309), densely around M = 1, where
-    the quadratic turns from convex to concave, and around the branch
-    crossover.
+    M - max|w - M| equals min(M - |w - M|) because rounding is monotone.  A
+    probe passes when that is above -1e-9, or above -1e-4 r where that is
+    smaller (r below 1e-5): the slack then moves the radius by relative
+    1e-4, as the near-boundary tolerance of `verify._radius` does for small
+    radii.
 
     Raises ValueError unless M is finite and exceeds 1/2 (for M <= 1/2 no
     positive radius exists), and ArithmeticError when the radius is below
@@ -333,9 +293,10 @@ def cardioid_disk_radius(M: float, n: int = 4096) -> float:
         raise ValueError("disk parameter must be finite")
     if not M > 0.5:
         raise ValueError("disk parameter must exceed 1/2")
+    e = _circle_grid(4096, half=True)[1]
 
     def ok(r: float) -> bool:
-        return bool(M - _disk_window_distances(M, r, n)[1].max() > -min(1e-9, 1e-4 * r))
+        return bool(M - np.abs(cardioid.eval_phi(r * e) - M).max() > -min(1e-9, 1e-4 * r))
 
     return bisect_predicate(ok, 1e-4, 1.0, steps=50, scan=(1.0 - 1e-9,), floor=RADIUS_FLOOR)
 
@@ -612,7 +573,9 @@ CLASS_TABLE: dict[tuple[str, str], ClassSpec] = {(s.direction, s.tag): s for s i
             oracle=lambda a: _cardioid_into("disk", 1.0, 0.0, 1.0 - a)),
     _within("padmanabhan", "the [a, -a] family at a={p:g}", **_PADMANABHAN,
             capped=lambda a: a >= alpha_knot(), formula=w_alpha,
-            oracle=lambda a: _cardioid_into("disk", *_apollonius_disk(a))),
+            # at a = 1 the region |(w-1)/(w+1)| < a is the half-plane Re w > 0
+            oracle=lambda a: _cardioid_into(*(("min_re", 0.0) if a == 1.0
+                                              else ("disk", *_apollonius_disk(a))))),
     _within("janowski_M", "the bounded-quotient family at M={p:g}", **_BOUNDED_QUOTIENT,
             capped=lambda M: M >= cardioid.self_centered_fixed_point(),
             formula=_cardioid_in_bounded_quotient,

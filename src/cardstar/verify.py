@@ -226,66 +226,40 @@ def measured_min_re_limit(n: int = 1 << 16) -> float:
     return float(np.min(w.real))
 
 
-def _boundary_arg(t: np.ndarray) -> np.ndarray:
-    return np.angle(np.asarray(cardioid.eval_phi(np.exp(1j * t))))
-
-
-def _unimodal_argmax(f: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> int:
-    """Index of the maximum of f over the grid t, for f unimodal on t.
-
-    f is evaluated on every 256th grid point, then on the grid points
-    within 256 of the coarse winner: the maximum of a unimodal sequence
-    lies between the coarse winner's coarse neighbours.
-    """
-    coarse = 256 * int(np.argmax(f(t[::256])))
-    lo = max(coarse - 256, 0)
-    return lo + int(np.argmax(f(t[lo:coarse + 257])))
-
-
 def measured_max_arg_order() -> float:
-    """(2/pi) max |arg| over the boundary, grid search plus golden refinement.
+    """(2/pi) max |arg| over the boundary, by golden-section search on [0, pi].
 
-    The argmax over the n = 2^18 point grid on [0, pi] is found coarse to fine
-    (`_unimodal_argmax`), about 1,500 evaluations in place of n.  The
-    argument is unimodal there: d/dt arg phi(e^{it}) = Re(z phi'(z)/phi(z))
+    The argument is unimodal there: d/dt arg phi(e^{it}) = Re(z phi'(z)/phi(z))
     = (4 cos t + 1)(cos t + 1) / (2 |phi|^2), which changes sign once, at
-    cos t = -1/4.  Golden-section search then refines between the argmax's
-    grid neighbours.
+    cos t = -1/4.
     """
-    n = 1 << 18
-    t = np.linspace(0.0, math.pi, n)
-    j = _unimodal_argmax(_boundary_arg, t)
+    def neg_arg(t: float) -> float:
+        return -float(np.angle(complex(cardioid.eval_phi(np.exp(1j * t)))))
 
-    def neg_arg(tt: float) -> float:
-        return -np.angle(complex(cardioid.eval_phi(np.exp(1j * tt))))
-
-    t_max = radii.golden_section_min(neg_arg, t[max(j - 1, 0)], t[min(j + 1, n - 1)])
+    t_max = radii.golden_section_min(neg_arg, 0.0, math.pi)
     return (2.0 / math.pi) * (-neg_arg(t_max))
 
 
-def _disk_touch_angle(M: float, n: int) -> float:
-    """Circle angle of the binding tangency at the containment radius."""
-    t, dist = radii._disk_window_distances(M, radii.cardioid_disk_radius(M, n), n)
-    return float(t[int(np.argmin(M - dist))])
+def measured_disk_branch_crossover(n: int = DEFAULT_SAMPLES) -> float:
+    """Disk parameter M where the binding tangency of |w - M| < M leaves the
+    real axis.
 
-
-def measured_disk_branch_crossover(n: int = 8192) -> float:
-    """Disk parameter where the binding tangency leaves the real axis.
-
-    Below the crossover the containment radius is set by the rightmost
-    image point (touch angle 0); above it an interior tangency binds.  The
-    touch angle grows like sqrt(M - M*), so thresholding it at 0.02 locates
-    the crossover to a few times 1e-5.
-
-    The bisection in M takes 41 touch angles.  Each one is a
-    `radii.cardioid_disk_radius` search of about 52 probes, followed by the
-    argmin of M - |phi - M| over the probe window at the radius found:
-    seven grid points around the farthest point, not the whole half grid,
-    which picks the same grid angle.
+    At the real-axis exit radius r(M) = `radii.disk_real_axis_radius(M)` the
+    image of |z| = r(M) touches the circle |w - M| = M at t = 0.  Below the
+    crossover that is its only contact; above it an interior tangency has
+    bound at a smaller radius, so the image leaves the disk.  The bisection
+    in M finds where the excess max|phi(r(M) e^{it}) - M| - M over the closed
+    upper half of the n-point grid (the mirror rule of the module docstring)
+    first exceeds 1e-12: at 256 to 8192 samples it is at most 4.4e-16
+    below the crossover and at least 5.7e-8 from 1e-4 above it.
     """
-    return radii.bisect_sign_change(
-        lambda M: 0.02 - _disk_touch_angle(M, n),
-        1.05, cardioid.self_centered_fixed_point() - 1e-6, 40)
+    e = radii._circle_grid(n, half=True)[1]
+
+    def excess(M: float) -> float:
+        w = cardioid.eval_phi(radii.disk_real_axis_radius(M) * e)
+        return float(np.max(np.abs(w - M))) - M - 1e-12
+
+    return radii.bisect_sign_change(excess, 1.05, cardioid.self_centered_fixed_point() - 1e-6, 40)
 
 
 def measured_generator_convexity(n: int = DEFAULT_SAMPLES) -> float:
@@ -397,7 +371,7 @@ INCLUSION_FAMILIES: dict[str, InclusionFamily] = {
 _THRESHOLDS = {
     "min_re_limit": lambda n: measured_min_re_limit(max(n, 1 << 16)),
     "max_arg": lambda n: measured_max_arg_order(),
-    "disk_branch_crossover": lambda n: measured_disk_branch_crossover(max(n, 8192)),
+    "disk_branch_crossover": measured_disk_branch_crossover,
     "generator_convexity": measured_generator_convexity,
     "growth_lower_limit": lambda n: measured_growth_lower_limit(),
     "inclusion": lambda n, family: INCLUSION_FAMILIES[family].threshold(n),

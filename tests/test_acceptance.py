@@ -79,15 +79,8 @@ def test_criterion_2_oracle_agreement():
 
 
 def test_criterion_3_root_residuals():
-    polys = [
-        (3.0, -6.0, 0.0, 2.0),
-        (1.0, -8.0, -4.0, -8.0, 3.0),
-        (1.0, -6.0, -6.0, -6.0, 1.0),
-        (1.0, -4.0, -4.0, -4.0, 3.0),
-        (2.0, -19.0, 6.0, 3.0),
-        (2.0, -15.0, 0.0, 5.0),
-        (2.0, -11.0, 2.0, 3.0),
-    ]
+    rows = [e for e in radii.constants_registry() if e.method == radii.ROOT_OF_POLYNOMIAL]
+    assert len(rows) == 7
 
     def horner(c, x):
         acc = 0.0
@@ -96,15 +89,15 @@ def test_criterion_3_root_residuals():
         return acc
 
     ok = True
-    for poly in polys:
-        r = radii.smallest_root_in_unit_interval(poly)
+    for entry in rows:
+        poly, r = entry.defining_polynomial, entry.value
         if abs(horner(poly, r)) >= 1e-12:
             ok = False
         xs = np.arange(1e-3, r - 1e-9, 1e-3)
         vals = np.array([horner(poly, x) for x in xs])
         if not (np.all(vals > 0) or np.all(vals < 0)):
             ok = False
-    _verdict(3, ok, f"{len(polys)} defining polynomials: residual < 1e-12 and "
+    _verdict(3, ok, f"{len(rows)} defining polynomials: residual < 1e-12 and "
                     "smallest-root certification by sign scan")
 
 

@@ -19,6 +19,8 @@ DELETED = (
     "_Inequality", "_INEQUALITIES", "_INVERSES", "_SINGULAR_POINTS", "_INRADII", "_booth",
     "near_tolerance", "AGREEMENT_TOL_COARSE", "agreement_tolerance",
     "CliConfig", "reports_to_csv", "boundary_samples",
+    "_disk_window_distances", "_DISK_WINDOW", "_disk_touch_angle", "_unimodal_argmax",
+    "_boundary_arg",
 )
 
 

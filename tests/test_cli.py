@@ -18,8 +18,11 @@ def run(argv, capsys):
 def test_config_validation(monkeypatch, capsys):
     # the parsed arguments are checked before any work runs
     monkeypatch.setattr(verify, "run_all_suites", lambda *a, **kw: pytest.fail("work ran"))
+    monkeypatch.setattr(cli, "constants_table", lambda *a, **kw: pytest.fail("work ran"))
     for argv, message in ((["--samples", "64", "verify"], "at least 256"),
-                          (["--format", "pdf", "verify"], "invalid choice")):
+                          (["--format", "pdf", "verify"], "invalid choice"),
+                          (["--format", "svg", "verify"], "only to plot"),
+                          (["--format", "svg", "constants"], "only to plot")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -293,15 +296,14 @@ def test_verify_command_filtered(monkeypatch, capsys):
 
 # sha256 of the stdout of `cardstar --samples 512 verify` and `... constants`,
 # in text and in `--format csv` (the only output with the `method` and
-# `witness` columns); the text digests were recorded from the code before the
-# two special threshold oracles were sped up, the CSV digests from the code
-# before the oracle decoder and the report constructor were merged.  A
-# different libm could move a last printed digit.
+# `witness` columns), recorded from the code after the disk-branch crossover
+# oracle moved to the real-axis exit radius.  A different libm could move a
+# last printed digit.
 _CLI_DIGESTS = {
-    "verify": "7fc39004dd8bb0b7aaaadce70f26c73a6141db978e70aa298516891543df09a8",
-    "constants": "76d73a7135469de5b427fa9ae7bc7b44968a5debb582a7781dedbcc63a41d9a5",
-    "verify-csv": "da4400c15b4a7ded5eaeea9fb360dbb1c9580f0f2330d9205374865c4a65ae1a",
-    "constants-csv": "8cc46f42debd036cf7d92360cda517901e564ac0943128198d45d803a8bedeb7",
+    "verify": "1109dc19b29c65c08a879b9b7a80d7bc4598cd66ab40797da7a94e1c51b60a2f",
+    "constants": "df2f57111876bc9810d23616311979513e47f58d454662e7c7acaca0c8a344ae",
+    "verify-csv": "74e06ad3709c3cc86a62698c1b55d1f2664b8ad980494a7fd0030a8f6706fa28",
+    "constants-csv": "3eeec2c84290b5b787b8e8d32747c6b95a36e2ff4164c7c1df5d896ec99f0bfa",
 }
 
 

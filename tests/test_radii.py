@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardstar import cardioid, functions, radii
+from cardstar import cardioid, functions, radii, verify
 from cardstar.radii import (
     ConstantEntry,
     RadiusResult,
@@ -347,6 +347,17 @@ def test_class_radius_at_the_ends_of_each_range():
                 spec.radius(ends[0])
         lo, hi = (spec.radius(p).value for p in (low, ends[1]))
         assert direction * (hi - lo) > 0, key
+
+
+def test_class_oracle_at_the_ends_of_each_range():
+    # every parameterized row builds its oracle descriptor at both ends of its
+    # valid range; at a = 1 the Apollonius region is the half-plane Re w > 0,
+    # which holds the whole cardioid region
+    for key, (ends, _) in _MONOTONE.items():
+        for p in ends:
+            radii.CLASS_TABLE[key].oracle_at(p)
+    oracle = radii.class_spec("within", "padmanabhan").oracle_at(1.0)
+    assert verify._measure(oracle, 256) == 1.0
 
 
 @pytest.mark.parametrize("key", _MONOTONE, ids=[".".join(key) for key in _MONOTONE])

@@ -390,6 +390,7 @@ def test_convolution_membership():
 
 def test_threshold_measurements():
     assert verify.measured_max_arg_order() == pytest.approx(radii.beta_zero(), abs=1e-9)
+    assert repr(verify.measured_max_arg_order()) == "0.7412918697654987"
     assert verify.measured_generator_convexity() == pytest.approx(0.5, abs=1e-6)
     assert verify.measured_min_re_limit() == pytest.approx(0.25, abs=1e-6)
     assert verify.measured_disk_branch_crossover() == pytest.approx(
@@ -411,72 +412,42 @@ def _full_circle_disk_radius(M: float, n: int = 4096) -> float:
                                   floor=radii.RADIUS_FLOOR)
 
 
-@pytest.mark.parametrize("n", [4096, 8192])
-def test_cardioid_disk_radius_matches_full_circle(n):
+def test_cardioid_disk_radius_matches_full_circle():
     # the half circle gives the full circle's radius; rounding differs between
     # the mirrored halves, which can move the result by one 8.9e-16 bisection step
     for M in np.linspace(0.5, 1.309, 202)[1:-1]:
-        assert radii.cardioid_disk_radius(M, n) == pytest.approx(
-            _full_circle_disk_radius(M, n), abs=2e-15), M
+        assert radii.cardioid_disk_radius(M) == pytest.approx(
+            _full_circle_disk_radius(M), abs=2e-15), M
 
 
 def test_disk_branch_crossover_matches_full_circle(monkeypatch):
-    fast = verify.measured_disk_branch_crossover()
-    monkeypatch.setattr(radii, "cardioid_disk_radius", _full_circle_disk_radius)
-    assert fast == verify.measured_disk_branch_crossover()
+    counts = (256, 512, 1024, 4096)
+    half = [verify.measured_disk_branch_crossover(n) for n in counts]
+    grid = radii._circle_grid
+    monkeypatch.setattr(radii, "_circle_grid", lambda n, half=False: grid(n))
+    assert half == [verify.measured_disk_branch_crossover(n) for n in counts]
 
 
-def _half_grid_disk_radius(M: float, n: int = 4096) -> float:
-    # reference for the windowed probes: every point of the half grid
-    e = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)[: n // 2 + 1])
-    z, w, sq, dist = np.empty_like(e), np.empty_like(e), np.empty_like(e), np.empty(e.shape)
-
-    def ok(r: float) -> bool:
-        np.multiply(r, e, out=z)
-        np.add(1.0, z, out=w)
-        np.multiply(0.5, z, out=sq)
-        np.multiply(sq, z, out=sq)
-        np.add(w, sq, out=w)
-        np.subtract(w, M, out=w)
-        np.abs(w, out=dist)
-        return bool(M - dist.max() > -1e-9)
-
-    return radii.bisect_predicate(ok, 1e-4, 1.0, steps=50, scan=(1.0 - 1e-9,),
-                                  floor=radii.RADIUS_FLOOR)
-
-
-def _full_grid_touch_angle(M: float, n: int) -> float:
-    # reference for verify._disk_touch_angle: argmin over the whole half grid
-    r = radii.cardioid_disk_radius(M, n)
-    t = np.linspace(0.0, math.pi, n // 2 + 1)
-    w = cardioid.eval_phi(r * np.exp(1j * t))
-    return float(t[int(np.argmin(M - np.abs(w - M)))])
-
-
-# across the valid range, densely where the quadratic in cos t changes from
-# convex to concave (M = 1) and around the branch crossover
-_WINDOW_TEST_M = [*np.linspace(0.5, 1.309, 32)[1:-1],
-                  *(1.0 + np.linspace(-1e-3, 1e-3, 21)), 1.0 - 1e-12, 1.0 + 1e-12,
-                  *np.linspace(1.13, 1.15, 21)]
-
-
-@pytest.mark.parametrize("n", [512, 1024, 4096, 8192])
-def test_windowed_disk_probe_matches_half_grid(n):
-    for M in _WINDOW_TEST_M:
-        assert radii.cardioid_disk_radius(M, n) == _half_grid_disk_radius(M, n), M
-        if M > 1.0:
-            assert verify._disk_touch_angle(M, n) == _full_grid_touch_angle(M, n), M
+@pytest.mark.parametrize("n, tol", [(256, 2e-5), (512, 2e-5), (4096, 1e-6)])
+def test_disk_branch_crossover_near_formula(n, tol):
+    # the sampled excess is measured at the exact real-axis exit radius, so
+    # the oracle approaches the tangency of the two branch formulas as the
+    # grid refines
+    assert abs(verify.measured_disk_branch_crossover(n) - radii.m_knot()) < tol
 
 
 def test_disk_branch_crossover_is_pinned():
-    assert repr(verify.measured_disk_branch_crossover()) == "1.1423205942754318"
+    assert repr(verify.measured_disk_branch_crossover()) == "1.142296543304095"
 
 
 @pytest.mark.parametrize("n", [1 << 18, 1 << 12, 3000, 1000, 700, 257, 100])
 def test_max_arg_coarse_to_fine_matches_full_grid(n):
+    # the golden-section search over [0, pi] finds at least the maximum of
+    # the n-point grid, and exceeds it by less than the square of its step
     t = np.linspace(0.0, math.pi, n)
-    assert verify._unimodal_argmax(verify._boundary_arg, t) == int(np.argmax(
-        np.angle(np.asarray(cardioid.eval_phi(np.exp(1j * t))))))
+    grid = (2.0 / math.pi) * float(np.max(np.angle(np.asarray(cardioid.eval_phi(
+        np.exp(1j * t))))))
+    assert 0.0 <= verify.measured_max_arg_order() - grid < (math.pi / (n - 1)) ** 2
 
 
 def test_inclusion_thresholds_match_registry():
