@@ -12,6 +12,9 @@ Subcommands:
   plot FIGURE                   emit figure curve data (CSV or SVG), with
                                 as many points per curve as samples
 
+Every subcommand writes text; constants, verify and plot also write
+--format csv, and plot --format svg.  Any other format is a usage error.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error.  The sample
 count defaults to 4096 and may be overridden with --samples or the
 CARDIOID_SAMPLES environment variable; it must be at least 256 and
@@ -29,6 +32,11 @@ import numpy as np
 from . import cardioid, domains, functions, radii, series, verify
 
 _SVG_SIZE = 480   # the longer side of a figure's SVG canvas, in pixels
+
+# the output formats each subcommand writes
+_FORMATS = {"constants": ("text", "csv"), "verify": ("text", "csv"),
+            "member": ("text",), "radius": ("text",), "coeff-check": ("text",),
+            "plot": ("text", "csv", "svg")}
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +425,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.samples % 4:
         # the circle grids must hold t = pi/2 and pi, where sharp radii touch
         parser.error("sample count must be divisible by 4")
-    if args.format == "svg" and args.command != "plot":
-        parser.error("--format svg applies only to plot")
+    if args.format not in _FORMATS[args.command]:
+        writers = ", ".join(cmd for cmd, formats in _FORMATS.items() if args.format in formats)
+        parser.error(f"--format {args.format} applies only to {writers}")
     try:
         return args.fn(args)
     except BrokenPipeError:

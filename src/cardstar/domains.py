@@ -28,11 +28,12 @@ There are four classes of region:
     in the unit disk.  Their margins are Euclidean distances to the
     boundary curve, exact near the boundary and an upper bound elsewhere.
 
-Each kind of the last two classes is one row of `_REGIONS`: its parameters
-and their check, its inscribed radius, and either its margin, description
-and own curve (`InequalityRegion`) or its generator's inverse, singular
-points and branch rule (`GeneratorImageRegion`).  Each class declares
-``near``, the boundary tolerance in the unit of its margin.
+Each kind of the last two classes is one row of `_REGIONS`: its
+`Parameter`, the one declaration of its range, which the `radii` class rows
+over the same family share; its inscribed radius; and either its margin,
+description and own curve (`InequalityRegion`) or its generator's inverse,
+singular points and branch rule (`GeneratorImageRegion`).  Each class
+declares ``near``, the boundary tolerance in the unit of its margin.
 
 The cardioid, the generator images other than the shifted lemniscate, and
 the sigmoid and cosh regions also carry ``inscribed``, a disk certified to
@@ -55,6 +56,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable
 
@@ -273,15 +275,49 @@ _PM = np.array([[1.0], [-1.0]])   # the two signs of a square root, along axis 0
 
 
 @dataclass(frozen=True)
-class _Kind:
-    """One region kind: its parameters and their check, the radius of a disk
-    about psi(0) = 1 inside it (for a generator image, min |psi(e^{it}) - 1|),
-    and either its inequality (`InequalityRegion`) or its generator's
-    inverse (`GeneratorImageRegion`)."""
+class Parameter:
+    """A family parameter: its name, the noun of its messages, and its valid
+    values as the interval the message quotes, e.g. "[0, 1)" or "(1/2, inf)",
+    parsed once into the least and greatest valid floats."""
 
-    params: tuple[str, ...] = ()           # parameter names, in `make_domain` order
-    valid: Callable[..., bool] = lambda *params: True
-    error: str = ""                        # the ValueError text when not `valid`
+    name: str
+    noun: str
+    values: str
+    first: float = field(init=False)       # least valid float
+    last: float = field(init=False)        # greatest valid float
+    error: str = field(init=False)         # the ValueError text outside the range
+
+    def __post_init__(self):
+        lo, hi = (end.strip() for end in self.values[1:-1].split(","))
+        lo_x, hi_x = (math.inf if end == "inf" else float(Fraction(end)) for end in (lo, hi))
+        lo_open, hi_open = self.values[0] == "(", self.values[-1] == ")"
+        if hi != "inf":
+            must = f"lie in {self.values}"
+        elif lo_open:
+            must = f"exceed {lo}"
+        else:
+            must = f"be at least {lo}" if lo_x else "be nonnegative"
+        object.__setattr__(self, "first", math.nextafter(lo_x, math.inf) if lo_open else lo_x)
+        object.__setattr__(self, "last", math.nextafter(hi_x, -math.inf) if hi_open else hi_x)
+        object.__setattr__(self, "error", f"{self.noun} must {must}")
+
+    def check(self, p: float, owner: str = "") -> None:
+        """Raise ValueError unless p is finite and valid; `owner` names a non-finite p."""
+        if not math.isfinite(p):
+            subject = f"parameter {self.name} of {owner}" if owner else self.noun
+            raise ValueError(f"{subject} must be finite")
+        if not self.first <= p <= self.last:
+            raise ValueError(self.error)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One region kind: its parameter, if any, the radius of a disk about
+    psi(0) = 1 inside it (for a generator image, min |psi(e^{it}) - 1|), and
+    either its inequality (`InequalityRegion`) or its generator's inverse
+    (`GeneratorImageRegion`)."""
+
+    param: Parameter | None = None
     inradius: Callable[..., float] | None = None
     margin: Callable | None = None         # (w, *params) -> signed margin
     text: str = ""                         # `describe` format over the parameter names
@@ -292,6 +328,10 @@ class _Kind:
     singular: tuple[complex, ...] = ()
     branch: Callable | None = None         # (w, z) -> which roots in the disk are psi's own
 
+    @property
+    def params(self) -> tuple[str, ...]:
+        return (self.param.name,) if self.param else ()
+
 
 # Of the inequality regions only the sigmoid and cosh regions, whose margins
 # take complex logarithms, were measured to gain from an inscribed disk.  The
@@ -299,38 +339,36 @@ class _Kind:
 _REGIONS: dict[str, _Kind] = {
     # the region of functions with bounded turning quotient
     "bounded_re": _Kind(
-        ("beta",), lambda beta: beta > 1.0, "bounded-real-part parameter must exceed 1",
+        Parameter("beta", "bounded-real-part parameter", "(1, inf)"),
         margin=lambda w, beta: beta - w.real, text="half-plane Re w < {beta:g}",
         curve=lambda t, beta: beta + 1j * _LINE_HALF_LENGTH * (t - math.pi) / math.pi),
     # starlikeness of order alpha
     "min_re": _Kind(
-        ("alpha",), lambda alpha: 0.0 <= alpha < 1.0, "order parameter must lie in [0, 1)",
+        Parameter("alpha", "order parameter", "[0, 1)"),
         margin=lambda w, alpha: w.real - alpha, text="half-plane Re w > {alpha:g}",
         curve=lambda t, alpha: alpha + 1j * _LINE_HALF_LENGTH * (t - math.pi) / math.pi),
     # |arg w| < beta pi/2, strong starlikeness of order beta
     "sector": _Kind(
-        ("beta",), lambda beta: 0.0 < beta <= 1.0, "sector order must lie in (0, 1]",
+        Parameter("beta", "sector order", "(0, 1]"),
         margin=_sector_margin, text="sector |arg w| < {beta:g} pi/2", curve=_sector_rays),
     # Re w > k |w - 1|: half-plane (k = 0), parabola or hyperbola interior
     # (0 < k <= 1), ellipse interior (k > 1)
     "conic": _Kind(
-        ("k",), lambda k: k >= 0.0, "conic parameter must be nonnegative",
+        Parameter("k", "conic parameter", "[0, inf)"),
         margin=lambda w, k: w.real - k * np.abs(w - 1.0), text="conic region Re w > {k:g} |w-1|",
         curve=_conic_ellipse_curve),
     # |log((w - alpha)/(1 - alpha))| < 1, image of alpha + (1 - alpha) e^z
     "exponential": _Kind(
-        ("alpha",), lambda alpha: 0.0 <= alpha < 1.0,
-        "exponential-region parameter must lie in [0, 1)",
+        Parameter("alpha", "exponential-region parameter", "[0, 1)"),
         margin=_log_margin(lambda w, alpha: 1.0 - np.abs(np.log((w - alpha) / (1.0 - alpha)))),
         text="exponential region (alpha={alpha:g})"),
     # right lobe of |((w - alpha)/(1 - alpha))^2 - 1| < 1
     "lemniscate": _Kind(
-        ("alpha",), lambda alpha: 0.0 <= alpha < 1.0,
-        "lemniscate-region parameter must lie in [0, 1)",
+        Parameter("alpha", "lemniscate-region parameter", "[0, 1)"),
         margin=_lemniscate_margin, text="lemniscate region (alpha={alpha:g})"),
     # right loop |w^2 - 1| < c, Re w > 0 of the Cassinian ovals
     "cassinian": _Kind(
-        ("c",), lambda c: 0.0 < c <= 1.0, "Cassinian parameter must lie in (0, 1]",
+        Parameter("c", "Cassinian parameter", "(0, 1]"),
         margin=lambda w, c: np.minimum(c - np.abs(w * w - 1.0), w.real),
         text="Cassinian right loop (c={c:g})"),
     # |log(w/(2 - w))| < 1, image of the modified sigmoid 2/(1 + e^-z)
@@ -385,7 +423,7 @@ _REGIONS: dict[str, _Kind] = {
         inradius=lambda: 2.0 / 3.0),
     # alpha u z^2 + z - u = 0 with u = w - 1, rationalized so alpha = 0 works
     "booth": _Kind(
-        ("alpha",), lambda alpha: 0.0 <= alpha < 1.0, "Booth-curve parameter must lie in [0, 1)",
+        Parameter("alpha", "Booth-curve parameter", "[0, 1)"),
         roots=lambda w, alpha: 2.0 * (w - 1.0) / (
             1.0 + _PM * np.sqrt(1.0 + 4.0 * alpha * (w - 1.0) ** 2)),
         # |psi - 1| = 1 / |1 - alpha z^2| >= 1/(1 + alpha), at z = +-i
@@ -399,11 +437,8 @@ class Region(Domain):
 
     def __init__(self, kind: str, *params: float):
         row = _REGIONS[kind]
-        for name, p in zip(row.params, params):
-            if not math.isfinite(p):
-                raise ValueError(f"parameter {name} of region kind {kind!r} must be finite")
-        if not row.valid(*params):
-            raise ValueError(row.error)
+        if row.param is not None:
+            row.param.check(params[0], f"region kind {kind!r}")
         self.kind = kind
         self.params = params
         self._row = row
@@ -519,17 +554,20 @@ class GeneratorImageRegion(Region):
         return bool((self._distance(ws[out], z[:, out], size[:, out]) <= tol).all())
 
     def describe(self) -> str:
-        if self.params:
-            inner = ", ".join(f"{k}={v:g}" for k, v in zip(self._row.params, self.params))
-            return f"image of generator {self.kind}({inner})"
-        return f"image of generator {self.kind}"
+        image = f"image of generator {self.kind}"
+        return f"{image}({self._row.param.name}={self.params[0]:g})" if self.params else image
+
+
+def check_janowski_pair(A: float, B: float) -> None:
+    """Raise ValueError unless -1 <= B < A <= 1, the two-parameter family's range."""
+    if not -1.0 <= B < A <= 1.0:
+        raise ValueError("need -1 <= B < A <= 1")
 
 
 def janowski_disk(A: float, B: float, r: float) -> Disk:
     """The disk |w - (1 - A B r^2)/(1 - B^2 r^2)| < (A - B) r / (1 - B^2 r^2)
     swept by the starlike quotient over |z| = r in the two-parameter class."""
-    if not -1.0 <= B < A <= 1.0:
-        raise ValueError("need -1 <= B < A <= 1")
+    check_janowski_pair(A, B)
     if not 0.0 < r <= 1.0:
         raise ValueError("need 0 < r <= 1")
     denom = 1.0 - B * B * r * r

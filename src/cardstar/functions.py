@@ -158,10 +158,6 @@ def generator(name: str, **params) -> Callable:
     return extremal(name, **params).w_of
 
 
-def generator_names() -> tuple[str, ...]:
-    return tuple(sorted(_GENERATORS))
-
-
 # ---------------------------------------------------------------------------
 # extremal quotients w(z) = z f'(z)/f(z)
 # ---------------------------------------------------------------------------
@@ -303,11 +299,6 @@ def extremal(name: str, **params) -> FunctionSpec:
             raise ValueError(f"extremal {name!r} has no parameter {key!r}")
     real = spec.real and all(isinstance(v, numbers.Real) for v in params.values())
     return FunctionSpec(name, partial(spec.w_of, **params), f"{spec.claim} {params}", real)
-
-
-def extremal_names() -> tuple[str, ...]:
-    """The registered sharp functions, without the generator kinds."""
-    return tuple(sorted(name for name in _EXTREMALS if name not in _GENERATORS))
 
 
 # ---------------------------------------------------------------------------

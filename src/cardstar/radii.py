@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import cardioid, functions
+from . import cardioid, domains, functions
 
 SQRT2 = math.sqrt(2.0)
 E = math.e
@@ -271,6 +271,10 @@ def _circle_grid(n: int, half: bool = False) -> tuple[np.ndarray, np.ndarray]:
     return t, e
 
 
+# M of the disk |w - M| < M, the bounded-quotient family
+_JANOWSKI_M = domains.Parameter("M", "disk parameter", "(1/2, inf)")
+
+
 def cardioid_disk_radius(M: float) -> float:
     """Largest r with the cardioid generator image of |z| < r inside
     |w - M| < M, by bisection over the closed upper half of the 4096-point
@@ -289,10 +293,7 @@ def cardioid_disk_radius(M: float) -> float:
     positive radius exists), and ArithmeticError when the radius is below
     `RADIUS_FLOOR`.
     """
-    if not math.isfinite(M):
-        raise ValueError("disk parameter must be finite")
-    if not M > 0.5:
-        raise ValueError("disk parameter must exceed 1/2")
+    _JANOWSKI_M.check(M)
     e = _circle_grid(4096, half=True)[1]
 
     def ok(r: float) -> bool:
@@ -312,8 +313,7 @@ def janowski_radius_in_cardioid(A: float, B: float) -> RadiusResult:
     R2 = min{1, 1/(2A - B)} when R2 <= R1 = 1/sqrt(B(3B - 2A)), otherwise
     R3 = min{1, 3/(2A - 5B)}; R1 marks where the swept disk center passes 3/2.
     """
-    if not -1.0 <= B < A <= 1.0:
-        raise ValueError("need -1 <= B < A <= 1")
+    domains.check_janowski_pair(A, B)
     claim = f"radius of the [A={A:g}, B={B:g}] starlike family in the cardioid class"
     two_a_minus_b = 2.0 * A - B
     r2 = 1.0 / two_a_minus_b if two_a_minus_b > 1.0 else 1.0
@@ -373,9 +373,9 @@ class ClassSpec:
 
     `direction` is "of" for the radius of the named class in the cardioid
     class and "within" for the radius of the cardioid class in the named
-    class.  A row with a `param` rejects a non-finite one, checks it with
-    `valid` (raising `error`) and falls back to `default` when none is
-    given; a row without one rejects a parameter.  `claim` is formatted
+    class.  A row with a `param` falls back to `default` when none is given
+    and checks it against the declaration, which names the violated range;
+    a row without one rejects a parameter.  `claim` is formatted
     with the parameter as p.
 
     The radius is 1, capped, where `capped(p)` holds, and `formula(p)`
@@ -391,9 +391,7 @@ class ClassSpec:
     tag: str
     claim: str
     formula: Callable | None = None
-    param: str | None = None
-    valid: Callable[[float], bool] | None = None
-    error: str = ""
+    param: domains.Parameter | None = None
     default: float | None = None
     capped: Callable | None = None
     oracle: Callable[[float | None], OracleSpec] | None = None
@@ -406,10 +404,7 @@ class ClassSpec:
             p = self.default if p is None else p
             if p is None:
                 raise ValueError(f"tag {self.tag!r} needs a parameter")
-            if not math.isfinite(p):
-                raise ValueError(f"parameter {self.param} of tag {self.tag!r} must be finite")
-            if not self.valid(p):
-                raise ValueError(self.error)
+            self.param.check(p, f"tag {self.tag!r}")
         claim = self.claim.format(p=p)
         if self.capped is not None and self.capped(p):
             return RadiusResult(1.0, CLOSED_FORM, claim=claim, clamped=True)
@@ -422,7 +417,7 @@ class ClassSpec:
         if self.oracle is not None:
             return self.oracle(p)
         if self.direction == "of":
-            return _into_cardioid(self.tag, {self.param: p} if self.param else {})
+            return _into_cardioid(self.tag, {self.param.name: p} if self.param else {})
         return _cardioid_into(self.tag, *((p,) if self.param else ()))
 
 
@@ -441,14 +436,6 @@ def _disk_family(center: Callable, spread: Callable, *region) -> OracleSpec:
 
 def _threshold(name: str, *args) -> OracleSpec:
     return OracleSpec("threshold", {"name": name, "args": args})
-
-
-def _unit_from_zero(p: float) -> bool:
-    return 0.0 <= p < 1.0
-
-
-def _unit_to_one(p: float) -> bool:
-    return 0.0 < p <= 1.0
 
 
 def _apollonius_disk(a: float) -> tuple[float, float, float]:
@@ -486,17 +473,13 @@ def _within(tag: str, text: str, **row) -> ClassSpec:
     return ClassSpec("within", tag, f"radius of the cardioid class in {text}", **row)
 
 
-_ORDER = dict(param="alpha", valid=_unit_from_zero, default=0.0,
-              error="order parameter must lie in [0, 1)")
-_LEMNISCATE = dict(param="alpha", valid=_unit_from_zero, default=0.0,
-                   error="lemniscate parameter must lie in [0, 1)")
-_RAM_SINGH = dict(param="alpha", valid=_unit_from_zero, default=0.0,
-                  error="parameter must lie in [0, 1)")
-_PADMANABHAN = dict(param="alpha", valid=_unit_to_one, error="parameter must lie in (0, 1]")
-_BOUNDED_QUOTIENT = dict(param="M", valid=lambda M: M > 0.5,
-                         error="disk parameter must exceed 1/2")
-_BOUNDED_RE = dict(param="beta", valid=lambda b: b > 1.0,
-                   error="bounded-real-part parameter must exceed 1")
+def _region_param(kind: str) -> domains.Parameter:
+    # the parameter of a class over a region kind is the region's own
+    return domains._REGIONS[kind].param
+
+
+_RAM_SINGH_A = domains.Parameter("alpha", "parameter", "[0, 1)")
+_PADMANABHAN_A = domains.Parameter("alpha", "parameter", "(0, 1]")
 # min of the half-plane-quotient bound 1/3 and the starlikeness radius
 # tanh(pi/4) of univalent functions
 _UNIVALENT = dict(formula=lambda _: min(1.0 / 3.0, math.tanh(math.pi / 4.0)),
@@ -504,14 +487,13 @@ _UNIVALENT = dict(formula=lambda _: min(1.0 / 3.0, math.tanh(math.pi / 4.0)),
 
 CLASS_TABLE: dict[tuple[str, str], ClassSpec] = {(s.direction, s.tag): s for s in (
     # ---- radii of named classes in the cardioid class ----------------
-    _of("cassinian", "the Cassinian class (c={p:g})", param="c", valid=_unit_to_one,
-        default=1.0, error="Cassinian parameter must lie in (0, 1]",
-        capped=lambda c: c <= 0.75, formula=lambda c: 0.75 / c),
-    _of("lemniscate", "the lemniscate class (alpha={p:g})", **_LEMNISCATE,
-        capped=lambda a: a >= 0.5, formula=lambda a: (3.0 - 4.0 * a) / (4.0 * (1.0 - a) ** 2)),
-    _of("exponential", "the exponential class (alpha={p:g})", param="alpha",
-        valid=_unit_from_zero, default=0.0, error="exponential parameter must lie in [0, 1)",
-        capped=lambda a: a >= alpha_zero(),
+    _of("cassinian", "the Cassinian class (c={p:g})", param=_region_param("cassinian"),
+        default=1.0, capped=lambda c: c <= 0.75, formula=lambda c: 0.75 / c),
+    _of("lemniscate", "the lemniscate class (alpha={p:g})", param=_region_param("lemniscate"),
+        default=0.0, capped=lambda a: a >= 0.5,
+        formula=lambda a: (3.0 - 4.0 * a) / (4.0 * (1.0 - a) ** 2)),
+    _of("exponential", "the exponential class (alpha={p:g})", param=_region_param("exponential"),
+        default=0.0, capped=lambda a: a >= alpha_zero(),
         formula=lambda a: math.log(2.0 * (1.0 - a) / (1.0 - 2.0 * a))),
     _of("rational_lemniscate", "the shifted-lemniscate class",
         formula=lambda _: (39.0 + 17.0 * SQRT2) / 82.0),
@@ -520,20 +502,22 @@ CLASS_TABLE: dict[tuple[str, str], ClassSpec] = {(s.direction, s.tag): s for s i
     _of("lune", "the lune class", formula=lambda _: 0.75),
     _of("sine", "the sine class", formula=lambda _: math.asin(0.5)),
     _of("nephroid", "the nephroid class", formula=lambda _: _root_result(_NEPHROID_POLY)),
-    _of("booth", "the Booth-curve class (alpha={p:g})", param="alpha", valid=_unit_from_zero,
-        default=0.0, error="Booth parameter must lie in [0, 1)",
+    _of("booth", "the Booth-curve class (alpha={p:g})", param=_region_param("booth"), default=0.0,
         formula=lambda a: 1.0 / (1.0 + math.sqrt(1.0 + a))),
-    _of("bounded_re", "the bounded-real-part class (beta={p:g})", **_BOUNDED_RE, default=2.0,
-        formula=lambda b: 0.25 / (b - 0.75)),
+    _of("bounded_re", "the bounded-real-part class (beta={p:g})", param=_region_param("bounded_re"),
+        default=2.0, formula=lambda b: 0.25 / (b - 0.75)),
     # corollaries of the two-parameter family
-    ClassSpec("of", "order", "radius of starlike functions of order {p:g}", **_ORDER,
+    ClassSpec("of", "order", "radius of starlike functions of order {p:g}",
+              param=_region_param("min_re"), default=0.0,
               formula=lambda a: janowski_radius_in_cardioid(1.0 - 2.0 * a, -1.0)),
-    ClassSpec("of", "ram_singh", "radius of the [1-a, 0] family at a={p:g}", **_RAM_SINGH,
+    ClassSpec("of", "ram_singh", "radius of the [1-a, 0] family at a={p:g}",
+              param=_RAM_SINGH_A, default=0.0,
               formula=lambda a: janowski_radius_in_cardioid(1.0 - a, 0.0)),
-    ClassSpec("of", "padmanabhan", "radius of the [a, -a] family at a={p:g}", **_PADMANABHAN,
-              default=1.0, formula=lambda a: janowski_radius_in_cardioid(a, -a)),
+    ClassSpec("of", "padmanabhan", "radius of the [a, -a] family at a={p:g}",
+              param=_PADMANABHAN_A, default=1.0,
+              formula=lambda a: janowski_radius_in_cardioid(a, -a)),
     ClassSpec("of", "janowski_M", "radius of the bounded-quotient family at M={p:g}",
-              **_BOUNDED_QUOTIENT, default=1.0,
+              param=_JANOWSKI_M, default=1.0,
               formula=lambda M: janowski_radius_in_cardioid(*_bounded_quotient_ab(M)),
               oracle=lambda M: _into_cardioid("janowski",
                                               dict(zip("AB", _bounded_quotient_ab(M))))),
@@ -544,12 +528,13 @@ CLASS_TABLE: dict[tuple[str, str], ClassSpec] = {(s.direction, s.tag): s for s i
     _of("univalent", "the univalent class", **_UNIVALENT),
     _of("close_to_convex", "the close-to-convex class", **_UNIVALENT),
     # ---- radii of the cardioid class in named classes ----------------
-    _within("order", "starlike functions of order {p:g}", **_ORDER,
-            oracle=lambda a: _cardioid_into("min_re", a), capped=lambda a: a <= 0.25,
+    _within("order", "starlike functions of order {p:g}", param=_region_param("min_re"),
+            default=0.0, oracle=lambda a: _cardioid_into("min_re", a), capped=lambda a: a <= 0.25,
             formula=lambda a: (math.sqrt((3.0 - 4.0 * a) / 2.0) if a <= 0.625
                                else 1.0 - math.sqrt(2.0 * a - 1.0))),
     # -1 + sqrt((2 sqrt2 - 1) - 2 (sqrt2 - 1) a)
-    _within("lemniscate", "the lemniscate class (alpha={p:g})", **_LEMNISCATE,
+    _within("lemniscate", "the lemniscate class (alpha={p:g})",
+            param=_region_param("lemniscate"), default=0.0,
             formula=lambda a: _sqrt1p_minus_1(2.0 * (SQRT2 - 1.0) * (1.0 - a))),
     _within("rational_lemniscate", "the shifted-lemniscate class",
             formula=lambda _: RadiusResult(
@@ -568,20 +553,21 @@ CLASS_TABLE: dict[tuple[str, str], ClassSpec] = {(s.direction, s.tag): s for s i
     _within("sigmoid", "the sigmoid class",
             formula=lambda _: -1.0 + math.sqrt(1.0 + 2.0 * (E - 1.0) / (E + 1.0))),
     # -1 + sqrt(3 - 2a)
-    _within("ram_singh", "the [1-a, 0] family at a={p:g}", **_RAM_SINGH,
+    _within("ram_singh", "the [1-a, 0] family at a={p:g}", param=_RAM_SINGH_A, default=0.0,
             formula=lambda a: _sqrt1p_minus_1(2.0 * (1.0 - a)),
             oracle=lambda a: _cardioid_into("disk", 1.0, 0.0, 1.0 - a)),
-    _within("padmanabhan", "the [a, -a] family at a={p:g}", **_PADMANABHAN,
+    _within("padmanabhan", "the [a, -a] family at a={p:g}", param=_PADMANABHAN_A,
             capped=lambda a: a >= alpha_knot(), formula=w_alpha,
             # at a = 1 the region |(w-1)/(w+1)| < a is the half-plane Re w > 0
             oracle=lambda a: _cardioid_into(*(("min_re", 0.0) if a == 1.0
                                               else ("disk", *_apollonius_disk(a))))),
-    _within("janowski_M", "the bounded-quotient family at M={p:g}", **_BOUNDED_QUOTIENT,
+    _within("janowski_M", "the bounded-quotient family at M={p:g}", param=_JANOWSKI_M,
             capped=lambda M: M >= cardioid.self_centered_fixed_point(),
             formula=_cardioid_in_bounded_quotient,
             oracle=lambda M: _cardioid_into("disk", M, 0.0, M)),
     _within("cardioid_wide", "the wide-cardioid class", capped=lambda _: True),
-    _within("bounded_re", "the bounded-real-part class (beta={p:g})", **_BOUNDED_RE,
+    _within("bounded_re", "the bounded-real-part class (beta={p:g})",
+            param=_region_param("bounded_re"),
             capped=lambda b: b >= 2.5, formula=lambda b: math.sqrt(2.0 * b - 1.0) - 1.0),
 )}
 

@@ -6,8 +6,8 @@ of f(z)/z about 0.  Everything here is plain O(N^2) coefficient recurrence
 arithmetic; N defaults to 32, at which point every quantity handled by this
 package has stabilized far below double precision.
 
-Low-level helpers (`multiply_coeffs`, `exp_coeffs`) operate on ordinary
-coefficient lists c0, c1, ... with the constant term first.  The class
+The low-level helper `exp_coeffs` operates on ordinary coefficient lists
+c0, c1, ... with the constant term first.  The class
 `PowerSeries` wraps the normalized-function view and provides the quotient
 z f'(z)/f(z), the Hadamard (coefficientwise) product, dilation f(rho z)/rho,
 and the coefficient tests used for membership in the cardioid starlike class.
@@ -24,20 +24,6 @@ import numpy as np
 DEFAULT_ORDER = 32
 
 Coeffs = Sequence[complex]
-
-
-def multiply_coeffs(p: Coeffs, q: Coeffs) -> list[complex]:
-    """Cauchy product of two coefficient lists, truncated to the shorter length."""
-    if len(p) == 0 or len(q) == 0:
-        raise ValueError("empty coefficient list")
-    n = min(len(p), len(q))
-    out = [0j] * n
-    for i in range(n):
-        acc = 0j
-        for k in range(i + 1):
-            acc += complex(p[k]) * complex(q[i - k])
-        out[i] = acc
-    return out
 
 
 def exp_coeffs(p: Coeffs) -> list[complex]:

@@ -203,8 +203,6 @@ def convolution_membership_check(f: PowerSeries, g: PowerSeries, rho: float,
     |z| = `_SERIES_RADIUS`; the report carries a truncation flag when
     |a_N| _SERIES_RADIUS^N is not negligible.
     """
-    if not 0.0 < rho <= 1.0:
-        raise ValueError("dilation factor must lie in (0, 1]")
     h = f.hadamard(g).dilate(rho)
     tail = abs(h.coeffs[-1]) * _SERIES_RADIUS ** h.order
     flags = ("truncation-limited",) if tail >= 1e-8 else ()
@@ -379,23 +377,13 @@ _THRESHOLDS = {
 }
 
 
-_DOMAIN_CACHE: dict[tuple, domains.Domain] = {}
-
-
-def _domain(kind: str, *params: float) -> domains.Domain:
-    key = (kind, params)
-    if key not in _DOMAIN_CACHE:
-        _DOMAIN_CACHE[key] = domains.make_domain(kind, *params)
-    return _DOMAIN_CACHE[key]
-
-
 def _measure(oracle: radii.OracleSpec, samples: int) -> float:
     """Evaluate an oracle descriptor: a threshold, a disk family, or the
     subordination radius of a quotient in a region."""
     p = oracle.payload
     if oracle.kind == "threshold":
         return _THRESHOLDS[p["name"]](samples, *p.get("args", ()))
-    region = _domain(*p.get("region", ("cardioid",)))
+    region = domains.make_domain(*p.get("region", ("cardioid",)))
     if oracle.kind == "disk_family":
         return disk_family_radius(p["center"], p["spread"], region, n=samples)
     quotient = functions.extremal(p.get("quotient", "cardioid_extremal"), **p.get("params", {}))
@@ -465,10 +453,10 @@ def inclusion_suite(samples: int = DEFAULT_SAMPLES) -> list[VerificationReport]:
     reports = [_sharp_inclusion_report(*claim, n) for claim in sharp]
 
     # unity-radius inclusions
-    unity = [(f"{kind} image lies inside the region", _domain(kind), _CARDIOID)
+    unity = [(f"{kind} image lies inside the region", domains.make_domain(kind), _CARDIOID)
              for kind in ("sigmoid", "cosh", "rational")]
     unity.append(("region lies inside the wide-cardioid image", _CARDIOID,
-                  _domain("cardioid_wide")))
+                  domains.make_domain("cardioid_wide")))
     for claim, inner, outer in unity:
         margin = _inclusion_margin(inner, outer, n)
         reports.append(_report(f"{claim} (unit radius)", "boundary-sampling", n,

@@ -21,6 +21,9 @@ DELETED = (
     "CliConfig", "reports_to_csv", "boundary_samples",
     "_disk_window_distances", "_DISK_WINDOW", "_disk_touch_angle", "_unimodal_argmax",
     "_boundary_arg",
+    "generator_names", "extremal_names", "multiply_coeffs", "_DOMAIN_CACHE", "_domain",
+    "_unit_from_zero", "_unit_to_one", "_ORDER", "_LEMNISCATE", "_RAM_SINGH", "_PADMANABHAN",
+    "_BOUNDED_QUOTIENT", "_BOUNDED_RE",
 )
 
 

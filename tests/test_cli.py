@@ -29,6 +29,22 @@ def test_config_validation(monkeypatch, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_format_applies_only_to_commands_that_write_it(tmp_path, capsys):
+    # member, radius and coeff-check write text only: csv or svg is a usage
+    # error that writes nothing to stdout, not text under another name
+    path = tmp_path / "series.txt"
+    path.write_text("1 0\n0.1 0\n")
+    for command in (["member", "1", "0"], ["radius", "sine"], ["coeff-check", str(path)]):
+        for fmt, writers in (("csv", "constants, verify, plot"), ("svg", "plot")):
+            with pytest.raises(SystemExit) as exc:
+                main(["--format", fmt] + command)
+            out = capsys.readouterr()
+            assert exc.value.code == 2 and out.out == "", (fmt, command)
+            assert f"--format {fmt} applies only to {writers}" in out.err, (fmt, command)
+        code, out, _ = run(["--format", "text"] + command, capsys)
+        assert code == 0 and out, command
+
+
 def test_samples_must_be_divisible_by_four(monkeypatch, capsys):
     # the circle grids must hold t = pi, where the cusp touches happen; an odd
     # count is a usage error before any work runs

@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -87,6 +88,30 @@ def test_region_rejects_non_finite_parameters():
             with pytest.raises(ValueError) as exc:
                 make_domain(kind, bad)
             assert str(exc.value) == f"parameter {name} of region kind {kind!r} must be finite"
+
+
+def test_parameter_declaration_gives_membership_and_message():
+    # the interval is parsed into the least and greatest valid floats, and
+    # the message quotes it, or names the one finite end of an unbounded range
+    cases = [
+        ("[0, 1)", 0.0, math.nextafter(1.0, 0.0), "must lie in [0, 1)"),
+        ("(0, 1]", math.ulp(0.0), 1.0, "must lie in (0, 1]"),
+        ("(1/2, inf)", math.nextafter(0.5, 1.0), sys.float_info.max, "must exceed 1/2"),
+        ("[0, inf)", 0.0, sys.float_info.max, "must be nonnegative"),
+        ("[1/4, inf)", 0.25, sys.float_info.max, "must be at least 1/4"),
+    ]
+    for values, first, last, must in cases:
+        param = domains.Parameter("x", "the x", values)
+        assert (param.first, param.last, param.error) == (first, last, f"the x {must}")
+        for p in (first, last):
+            param.check(p)
+        for p in (math.nextafter(first, -math.inf), math.nextafter(last, math.inf), math.nan):
+            with pytest.raises(ValueError):
+                param.check(p)
+    with pytest.raises(ValueError, match="^the x must be finite$"):
+        param.check(math.inf)
+    with pytest.raises(ValueError, match="^parameter x of tag 't' must be finite$"):
+        param.check(math.nan, "tag 't'")
 
 
 def test_make_domain_counts_parameters():
@@ -253,33 +278,39 @@ def test_region_layer_pinned():
         assert _digest(np.asarray(d.boundary(t), dtype=complex)) == boundary_digest, kind
 
 
-# parameter ranges of the inequality kinds.  A boundary point rounded to
-# double precision is off by about eps |w|, which the margin multiplies by its
-# slope: k for the conic, 1/(1 - alpha) for the exponential and lemniscate
-# regions.  The unbounded ranges stop at 1e6 and alpha at 1 - 1e-6, short of
-# where that product passes 1e-9 whatever the margin formula.
-_PARAMETER_RANGES = {
-    "bounded_re": st.tuples(st.floats(1.0, 1e6, exclude_min=True)),
-    "min_re": st.tuples(st.floats(0.0, 1.0, exclude_max=True)),
-    "sector": st.tuples(st.floats(0.0, 1.0, exclude_min=True)),
-    "conic": st.tuples(st.floats(0.0, 1e6)),
-    "exponential": st.tuples(st.floats(0.0, 1.0 - 1e-6)),
-    "lemniscate": st.tuples(st.floats(0.0, 1.0 - 1e-6)),
-    "cassinian": st.tuples(st.floats(0.0, 1.0, exclude_min=True)),
-    "sigmoid": st.just(()),
-    "cosh": st.just(()),
-}
+# where the parameter ranges of the inequality kinds are clipped.  A boundary
+# point rounded to double precision is off by about eps |w|, which the margin
+# multiplies by its slope: k for the conic, 1/(1 - alpha) for the exponential
+# and lemniscate regions.  The unbounded ranges stop at 1e6 and alpha at
+# 1 - 1e-6, short of where that product passes 1e-9 whatever the margin formula.
+_CLIPPED_AT = {"bounded_re": 1e6, "conic": 1e6, "exponential": 1.0 - 1e-6,
+               "lemniscate": 1.0 - 1e-6}
+
+
+def _parameter_range(kind):
+    # each parameter is drawn from its kind's declaration, up to the clip
+    param = domains._REGIONS[kind].param
+    if param is None:
+        return st.just(())
+    return st.tuples(st.floats(param.first, min(param.last, _CLIPPED_AT.get(kind, math.inf))))
+
+
+_PARAMETER_RANGES = {kind: _parameter_range(kind) for kind, row in domains._REGIONS.items()
+                     if row.margin is not None}
 
 
 def test_parameter_ranges_cover_every_inequality_kind():
-    assert list(_PARAMETER_RANGES) == [kind for kind, row in domains._REGIONS.items()
-                                       if row.margin is not None]
+    # every inequality kind is drawn, and each clip cuts a declared range short
+    assert list(_PARAMETER_RANGES) == ["bounded_re", "min_re", "sector", "conic", "exponential",
+                                       "lemniscate", "cassinian", "sigmoid", "cosh"]
+    for kind, end in _CLIPPED_AT.items():
+        assert domains._REGIONS[kind].param.first < end < domains._REGIONS[kind].param.last, kind
 
 
 def test_region_rows_list_their_generator_parameters():
     # a region calls its generator as psi(z, *params), in the row's order
     for kind, row in domains._REGIONS.items():
-        if kind in functions.generator_names():
+        if kind in functions._GENERATORS:
             assert row.params == functions._parameters(kind), kind
 
 

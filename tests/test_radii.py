@@ -1,14 +1,14 @@
 """Radius formulas, the root solver, piecewise knots, and the registry."""
 
 import math
-import sys
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardstar import cardioid, functions, radii, verify
+from cardstar import cardioid, domains, functions, radii, verify
 from cardstar.radii import (
     ConstantEntry,
     RadiusResult,
@@ -287,7 +287,7 @@ def test_class_table_rejects_nonfinite_parameters():
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError) as exc:
                 lookup[direction](tag, bad)
-            assert str(exc.value) == f"parameter {spec.param} of tag {tag!r} must be finite"
+            assert str(exc.value) == f"parameter {spec.param.name} of tag {tag!r} must be finite"
 
 
 def test_corollary_order_knot_continuity():
@@ -297,30 +297,31 @@ def test_corollary_order_knot_continuity():
     assert abs(below - above) < 1e-9
 
 
-# every class-table row with a parameter: the ends of its valid range, and
-# the direction of its radius in the parameter (+1 nondecreasing, -1
-# nonincreasing)
-_FROM_ZERO = (0.0, math.nextafter(1.0, 0.0))
-_TO_ONE = (math.ulp(0.0), 1.0)
-_ABOVE_HALF = (math.nextafter(0.5, 1.0), sys.float_info.max)
-_ABOVE_ONE = (math.nextafter(1.0, 2.0), sys.float_info.max)
+# every class-table row with a parameter: the direction of its radius in the
+# parameter (+1 nondecreasing, -1 nonincreasing).  The ends of its valid range
+# are its declaration's first and last valid floats.
 _MONOTONE = {
-    ("of", "cassinian"): (_TO_ONE, -1),
-    ("of", "lemniscate"): (_FROM_ZERO, 1),
-    ("of", "exponential"): (_FROM_ZERO, 1),
-    ("of", "booth"): (_FROM_ZERO, -1),
-    ("of", "bounded_re"): (_ABOVE_ONE, -1),
-    ("of", "order"): (_FROM_ZERO, 1),
-    ("of", "ram_singh"): (_FROM_ZERO, 1),
-    ("of", "padmanabhan"): (_TO_ONE, -1),
-    ("of", "janowski_M"): (_ABOVE_HALF, -1),
-    ("within", "order"): (_FROM_ZERO, -1),
-    ("within", "lemniscate"): (_FROM_ZERO, -1),
-    ("within", "ram_singh"): (_FROM_ZERO, -1),
-    ("within", "padmanabhan"): (_TO_ONE, 1),
-    ("within", "janowski_M"): (_ABOVE_HALF, 1),
-    ("within", "bounded_re"): (_ABOVE_ONE, 1),
+    ("of", "cassinian"): -1,
+    ("of", "lemniscate"): 1,
+    ("of", "exponential"): 1,
+    ("of", "booth"): -1,
+    ("of", "bounded_re"): -1,
+    ("of", "order"): 1,
+    ("of", "ram_singh"): 1,
+    ("of", "padmanabhan"): -1,
+    ("of", "janowski_M"): -1,
+    ("within", "order"): -1,
+    ("within", "lemniscate"): -1,
+    ("within", "ram_singh"): -1,
+    ("within", "padmanabhan"): 1,
+    ("within", "janowski_M"): 1,
+    ("within", "bounded_re"): 1,
 }
+
+
+def _ends(key):
+    param = radii.CLASS_TABLE[key].param
+    return param.first, param.last
 
 
 # the sampled branch of within.janowski_M measures no radius below
@@ -338,9 +339,10 @@ def test_class_radius_at_the_ends_of_each_range():
     # in (0, 1]: no cancellation to 0, no overflow, no division by an
     # underflowed product; a row measured from a later parameter raises at
     # the first valid one instead
-    for key, (ends, direction) in _MONOTONE.items():
-        spec = radii.CLASS_TABLE[key]
-        assert not spec.valid(math.nextafter(ends[0], -math.inf)), key
+    for key, direction in _MONOTONE.items():
+        spec, ends = radii.CLASS_TABLE[key], _ends(key)
+        with pytest.raises(ValueError, match=re.escape(spec.param.error)):
+            spec.radius(math.nextafter(ends[0], -math.inf))
         low = _MEASURED_FROM.get(key, ends[0])
         if low != ends[0]:
             with pytest.raises(ArithmeticError):
@@ -349,12 +351,41 @@ def test_class_radius_at_the_ends_of_each_range():
         assert direction * (hi - lo) > 0, key
 
 
+def _accepts(build, p) -> bool:
+    try:
+        build(p)
+    except ValueError:
+        return False
+    return True
+
+
+def test_class_rows_share_their_region_kinds_range():
+    # a class row over a region kind reads the region's declaration, so the
+    # radius and the region accept the same parameters: each end, and not one
+    # ulp past it
+    lookup = {"of": radius_of_class_in_cardioid, "within": radius_of_cardioid_in_class}
+    shared = {key: kind for key, spec in radii.CLASS_TABLE.items()
+              for kind, row in domains._REGIONS.items()
+              if spec.param is not None and spec.param is row.param}
+    assert sorted(".".join(key) for key in shared) == [
+        "of.booth", "of.bounded_re", "of.cassinian", "of.exponential", "of.lemniscate",
+        "of.order", "within.bounded_re", "within.lemniscate", "within.order"]
+    for (direction, tag), kind in shared.items():
+        param = radii.CLASS_TABLE[(direction, tag)].param
+        for p, valid in ((param.first, True), (param.last, True),
+                         (math.nextafter(param.first, -math.inf), False),
+                         (math.nextafter(param.last, math.inf), False)):
+            radius = _accepts(lambda x: lookup[direction](tag, x), p)
+            region = _accepts(lambda x: domains.make_domain(kind, x), p)
+            assert radius == region == valid, (direction, tag, p)
+
+
 def test_class_oracle_at_the_ends_of_each_range():
     # every parameterized row builds its oracle descriptor at both ends of its
     # valid range; at a = 1 the Apollonius region is the half-plane Re w > 0,
     # which holds the whole cardioid region
-    for key, (ends, _) in _MONOTONE.items():
-        for p in ends:
+    for key in _MONOTONE:
+        for p in _ends(key):
             radii.CLASS_TABLE[key].oracle_at(p)
     oracle = radii.class_spec("within", "padmanabhan").oracle_at(1.0)
     assert verify._measure(oracle, 256) == 1.0
@@ -364,11 +395,10 @@ def test_class_oracle_at_the_ends_of_each_range():
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_class_radius_monotone_across_parameter_range(key, data):
-    ends, direction = _MONOTONE[key]
-    ends = (_MEASURED_FROM.get(key, ends[0]), ends[1])
+    direction, (first, last) = _MONOTONE[key], _ends(key)
+    ends = (_MEASURED_FROM.get(key, first), last)
     p, q = sorted((data.draw(st.floats(*ends)), data.draw(st.floats(*ends))))
     spec = radii.CLASS_TABLE[key]
-    assert spec.valid(p) and spec.valid(q)
     rp, rq = spec.radius(p).value, spec.radius(q).value
     # the branch below the crossover is a sampled search, whose distance
     # tolerance 1e-9 moves the radius by less than that
