@@ -306,8 +306,10 @@ def cmd_verify(args) -> int:
 
 def cmd_member(args) -> int:
     w = complex(args.re, args.im)
-    v = cardioid.contains(w)
-    also = cardioid.contains_implicit(w)
+    # a point far out or at infinity overflows, and is classified as outside
+    with np.errstate(all="ignore"):
+        v = cardioid.contains(w)
+        also = cardioid.contains_implicit(w)
     line = f"{w:g}: {v.verdict}"
     if v.inside:
         line += f", generator preimage {v.preimage:.9g}"
@@ -331,7 +333,7 @@ def cmd_radius(args) -> int:
         return 2
     try:
         res = spec.radius(args.param)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     line = f"{res.claim}: {res.value:.9g} ({res.method}"

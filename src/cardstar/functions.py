@@ -12,6 +12,10 @@ function chi and one `RATIO_P` row per class i: the sharp function of class
 i over chi is chi(z) p_i(eps z), and `radii.ratio_disk_family` builds the
 class's quotient disk from the same two rows.
 
+Each corollary of the two-parameter family [A, B] declares its map
+p -> (A, B) once, in `JANOWSKI_AB`, which its generator, its `radii`
+formula and oracle, and its comparison disk read.
+
 Also here: the image disk of the monomial z + a z^n under its quotient,
 and the series of z exp(int_0^z sin(t)/t dt).
 """
@@ -104,12 +108,9 @@ def gen_booth(z, alpha: float = 0.0):
 
 def gen_janowski(z, A: float = 1.0, B: float = -1.0):
     z = _asc(z)
+    if B == 0.0:  # the disk |w - 1| < A, without the costlier complex division
+        return 1.0 + A * z
     return (1.0 + A * z) / (1.0 + B * z)
-
-
-def gen_order(z, alpha: float = 0.0):
-    """Half-plane map onto Re w > alpha."""
-    return gen_janowski(z, 1.0 - 2.0 * alpha, -1.0)
 
 
 def gen_bounded_re(z, beta: float = 2.0):
@@ -119,13 +120,21 @@ def gen_bounded_re(z, beta: float = 2.0):
     return (1.0 + (2.0 * beta - 1.0) * z) / (1.0 + z)
 
 
-def gen_ram_singh(z, alpha: float = 0.0):
-    return 1.0 + (1.0 - alpha) * _asc(z)
+# p -> (A, B) for the order alpha, [1-a, 0], [a, -a] and |w - M| < M
+# corollaries of the two-parameter family [A, B]
+JANOWSKI_AB: dict[str, Callable[[float], tuple[float, float]]] = {
+    "order": lambda alpha: (1.0 - 2.0 * alpha, -1.0),
+    "ram_singh": lambda a: (1.0 - a, 0.0),
+    "padmanabhan": lambda a: (a, -a),
+    "janowski_M": lambda M: (1.0, 1.0 / M - 1.0),
+}
 
 
-def gen_padmanabhan(z, alpha: float = 1.0):
-    z = _asc(z)
-    return (1.0 + alpha * z) / (1.0 - alpha * z)
+def _janowski_corollary(name: str, default: float) -> Callable:
+    # the corollary's generator: the [A, B] generator at its map of alpha
+    def psi(z, alpha: float = default):
+        return gen_janowski(z, *JANOWSKI_AB[name](alpha))
+    return psi
 
 
 _GENERATORS: dict[str, Callable] = {
@@ -144,10 +153,10 @@ _GENERATORS: dict[str, Callable] = {
     "cassinian": gen_cassinian,
     "booth": gen_booth,
     "janowski": gen_janowski,
-    "order": gen_order,
+    "order": _janowski_corollary("order", 0.0),
     "bounded_re": gen_bounded_re,
-    "ram_singh": gen_ram_singh,
-    "padmanabhan": gen_padmanabhan,
+    "ram_singh": _janowski_corollary("ram_singh", 0.0),
+    "padmanabhan": _janowski_corollary("padmanabhan", 1.0),
 }
 
 
@@ -262,10 +271,6 @@ _EXTREMALS: dict[str, FunctionSpec] = {spec.name: spec for spec in (
     FunctionSpec("second_sum_convexity", _w_second_sum_convexity,
                  "z + z^2; convexity functional 1 + z f''/f'", real=True),
     FunctionSpec("koebe_second_sum", _w_second_sum_convexity, "z + 2 z^2; quotient", real=True),
-    # sum n^2 z^n, the Koebe function convolved with itself, is the sharp
-    # function of ratio class 3 over the Koebe function
-    FunctionSpec("squared_koebe", _ratio_quotient(RATIO_CHI["koebe"], RATIO_P[3]),
-                 "z(1+z)/(1-z)^3; quotient of the self-convolved Koebe function", real=True),
     FunctionSpec("bounded_re_extremal", lambda z, beta=2.0: gen_bounded_re(-_asc(z), beta),
                  "z(1-z)^(2(beta-1)); quotient reaches 1/2 at z = 1/(4 beta - 3)", real=True),
     *(FunctionSpec(f"ratio{i}_{chi.suffix}", _ratio_quotient(chi, p),

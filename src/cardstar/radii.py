@@ -17,10 +17,11 @@ Conventions used throughout:
 
 Both directions are rows of one table, `CLASS_TABLE`: a `ClassSpec` per
 (direction, tag) holds the parameter with its valid range and default, the
-formula and claim text, and the oracle the registry checks it with.  The
+formula and claim text, and the oracle the registry checks it with: a
+`Subordination` radius, a `DiskFamily` radius or a `Threshold`.  The
 classes of order alpha, [1-a, 0], [a, -a], |w - M| < M, starlike and convex
-are special cases of the two-parameter family [A, B]; their formulas map
-the parameter to (A, B) and evaluate `janowski_radius_in_cardioid`.
+are special cases of the two-parameter family [A, B]; the first four read
+their maps p -> (A, B), `functions.JANOWSKI_AB`, in their formulas.
 
 Every root and threshold in the package is located by the two search
 helpers here: `bisect_predicate` (with `bisect_sign_change` on top) and
@@ -283,21 +284,21 @@ def cardioid_disk_radius(M: float) -> float:
     `verify` module docstring).  Self-contained oracle used where the
     published branch formula is unreliable.
 
-    M - max|w - M| equals min(M - |w - M|) because rounding is monotone.  A
-    probe passes when that is above -1e-9, or above -1e-4 r where that is
-    smaller (r below 1e-5): the slack then moves the radius by relative
-    1e-4, as the near-boundary tolerance of `verify._radius` does for small
-    radii.
+    A probe passes when the image lies in `domains.Disk(M, M)` within 1e-9,
+    or within 1e-4 r where that is smaller (r below 1e-5): the slack then
+    moves the radius by relative 1e-4, as the near-boundary tolerance of
+    `verify._radius` does for small radii.
 
     Raises ValueError unless M is finite and exceeds 1/2 (for M <= 1/2 no
     positive radius exists), and ArithmeticError when the radius is below
     `RADIUS_FLOOR`.
     """
     _JANOWSKI_M.check(M)
+    disk = domains.Disk(M, M)
     e = _circle_grid(4096, half=True)[1]
 
     def ok(r: float) -> bool:
-        return bool(M - np.abs(cardioid.eval_phi(r * e) - M).max() > -min(1e-9, 1e-4 * r))
+        return disk.contains_all(cardioid.eval_phi(r * e), min(1e-9, 1e-4 * r))
 
     return bisect_predicate(ok, 1e-4, 1.0, steps=50, scan=(1.0 - 1e-9,), floor=RADIUS_FLOOR)
 
@@ -331,40 +332,54 @@ def janowski_radius_in_cardioid(A: float, B: float) -> RadiusResult:
 
 
 # ---------------------------------------------------------------------------
-# the class table
+# oracle descriptors and the class table
 # ---------------------------------------------------------------------------
 
-ORACLE_KINDS = ("generator_into_cardioid", "quotient_into_cardioid", "quotient_into_domain",
-                "cardioid_into_domain", "disk_family", "threshold")
+@dataclass(frozen=True)
+class Subordination:
+    """Oracle: the largest r with a quotient's image of |z| < r inside a
+    region.  `quotient` is a `functions.extremal` name, closed over `params`;
+    `region` is the `domains.make_domain` arguments.  `kind`, the report's
+    method `oracle:<kind>`, is derived from the quotient and the region."""
+
+    quotient: str = "cardioid_extremal"
+    params: dict = field(default_factory=dict)
+    region: tuple = ("cardioid",)
+
+    @property
+    def kind(self) -> str:
+        if self.quotient == "cardioid_extremal":
+            return "cardioid_into_domain"
+        if self.region != ("cardioid",):
+            return "quotient_into_domain"
+        if self.quotient in functions._GENERATORS:
+            return "generator_into_cardioid"
+        return "quotient_into_cardioid"
 
 
 @dataclass(frozen=True)
-class OracleSpec:
-    """Declarative description of the independent check for one constant.
+class DiskFamily:
+    """Oracle: the largest r with the disk |w - center(r)| <= spread(r)
+    inside a region, given by its `domains.make_domain` arguments."""
 
-    The four subordination kinds, generator_into_cardioid,
-    quotient_into_cardioid, quotient_into_domain and cardioid_into_domain,
-    measure the largest r with a quotient's image of |z| < r inside a region.
-    Their payload holds `quotient` (a `functions.extremal` name, default
-    "cardioid_extremal"), `params` (the quotient's parameters, default none)
-    and `region` (the `domains.make_domain` arguments, default
-    ("cardioid",)).  Their kinds differ only as labels: the report's method
-    is `oracle:<kind>`.
+    center: Callable[[float], float]
+    spread: Callable[[float], float]
+    region: tuple = ("cardioid",)
+    kind = "disk_family"
 
-    disk_family measures the largest r with |w - center(r)| <= spread(r)
-    inside a region: payload `center`, `spread` and `region`.
 
-    threshold is a special measurement in `verify`: payload `name` and the
-    `args` it takes, such as the `verify.INCLUSION_FAMILIES` row whose sharp
-    parameter "inclusion" measures.
-    """
+@dataclass(frozen=True)
+class Threshold:
+    """Oracle: a special measurement of `verify`, by its name, with the `args`
+    it takes, such as the `verify.INCLUSION_FAMILIES` row whose sharp
+    parameter "inclusion" measures."""
 
-    kind: str
-    payload: dict = field(default_factory=dict)
+    name: str
+    args: tuple = ()
+    kind = "threshold"
 
-    def __post_init__(self):
-        if self.kind not in ORACLE_KINDS:
-            raise ValueError(f"unknown oracle kind {self.kind!r}")
+
+Oracle = Subordination | DiskFamily | Threshold
 
 
 @dataclass(frozen=True)
@@ -394,7 +409,7 @@ class ClassSpec:
     param: domains.Parameter | None = None
     default: float | None = None
     capped: Callable | None = None
-    oracle: Callable[[float | None], OracleSpec] | None = None
+    oracle: Callable[[float | None], Oracle] | None = None
 
     def radius(self, p: float | None = None) -> RadiusResult:
         if self.param is None:
@@ -413,39 +428,12 @@ class ClassSpec:
             return replace(out, claim=claim)
         return RadiusResult(out, CLOSED_FORM, claim=claim)
 
-    def oracle_at(self, p: float | None) -> OracleSpec:
+    def oracle_at(self, p: float | None) -> Oracle:
         if self.oracle is not None:
             return self.oracle(p)
         if self.direction == "of":
-            return _into_cardioid(self.tag, {self.param.name: p} if self.param else {})
-        return _cardioid_into(self.tag, *((p,) if self.param else ()))
-
-
-def _into_cardioid(generator: str, params: dict) -> OracleSpec:
-    return OracleSpec("generator_into_cardioid", {"quotient": generator, "params": params})
-
-
-def _cardioid_into(*region) -> OracleSpec:
-    return OracleSpec("cardioid_into_domain", {"region": region})
-
-
-def _disk_family(center: Callable, spread: Callable, *region) -> OracleSpec:
-    return OracleSpec("disk_family",
-                      {"center": center, "spread": spread, "region": region or ("cardioid",)})
-
-
-def _threshold(name: str, *args) -> OracleSpec:
-    return OracleSpec("threshold", {"name": name, "args": args})
-
-
-def _apollonius_disk(a: float) -> tuple[float, float, float]:
-    # |(w-1)/(w+1)| < a as the disk (center, 0, radius)
-    return (1.0 + a * a) / (1.0 - a * a), 0.0, 2.0 * a / (1.0 - a * a)
-
-
-def _bounded_quotient_ab(M: float) -> tuple[float, float]:
-    # |w - M| < M is the [A, B] family with A = 1, B = 1/M - 1
-    return 1.0, 1.0 / M - 1.0
+            return Subordination(self.tag, {self.param.name: p} if self.param else {})
+        return Subordination(region=(self.tag, *((p,) if self.param else ())))
 
 
 def _cardioid_in_bounded_quotient(M: float) -> float | RadiusResult:
@@ -455,6 +443,17 @@ def _cardioid_in_bounded_quotient(M: float) -> float | RadiusResult:
     # real positive radius anywhere in the branch; report the measured
     # value and flag the row instead of guessing a repaired formula.
     return RadiusResult(cardioid_disk_radius(M), ORACLE, flags=("formula-suspect",))
+
+
+def _corollary(tag: str) -> Callable[[float], RadiusResult]:
+    # the [A, B] radius at the corollary's map of its parameter
+    ab = functions.JANOWSKI_AB[tag]
+    return lambda p: janowski_radius_in_cardioid(*ab(p))
+
+
+def _janowski_region(tag: str, p: float) -> tuple:
+    # the `make_domain` arguments of the corollary's region, the [A, B] disk
+    return ("janowski_disk", *functions.JANOWSKI_AB[tag](p), 1.0)
 
 
 def _sqrt1p_minus_1(x: float) -> float:
@@ -483,7 +482,7 @@ _PADMANABHAN_A = domains.Parameter("alpha", "parameter", "(0, 1]")
 # min of the half-plane-quotient bound 1/3 and the starlikeness radius
 # tanh(pi/4) of univalent functions
 _UNIVALENT = dict(formula=lambda _: min(1.0 / 3.0, math.tanh(math.pi / 4.0)),
-                  oracle=lambda _: OracleSpec("quotient_into_cardioid", {"quotient": "koebe"}))
+                  oracle=lambda _: Subordination("koebe"))
 
 CLASS_TABLE: dict[tuple[str, str], ClassSpec] = {(s.direction, s.tag): s for s in (
     # ---- radii of named classes in the cardioid class ----------------
@@ -508,28 +507,25 @@ CLASS_TABLE: dict[tuple[str, str], ClassSpec] = {(s.direction, s.tag): s for s i
         default=2.0, formula=lambda b: 0.25 / (b - 0.75)),
     # corollaries of the two-parameter family
     ClassSpec("of", "order", "radius of starlike functions of order {p:g}",
-              param=_region_param("min_re"), default=0.0,
-              formula=lambda a: janowski_radius_in_cardioid(1.0 - 2.0 * a, -1.0)),
+              param=_region_param("min_re"), default=0.0, formula=_corollary("order")),
     ClassSpec("of", "ram_singh", "radius of the [1-a, 0] family at a={p:g}",
-              param=_RAM_SINGH_A, default=0.0,
-              formula=lambda a: janowski_radius_in_cardioid(1.0 - a, 0.0)),
+              param=_RAM_SINGH_A, default=0.0, formula=_corollary("ram_singh")),
     ClassSpec("of", "padmanabhan", "radius of the [a, -a] family at a={p:g}",
-              param=_PADMANABHAN_A, default=1.0,
-              formula=lambda a: janowski_radius_in_cardioid(a, -a)),
+              param=_PADMANABHAN_A, default=1.0, formula=_corollary("padmanabhan")),
     ClassSpec("of", "janowski_M", "radius of the bounded-quotient family at M={p:g}",
-              param=_JANOWSKI_M, default=1.0,
-              formula=lambda M: janowski_radius_in_cardioid(*_bounded_quotient_ab(M)),
-              oracle=lambda M: _into_cardioid("janowski",
-                                              dict(zip("AB", _bounded_quotient_ab(M))))),
+              param=_JANOWSKI_M, default=1.0, formula=_corollary("janowski_M"),
+              oracle=lambda M: Subordination(
+                  "janowski", dict(zip("AB", functions.JANOWSKI_AB["janowski_M"](M))))),
     _of("starlike", "the starlike class", formula=lambda _: janowski_radius_in_cardioid(1.0, -1.0),
-        oracle=lambda _: _into_cardioid("janowski", {"A": 1.0, "B": -1.0})),
+        oracle=lambda _: Subordination("janowski", {"A": 1.0, "B": -1.0})),
     _of("convex", "the convex class", formula=lambda _: janowski_radius_in_cardioid(0.0, -1.0),
-        oracle=lambda _: _into_cardioid("order", {"alpha": 0.5})),
+        oracle=lambda _: Subordination("order", {"alpha": 0.5})),
     _of("univalent", "the univalent class", **_UNIVALENT),
     _of("close_to_convex", "the close-to-convex class", **_UNIVALENT),
     # ---- radii of the cardioid class in named classes ----------------
     _within("order", "starlike functions of order {p:g}", param=_region_param("min_re"),
-            default=0.0, oracle=lambda a: _cardioid_into("min_re", a), capped=lambda a: a <= 0.25,
+            default=0.0, capped=lambda a: a <= 0.25,
+            oracle=lambda a: Subordination(region=("min_re", a)),
             formula=lambda a: (math.sqrt((3.0 - 4.0 * a) / 2.0) if a <= 0.625
                                else 1.0 - math.sqrt(2.0 * a - 1.0))),
     # -1 + sqrt((2 sqrt2 - 1) - 2 (sqrt2 - 1) a)
@@ -541,8 +537,8 @@ CLASS_TABLE: dict[tuple[str, str], ClassSpec] = {(s.direction, s.tag): s for s i
                 -1.0 + math.sqrt(1.0 + 2.0 * math.sqrt(math.sqrt(2.0 * SQRT2 - 2.0)
                                                        - (2.0 * SQRT2 - 2.0))),
                 flags=("bounding-disk-route",)),
-            oracle=lambda _: _disk_family(lambda r: 1.0, lambda r: r + 0.5 * r * r,
-                                          "rational_lemniscate")),
+            oracle=lambda _: DiskFamily(lambda r: 1.0, lambda r: r + 0.5 * r * r,
+                                        ("rational_lemniscate",))),
     _within("rational", "the rational-generator class",
             formula=lambda _: 1.0 - math.sqrt(4.0 * SQRT2 - 5.0)),
     _within("sine", "the sine class",
@@ -555,16 +551,16 @@ CLASS_TABLE: dict[tuple[str, str], ClassSpec] = {(s.direction, s.tag): s for s i
     # -1 + sqrt(3 - 2a)
     _within("ram_singh", "the [1-a, 0] family at a={p:g}", param=_RAM_SINGH_A, default=0.0,
             formula=lambda a: _sqrt1p_minus_1(2.0 * (1.0 - a)),
-            oracle=lambda a: _cardioid_into("disk", 1.0, 0.0, 1.0 - a)),
+            oracle=lambda a: Subordination(region=_janowski_region("ram_singh", a))),
     _within("padmanabhan", "the [a, -a] family at a={p:g}", param=_PADMANABHAN_A,
             capped=lambda a: a >= alpha_knot(), formula=w_alpha,
             # at a = 1 the region |(w-1)/(w+1)| < a is the half-plane Re w > 0
-            oracle=lambda a: _cardioid_into(*(("min_re", 0.0) if a == 1.0
-                                              else ("disk", *_apollonius_disk(a))))),
+            oracle=lambda a: Subordination(region=("min_re", 0.0) if a == 1.0
+                                           else _janowski_region("padmanabhan", a))),
     _within("janowski_M", "the bounded-quotient family at M={p:g}", param=_JANOWSKI_M,
             capped=lambda M: M >= cardioid.self_centered_fixed_point(),
             formula=_cardioid_in_bounded_quotient,
-            oracle=lambda M: _cardioid_into("disk", M, 0.0, M)),
+            oracle=lambda M: Subordination(region=("disk", M, 0.0, M))),
     _within("cardioid_wide", "the wide-cardioid class", capped=lambda _: True),
     _within("bounded_re", "the bounded-real-part class (beta={p:g})",
             param=_region_param("bounded_re"),
@@ -677,7 +673,7 @@ class ConstantEntry:
     defining_polynomial: tuple[float, ...] | None = None
     published: float | None = None        # decimal printed in the literature
     published_tol: float = 5e-5
-    oracle: OracleSpec | None = None
+    oracle: Oracle | None = None
     flags: tuple[str, ...] = ()
     note: str = ""
 
@@ -709,31 +705,31 @@ def constants_registry() -> tuple[ConstantEntry, ...]:
     # ---- inclusion thresholds -------------------------------------
     add(_entry("incl.min_re", "largest order of starlikeness containing the class",
                0.25,
-               oracle=_threshold("min_re_limit")))
+               oracle=Threshold("min_re_limit")))
     bz = beta_zero_candidates()
     add(_entry("incl.strong_order", "strong starlikeness order of the class",
                bz["statement_form"],
                published=bz["published_decimal"], published_tol=5e-5,
-               oracle=_threshold("max_arg"),
+               oracle=Threshold("max_arg"),
                flags=("published-decimal-mismatch",),
                note=(f"published decimal {bz['published_decimal']} and variant reading "
                      f"{bz['proof_form']:.6f} both differ from the measured maximum; "
                      "the measured value is reported")))
     add(_entry("incl.conic", "smallest conic parameter whose region fits inside",
                5.0 / 3.0,
-               oracle=_threshold("inclusion", "conic")))
+               oracle=Threshold("inclusion", ("conic",))))
     add(_entry("incl.exponential", "smallest exponential-region parameter fitting inside",
                alpha_zero(), published=0.209011,
-               oracle=_threshold("inclusion", "exponential")))
+               oracle=Threshold("inclusion", ("exponential",))))
     add(_entry("incl.lemniscate", "smallest lemniscate parameter fitting inside",
                0.5,
-               oracle=_threshold("inclusion", "lemniscate")))
+               oracle=Threshold("inclusion", ("lemniscate",))))
     add(_entry("incl.cassinian", "largest Cassinian parameter fitting inside",
                0.75,
-               oracle=_threshold("inclusion", "cassinian")))
+               oracle=Threshold("inclusion", ("cassinian",))))
     add(_entry("incl.outer_disk", "self-centered circumscribed disk parameter",
                cardioid.self_centered_fixed_point(), published=1.309017,
-               oracle=_threshold("inclusion", "self_centered_disk")))
+               oracle=Threshold("inclusion", ("self_centered_disk",))))
 
     # ---- radii of classes in the cardioid class --------------------
     add(_class_row("of", "cassinian", "cassinian", 1.0))
@@ -758,7 +754,7 @@ def constants_registry() -> tuple[ConstantEntry, ...]:
     add(_class_row("of", "univalent", "univalent"))
     res = janowski_radius_in_cardioid(0.5, -0.5)
     add(_entry("of.janowski_mixed", res.claim, res,
-               oracle=_into_cardioid("janowski", {"A": 0.5, "B": -0.5})))
+               oracle=Subordination("janowski", {"A": 0.5, "B": -0.5})))
 
     # ---- radii of the cardioid class in other classes --------------
     add(_class_row("within", "order_mid", "order", 0.45))
@@ -779,7 +775,7 @@ def constants_registry() -> tuple[ConstantEntry, ...]:
     add(_entry("within.padmanabhan_knot",
                "parameter above which the whole region fits the Apollonius disk",
                alpha_knot(), published=0.672505,
-               oracle=_threshold("inclusion", "in_apollonius_disk")))
+               oracle=Threshold("inclusion", ("in_apollonius_disk",))))
     add(_class_row("within", "janowski_M_low", "janowski_M", 1.05,
                    note="published first-branch term -1+sqrt(M-1) is not a real radius; "
                         "the measured value is reported"))
@@ -788,7 +784,7 @@ def constants_registry() -> tuple[ConstantEntry, ...]:
                "disk parameter where the binding tangency leaves the real axis",
                m_knot(),
                published=1.1423, published_tol=5e-4,
-               oracle=_threshold("disk_branch_crossover")))
+               oracle=Threshold("disk_branch_crossover")))
     add(_class_row("within", "cardioid_wide", "cardioid_wide"))
     add(_class_row("within", "bounded_re", "bounded_re", 2.0))
     add(_class_row("within", "bounded_re_capped", "bounded_re", 3.0))
@@ -798,44 +794,41 @@ def constants_registry() -> tuple[ConstantEntry, ...]:
         for i, row in classes.items():
             res = ratio_class_radius(i, chi)
             add(_entry(f"ratio.f{i}.{chi}", res.claim, res, row.published,
-                       oracle=_disk_family(*ratio_disk_family(i, chi)),
+                       oracle=DiskFamily(*ratio_disk_family(i, chi)),
                        flags=row.flags, note=row.note))
 
     # ---- partial sums and convolution -------------------------------
     add(_entry("psum.starlike", "starlikeness radius of second partial sums",
                0.5,
-               oracle=OracleSpec("quotient_into_domain",
-                                 {"quotient": "second_sum", "region": ("min_re", 0.0)})))
+               oracle=Subordination("second_sum", region=("min_re", 0.0))))
     add(_entry("psum.convex", "convexity radius of second partial sums",
                0.25,
-               oracle=OracleSpec("quotient_into_domain",
-                                 {"quotient": "second_sum_convexity",
-                                  "region": ("min_re", 0.0)})))
+               oracle=Subordination("second_sum_convexity", region=("min_re", 0.0))))
     add(_entry("psum.cardioid_dilation", "dilation keeping second sums in the class",
                1.0 / 3.0,
-               oracle=OracleSpec("quotient_into_cardioid", {"quotient": "second_sum"})))
+               oracle=Subordination("second_sum")))
     add(_entry("psum.from_convex", "dilation bound for second sums of convex functions",
                1.0 / 3.0,
-               oracle=OracleSpec("quotient_into_cardioid", {"quotient": "second_sum"})))
+               oracle=Subordination("second_sum")))
     add(_entry("psum.from_univalent", "dilation bound for second sums of univalent functions",
                1.0 / 6.0,
-               oracle=OracleSpec("quotient_into_cardioid", {"quotient": "koebe_second_sum"})))
+               oracle=Subordination("koebe_second_sum")))
     add(_entry("conv.convex_factor", "dilation keeping convolutions with convex functions",
                0.5,
-               oracle=_threshold("generator_convexity")))
+               oracle=Threshold("generator_convexity")))
     # the radius of ratio class 3 over the Koebe function
     add(_entry("conv.starlike_pair", "dilation bound for convolutions of two starlike functions",
                ratio_class_radius(3, "koebe").value, published=0.1314829,
-               oracle=_disk_family(*ratio_disk_family(3, "koebe"))))
+               oracle=DiskFamily(*ratio_disk_family(3, "koebe"))))
 
     # ---- growth and coefficient constants ----------------------------
     add(_entry("growth.inner_disk", "radius of the disk covered by every image",
                math.exp(-0.75), published=0.47236,
-               oracle=_threshold("growth_lower_limit")))
+               oracle=Threshold("growth_lower_limit")))
     for n, bound in ((2, 1.0), (3, 0.75), (4, 5.0 / 12.0)):
         add(_entry(f"coeff.bound_{n}", f"sharp bound on the coefficient a{n}",
                    bound,
-                   oracle=_threshold("series_coefficient", n)))
+                   oracle=Threshold("series_coefficient", (n,))))
 
     keys = [r.key for r in rows]
     if len(keys) != len(set(keys)):

@@ -102,11 +102,6 @@ class PowerSeries:
             raise ValueError("dilation factor must lie in (0, 1]")
         return PowerSeries(tuple(a * rho**n for n, a in enumerate(self.coeffs)))
 
-    def truncate(self, n: int) -> "PowerSeries":
-        if not 1 <= n <= self.order:
-            raise ValueError(f"truncation length {n} outside 1..{self.order}")
-        return PowerSeries(self.coeffs[:n])
-
     # -- evaluation ----------------------------------------------------
 
     def eval(self, z):

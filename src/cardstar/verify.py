@@ -11,10 +11,10 @@ interior spot-check guards against misuse.
 Every radius is found by one search, `_radius`, which returns a certified
 bracket: the circle image of a quotient (`subordination_radius`) or a
 family of disks (`disk_family_radius`) fits on one side and leaves the
-region on the other.  A registry row's `radii.OracleSpec` is decoded in
-one place, `_measure`, into a threshold measurement, a disk family or a
-subordination radius; the partial-sum suite measures its registry rows
-through it too.  Every pass/fail report is built by `_report`.
+region on the other.  A registry row's oracle descriptor is evaluated in
+one place, `_measure`: a `radii.Threshold` measurement, a `radii.DiskFamily`
+radius or a `radii.Subordination` radius; the partial-sum suite measures its
+registry rows through it too.  Every pass/fail report is built by `_report`.
 
 Each inclusion relation is declared once, in `INCLUSION_FAMILIES`, as its
 region pair p -> (inner, outer).  Its threshold oracle (the sign change of
@@ -255,7 +255,7 @@ def measured_disk_branch_crossover(n: int = DEFAULT_SAMPLES) -> float:
 
     def excess(M: float) -> float:
         w = cardioid.eval_phi(radii.disk_real_axis_radius(M) * e)
-        return float(np.max(np.abs(w - M))) - M - 1e-12
+        return -float(domains.Disk(M, M).margin(w).min()) - 1e-12
 
     return radii.bisect_sign_change(excess, 1.05, cardioid.self_centered_fixed_point() - 1e-6, 40)
 
@@ -305,6 +305,11 @@ def _inclusion_margin(inner: domains.Domain, outer: domains.Domain, n: int) -> f
     return float(np.min(outer.margin(w)))
 
 
+def _corollary_disk(tag: str, p: float) -> domains.Disk:
+    # the [A, B] disk of a corollary: |w - 1| < 1 - a, |(w-1)/(w+1)| < a
+    return domains.janowski_disk(*functions.JANOWSKI_AB[tag](p), 1.0)
+
+
 @dataclass(frozen=True)
 class InclusionFamily:
     """Region pairs p -> (inner, outer) whose inclusion is sharp at one p.
@@ -343,8 +348,7 @@ INCLUSION_FAMILIES: dict[str, InclusionFamily] = {
     "self_centered_disk": InclusionFamily(lambda m: (_CARDIOID, domains.Disk(m, m)), True,
                                           (1.0, 2.4)),
     "in_apollonius_disk": InclusionFamily(
-        lambda a: (_CARDIOID, domains.make_domain("disk", *radii._apollonius_disk(a))), True,
-        (0.3, 0.95)),
+        lambda a: (_CARDIOID, _corollary_disk("padmanabhan", a)), True, (0.3, 0.95)),
     # a family of regions inside the cardioid region
     "conic": InclusionFamily(lambda k: (domains.make_domain("conic", k), _CARDIOID), True,
                              (1.2, 4.0)),
@@ -358,10 +362,10 @@ INCLUSION_FAMILIES: dict[str, InclusionFamily] = {
     **{f"two_parameter_B{B:g}": InclusionFamily(
         lambda A, B=B: (domains.janowski_disk(A, B, 1.0), _CARDIOID), False)
        for B in (-0.25, -0.5)},
-    "unit_centered_disk": InclusionFamily(lambda a: (domains.Disk(1.0, 1.0 - a), _CARDIOID),
+    "unit_centered_disk": InclusionFamily(lambda a: (_corollary_disk("ram_singh", a), _CARDIOID),
                                           True),
-    "apollonius_disk": InclusionFamily(
-        lambda a: (domains.make_domain("disk", *radii._apollonius_disk(a)), _CARDIOID), False),
+    "apollonius_disk": InclusionFamily(lambda a: (_corollary_disk("padmanabhan", a), _CARDIOID),
+                                       False),
 }
 
 
@@ -377,17 +381,18 @@ _THRESHOLDS = {
 }
 
 
-def _measure(oracle: radii.OracleSpec, samples: int) -> float:
+def _measure(oracle: radii.Oracle, samples: int) -> float:
     """Evaluate an oracle descriptor: a threshold, a disk family, or the
     subordination radius of a quotient in a region."""
-    p = oracle.payload
-    if oracle.kind == "threshold":
-        return _THRESHOLDS[p["name"]](samples, *p.get("args", ()))
-    region = domains.make_domain(*p.get("region", ("cardioid",)))
-    if oracle.kind == "disk_family":
-        return disk_family_radius(p["center"], p["spread"], region, n=samples)
-    quotient = functions.extremal(p.get("quotient", "cardioid_extremal"), **p.get("params", {}))
-    return subordination_radius(quotient, region, n=samples)
+    if isinstance(oracle, radii.Threshold):
+        return _THRESHOLDS[oracle.name](samples, *oracle.args)
+    if isinstance(oracle, radii.DiskFamily):
+        return disk_family_radius(oracle.center, oracle.spread,
+                                  domains.make_domain(*oracle.region), n=samples)
+    if isinstance(oracle, radii.Subordination):
+        return subordination_radius(functions.extremal(oracle.quotient, **oracle.params),
+                                    domains.make_domain(*oracle.region), n=samples)
+    raise TypeError(f"not an oracle descriptor: {oracle!r}")
 
 
 def measure_constant(entry: radii.ConstantEntry, samples: int = DEFAULT_SAMPLES) -> float:
@@ -468,6 +473,7 @@ def coefficient_suite(seed: int = 0, samples: int = 2048) -> list[VerificationRe
     """100 random polynomials under the coefficient condition keep |w - 1| < 1/2."""
     count = 100
     rng = np.random.default_rng(seed)
+    target = domains.Disk(1.0, 0.5)
     z = _SERIES_RADIUS * radii._circle_grid(samples)[1]
     worst = 1.0
     witness = None
@@ -477,12 +483,9 @@ def coefficient_suite(seed: int = 0, samples: int = 2048) -> list[VerificationRe
         weights = 2.0 * np.arange(2, m + 2) - 1.0
         raw *= rng.uniform(0.1, 1.0) / float(np.sum(weights * np.abs(raw)))
         f = PowerSeries((1.0,) + tuple(raw))
-        w = np.asarray(f.eval_log_derivative(z))
-        margins = 0.5 - np.abs(w - 1.0)
-        i = int(np.argmin(margins))
-        if margins[i] < worst:
-            worst = float(margins[i])
-            witness = complex(w[i])
+        w, margin = target.worst_point(f.eval_log_derivative(z))
+        if margin < worst:
+            worst, witness = margin, w
     return [_report(
         f"coefficient condition keeps the quotient within 1/2 of 1 ({count} random polynomials)",
         "series-sampling", samples, worst > -1e-9, worst, witness)]

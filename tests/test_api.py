@@ -24,6 +24,9 @@ DELETED = (
     "generator_names", "extremal_names", "multiply_coeffs", "_DOMAIN_CACHE", "_domain",
     "_unit_from_zero", "_unit_to_one", "_ORDER", "_LEMNISCATE", "_RAM_SINGH", "_PADMANABHAN",
     "_BOUNDED_QUOTIENT", "_BOUNDED_RE",
+    "OracleSpec", "ORACLE_KINDS", "_into_cardioid", "_cardioid_into", "_disk_family",
+    "_threshold", "gen_order", "gen_ram_singh", "gen_padmanabhan", "_apollonius_disk",
+    "_bounded_quotient_ab",
 )
 
 

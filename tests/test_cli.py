@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import warnings
 
 import pytest
 
@@ -67,6 +68,15 @@ def test_member_command(capsys):
     assert code == 0 and "outside" in out
 
 
+def test_member_far_points_print_no_warning(capsys):
+    # a point at infinity or far out is outside, with no numpy warning
+    for re_part in ("inf", "1e200"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["member", re_part, "0"], capsys)
+        assert code == 0 and "outside" in out and err == "", re_part
+
+
 def test_radius_command(capsys):
     code, out, _ = run(["radius", "nephroid"], capsys)
     assert code == 0 and "0.557874" in out
@@ -86,6 +96,14 @@ def test_radius_command(capsys):
     # a tag without a parameter rejects one instead of ignoring it
     code, out, err = run(["radius", "sine", "--param", "0.3"], capsys)
     assert code == 2 and out == "" and "tag 'sine' takes no parameter" in err
+
+
+def test_radius_below_the_search_floor_is_an_error(capsys):
+    # a valid M whose sampled radius lies below the search floor is an error
+    # line, not a traceback
+    code, out, err = run(["radius", "cardioid-in-janowski-m", "--param", repr(0.5 + 2**-53)],
+                         capsys)
+    assert code == 2 and out == "" and err.startswith("error: no positive radius")
 
 
 # expected `cardstar radius` output of every tag at its default parameter;

@@ -48,16 +48,18 @@ def test_generator_boundaries_match_region_boundaries():
         assert np.max(np.abs(curve - np.asarray(d.boundary(t)))) < 1e-9, kind
 
 
-def test_partial_sum_examples():
-    # the n-th partial sum z + a2 z^2 + ... + an z^n is the length-n truncation
-    f = f_cardioid_series(8)
-    assert f.truncate(2).coeffs == pytest.approx((1.0, 1.0))
-    assert f.truncate(1).coeffs == (1.0,)
-    assert f.truncate(3).coeffs == pytest.approx((1.0, 1.0, 0.75))
-    with pytest.raises(ValueError):
-        f.truncate(9)
-    with pytest.raises(ValueError):
-        f.truncate(0)
+def test_corollary_generators_match_their_closed_forms():
+    # the order, [1-a, 0] and [a, -a] generators read their (A, B) maps; on
+    # the closed disk they equal the closed forms exactly, poles included
+    z = np.concatenate([np.exp(1j * np.linspace(0, 2 * math.pi, 64, endpoint=False)), [0.3j]])
+    for a in (0.0, 0.25, 0.5, 0.9, 1.0):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cases = [(generator("order", alpha=a)(z), (1.0 + (1.0 - 2.0 * a) * z) / (1.0 - z)),
+                     (generator("ram_singh", alpha=a)(z), 1.0 + (1.0 - a) * z),
+                     (generator("padmanabhan", alpha=a)(z), (1.0 + a * z) / (1.0 - a * z))]
+        for got, want in cases:
+            assert np.array_equal(got, want, equal_nan=True), a
+    assert generator("padmanabhan")(0.5) == 3.0 and generator("ram_singh")(0.5) == 1.5
 
 
 def test_extremal_w_of_values():
@@ -160,7 +162,7 @@ def test_series_and_closed_form_quotients_agree():
         (f_cardioid_series(32), extremal("cardioid_extremal")),
         (PowerSeries.koebe(64), extremal("koebe")),
         (PowerSeries.half_plane(64), extremal("half_plane")),
-        (PowerSeries.koebe(64).hadamard(PowerSeries.koebe(64)), extremal("squared_koebe")),
+        (PowerSeries.koebe(64).hadamard(PowerSeries.koebe(64)), extremal("ratio3_koebe")),
         (PowerSeries((1.0, 1.0)), extremal("second_sum")),
     ]
     for series_f, spec in cases:

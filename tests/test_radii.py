@@ -140,6 +140,7 @@ def test_corollary_rows_follow_two_parameter_family(tag, ab, closed):
     lo, hi = (0.5, 3.0) if tag == "janowski_M" else (0.0, 1.0)
     grid = np.linspace(lo, hi, 401)[1:-1]
     for p in grid:
+        assert functions.JANOWSKI_AB[tag](float(p)) == ab(float(p)), (tag, p)
         res = radius_of_class_in_cardioid(tag, float(p))
         fam = janowski_radius_in_cardioid(*ab(float(p)))
         assert (res.value, res.clamped, res.method) == (fam.value, fam.clamped, fam.method)
@@ -229,6 +230,20 @@ def test_apollonius_branch_knot():
     assert radius_of_cardioid_in_class("padmanabhan", a_star + 1e-6).value == 1.0
     assert radius_of_cardioid_in_class("padmanabhan", 0.3).value == pytest.approx(
         radii.w_alpha(0.3))
+
+
+def test_corollary_target_disks_are_their_closed_forms():
+    # the regions the ram_singh and padmanabhan rows measure the cardioid
+    # class in: |w - 1| < 1 - a and the Apollonius disk |(w-1)/(w+1)| < a
+    for a in (0.0, 0.1, 0.25, 0.3, 0.5, 2.0 / 3.0, 0.9, math.nextafter(1.0, 0.0)):
+        oracle = radii.class_spec("within", "ram_singh").oracle_at(a)
+        assert domains.make_domain(*oracle.region) == domains.Disk(1.0, 1.0 - a), a
+        if a == 0.0:
+            continue
+        oracle = radii.class_spec("within", "padmanabhan").oracle_at(a)
+        apollonius = domains.Disk((1.0 + a * a) / (1.0 - a * a), 2.0 * a / (1.0 - a * a))
+        assert domains.make_domain(*oracle.region) == apollonius, a
+        assert verify.INCLUSION_FAMILIES["apollonius_disk"].regions(a)[0] == apollonius, a
 
 
 def test_disk_family_branches_and_flags():

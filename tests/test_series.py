@@ -194,9 +194,6 @@ def test_truncation_preserved_by_operations():
     assert f.dilate(0.5).order == 4
     assert f.hadamard(f).order == 4
     assert f.log_derivative().order == 3
-    assert f.truncate(2).order == 2
-    with pytest.raises(ValueError):
-        f.truncate(9)
 
 
 def test_text_round_trip():

@@ -226,7 +226,7 @@ def test_half_circle_radii_equal_full_circle_on_registry(n):
     # every subordination and disk-family oracle of the registry gives the
     # same float on the half circle as on the full one
     rows = [e for e in radii.constants_registry()
-            if e.oracle is not None and e.oracle.kind != "threshold"]
+            if e.oracle is not None and not isinstance(e.oracle, radii.Threshold)]
     assert len(rows) == 59
 
     def measure():
@@ -258,7 +258,7 @@ def test_half_circle_inclusion_thresholds_match_full_circle():
     # the cardioid's lower half is sampled at other angles than the mirror
     # images of its upper half, so two thresholds move in the last bits
     rows = [e for e in radii.constants_registry()
-            if e.oracle is not None and e.oracle.payload.get("name") == "inclusion"]
+            if isinstance(e.oracle, radii.Threshold) and e.oracle.name == "inclusion"]
 
     def measure():
         return [verify.measure_constant(e, 4096) for e in rows]
@@ -341,19 +341,56 @@ def test_disk_family_radius_bracket_violation_raises(monkeypatch):
             verify.disk_family_radius(center, spread, CARD)
 
 
+def test_oracle_kind_is_derived_from_the_descriptor():
+    # the report's method oracle:<kind> for each descriptor shape
+    center, spread = radii.ratio_disk_family(3, "koebe")
+    kinds = [
+        (radii.Subordination(region=("min_re", 0.25)), "cardioid_into_domain"),
+        (radii.Subordination("second_sum", region=("min_re", 0.0)), "quotient_into_domain"),
+        (radii.Subordination("lune"), "generator_into_cardioid"),
+        (radii.Subordination("order", {"alpha": 0.5}), "generator_into_cardioid"),
+        (radii.Subordination("koebe"), "quotient_into_cardioid"),
+        (radii.DiskFamily(center, spread, ("lune",)), "disk_family"),
+        (radii.Threshold("inclusion", ("conic",)), "threshold"),
+    ]
+    for oracle, kind in kinds:
+        assert oracle.kind == kind, oracle
+    assert {e.oracle.kind for e in radii.constants_registry()
+            if e.oracle is not None} == {kind for _, kind in kinds}
+    # the defaults are the field defaults, and descriptors compare by value
+    assert radii.Subordination() == radii.Subordination("cardioid_extremal", {}, ("cardioid",))
+    assert radii.DiskFamily(center, spread) == radii.DiskFamily(center, spread, ("cardioid",))
+    assert radii.Threshold("max_arg") == radii.Threshold("max_arg", ())
+
+
 def test_oracle_kind_validated():
-    with pytest.raises(ValueError, match="unknown oracle kind"):
-        radii.OracleSpec("quotient_into_nowhere", {"quotient": "koebe"})
+    # the kind is no string to misspell: anything but a descriptor is refused
+    with pytest.raises(TypeError, match="not an oracle descriptor"):
+        verify._measure(("threshold", "max_arg"), 256)
+    with pytest.raises(TypeError, match="not an oracle descriptor"):
+        verify._measure("quotient_into_nowhere", 256)
 
 
 def test_oracle_payloads_use_the_shared_keys():
-    # subordination kinds: quotient, params, region; disk_family: center,
-    # spread, region; threshold: name, args
-    keys = {"disk_family": {"center", "spread", "region"}, "threshold": {"name", "args"}}
+    # subordination: quotient, params, region; disk family: center, spread,
+    # region; threshold: name, args
+    keys = {radii.Subordination: {"quotient", "params", "region"},
+            radii.DiskFamily: {"center", "spread", "region"},
+            radii.Threshold: {"name", "args"}}
     for entry in radii.constants_registry():
-        if entry.oracle is not None:
-            allowed = keys.get(entry.oracle.kind, {"quotient", "params", "region"})
-            assert set(entry.oracle.payload) <= allowed, entry.key
+        oracle = entry.oracle
+        if oracle is None:
+            continue
+        assert type(oracle) in keys, entry.key
+        assert {f.name for f in dataclasses.fields(oracle)} == keys[type(oracle)], entry.key
+        if isinstance(oracle, radii.Threshold):
+            assert isinstance(oracle.name, str) and isinstance(oracle.args, tuple), entry.key
+            continue
+        assert isinstance(oracle.region, tuple) and isinstance(oracle.region[0], str), entry.key
+        if isinstance(oracle, radii.Subordination):
+            assert isinstance(oracle.quotient, str) and isinstance(oracle.params, dict), entry.key
+        else:
+            assert callable(oracle.center) and callable(oracle.spread), entry.key
 
 
 def test_sharpness_touch_examples():
@@ -452,8 +489,8 @@ def test_max_arg_coarse_to_fine_matches_full_grid(n):
 
 def test_inclusion_thresholds_match_registry():
     # every inclusion family with a threshold oracle, against its registry row
-    rows = {e.oracle.payload["args"][0]: e for e in radii.constants_registry()
-            if e.oracle is not None and e.oracle.payload.get("name") == "inclusion"}
+    rows = {e.oracle.args[0]: e for e in radii.constants_registry()
+            if isinstance(e.oracle, radii.Threshold) and e.oracle.name == "inclusion"}
     with_oracle = {name for name, fam in verify.INCLUSION_FAMILIES.items() if fam.bracket}
     assert set(rows) == with_oracle
     for name, entry in rows.items():
@@ -517,7 +554,8 @@ def test_apollonius_positivity_validates_tangency_radius():
     quotient = functions.extremal("cardioid_extremal")
     for alpha in np.linspace(0.1, radii.alpha_knot() - 0.01, 10):
         r = radii.w_alpha(float(alpha))
-        disk = domains.make_domain("disk", *radii._apollonius_disk(float(alpha)))
+        oracle = radii.class_spec("within", "padmanabhan").oracle_at(float(alpha))
+        disk = domains.make_domain(*oracle.region)
         assert verify.image_in_domain(quotient, r, disk).passed, alpha
         assert verify.image_in_domain(quotient, r - 2e-3, disk).passed, alpha
         assert not verify.image_in_domain(quotient, r + 2e-3, disk).passed, alpha
