@@ -60,22 +60,24 @@ class MembershipVerdict:
         return self.verdict == "inside"
 
 
-def _preimage_roots(w):
-    # Solve z^2/2 + z + (1 - w) = 0 for a complex scalar or array w; the
-    # principal square root plus the sign flip covers both branches, and
-    # univalence guarantees at most one root lies in the open disk.
-    s = np.sqrt(2.0 * w - 1.0)
-    return -1.0 + s, -1.0 - s
+def _preimage_root(w):
+    # z^2/2 + z + (1 - w) = 0 has the roots -1 + s and -1 - s, s = sqrt(2w - 1).
+    # NumPy's principal square root has Re s >= 0, so |s - 1| <= |s + 1|:
+    # s - 1 is the root of least modulus, and by univalence the only one
+    # that can lie in the open disk.  Scalar or array w.
+    return np.sqrt(2.0 * w - 1.0) - 1.0
 
 
 def contains(w: complex) -> MembershipVerdict:
     """Classify w against the open image domain via its generator preimage.
 
-    The verdict tolerance acts on the preimage modulus, not on the implicit
-    quartic, which degenerates quartically near the cusp at w = 1/2.
+    The preimage is the one root of least modulus, sqrt(2w - 1) - 1 (see
+    `_preimage_root`; where Re sqrt(2w - 1) = 0 both roots have that
+    modulus and this one is taken).  The verdict tolerance acts on its
+    modulus, not on the implicit quartic, which degenerates quartically
+    near the cusp at w = 1/2.
     """
-    r1, r2 = _preimage_roots(complex(w))
-    z = r1 if abs(r1) <= abs(r2) else r2
+    z = _preimage_root(complex(w))
     m = abs(z)
     near_cusp = abs(w - 0.5) < 1e-6
     if m < 1.0 - _BOUNDARY_EPS:
@@ -86,13 +88,15 @@ def contains(w: complex) -> MembershipVerdict:
 
 
 def preimage_margin(w):
-    """Signed membership margin 1 - min |root|, positive inside, vectorized.
+    """Signed membership margin 1 - |sqrt(2w - 1) - 1|, positive inside,
+    vectorized: 1 minus the modulus of the root of least modulus, which is
+    the one root the principal square root gives (see `_preimage_root`),
+    so the other root is never formed.
 
     Measured in preimage units: near smooth boundary it scales like
     w-distance / |phi'|, near the cusp it is more permissive from inside.
     """
-    r1, r2 = _preimage_roots(np.asarray(w, dtype=complex))
-    m = 1.0 - np.minimum(np.abs(r1), np.abs(r2))
+    m = 1.0 - np.abs(_preimage_root(np.asarray(w, dtype=complex)))
     return m if m.shape else float(m)
 
 

@@ -2,15 +2,19 @@
 
 A normalized function f(z) = z + a2 z^2 + ... + aN z^N is stored through the
 coefficients (a1, ..., aN) of f, which coincide with the Taylor coefficients
-of f(z)/z about 0.  Everything here is plain O(N^2) coefficient recurrence
-arithmetic; N defaults to 32, at which point every quantity handled by this
-package has stabilized far below double precision.
+of f(z)/z about 0.  N defaults to 32, at which point every quantity handled
+by this package has stabilized far below double precision.
 
 The low-level helper `exp_coeffs` operates on ordinary coefficient lists
-c0, c1, ... with the constant term first.  The class
-`PowerSeries` wraps the normalized-function view and provides the quotient
-z f'(z)/f(z), the Hadamard (coefficientwise) product, dilation f(rho z)/rho,
-and the coefficient tests used for membership in the cardioid starlike class.
+c0, c1, ... with the constant term first; its recurrence skips the zero
+terms of its input, so a sparse exponent costs O(N) per coefficient.  The
+class `PowerSeries` wraps the normalized-function view and provides the
+series of the quotient z f'(z)/f(z) (a triangular recurrence whose inner
+sums are numpy dot products), the Hadamard (coefficientwise) product,
+dilation f(rho z)/rho, Horner evaluation at arbitrary points, and the
+coefficient tests used for membership in the cardioid starlike class.
+`circle_log_derivative` evaluates z f'/f on a whole circle grid, for one
+series or a batch, with one inverse FFT.
 """
 
 from __future__ import annotations
@@ -29,21 +33,55 @@ Coeffs = Sequence[complex]
 def exp_coeffs(p: Coeffs) -> list[complex]:
     """exp of a series with zero constant term, same truncation length.
 
-    Uses the recurrence n c_n = sum_{k=1}^{n} k p_k c_{n-k} with c_0 = 1.
+    Uses the recurrence n c_n = sum_{k=1}^{n} k p_k c_{n-k} with c_0 = 1,
+    summed in increasing k over the nonzero p_k only: the products
+    (k p_k) c_{n-k} and their order are those of the full sum.
     """
     if len(p) == 0:
         raise ValueError("empty coefficient list")
     if p[0] != 0:
         raise ValueError("exp_coeffs requires zero constant term")
     n = len(p)
+    terms = [(k, k * complex(p[k])) for k in range(1, n) if p[k] != 0]
     c = [0j] * n
     c[0] = 1.0 + 0j
     for m in range(1, n):
         acc = 0j
-        for k in range(1, m + 1):
-            acc += k * complex(p[k]) * c[m - k]
+        for k, kp in terms:
+            if k > m:
+                break
+            acc += kp * c[m - k]
         c[m] = acc / m
     return c
+
+
+def circle_log_derivative(coeffs, radius: float, n: int) -> np.ndarray:
+    """z f'(z)/f(z) at the n points z_k = radius e^{2 pi i k/n}, k = 0..n-1.
+
+    `coeffs` holds a1..aN of f(z) = a1 z + ... + aN z^N, or a batch of them
+    with shape (..., N); the result has shape (..., n).  On the grid,
+    f(z_k) = n ifft(b)[k] with b_j = a_j radius^j, and z f'(z_k) is the same
+    sum with b_j replaced by j b_j, so both come from one inverse FFT and
+    the factor n cancels in their ratio.  A term of degree j >= n is added
+    to b_{j mod n}, which gives its exact value on the grid, since
+    e^{2 pi i jk/n} depends on j only modulo n.
+    """
+    if n < 1:
+        raise ValueError("the circle grid needs at least one point")
+    a = np.asarray(coeffs, dtype=complex)
+    order = a.shape[-1]
+    j = np.arange(1, order + 1)
+    b = a * radius ** j
+    terms = np.zeros((2,) + a.shape[:-1] + (order + 1,), dtype=complex)   # degrees 0..N
+    terms[0, ..., 1:] = b
+    terms[1, ..., 1:] = j * b
+    for lo in range(n, order + 1, n):
+        high = terms[..., lo:lo + n]
+        terms[..., :high.shape[-1]] += high
+    # numpy imports its fft module on first attribute access, so this is
+    # where it is loaded, not at `import cardstar`; ifft pads to n with zeros
+    f, zf = np.fft.ifft(terms[..., :n], n)
+    return zf / f
 
 
 @dataclass(frozen=True)
@@ -121,12 +159,6 @@ class PowerSeries:
             acc = acc * z + n * self.coeffs[n - 1]
         return acc if acc.shape else complex(acc)
 
-    def eval_log_derivative(self, z):
-        """z f'(z)/f(z) evaluated exactly from the truncated polynomial."""
-        z = np.asarray(z, dtype=complex)
-        out = z * self.eval_derivative(z) / self.eval(z)
-        return out if out.shape else complex(out)
-
     # -- the central quotient -------------------------------------------
 
     def log_derivative(self) -> "LogDerivativeSeries":
@@ -134,17 +166,15 @@ class PowerSeries:
 
         Division is never formed explicitly; with a1 = 1 the recurrence
         w_{n-1} = (n-1) a_n - sum_{k=2}^{n-1} a_k w_{n-k} is well conditioned.
-        Output is truncated to order N-1.
+        It is forward substitution in a unit lower-triangular Toeplitz
+        system, each inner sum one dot product of a row of a with the
+        solved w reversed.  Output is truncated to order N-1.
         """
         self.require_normalized()
-        a = self.coeffs
-        n_out = self.order - 1
-        w = [0j] * n_out
+        a = np.array(self.coeffs)
+        w = np.zeros(self.order - 1, dtype=complex)
         for n in range(2, self.order + 1):
-            acc = (n - 1) * a[n - 1]
-            for k in range(2, n):
-                acc -= a[k - 1] * w[n - k - 1]
-            w[n - 2] = acc
+            w[n - 2] = (n - 1) * a[n - 1] - np.dot(a[1:n - 1], w[:n - 2][::-1])
         return LogDerivativeSeries(tuple(w))
 
 

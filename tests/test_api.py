@@ -2,7 +2,12 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import cardstar
 
@@ -27,6 +32,7 @@ DELETED = (
     "OracleSpec", "ORACLE_KINDS", "_into_cardioid", "_cardioid_into", "_disk_family",
     "_threshold", "gen_order", "gen_ram_singh", "gen_padmanabhan", "_apollonius_disk",
     "_bounded_quotient_ab",
+    "eval_log_derivative", "_preimage_roots",
 )
 
 
@@ -39,9 +45,26 @@ def test_exported_names_resolve_once():
 
 
 def test_deleted_names_stay_deleted():
-    for module in [cardstar] + [importlib.import_module(f"cardstar.{m}") for m in MODULES]:
+    modules = [cardstar] + [importlib.import_module(f"cardstar.{m}") for m in MODULES]
+    for owner in modules + [cardstar.PowerSeries]:
         for name in DELETED:
-            assert not hasattr(module, name), (module.__name__, name)
+            assert not hasattr(owner, name), (owner.__name__, name)
+
+
+def test_import_and_registry_leave_numpy_fft_unloaded():
+    # numpy.fft is loaded on the first grid evaluation of a series, so that
+    # importing the package and building the registry do not pay for it
+    code = ("import sys, numpy; print('numpy.fft' in sys.modules); "
+            "import cardstar; cardstar.radii.constants_registry(); "
+            "print('numpy.fft' in sys.modules)")
+    src = str(Path(cardstar.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True)
+    by_numpy, after_registry = done.stdout.split()
+    if by_numpy == "True":
+        pytest.skip("this numpy loads numpy.fft when it is imported (numpy < 2)")
+    assert after_registry == "False"
 
 
 def test_package_code_has_no_assert():

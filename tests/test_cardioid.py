@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cardstar import cardioid, radii
 
@@ -73,6 +75,58 @@ def test_preimage_and_implicit_agree_on_grid():
     margin = cardioid.preimage_margin(W)
     mask = np.abs(F) > 1e-6
     assert np.array_equal((F < 0)[mask], (margin > 0)[mask])
+
+
+def two_root_preimage(w: complex) -> complex:
+    """The root of least modulus, chosen from both roots -1 +- sqrt(2w - 1)
+    (the first on a tie), as `contains` chose it before it took the one
+    root: the reference for the one-root formula."""
+    s = np.sqrt(2.0 * w - 1.0)
+    r1, r2 = -1.0 + s, -1.0 - s
+    return r1 if abs(r1) <= abs(r2) else r2
+
+
+def two_root_margin(w):
+    """1 - min |root| over both roots, vectorized, as `preimage_margin`
+    computed it before it took the one root."""
+    s = np.sqrt(2.0 * np.asarray(w, dtype=complex) - 1.0)
+    return 1.0 - np.minimum(np.abs(-1.0 + s), np.abs(-1.0 - s))
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+_REALS = st.floats(allow_nan=True, allow_infinity=True)
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+_POINTS = st.one_of(
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    # random points at scales 1e-12 to 1e8
+    st.builds(lambda x, y, e: complex(x * 10.0 ** e, y * 10.0 ** e),
+              st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.integers(-12, 8)),
+    st.builds(complex, _REALS, _SIGNED_ZERO),          # the real axis
+    st.builds(complex, _SIGNED_ZERO, _REALS),          # the imaginary axis
+    st.builds(lambda d: 0.5 + d, st.complex_numbers(max_magnitude=1e-6)),  # the cusp
+)
+_SPECIAL = [0.5 + 0j, complex(0.5, -0.0), 0j, complex(-0.0, -0.0), complex(math.inf, 0.0),
+            complex(-math.inf, -0.0), complex(0.0, math.inf), complex(math.nan, 0.0),
+            complex(math.inf, math.nan), complex(math.nan, math.nan)]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(ws=st.lists(_POINTS, min_size=1, max_size=8))
+@example(ws=_SPECIAL)
+def test_one_root_preimage_matches_two_root_formula(ws):
+    with np.errstate(all="ignore"):
+        # batched and scalar margins, bit for bit
+        assert bits(cardioid.preimage_margin(np.array(ws))) == bits(two_root_margin(ws))
+        for w in ws:
+            assert bits(cardioid.preimage_margin(w)) == bits(two_root_margin(w))
+            z = two_root_preimage(w)
+            verdict = cardioid.contains(w)
+            assert bits(verdict.preimage_modulus) == bits(abs(z))
+            if verdict.inside:
+                assert repr(verdict.preimage) == repr(complex(z))
 
 
 def test_inner_outer_examples():
