@@ -174,7 +174,9 @@ def generator(name: str, **params) -> Callable:
 @dataclass(frozen=True)
 class FunctionSpec:
     """A named analytic quotient w(z) with w(0) = 1; `real` declares
-    w(conj z) = conj w(z), which lets `verify` sample half the circle."""
+    w(conj z) = conj w(z), which lets `verify` sample half the circle.
+    w_of must act elementwise on an array of any shape: a radius search
+    evaluates several radii at once, as a 2-d array with one row each."""
 
     name: str
     w_of: Callable

@@ -636,13 +636,22 @@ def _ratio_class(i: int, chi: str) -> RatioClass:
                          f"chi tags: {', '.join(RATIO_CLASSES)}") from None
 
 
+def _ratio_disk(c: functions.RatioChi, p: functions.RatioP) -> tuple[Callable, Callable]:
+    return c.center, lambda r: c.radius(r) + p.bound(r)
+
+
+# built once, so that one class always gives the same two callables and its
+# `DiskFamily` oracles compare and hash equal
+_RATIO_DISKS = {(i, tag): _ratio_disk(c, p)
+                for tag, c in functions.RATIO_CHI.items() for i, p in functions.RATIO_P.items()}
+
+
 def ratio_disk_family(i: int, chi: str) -> tuple[Callable, Callable]:
     """(center(r), spread(r)) of the quotient disk for the ratio class (i, chi):
     the circle that z chi'/chi draws on |z| = r, widened by the bound of
     u p_i'/p_i on |u| = r."""
     _ratio_class(i, chi)  # raises ValueError for an unknown class
-    c, p = functions.RATIO_CHI[chi], functions.RATIO_P[i]
-    return c.center, lambda r: c.radius(r) + p.bound(r)
+    return _RATIO_DISKS[i, chi]
 
 
 def ratio_class_radius(i: int, chi: str) -> RadiusResult:

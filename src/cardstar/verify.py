@@ -11,10 +11,18 @@ interior spot-check guards against misuse.
 Every radius is found by one search, `_radius`, which returns a certified
 bracket: the circle image of a quotient (`subordination_radius`) or a
 family of disks (`disk_family_radius`) fits on one side and leaves the
-region on the other.  A registry row's oracle descriptor is evaluated in
-one place, `_measure`: a `radii.Threshold` measurement, a `radii.DiskFamily`
-radius or a `radii.Subordination` radius; the partial-sum suite measures its
-registry rows through it too.  Every pass/fail report is built by `_report`.
+region on the other.  On grids of up to 513 points its upward scan
+evaluates 8 radii at a time, one image and one row-wise containment test
+(`Domain.first_failure`) per chunk, and keeps the verdicts up to the first
+failure, which are the ones a scan of one radius at a time reaches.  The
+rows past that failure are never run through a generator image's
+Gauss-Newton distance, and an error that one of them raises sends the
+search back to one radius.
+
+A registry row's oracle descriptor is evaluated in one place, `_measure`:
+a `radii.Threshold` measurement, a `radii.DiskFamily` radius or a
+`radii.Subordination` radius; the partial-sum suite measures its registry
+rows through it too.  Every pass/fail report is built by `_report`.
 
 Each inclusion relation is declared once, in `INCLUSION_FAMILIES`, as its
 region pair p -> (inner, outer).  Its threshold oracle (the sign change of
@@ -47,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -123,14 +131,49 @@ def image_in_domain(spec: FunctionSpec, r: float, d: domains.Domain,
 # functional of z + z^2), where containment is not monotone in r and a
 # single probe near 1 would be fooled.
 _RADIUS_SCAN = tuple(np.linspace(1e-4, 1.0 - 1e-9, 65)[1:].tolist())
+_SCAN_INDEX = {r: k for k, r in enumerate(_RADIUS_SCAN)}
+# scan radii evaluated together, from the one probed on: of 4, 8, 16 and
+# 64, 8 ran the param-sweep benchmark fastest, on the 513-point half grid of
+# 1024 samples.  Grids of more than `_SCAN_ROW_POINTS` points are scanned one
+# radius at a time: at 4096 samples 8 rows of 2049 points made each chunk
+# array a fresh memory map (about 560 page faults a search, 30% slower), and
+# chunks of 2 such rows were still 9% slower than one radius at a time
+_SCAN_CHUNK = 8
+_SCAN_ROW_POINTS = 513
 
 
 # relative bracket width for radii below tol / _RADIUS_REL_TOL
 _RADIUS_REL_TOL = 1e-3
 
+# image(r, e): the circle image of radius r at the unit-circle points e; given
+# a column of k radii, shape (k, 1), its k rows at once
+_Image = Callable[[float | np.ndarray, np.ndarray], np.ndarray]
 
-def _radius(image: Callable[[float, np.ndarray], np.ndarray], d: domains.Domain,
-            n: int, half: bool) -> float:
+
+def _scan_verdicts(image: _Image, d: domains.Domain, e: np.ndarray, near: float,
+                   rs: Sequence[float]) -> dict[float, bool]:
+    """Verdicts of the scan radii rs, from rs[0] up to and including the
+    first failure: the ones a scan of one radius at a time reaches, from one
+    image of all of rs and one `Domain.first_failure`.
+
+    The rows past the first failure are radii that such a scan never
+    evaluates.  So an exception in the chunk, or a floating-point error that
+    the caller's `np.errstate` would not ignore, sends rs[0] alone through
+    the one-radius path instead, where it is raised or reported as before.
+    """
+    errors = []
+    report = {k: "ignore" if v == "ignore" else "call" for k, v in np.geterr().items()}
+    try:
+        with np.errstate(**report, call=lambda *err: errors.append(err)):
+            j = d.first_failure(image(np.array(rs)[:, None], e), near)
+    except Exception:
+        errors.append(None)
+    if errors:
+        return {rs[0]: d.contains_all(image(rs[0], e), near)}
+    return {r: i < j for i, r in enumerate(rs[:j + 1])}
+
+
+def _radius(image: _Image, d: domains.Domain, n: int, half: bool) -> float:
     """Largest r with image(r, e) inside d on the n-point unit circle e, or
     on its closed upper half when `half` (the mirror rule of the module
     docstring).
@@ -142,18 +185,35 @@ def _radius(image: Callable[[float, np.ndarray], np.ndarray], d: domains.Domain,
     result is certified: the image fits at r - width and leaves d at
     r + width, with that width, or the search raises ArithmeticError.  1.0
     means the whole disk fits.
+
+    On a grid of up to `_SCAN_ROW_POINTS` points a probe of a scan radius
+    evaluates it and the next `_SCAN_CHUNK` - 1 scan radii together
+    (`_scan_verdicts`), and keeps their verdicts up to the first failure,
+    which are the ones a scan of one radius at a time reaches;
+    `Domain.first_failure` runs no Gauss-Newton distance on the rows past
+    that failure, where it would be wasted.  The kept verdicts are dropped
+    when the refinement shrinks `near`.  Every other probe, of the
+    bisections and the bracket check, evaluates its one radius.
     """
     near, tol = d.near, DEFAULT_TOL
     e = radii._circle_grid(n, half)[1]
+    known: dict[float, bool] = {}     # scan radius -> verdict at `near`
+    scan = _SCAN_INDEX if e.size <= _SCAN_ROW_POINTS else {}
 
     def ok(r: float) -> bool:
-        return d.contains_all(np.asarray(image(r, e)), near)
+        k = scan.get(r)
+        if k is None:
+            return d.contains_all(image(r, e), near)
+        if r not in known:
+            known.update(_scan_verdicts(image, d, e, near, _RADIUS_SCAN[k:k + _SCAN_CHUNK]))
+        return known[r]
 
     r = radii.bisect_predicate(ok, 1e-4, 1.0, tol=tol, scan=_RADIUS_SCAN,
                                floor=radii.RADIUS_FLOOR)
     width = min(tol, _RADIUS_REL_TOL * r)
     if width < tol:
         near *= width / tol
+        known.clear()
         r = radii.bisect_predicate(ok, 0.5 * r, 2.0 * r, tol=width, floor=radii.RADIUS_FLOOR)
     if r < 1.0 and not (ok(max(r - width, radii.RADIUS_FLOOR))
                         and not ok(min(r + width, 1.0 - 1e-10))):
@@ -172,8 +232,11 @@ def disk_family_radius(center, spread, d: domains.Domain,
                        n: int = DEFAULT_SAMPLES) -> float:
     """Largest r with the disk |w - center(r)| <= spread(r) inside d (see
     `_radius`); on the half circle when d is symmetric, where a center off
-    the real axis raises ValueError."""
-    def image(r: float, e: np.ndarray) -> np.ndarray:
+    the real axis raises ValueError.  center and spread take one radius at
+    a time, in increasing order within a scan chunk."""
+    def image(r, e: np.ndarray) -> np.ndarray:
+        if np.ndim(r):
+            return np.array([image(x, e) for x in r[:, 0].tolist()])
         c = center(r)
         if d.symmetric and complex(c).imag != 0.0:
             raise ValueError("disk family center must be real for a mirror-symmetric region")

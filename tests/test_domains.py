@@ -656,6 +656,37 @@ def test_fast_containment_matches_exact(kind, params, tol, shape, seed):
     assert d.contains_all(ws, tol) == exact, (shape, tol)
 
 
+# every kind of ALL_KINDS, a two-parameter disk and an off-axis disk
+_ROW_KINDS = ALL_KINDS + [("janowski_disk", (0.5, -0.5, 0.8)), ("disk", (1.0, 0.5, 1.0))]
+
+
+@pytest.mark.parametrize("kind, params", _ROW_KINDS)
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(tol=st.sampled_from([0.0, 1e-7, 1e-6]),
+       shapes=st.lists(st.sampled_from(["inside", "edge", "boundary", "nan"]),
+                       min_size=1, max_size=9),
+       seed=st.integers(0, 2**32 - 1))
+def test_first_failure_matches_row_by_row_containment(kind, params, tol, shapes, seed):
+    d = make_domain(kind, *params)
+    rng = np.random.default_rng(seed)
+    rows = np.array([_cloud(d, shape, rng) for shape in shapes])
+    verdicts = [d.contains_all(row, tol) for row in rows]
+    first = verdicts.index(False) if False in verdicts else len(rows)
+    assert d.first_failure(rows, tol) == first, (shapes, tol, verdicts)
+
+
+def test_first_failure_input_contract():
+    d = make_domain("nephroid")
+    with pytest.raises(ValueError, match="2-d array"):
+        d.first_failure(np.ones(4, dtype=complex))
+    with pytest.raises(ValueError, match="need at least one point"):
+        d.first_failure(np.zeros((2, 0), dtype=complex))
+    with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+        d.first_failure(np.ones((2, 4), dtype=complex), -1e-9)
+    # a row of points inside the inscribed disk only, then a non-finite point
+    assert d.first_failure([[1.0, 1.0], [1.0, complex(math.nan, 0.0)], [9.0, 9.0]]) == 1
+
+
 # every make_domain kind, each at parameters that put it on the real axis
 _EVERY_KIND = ALL_KINDS + [("janowski_disk", (0.5, -0.5, 0.8))]
 

@@ -485,6 +485,16 @@ def test_ratio_factors_give_the_radii_and_sharp_functions():
             assert abs(touch - (c - s)) <= 1e-12 * abs(c - s), (i, chi, r)
 
 
+def test_one_ratio_class_gives_one_oracle():
+    # conv.starlike_pair measures the disk family of ratio.f3.koebe, so the
+    # two rows hold equal descriptors, and the 15 ratio classes 15 distinct ones
+    oracles = {e.key: e.oracle for e in constants_registry()}
+    assert oracles["conv.starlike_pair"] == oracles["ratio.f3.koebe"]
+    assert hash(oracles["conv.starlike_pair"]) == hash(oracles["ratio.f3.koebe"])
+    assert radii.ratio_disk_family(3, "koebe") == radii.ratio_disk_family(3, "koebe")
+    assert len({oracles[f"ratio.f{i}.{chi}"] for i, chi in RATIO_DECIMALS}) == 15
+
+
 def test_partial_sum_and_convolution_records():
     rows = {e.key: e.value for e in constants_registry()
             if e.key.startswith(("psum.", "conv."))}

@@ -1,6 +1,7 @@
 """Oracle machinery: containment sampling, bisection, sharpness, suites."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -153,6 +154,84 @@ def test_ratio_disk_family_oracles_pinned(n):
     assert repr(verify.measure_constant(entry, n)) == RATIO_ORACLE_PINS[(3, "koebe")]
 
 
+# sha256 of the repr of every registry oracle's value at 512 samples, one a
+# line in registry order, recorded before the radius scan was evaluated in
+# chunks
+REGISTRY_VALUES_512_SHA256 = "3350b425779d58d25ed6366da438c8a950ec1b9736ea29d42323610a0a962142"
+
+
+def test_registry_values_pinned_bit_for_bit():
+    # repr tells the bits apart
+    values = [repr(verify.measure_constant(e, 512)) for e in radii.constants_registry()
+              if e.oracle is not None]
+    assert len(values) == 73
+    assert hashlib.sha256("\n".join(values).encode()).hexdigest() == REGISTRY_VALUES_512_SHA256
+
+
+def _sequential_radius(image, d: domains.Domain, n: int, half: bool) -> float:
+    """The search of `verify._radius` with one radius a probe, the scan radii
+    included: image(r, e) is the circle image of the one radius r."""
+    near, tol = d.near, verify.DEFAULT_TOL
+    e = radii._circle_grid(n, half)[1]
+
+    def ok(r: float) -> bool:
+        return d.contains_all(image(r, e), near)
+
+    r = radii.bisect_predicate(ok, 1e-4, 1.0, tol=tol, scan=verify._RADIUS_SCAN,
+                               floor=radii.RADIUS_FLOOR)
+    width = min(tol, verify._RADIUS_REL_TOL * r)
+    if width < tol:
+        near *= width / tol
+        r = radii.bisect_predicate(ok, 0.5 * r, 2.0 * r, tol=width, floor=radii.RADIUS_FLOOR)
+    return r
+
+
+STEEP = FunctionSpec("steep", lambda z: 1.0 + 5000.0 * np.asarray(z, dtype=complex))
+# exp(30000 z) overflows from |z| = 0.0237 on, inside the scan's first chunk
+# but past its first failure at 0.0157
+OVERFLOWING = FunctionSpec("overflowing", lambda z: np.exp(30000.0 * np.asarray(z, dtype=complex)))
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+@pytest.mark.parametrize("spec, region, about", [
+    (functions.extremal("cardioid_extremal"), domains.make_domain("cardioid_wide"), 1.0),
+    # psum.convex: the quotient has a pole in the disk, so containment is not
+    # monotone in r
+    (functions.extremal("second_sum_convexity"), domains.make_domain("min_re", 0.0), 0.25),
+    (functions.extremal("cardioid_extremal"), domains.make_domain("nephroid"), 0.527525),
+    (STEEP, domains.Disk(1.0, 0.01), 2e-6),
+    (OVERFLOWING, domains.Disk(1.0, 25.0), math.log(26.0) / 30000.0),
+], ids=["clamped", "non-monotone", "generator-image", "below-1e-3", "overflow-past-failure"])
+def test_chunked_scan_equals_sequential_search(spec, region, about, n):
+    # the same float as a search that probes each scan radius alone, and
+    # under the suite's warning filter no warning from a row past the first
+    # failure
+    r = verify.subordination_radius(spec, region, n)
+    half = spec.real and region.symmetric
+    assert r == _sequential_radius(lambda r, e: spec.w_of(r * e), region, n, half)
+    assert r == pytest.approx(about, rel=1e-3)
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_chunked_disk_family_scan_equals_sequential_search(n):
+    def image(center, spread):
+        return lambda r, e: center(r) + spread(r) * e
+
+    # ratio.f3.koebe
+    center, spread = radii.ratio_disk_family(3, "koebe")
+    r = verify.disk_family_radius(center, spread, CARD, n)
+    assert r == _sequential_radius(image(center, spread), CARD, n, True)
+    assert r == pytest.approx(radii.ratio_class_radius(3, "koebe").value, abs=1e-6)
+    # a center that raises past 0.29, in the chunk of the first failure at
+    # 0.281 but past it
+    center = lambda r: 1.0 + 0.0 * math.sqrt(0.29 - r)  # noqa: E731
+    spread = lambda r: r  # noqa: E731
+    d = domains.Disk(1.0, 0.28)
+    r = verify.disk_family_radius(center, spread, d, n)
+    assert r == _sequential_radius(image(center, spread), d, n, True)
+    assert r == pytest.approx(0.28, abs=1e-6)
+
+
 # the benchmark's param-sweep families, copied from its tables: each class
 # inside the cardioid region, by its extremal's parameter and range, and the
 # cardioid class inside each class's region, by that region and its range
@@ -266,47 +345,80 @@ def test_half_circle_inclusion_thresholds_match_full_circle():
     assert measure() == pytest.approx(_on_full_circle(measure), rel=0.0, abs=1e-15)
 
 
-def _points_seen(monkeypatch, method: str, measure) -> list[int]:
-    # the number of points each call of Domain.<method> receives during measure()
-    sizes = []
-    original = getattr(domains.Domain, method)
+def _rows_seen(monkeypatch, methods: tuple[str, ...], measure) -> list[tuple[int, int]]:
+    # (rows, points a row) of each call of Domain.<method> during measure(),
+    # for each method; a one-dimensional point set is one row
+    calls = []
 
-    def counted(self, ws, *args):
-        sizes.append(int(np.size(ws)))
-        return original(self, ws, *args)
+    def counted(original):
+        def call(self, ws, *args):
+            calls.append(np.atleast_2d(ws).shape)
+            return original(self, ws, *args)
+        return call
 
-    monkeypatch.setattr(domains.Domain, method, counted)
-    measure()
-    monkeypatch.setattr(domains.Domain, method, original)
-    return sizes
+    with monkeypatch.context() as m:
+        for method in methods:
+            m.setattr(domains.Domain, method, counted(getattr(domains.Domain, method)))
+        measure()
+    return calls
 
 
 @pytest.mark.parametrize("n", [512, 1024])
 def test_mirror_rule_evaluates_half_the_points(monkeypatch, n):
     # a deterministic cost guard: a symmetric pair evaluates n//2 + 1 points a
-    # probe, and a pair with a rotated quotient or an off-axis disk all n
+    # row of every probe and every scan chunk, and a pair with a rotated
+    # quotient or an off-axis disk all n
     half = n // 2 + 1
     off_axis = domains.Disk(1.0 + 0.1j, 1.0)
     center, spread = radii.ratio_disk_family(3, "koebe")
+    containment = ("contains_all", "first_failure")
     cases = [
-        ("contains_all", half, lambda: verify.subordination_radius(
+        (containment, half, lambda: verify.subordination_radius(
             functions.extremal("cardioid_extremal"), domains.make_domain("sine"), n=n)),
-        ("contains_all", half, lambda: verify.subordination_radius(
+        (containment, half, lambda: verify.subordination_radius(
             functions.extremal("booth", alpha=0.5), CARD, n=n)),
-        ("contains_all", n, lambda: verify.subordination_radius(
+        (containment, n, lambda: verify.subordination_radius(
             functions.extremal("ratio1_rotated"), CARD, n=n)),
-        ("contains_all", n, lambda: verify.subordination_radius(
+        (containment, n, lambda: verify.subordination_radius(
             functions.extremal("cardioid_extremal"), off_axis, n=n)),
-        ("contains_all", half, lambda: verify.disk_family_radius(center, spread, CARD, n=n)),
-        ("contains_all", n, lambda: verify.disk_family_radius(
+        (containment, half, lambda: verify.disk_family_radius(center, spread, CARD, n=n)),
+        (containment, n, lambda: verify.disk_family_radius(
             lambda r: 1.0 + 0.1j, lambda r: r, off_axis, n=n)),
-        ("margin", half, lambda: verify.INCLUSION_FAMILIES["conic"].threshold(n)),
-        ("margin", half, lambda: verify.INCLUSION_FAMILIES["self_centered_disk"].threshold(n)),
-        ("margin", n, lambda: verify._inclusion_margin(CARD, off_axis, n)),
+        (("margin",), half, lambda: verify.INCLUSION_FAMILIES["conic"].threshold(n)),
+        (("margin",), half, lambda: verify.INCLUSION_FAMILIES["self_centered_disk"].threshold(n)),
+        (("margin",), n, lambda: verify._inclusion_margin(CARD, off_axis, n)),
     ]
-    for method, points, measure in cases:
-        sizes = _points_seen(monkeypatch, method, measure)
-        assert sizes and sizes == [points] * len(sizes), (method, points)
+    for methods, points, measure in cases:
+        calls = _rows_seen(monkeypatch, methods, measure)
+        assert calls and {size for _, size in calls} == {points}, (methods, points)
+        if methods == containment and points <= verify._SCAN_ROW_POINTS:
+            # the scan's chunks of 8 rows are among them
+            assert (verify._SCAN_CHUNK, points) in calls, points
+
+    # a clamped search: the 1e-4 probe and one image per chunk of the scan
+    images = []
+
+    def w_of(z):
+        images.append(np.shape(z))
+        return cardioid.eval_phi(z)
+
+    spec = FunctionSpec("counted", w_of, real=True)
+    assert verify.subordination_radius(spec, domains.make_domain("cardioid_wide"), n=n) == 1.0
+    assert images == [(half,)] + [(verify._SCAN_CHUNK, half)] * 8
+
+
+def test_long_grids_scan_one_radius_at_a_time():
+    # 8 rows of the 2049-point half grid of 4096 samples would be slower than
+    # one radius at a time, so a clamped search evaluates 65 one-row images
+    images = []
+
+    def w_of(z):
+        images.append(np.shape(z))
+        return cardioid.eval_phi(z)
+
+    spec = FunctionSpec("counted", w_of, real=True)
+    assert verify.subordination_radius(spec, domains.make_domain("cardioid_wide")) == 1.0
+    assert images == [(2049,)] * 65
 
 
 def test_disk_family_center_must_be_real_on_a_symmetric_region():
