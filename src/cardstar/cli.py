@@ -78,14 +78,15 @@ def constants_table(samples: int, output_format: str, with_oracle: bool) -> str:
     rows = []
     header = ("key", "value", "method", "published", "oracle", "diff", "flags")
     max_arg = None  # the strong-order row's oracle value, reused by the notes
+    measured: verify.Measured = {}  # each distinct oracle descriptor once
     for entry in radii.constants_registry():
         oracle_val = diff = "-"
         if with_oracle and entry.oracle is not None:
-            measured = verify.measure_constant(entry, samples)
-            oracle_val = f"{measured:.9g}"
-            diff = f"{abs(measured - entry.value):.2e}"
+            value = verify.measure_constant(entry, samples, measured)
+            oracle_val = f"{value:.9g}"
+            diff = f"{abs(value - entry.value):.2e}"
             if entry.key == "incl.strong_order":
-                max_arg = measured
+                max_arg = value
         published = f"{entry.published:.9g}" if entry.published is not None else "-"
         rows.append((entry.key, f"{entry.value:.9g}", entry.method, published,
                      oracle_val, diff, entry.flags or "-"))

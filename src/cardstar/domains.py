@@ -554,33 +554,44 @@ class GeneratorImageRegion(Region):
         straddles a corner; every iterate is a boundary point, so the result
         never undershoots.  Far from the boundary the start can sit at a
         distance maximum, where no step descends, and the result then
-        overestimates."""
-        def curve(t):
-            return self.generator(np.exp(1j * t))
+        overestimates.
 
-        def gauss_newton_step(t, g):
+        Each iteration evaluates psi once, at the trial angles.  The
+        derivative for the next step, psi at both difference angles in one
+        call, is evaluated only on an iteration where some point moved; on
+        the others every step is just halved, as the iterates would read
+        nothing else."""
+        def offset(t):
+            # psi(e^{it}) - w, from each query to its boundary point
+            return self.generator(np.exp(1j * t)) - ws
+
+        def gauss_newton_step(t, d):
             # a derivative error moves the fixed point only in proportion to
             # the distance, so the step can stay far below the angular
             # distance of a query near a corner, where psi' is infinite
-            tp, tm = t + 1e-11, t - 1e-11
-            dg = (curve(tp) - curve(tm)) / (tp - tm)
-            return np.nan_to_num(np.real(np.conj(g - ws) * dg) / np.abs(dg) ** 2)
+            tt = t + np.array([[1e-11], [-1e-11]])
+            g = self.generator(np.exp(1j * tt))
+            dg = (g[0] - g[1]) / (tt[0] - tt[1])
+            return np.nan_to_num(np.real(np.conj(d) * dg) / np.abs(dg) ** 2)
 
         nearest = np.take_along_axis(z, np.argmin(size, axis=0)[None], axis=0)[0]
         t = np.nan_to_num(np.angle(nearest))
         with np.errstate(all="ignore"):
-            g = curve(t)
-            best = np.abs(g - ws)
-            step = gauss_newton_step(t, g)
+            d = offset(t)
+            best = np.abs(d)
+            step = gauss_newton_step(t, d)
             for _ in range(self._REFINE_STEPS):
                 t_try = t - step
-                g_try = curve(t_try)
-                gap = np.abs(g_try - ws)
+                d_try = offset(t_try)
+                gap = np.abs(d_try)
                 closer = gap < best
+                if not closer.any():
+                    step = 0.5 * step
+                    continue
                 t = np.where(closer, t_try, t)
-                g = np.where(closer, g_try, g)
+                d = np.where(closer, d_try, d)
                 best = np.where(closer, gap, best)
-                step = np.where(closer, gauss_newton_step(t, g), 0.5 * step)
+                step = np.where(closer, gauss_newton_step(t, d), 0.5 * step)
         for c in self._singular_values:
             best = np.minimum(best, np.abs(ws - c))
         return best

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -338,13 +338,18 @@ def janowski_radius_in_cardioid(A: float, B: float) -> RadiusResult:
 @dataclass(frozen=True)
 class Subordination:
     """Oracle: the largest r with a quotient's image of |z| < r inside a
-    region.  `quotient` is a `functions.extremal` name, closed over `params`;
+    region.  `quotient` is a `functions.extremal` name, closed over `params`,
+    its (name, value) pairs sorted by name (a dict is accepted and frozen
+    into them, so that equal descriptors hash equal);
     `region` is the `domains.make_domain` arguments.  `kind`, the report's
     method `oracle:<kind>`, is derived from the quotient and the region."""
 
     quotient: str = "cardioid_extremal"
-    params: dict = field(default_factory=dict)
+    params: tuple[tuple[str, float], ...] = ()
     region: tuple = ("cardioid",)
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", tuple(sorted(dict(self.params).items())))
 
     @property
     def kind(self) -> str:

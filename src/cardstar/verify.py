@@ -22,7 +22,12 @@ search back to one radius.
 A registry row's oracle descriptor is evaluated in one place, `_measure`:
 a `radii.Threshold` measurement, a `radii.DiskFamily` radius or a
 `radii.Subordination` radius; the partial-sum suite measures its registry
-rows through it too.  Every pass/fail report is built by `_report`.
+rows through it too.  One invocation measures each distinct descriptor
+once: `run_all_suites` (and the `constants` table) pass a `Measured` dict
+through `measure_constant`, still called once per registry row, and the
+partial-sum suite, so rows with equal descriptors and the suite read the
+first measurement.  Nothing is kept between invocations.  Every pass/fail
+report is built by `_report`.
 
 Each inclusion relation is declared once, in `INCLUSION_FAMILIES`, as its
 region pair p -> (inner, outer).  Its threshold oracle (the sign change of
@@ -453,35 +458,53 @@ def _measure(oracle: radii.Oracle, samples: int) -> float:
         return disk_family_radius(oracle.center, oracle.spread,
                                   domains.make_domain(*oracle.region), n=samples)
     if isinstance(oracle, radii.Subordination):
-        return subordination_radius(functions.extremal(oracle.quotient, **oracle.params),
+        return subordination_radius(functions.extremal(oracle.quotient, **dict(oracle.params)),
                                     domains.make_domain(*oracle.region), n=samples)
     raise TypeError(f"not an oracle descriptor: {oracle!r}")
 
 
-def measure_constant(entry: radii.ConstantEntry, samples: int = DEFAULT_SAMPLES) -> float:
-    """Evaluate the registry entry's oracle descriptor."""
+# (descriptor, samples) -> value, the measurements of one invocation
+Measured = dict[tuple[radii.Oracle, int], float]
+
+
+def _measure_once(oracle: radii.Oracle, samples: int, measured: Measured | None) -> float:
+    """`_measure`, read from `measured` when it holds this descriptor at this
+    sample count, and stored there when it does not."""
+    if measured is None:
+        return _measure(oracle, samples)
+    key = (oracle, samples)
+    if key not in measured:
+        measured[key] = _measure(oracle, samples)
+    return measured[key]
+
+
+def measure_constant(entry: radii.ConstantEntry, samples: int = DEFAULT_SAMPLES,
+                     measured: Measured | None = None) -> float:
+    """Evaluate the registry entry's oracle descriptor, once per distinct
+    descriptor among the calls that share a `measured` dict."""
     if entry.oracle is None:
         raise ValueError(f"registry entry {entry.key} has no oracle")
-    return _measure(entry.oracle, samples)
+    return _measure_once(entry.oracle, samples, measured)
 
 
 def _row_claim(entry: radii.ConstantEntry) -> str:
     return f"{entry.key}: {entry.description}"
 
 
-def verify_all_constants(samples: int = DEFAULT_SAMPLES,
-                         keys: tuple[str, ...] | None = None) -> list[VerificationReport]:
-    """Reproduce every registry constant by its oracle and compare."""
+def verify_all_constants(samples: int = DEFAULT_SAMPLES, keys: tuple[str, ...] | None = None,
+                         measured: Measured | None = None) -> list[VerificationReport]:
+    """Reproduce every registry constant by its oracle and compare; rows
+    with equal descriptors share one measurement through `measured`."""
     reports = []
     for entry in radii.constants_registry():
         if entry.oracle is None or (keys is not None and entry.key not in keys):
             continue
-        measured = measure_constant(entry, samples)
-        diff = abs(measured - entry.value)
+        value = measure_constant(entry, samples, measured)
+        diff = abs(value - entry.value)
         reports.append(_report(
             _row_claim(entry), f"oracle:{entry.oracle.kind}", samples, diff < AGREEMENT_TOL,
-            measured, complex(entry.value), flags=entry.flags,
-            detail=f"formula {entry.value:.9g}, oracle {measured:.9g}, diff {diff:.2e}"))
+            value, complex(entry.value), flags=entry.flags,
+            detail=f"formula {entry.value:.9g}, oracle {value:.9g}, diff {diff:.2e}"))
     return reports
 
 
@@ -556,9 +579,11 @@ def coefficient_suite(seed: int = 0, samples: int = 2048) -> list[VerificationRe
         "series-sampling", samples, worst > -1e-9, worst, witness)]
 
 
-def partial_sum_suite(samples: int = DEFAULT_SAMPLES) -> list[VerificationReport]:
+def partial_sum_suite(samples: int = DEFAULT_SAMPLES,
+                      measured: Measured | None = None) -> list[VerificationReport]:
     """Second-partial-sum radii of the registry's psum rows, measured by their
-    oracles, plus their boundary-touch displays."""
+    oracles (read from `measured` when the registry rows were measured into
+    it), plus their boundary-touch displays."""
     reports = []
     rows = {e.key: e for e in radii.constants_registry()}
     checks = [
@@ -568,10 +593,10 @@ def partial_sum_suite(samples: int = DEFAULT_SAMPLES) -> list[VerificationReport
         ("second-sum dilation bound 1/6 from univalent functions", "psum.from_univalent"),
     ]
     for claim, key in checks:
-        # through _measure, not measure_constant: a suite is not a registry row
-        measured = _measure(rows[key].oracle, samples)
+        # not through measure_constant: a suite is not a registry row
+        value = _measure_once(rows[key].oracle, samples, measured)
         reports.append(_report(claim, "oracle:quotient", samples,
-                               abs(measured - rows[key].value) < AGREEMENT_TOL, measured))
+                               abs(value - rows[key].value) < AGREEMENT_TOL, value))
     touches = [
         ("second_sum", 0.5, -0.5, 0.0),
         ("second_sum", 1.0 / 3.0, -1.0 / 3.0, 0.5),
@@ -610,15 +635,17 @@ def run_all_suites(samples: int = DEFAULT_SAMPLES, seed: int = 0,
                    key_filter: str | None = None) -> list[VerificationReport]:
     """Registry oracles and claim suites.  With `key_filter`, only the claims
     containing it (ignoring case) are reported; registry rows are selected
-    by their claim text before their oracles run, suites after they run."""
+    by their claim text before their oracles run, suites after they run.
+    Each distinct oracle descriptor is measured once per call."""
     keys = None
     if key_filter:
         keys = tuple(e.key for e in radii.constants_registry()
                      if key_filter.lower() in _row_claim(e).lower())
-    reports = verify_all_constants(samples, keys)
+    measured: Measured = {}
+    reports = verify_all_constants(samples, keys, measured)
     reports += inclusion_suite(samples)
     reports += coefficient_suite(seed=seed, samples=min(samples, 2048))
-    reports += partial_sum_suite(samples)
+    reports += partial_sum_suite(samples, measured)
     reports += convolution_suite(min(samples, 2048))
     if key_filter:
         reports = [r for r in reports if key_filter.lower() in r.claim.lower()]

@@ -443,26 +443,29 @@ class _DenseBoundary:
         return out
 
 
+# every generator-image kind, the Booth region at three parameters
+_IMAGE_CASES = [(kind, ()) for kind in ("nephroid", "limacon", "lune", "sine", "rational",
+                                        "rational_lemniscate", "cardioid_wide")]
+_IMAGE_CASES += [("booth", (alpha,)) for alpha in (0.0, 0.4, 0.7)]
+# the corners of the lune and the shifted lemniscate and the cusps of the
+# nephroid, wide cardioid and rational regions
+_CORNERS = {"lune": (1j, -1j), "rational_lemniscate": (math.sqrt(2.0),),
+            "nephroid": (5.0 / 3.0, 1.0 / 3.0), "cardioid_wide": (1.0 / 3.0,),
+            "rational": (2.0 * math.sqrt(2.0) - 2.0,)}
+
+
 def test_generator_region_margin_matches_dense_boundary():
     # sign against an even-odd count and magnitude against the polygon
-    # distance, with extra points around the corners of the lune and the
-    # shifted lemniscate and the cusps of the nephroid, wide cardioid and
-    # rational regions
+    # distance, with extra points around the corners and cusps
     rng = np.random.default_rng(11)
-    special = {"lune": (1j, -1j), "rational_lemniscate": (math.sqrt(2.0),),
-               "nephroid": (5.0 / 3.0, 1.0 / 3.0), "cardioid_wide": (1.0 / 3.0,),
-               "rational": (2.0 * math.sqrt(2.0) - 2.0,)}
-    cases = [(kind, ()) for kind in ("nephroid", "limacon", "lune", "sine", "rational",
-                                     "rational_lemniscate", "cardioid_wide")]
-    cases += [("booth", (alpha,)) for alpha in (0.0, 0.4, 0.7)]
-    for kind, params in cases:
+    for kind, params in _IMAGE_CASES:
         d = make_domain(kind, *params)
         ref = _DenseBoundary(d)
         ring = np.exp(2j * math.pi * rng.uniform(size=(2, 150)))
         pts = [np.asarray(d.boundary(rng.uniform(0.0, 2.0 * math.pi, 150)))
                + 10.0 ** rng.uniform(-6.0, -3.0, 150) * ring[0],
                rng.uniform(-1.0, 3.0, 150) + 1j * rng.uniform(-2.0, 2.0, 150)]
-        for c in special.get(kind, ()):
+        for c in _CORNERS.get(kind, ()):
             pts += [c + 1e-4 * ring[1, :50], c + 1e-3 * ring[1, 50:100]]
         pts = np.concatenate(pts)
         margin = np.asarray(d.margin(pts))
@@ -490,6 +493,89 @@ def test_winding_region_margin_sign():
     # steps in the boundary angle cannot settle
     w = 0.4 + 0.05j
     assert make_domain("cardioid_wide").margin(w) == pytest.approx(abs(w - 1.0 / 3.0), abs=1e-12)
+
+
+def _reference_distance(d, ws, z, size):
+    """The Gauss-Newton distance as first written: the derivative, from two
+    generator calls, and three selections on every iteration, whether or not
+    a point moved.  The kernel must reproduce its iterates bit for bit."""
+    def curve(t):
+        return d.generator(np.exp(1j * t))
+
+    def gauss_newton_step(t, g):
+        tp, tm = t + 1e-11, t - 1e-11
+        dg = (curve(tp) - curve(tm)) / (tp - tm)
+        return np.nan_to_num(np.real(np.conj(g - ws) * dg) / np.abs(dg) ** 2)
+
+    nearest = np.take_along_axis(z, np.argmin(size, axis=0)[None], axis=0)[0]
+    t = np.nan_to_num(np.angle(nearest))
+    with np.errstate(all="ignore"):
+        g = curve(t)
+        best = np.abs(g - ws)
+        step = gauss_newton_step(t, g)
+        for _ in range(d._REFINE_STEPS):
+            t_try = t - step
+            g_try = curve(t_try)
+            gap = np.abs(g_try - ws)
+            closer = gap < best
+            t = np.where(closer, t_try, t)
+            g = np.where(closer, g_try, g)
+            best = np.where(closer, gap, best)
+            step = np.where(closer, gauss_newton_step(t, g), 0.5 * step)
+    for c in d._singular_values:
+        best = np.minimum(best, np.abs(ws - c))
+    return best
+
+
+def _kernel_points(d, kind: str, rng) -> np.ndarray:
+    """Points 1e-10 to 1e-3 from the boundary on either side, far points,
+    and points 1e-9 to 1e-3 from each corner, cusp and singular value."""
+    def ring(k):
+        return np.exp(2j * math.pi * rng.uniform(size=k))
+
+    pts = [np.asarray(d.boundary(rng.uniform(0.0, 2.0 * math.pi, 200)))
+           + 10.0 ** rng.uniform(-10.0, -3.0, 200) * ring(200),
+           rng.uniform(-1.0, 3.0, 100) + 1j * rng.uniform(-2.0, 2.0, 100)]
+    for c in (*_CORNERS.get(kind, ()), *d._singular_values):
+        pts.append(c + 10.0 ** rng.uniform(-9.0, -3.0, 20) * ring(20))
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("kind, params", _IMAGE_CASES)
+def test_distance_kernel_matches_reference_loop(kind, params, monkeypatch):
+    # margins and containment verdicts are those of the loop as first written
+    d = make_domain(kind, *params)
+    pts = _kernel_points(d, kind, np.random.default_rng(29))
+    margin = np.asarray(d.margin(pts))
+    verdicts = [d.contains_all(w, d.near) for w in pts]
+    # some points outside are accepted within `near`, by their distance
+    assert any(v for v, m in zip(verdicts, margin) if m < 0.0), kind
+    monkeypatch.setattr(GeneratorImageRegion, "_distance", _reference_distance)
+    assert np.array_equal(np.asarray(d.margin(pts)), margin), kind
+    assert [d.contains_all(w, d.near) for w in pts] == verdicts, kind
+
+
+def test_distance_kernel_evaluates_derivative_only_when_a_point_moves(monkeypatch):
+    # a cost guard: on one point on the boundary the kernel calls the
+    # generator once to start, once for the first derivative, once per
+    # iteration (12) and once more only on an iteration that moves the
+    # point; the loop as first written makes 1 + 2 + 12 x 3 = 39 calls
+    def generator_calls(d, w: complex, distance) -> int:
+        ws = np.array([w])
+        z, size = d._roots(ws)
+        d._singular_values  # cached before counting
+        calls = []
+        generator = d.generator
+        with monkeypatch.context() as m:
+            m.setattr(d, "generator", lambda z: calls.append(1) or generator(z))
+            distance(d, ws, z, size)
+        return len(calls)
+
+    for kind, params in _IMAGE_CASES:
+        d = make_domain(kind, *params)
+        w = complex(np.asarray(d.boundary(np.array([0.7])))[0])
+        assert generator_calls(d, w, GeneratorImageRegion._distance) <= 18, kind
+        assert generator_calls(d, w, _reference_distance) == 39, kind
 
 
 def test_generator_region_boundary_gap_refinement():

@@ -471,6 +471,10 @@ def test_oracle_kind_is_derived_from_the_descriptor():
             if e.oracle is not None} == {kind for _, kind in kinds}
     # the defaults are the field defaults, and descriptors compare by value
     assert radii.Subordination() == radii.Subordination("cardioid_extremal", {}, ("cardioid",))
+    # a dict of params is frozen into sorted pairs, so descriptors can key a dict
+    janowski = radii.Subordination("janowski", {"B": -0.5, "A": 0.5})
+    assert janowski.params == (("A", 0.5), ("B", -0.5))
+    assert hash(janowski) == hash(radii.Subordination("janowski", (("B", -0.5), ("A", 0.5))))
     assert radii.DiskFamily(center, spread) == radii.DiskFamily(center, spread, ("cardioid",))
     assert radii.Threshold("max_arg") == radii.Threshold("max_arg", ())
 
@@ -500,7 +504,7 @@ def test_oracle_payloads_use_the_shared_keys():
             continue
         assert isinstance(oracle.region, tuple) and isinstance(oracle.region[0], str), entry.key
         if isinstance(oracle, radii.Subordination):
-            assert isinstance(oracle.quotient, str) and isinstance(oracle.params, dict), entry.key
+            assert isinstance(oracle.quotient, str) and isinstance(oracle.params, tuple), entry.key
         else:
             assert callable(oracle.center) and callable(oracle.spread), entry.key
 
@@ -611,6 +615,33 @@ def test_inclusion_thresholds_match_registry():
         assert verify.measure_constant(entry, 4096) == measured, name
 
 
+def test_each_distinct_oracle_measured_once_per_invocation(monkeypatch):
+    # `verify` calls measure_constant once per registry row (the benchmark's
+    # operations) but measures each distinct descriptor once: the rows with
+    # equal descriptors and the partial-sum suite read the first measurement.
+    # Nothing is kept across invocations, so a second one measures again
+    rows, measured = [], []
+    measure_constant, measure = verify.measure_constant, verify._measure
+    monkeypatch.setattr(verify, "measure_constant",
+                        lambda entry, *a: rows.append(entry.key) or measure_constant(entry, *a))
+    monkeypatch.setattr(verify, "_measure",
+                        lambda oracle, n: measured.append(oracle) or measure(oracle, n))
+    registry = [e for e in radii.constants_registry() if e.oracle is not None]
+    distinct = {e.oracle for e in registry}
+    # 3 pairs of rows share a descriptor; the suite's 4 rows are registry rows
+    assert len(registry) == 73 and len(distinct) == 70
+    for invocation in (1, 2):
+        reports = verify.run_all_suites(512)
+        assert all(r.passed or r.flags for r in reports)
+        assert rows == [e.key for e in registry] * invocation
+        assert len(measured) == 70 * invocation and set(measured) == distinct
+    # `constants` measures each distinct descriptor once too
+    rows.clear()
+    measured.clear()
+    cli.constants_table(512, "text", True)
+    assert len(rows) == 73 and len(measured) == 70 and set(measured) == distinct
+
+
 def test_verify_constants_subset_quick():
     keys = ("of.sine", "of.nephroid", "within.ram_singh", "ratio.f1.z",
             "incl.exponential", "within.janowski_M_low")
@@ -626,7 +657,7 @@ def test_agreement_gate_catches_each_shifted_formula(samples, monkeypatch):
     # its value
     registry = radii.constants_registry()
     measured = {e.key: verify.measure_constant(e, samples) for e in registry if e.oracle}
-    monkeypatch.setattr(verify, "measure_constant", lambda entry, n: measured[entry.key])
+    monkeypatch.setattr(verify, "measure_constant", lambda entry, n, *_: measured[entry.key])
     assert all(r.passed for r in verify.verify_all_constants(samples))
     shift = 6e-4
     for i, entry in enumerate(registry):
