@@ -344,4 +344,4 @@ def sine_integral_series(order: int) -> PowerSeries:
         p[k] = sign / (fact * k)
         sign = -sign
         fact *= (k + 1) * (k + 2)
-    return PowerSeries(tuple(exp_coeffs(p)))
+    return PowerSeries._exact(tuple(exp_coeffs(p)))

@@ -124,14 +124,22 @@ def bisect_sign_change(f: Callable[[float], float], lo: float, hi: float,
 
 
 def golden_section_min(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Minimizer of a unimodal f on [lo, hi] by 120 golden-section steps."""
+    """Minimizer of a unimodal f on [lo, hi] by at most 120 golden-section steps.
+
+    The loop stops at the first step that leaves [lo, hi] unchanged: every
+    later step would repeat it, so the result is that of all 120.
+    """
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     for _ in range(120):
         c = hi - inv * (hi - lo)
         d = lo + inv * (hi - lo)
         if f(c) < f(d):
+            if d == hi:
+                break
             hi = d
         else:
+            if c == lo:
+                break
             lo = c
     return 0.5 * (lo + hi)
 

@@ -7,25 +7,41 @@ by this package has stabilized far below double precision.
 
 The low-level helper `exp_coeffs` operates on ordinary coefficient lists
 c0, c1, ... with the constant term first; its recurrence skips the zero
-terms of its input, so a sparse exponent costs O(N) per coefficient.  The
-class `PowerSeries` wraps the normalized-function view and provides the
-series of the quotient z f'(z)/f(z) (a triangular recurrence whose inner
-sums are numpy dot products), the Hadamard (coefficientwise) product,
-dilation f(rho z)/rho, Horner evaluation at arbitrary points, and the
-coefficient tests used for membership in the cardioid starlike class.
-`circle_log_derivative` evaluates z f'/f on a whole circle grid, for one
-series or a batch, with one inverse FFT.
+terms of its input, so the sparse exponents of the class extremals
+(`f_cardioid_series`, `functions.sine_integral_series`) cost O(N) per
+coefficient.  The class `PowerSeries` wraps the normalized-function view
+and provides the Hadamard (coefficientwise) product, dilation f(rho z)/rho,
+Horner evaluation at arbitrary points, the coefficient tests used for
+membership in the cardioid starlike class, and the series of the quotient
+z f'(z)/f(z).  That quotient and its inverse, the reconstruction of f from
+it, are one lower-triangular Toeplitz recurrence (`_solve_toeplitz`),
+solved in blocks of `_BLOCK` unknowns: one `np.convolve` per block adds the
+terms of the earlier blocks, and the few terms inside the block run in
+Python.  `circle_log_derivative` evaluates z f'/f on a whole circle grid,
+for one series or a batch, with one inverse FFT.
+
+Every coefficient tuple holds Python `complex` values.  The public
+constructors convert and validate their input; the results of the
+operations here are built by `_exact`, which stores a tuple of such values
+as it is, without a second conversion or check.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 DEFAULT_ORDER = 32
+# unknowns solved per block by `_solve_toeplitz`: a quotient and its
+# reconstruction at each of the orders 8, 12, ..., 64 took 1.19 ms with 8,
+# 1.21 with 12, 1.25 with 6, 1.29 with 16, 1.36 with 4 and 1.67 with 32
+# (minimum of 9 runs, 2-core x86 VM, Python 3.11, numpy 2.4)
+_BLOCK = 8
 
 Coeffs = Sequence[complex]
 
@@ -55,6 +71,53 @@ def exp_coeffs(p: Coeffs) -> list[complex]:
     return c
 
 
+def _solve_toeplitz(t: np.ndarray, b: np.ndarray, d: np.ndarray, x0: complex) -> list[complex]:
+    """x_0 = x0 and x_j = (b_j + sum_{k=1}^{j} t_k x_{j-k}) / d_j, j = 1..n-1.
+
+    `t`, `b` and `d` are arrays of length n (entry 0 unused).  The unknowns
+    are solved `_BLOCK` at a time: the terms from the earlier blocks come
+    from one 'valid' convolution of t_1..t_{hi-1} with x_0..x_{lo-1}, and
+    the terms inside the block are added in Python, in increasing order of
+    the solved index.  Returns x_0..x_{n-1} as Python complex values.
+    """
+    n = len(b)
+    x = np.empty(n, dtype=complex)
+    x[0] = x0
+    tl, dl = t.tolist(), d.tolist()
+    for lo in range(1, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        acc = (b[lo:hi] + np.convolve(t[1:hi], x[:lo], "valid")).tolist()
+        block = []
+        for m in range(hi - lo):
+            s = acc[m]
+            for i in range(m):
+                s += tl[m - i] * block[i]
+            block.append(s / dl[lo + m])
+        x[lo:hi] = block
+    return x.tolist()
+
+
+def _finite(coeffs, name: str) -> tuple[complex, ...]:
+    """`coeffs` as a tuple of Python complex values, all finite; the error
+    names the first that is not, as `name` with its index from 1."""
+    coeffs = tuple(map(complex, coeffs))
+    if not all(map(cmath.isfinite, coeffs)):
+        n = next(n for n, c in enumerate(coeffs, start=1) if not cmath.isfinite(c))
+        raise ValueError(f"coefficient {name}{n} = {coeffs[n - 1]!r} is not finite")
+    return coeffs
+
+
+def _exact_instance(cls, coeffs: tuple[complex, ...]):
+    """`cls._exact(coeffs)`: an instance holding `coeffs`, a tuple of Python
+    complex values, as it is.  The dataclass `__post_init__` does not run,
+    so nothing is converted or checked: an inf or nan (which an operation
+    whose arithmetic overflows can produce), or for a `PowerSeries` an empty
+    tuple, is stored where the public constructor would raise."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "coeffs", coeffs)
+    return obj
+
+
 def circle_log_derivative(coeffs, radius: float, n: int) -> np.ndarray:
     """z f'(z)/f(z) at the n points z_k = radius e^{2 pi i k/n}, k = 0..n-1.
 
@@ -68,7 +131,11 @@ def circle_log_derivative(coeffs, radius: float, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("the circle grid needs at least one point")
+    if not 0.0 < radius < math.inf:
+        raise ValueError("the circle radius must be positive and finite")
     a = np.asarray(coeffs, dtype=complex)
+    if a.ndim == 0 or a.shape[-1] == 0:
+        raise ValueError("the series needs at least one coefficient")
     order = a.shape[-1]
     j = np.arange(1, order + 1)
     b = a * radius ** j
@@ -86,14 +153,21 @@ def circle_log_derivative(coeffs, radius: float, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Coefficients a1..aN of f(z) = a1 z + a2 z^2 + ... (a1 = 1 when normalized)."""
+    """Coefficients a1..aN of f(z) = a1 z + a2 z^2 + ... (a1 = 1 when normalized).
+
+    `PowerSeries(coeffs)` converts each coefficient to complex and requires
+    at least one, all finite.
+    """
 
     coeffs: tuple[complex, ...]
 
+    _exact = classmethod(_exact_instance)
+
     def __post_init__(self):
-        if len(self.coeffs) < 1:
+        coeffs = _finite(self.coeffs, "a")
+        if not coeffs:
             raise ValueError("a power series needs at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def order(self) -> int:
@@ -132,13 +206,14 @@ class PowerSeries:
         other.require_normalized()
         if self.order != other.order:
             raise ValueError("Hadamard convolution needs equal truncation orders")
-        return PowerSeries(tuple(a * b for a, b in zip(self.coeffs, other.coeffs)))
+        return PowerSeries._exact(tuple(map(operator.mul, self.coeffs, other.coeffs)))
 
     def dilate(self, rho: float) -> "PowerSeries":
         """f(rho z)/rho, i.e. a_n -> a_n rho^(n-1); requires 0 < rho <= 1."""
         if not 0 < rho <= 1:
             raise ValueError("dilation factor must lie in (0, 1]")
-        return PowerSeries(tuple(a * rho**n for n, a in enumerate(self.coeffs)))
+        rho = float(rho)
+        return PowerSeries._exact(tuple(a * rho**n for n, a in enumerate(self.coeffs)))
 
     # -- evaluation ----------------------------------------------------
 
@@ -165,28 +240,31 @@ class PowerSeries:
         """Series of z f'(z)/f(z) - 1, from the recurrence f * (zf'/f) = z f'.
 
         Division is never formed explicitly; with a1 = 1 the recurrence
-        w_{n-1} = (n-1) a_n - sum_{k=2}^{n-1} a_k w_{n-k} is well conditioned.
-        It is forward substitution in a unit lower-triangular Toeplitz
-        system, each inner sum one dot product of a row of a with the
-        solved w reversed.  Output is truncated to order N-1.
+        w_j = j a_{j+1} - sum_{k=1}^{j} a_{k+1} w_{j-k} (w_0 = 0) is well
+        conditioned.  It is `_solve_toeplitz` with t_k = -a_{k+1},
+        b_j = j a_{j+1} and d_j = 1.  Output is truncated to order N-1.
         """
         self.require_normalized()
         a = np.array(self.coeffs)
-        w = np.zeros(self.order - 1, dtype=complex)
-        for n in range(2, self.order + 1):
-            w[n - 2] = (n - 1) * a[n - 1] - np.dot(a[1:n - 1], w[:n - 2][::-1])
-        return LogDerivativeSeries(tuple(w))
+        w = _solve_toeplitz(-a, np.arange(self.order) * a, np.ones(self.order), 0j)
+        return LogDerivativeSeries._exact(tuple(w[1:]))
 
 
 @dataclass(frozen=True)
 class LogDerivativeSeries:
     """Coefficients w1..wM of w(z) = z f'(z)/f(z) - 1 (the constant term of
-    zf'/f is always 1 and is therefore not stored)."""
+    zf'/f is always 1 and is therefore not stored).
+
+    `LogDerivativeSeries(coeffs)` converts each coefficient to complex and
+    requires all of them finite; M = 0 is allowed.
+    """
 
     coeffs: tuple[complex, ...]
 
+    _exact = classmethod(_exact_instance)
+
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", _finite(self.coeffs, "w"))
 
     @property
     def order(self) -> int:
@@ -205,14 +283,17 @@ class LogDerivativeSeries:
         """Reconstruct f = z exp(int (q(t)-1)/t dt) where q = 1 + this series.
 
         Inverse of PowerSeries.log_derivative up to the truncation order.
+        It solves z f' = q f directly: j a_{j+1} = sum_{k=1}^{j} w_k a_{j+1-k}
+        with a_1 = 1, which is `_solve_toeplitz` with t_k = w_k, b = 0 and
+        d_j = j.
         """
         n = order if order is not None else self.order + 1
         if n < 1 or n > self.order + 1:
             raise ValueError(f"order must lie in 1..{self.order + 1}")
-        p = [0j] * n
-        for j in range(1, n):
-            p[j] = self.coeffs[j - 1] / j
-        return PowerSeries(tuple(exp_coeffs(p)))
+        t = np.zeros(n, dtype=complex)
+        t[1:] = self.coeffs[:n - 1]
+        return PowerSeries._exact(tuple(_solve_toeplitz(t, np.zeros(n, dtype=complex),
+                                                        np.arange(n), 1 + 0j)))
 
 
 def f_cardioid_series(order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -225,7 +306,7 @@ def f_cardioid_series(order: int = DEFAULT_ORDER) -> PowerSeries:
         p[1] = 1.0
     if order > 2:
         p[2] = 0.25
-    return PowerSeries(tuple(exp_coeffs(p)))
+    return PowerSeries._exact(tuple(exp_coeffs(p)))
 
 
 def coefficient_condition(f: PowerSeries) -> bool:
@@ -256,6 +337,8 @@ def to_text(f: PowerSeries) -> str:
 
 
 def from_text(text: str) -> PowerSeries:
+    """Parse `to_text` output: one 're im' pair per line, blank lines skipped;
+    the first bad line raises."""
     coeffs = []
     for k, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -270,4 +353,4 @@ def from_text(text: str) -> PowerSeries:
         coeffs.append(c)
     if not coeffs:
         raise ValueError("no coefficients found")
-    return PowerSeries(tuple(coeffs))
+    return PowerSeries._exact(tuple(coeffs))

@@ -31,6 +31,40 @@ def _poly_eval(coeffs, x):
     return acc
 
 
+def reference_golden_section_min(f, lo, hi):
+    """`radii.golden_section_min` as it was: always all 120 steps."""
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(120):
+        c = hi - inv * (hi - lo)
+        d = lo + inv * (hi - lo)
+        if f(c) < f(d):
+            hi = d
+        else:
+            lo = c
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("f, lo, hi, steps", [
+    (lambda x: (x - 0.3) ** 2, 0.0, 1.0, 78),
+    (lambda x: -x, 0.0, 1.0, 77),             # minimum at the right end
+    (lambda x: x, -2.0, 5.0, 79),             # at the left end
+    (lambda x: math.cos(x), 0.0, 2.0 * math.pi, 77),
+    (lambda x: 0.0, 1.0, 2.0, 75),            # flat: every step moves lo
+    # the interval closes on 1e-9 and is one ulp of it wide only at step 120
+    (lambda x: abs(x - 1e-9), 0.0, math.pi, 120),
+])
+def test_golden_section_stops_early_with_the_same_bits(f, lo, hi, steps):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    got = radii.golden_section_min(counted, lo, hi)
+    assert repr(got) == repr(reference_golden_section_min(f, lo, hi))
+    assert len(calls) == 2 * steps
+
+
 # ---------------------------------------------------------------------------
 # root solver
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Series arithmetic: products, exp, the quotient recurrence, convolution."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from cardstar import series
 from cardstar.functions import sine_integral_series
 from cardstar.series import (
     LogDerivativeSeries,
@@ -323,3 +325,221 @@ def test_exp_series_pinned_bit_for_bit():
     for n in range(1, 65):
         assert repr(f_cardioid_series(n).coeffs) == repr(F_CARDIOID_64[:n]), n
     assert repr(sine_integral_series(12).coeffs) == repr(SINE_INTEGRAL_12)
+
+
+# -- the coefficient tuples are built once, bit for bit ---------------------
+
+def reference_hadamard(f, g):
+    """`PowerSeries.hadamard` as it was before the unchecked constructor."""
+    return tuple(complex(c) for c in tuple(a * b for a, b in zip(f.coeffs, g.coeffs)))
+
+
+def reference_dilate(f, rho):
+    return tuple(complex(c) for c in tuple(a * rho**n for n, a in enumerate(f.coeffs)))
+
+
+def reference_to_text(f):
+    return "\n".join(f"{c.real!r} {c.imag!r}" for c in f.coeffs) + "\n"
+
+
+def reference_from_text(text):
+    """`from_text` as it was before the unchecked constructor."""
+    coeffs = []
+    for k, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"expected 're im' pair, got {line!r}")
+        c = complex(float(parts[0]), float(parts[1]))
+        if not cmath.isfinite(c):
+            raise ValueError(f"line {k}: coefficient {line!r} is not finite")
+        coeffs.append(c)
+    if not coeffs:
+        raise ValueError("no coefficients found")
+    return tuple(complex(c) for c in coeffs)
+
+
+def _rough_series(rng, order, scale=1.0):
+    raw = scale * (rng.uniform(-1, 1, order - 1) + 1j * rng.uniform(-1, 1, order - 1))
+    # signed zeros and tiny and huge parts tell apart more bits
+    if order > 3:
+        raw[1] = complex(-0.0, 0.0)
+        raw[2] = complex(5e-324, -1e300)
+    return PowerSeries((1.0,) + tuple(raw))
+
+
+def test_operations_bit_identical_to_reference_copies():
+    rng = np.random.default_rng(12)
+    for order in (1, 2, 3, 8, 33, 64):
+        for _ in range(5):
+            f, g = _rough_series(rng, order), _rough_series(rng, order, 0.01)
+            assert repr(f.hadamard(g).coeffs) == repr(reference_hadamard(f, g))
+            for rho in (1.0, 1, 0.7, 1.0 / 3.0, 5e-5, float(rng.uniform())):
+                assert repr(f.dilate(rho).coeffs) == repr(reference_dilate(f, rho))
+            text = to_text(f)
+            assert text == reference_to_text(f)
+            assert repr(from_text(text).coeffs) == repr(reference_from_text(text))
+    # layouts `to_text` does not write: blank and padded lines, tabs, CRLF
+    for text in ("1 0\n\n  -0.0\t2.5e-3 \r\n3 -0\n\n", "1_0 +.5\n", "1e0 0e0\n 1E-308 -1e308\n"):
+        assert repr(from_text(text).coeffs) == repr(reference_from_text(text))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "no coefficients found"),
+    ("\n  \n\t\n", "no coefficients found"),
+    ("1.0\n", "expected 're im' pair, got '1.0'"),
+    ("1 0\n  2 3 4  \n", "expected 're im' pair, got '2 3 4'"),
+    ("1 0\nnan 0\n1 2 3\n", "line 2: coefficient 'nan 0' is not finite"),
+    ("1 0\n1 2 3\nnan 0\n", "expected 're im' pair, got '1 2 3'"),
+    ("1 0\n\n 0  inf \n", "line 3: coefficient '0  inf' is not finite"),
+    ("1 0\ninf 0\nx 0\n", "line 2: coefficient 'inf 0' is not finite"),
+    ("1 0\nx 0\ninf 0\n", "could not convert string to float: 'x'"),
+    ("1 0\n1e999 0\n", "line 2: coefficient '1e999 0' is not finite"),
+])
+def test_from_text_error_texts_pinned(text, message):
+    # the first bad line decides, as in the line-by-line reference
+    with pytest.raises(ValueError) as got:
+        from_text(text)
+    with pytest.raises(ValueError) as ref:
+        reference_from_text(text)
+    assert str(got.value) == str(ref.value) == message
+
+
+def _all_results(order):
+    rng = np.random.default_rng(order)
+    f = _rough_series(rng, order, 0.01)
+    g = PowerSeries.koebe(order)
+    w = f.log_derivative()
+    return {
+        "PowerSeries": f, "identity": PowerSeries.identity(order), "koebe": g,
+        "half_plane": PowerSeries.half_plane(order),
+        "ints": PowerSeries(tuple(range(1, order + 1))),
+        "numpy": PowerSeries(np.arange(1, order + 1, dtype=float)),
+        "hadamard": f.hadamard(g), "dilate": f.dilate(0.5), "dilate_numpy": f.dilate(np.float64(0.5)),
+        "from_text": from_text(to_text(f)), "log_derivative": w,
+        "LogDerivativeSeries": LogDerivativeSeries(np.ones(order)),
+        "integrate": w.integrate_to_function(), "integrate_1": w.integrate_to_function(1),
+        "f_cardioid": f_cardioid_series(order), "sine_integral": sine_integral_series(order),
+    }
+
+
+@pytest.mark.parametrize("order", [1, 2, 9, 40])
+def test_every_coefficient_is_a_python_complex(order):
+    for name, s in _all_results(order).items():
+        assert all(type(c) is complex for c in s.coeffs), name
+        assert type(s.coeffs) is tuple, name
+
+
+def test_operations_skip_the_validating_constructor(monkeypatch):
+    f = _rough_series(np.random.default_rng(3), 40, 0.01)
+    w, text, g = f.log_derivative(), to_text(f), PowerSeries.koebe(40)
+    calls = []
+    check = PowerSeries.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(PowerSeries, "__post_init__", counted)
+    monkeypatch.setattr(LogDerivativeSeries, "__post_init__", counted)
+    f.hadamard(g)
+    f.dilate(0.5)
+    from_text(text)
+    f.log_derivative()
+    w.integrate_to_function()
+    assert calls == []
+    PowerSeries((1.0, 0.5))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("coeffs, index", [
+    ((1.0, math.nan), 2), ((complex(math.inf, 0.0),), 1),
+    ((1.0, 0.5, complex(0.0, -math.inf), math.nan), 3),
+])
+def test_series_rejects_nonfinite_coefficients(coeffs, index):
+    with pytest.raises(ValueError, match=f"coefficient a{index} = .* is not finite"):
+        PowerSeries(coeffs)
+    # nor can a non-finite quotient series rebuild one without a check
+    with pytest.raises(ValueError, match=f"coefficient w{index} = .* is not finite"):
+        LogDerivativeSeries(coeffs)
+
+
+def test_series_rejects_empty_coefficients():
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        PowerSeries(())
+
+
+# -- the one blockwise recurrence --------------------------------------------
+
+def reference_forward_substitution(t, b, d, x0):
+    x = [complex(x0)]
+    for j in range(1, len(b)):
+        s = complex(b[j])
+        for k in range(1, j + 1):
+            s += complex(t[k]) * x[j - k]
+        x.append(s / d[j])
+    return x
+
+
+@pytest.mark.parametrize("n", range(1, 71))
+def test_blockwise_recurrence_matches_forward_substitution(n):
+    # orders 1 to 70 cross the block boundaries 9, 17, ..., 65
+    rng = np.random.default_rng(n)
+    t = 0.3 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    b = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    for d, x0 in ((np.ones(n), 0j), (np.arange(n), 1 + 0j), (rng.uniform(1, 2, n), 0.5 - 2j)):
+        got = series._solve_toeplitz(t, b, d, x0)
+        ref = reference_forward_substitution(t, b, d, x0)
+        assert len(got) == n
+        assert all(type(c) is complex for c in got)
+        assert got[0] == x0
+        scale = max(1.0, max(abs(c) for c in ref))
+        assert max(abs(p - q) for p, q in zip(got, ref)) < 1e-14 * scale, (n, d[:2])
+
+
+def test_blockwise_recurrence_rounds_like_the_sequential_sum_in_one_block():
+    # inside the first block every term is added in Python: bit for bit
+    rng = np.random.default_rng(9)
+    n = series._BLOCK + 1
+    t = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    b = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    d = np.arange(n)
+    got = series._solve_toeplitz(t, b, d, 1 + 0j)
+    x = [1 + 0j]
+    for j in range(1, n):
+        s = complex(b[j]) + complex(t[j]) * x[0]
+        for i in range(1, j):
+            s += complex(t[j - i]) * x[i]
+        x.append(s / j)
+    assert repr(got) == repr(x)
+
+
+def test_quotient_and_reconstruction_match_forward_substitution():
+    rng = np.random.default_rng(4)
+    for order in (1, 2, 8, 9, 16, 17, 64, 70):
+        f = PowerSeries((1.0,) + tuple(0.05 * (rng.uniform(-1, 1, order - 1)
+                                               + 1j * rng.uniform(-1, 1, order - 1))))
+        a = f.coeffs
+        w = reference_forward_substitution([0j] + [-c for c in a[1:]],
+                                           [j * a[j] for j in range(order)], [1] * order, 0j)
+        assert np.allclose(f.log_derivative().coeffs, w[1:], rtol=0, atol=1e-14)
+        q = LogDerivativeSeries(tuple(w[1:]))
+        back = reference_forward_substitution([0j] + list(w[1:]), [0j] * order,
+                                              list(range(order)), 1 + 0j)
+        assert np.allclose(q.integrate_to_function().coeffs, back, rtol=0, atol=1e-14)
+
+
+# -- the grid evaluator's input ---------------------------------------------
+
+@pytest.mark.parametrize("coeffs", [(), np.zeros(0), np.zeros((3, 0)), 1.0])
+def test_grid_quotient_rejects_empty_coefficients(coeffs):
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        circle_log_derivative(coeffs, 0.5, 16)
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.5, math.nan, math.inf, -math.inf])
+def test_grid_quotient_rejects_bad_radius(radius):
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        circle_log_derivative((1.0, 0.5), radius, 16)

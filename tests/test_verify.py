@@ -541,6 +541,21 @@ def test_convolution_membership():
         verify.convolution_membership_check(koebe, koebe, 1.5)
 
 
+def test_max_arg_search_stops_at_its_first_unchanged_step(monkeypatch):
+    # the golden-section interval stops shrinking at step 77 of 120, so the
+    # search makes 2 * 77 boundary evaluations plus one for the value
+    calls = []
+    phi = cardioid.eval_phi
+
+    def counted(z):
+        calls.append(z)
+        return phi(z)
+
+    monkeypatch.setattr(cardioid, "eval_phi", counted)
+    assert repr(verify.measured_max_arg_order()) == "0.7412918697654987"
+    assert len(calls) == 2 * 77 + 1
+
+
 def test_threshold_measurements():
     assert verify.measured_max_arg_order() == pytest.approx(radii.beta_zero(), abs=1e-9)
     assert repr(verify.measured_max_arg_order()) == "0.7412918697654987"
