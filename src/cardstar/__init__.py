@@ -15,7 +15,7 @@ from .cardioid import (
     min_re_on_circle,
     max_re_on_circle,
 )
-from .domains import Domain, Disk, CardioidDomain, make_domain
+from .domains import Domain, Disk, make_domain
 from .functions import FunctionSpec, generator, extremal
 from .radii import (
     RadiusResult,
@@ -39,7 +39,7 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CardioidDomain", "ConstantEntry", "Disk", "Domain", "FunctionSpec",
+    "ConstantEntry", "Disk", "Domain", "FunctionSpec",
     "LogDerivativeSeries", "PowerSeries", "RadiusResult", "VerificationReport",
     "coefficient_condition", "constants_registry", "convolution_membership_check",
     "eval_phi", "extremal", "f_cardioid_series", "generator", "image_in_domain",

@@ -77,16 +77,13 @@ def reports_table(reports: list[verify.VerificationReport], output_format: str) 
 def constants_table(samples: int, output_format: str, with_oracle: bool) -> str:
     rows = []
     header = ("key", "value", "method", "published", "oracle", "diff", "flags")
-    max_arg = None  # the strong-order row's oracle value, reused by the notes
-    measured: verify.Measured = {}  # each distinct oracle descriptor once
+    measured: verify.Measured = {}  # each distinct oracle descriptor once, the notes' too
     for entry in radii.constants_registry():
         oracle_val = diff = "-"
         if with_oracle and entry.oracle is not None:
             value = verify.measure_constant(entry, samples, measured)
             oracle_val = f"{value:.9g}"
             diff = f"{abs(value - entry.value):.2e}"
-            if entry.key == "incl.strong_order":
-                max_arg = value
         published = f"{entry.published:.9g}" if entry.published is not None else "-"
         rows.append((entry.key, f"{entry.value:.9g}", entry.method, published,
                      oracle_val, diff, entry.flags or "-"))
@@ -96,8 +93,8 @@ def constants_table(samples: int, output_format: str, with_oracle: bool) -> str:
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
     lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in table]
     bz = radii.beta_zero_candidates()
-    if max_arg is None:
-        max_arg = verify.measured_max_arg_order()
+    # the strong-order row's oracle value, measured above unless --no-oracle
+    max_arg = verify._measure_once(radii.Threshold("max_arg"), samples, measured)
     lines.append("")
     lines.append("notes:")
     lines.append(f"  strong-order candidates: statement form {bz['statement_form']:.9g}, "
@@ -128,12 +125,12 @@ def _image_circle(w_of, r: float, n: int) -> np.ndarray:
 
 
 def _cardioid_curve(n: int) -> dict:
-    return _curve("cardioid", _boundary_pts(domains.CardioidDomain(), n))
+    return _curve("cardioid", _boundary_pts(domains.make_domain("cardioid"), n))
 
 
 def _lemma_disks(a: float):
     def build(n: int) -> list[dict]:
-        card = domains.CardioidDomain()
+        card = domains.make_domain("cardioid")
         r_in, r_out = cardioid.inner_outer_radii(a)
         return [
             _cardioid_curve(n),
@@ -168,7 +165,7 @@ def _subdisk_image(gen_name: str):
         return [_cardioid_curve(n),
                 _curve(f"{gen_name}_subdisk_image",
                        _image_circle(functions.generator(gen_name), r, n),
-                       outer=domains.CardioidDomain())]
+                       outer=domains.make_domain("cardioid"))]
     return build
 
 
@@ -176,7 +173,7 @@ def _univalent_p_disk(n: int) -> list[dict]:
     w = functions.extremal("koebe").w_of
     return [_cardioid_curve(n),
             _curve("half_plane_quotient_subdisk", _image_circle(w, 1.0 / 3.0, n),
-                   outer=domains.CardioidDomain())]
+                   outer=domains.make_domain("cardioid"))]
 
 
 def _sharpness_s2_s3_s7_s8(n: int) -> list[dict]:
@@ -194,7 +191,7 @@ def _sharpness_s2_s3_s7_s8(n: int) -> list[dict]:
 def _scar_in_psi_c(n: int) -> list[dict]:
     outer = domains.make_domain("cardioid_wide")
     return [_curve("wide_cardioid", _boundary_pts(outer, n)),
-            _curve("cardioid_inside_wide", _boundary_pts(domains.CardioidDomain(), n),
+            _curve("cardioid_inside_wide", _boundary_pts(domains.make_domain("cardioid"), n),
                    outer=outer)]
 
 

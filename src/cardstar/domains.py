@@ -18,14 +18,14 @@ a `Domain` with five capabilities:
   * ``boundary_gap(w)`` -- high-accuracy distance-like gap used by the
                        sharpness (boundary touch) checks.
 
-There are four classes of region:
+There are three classes of region:
 
-  * the cardioid, the image of the unit disk under `cardioid.eval_phi`,
-    with its margin in preimage units (1 - |z|);
   * disks, the images of center + radius z;
-  * the nine regions with a defining inequality (two half-planes, sectors,
-    conics, the exponential / lemniscate / Cassinian / sigmoid / cosh
-    regions);
+  * the ten regions with a defining inequality: the cardioid, the image of
+    the unit disk under `cardioid.eval_phi`, with its margin
+    1 - |sqrt(2w - 1) - 1| in preimage units (1 - |z|); two half-planes,
+    sectors, conics, and the exponential / lemniscate / Cassinian / sigmoid
+    / cosh regions;
   * generator images -- the nephroid, limacon, lune, sine, the rational and
     shifted-lemniscate generators, the wide cardioid and the Booth curve --
     classified by subordination: w is inside when a root of psi(z) = w lies
@@ -34,15 +34,16 @@ There are four classes of region:
 
 Each kind of the last two classes is one row of `_REGIONS`: its
 `Parameter`, the one declaration of its range, which the `radii` class rows
-over the same family share; its inscribed radius; and either its margin,
+over the same family share; its inscribed disk; and either its margin,
 description and own curve (`InequalityRegion`) or its generator's inverse,
 singular points and branch rule (`GeneratorImageRegion`).  Each class
 declares ``near``, the boundary tolerance in the unit of its margin.
 
 The cardioid, the generator images other than the shifted lemniscate, and
 the sigmoid and cosh regions also carry ``inscribed``, a disk certified to
-lie inside the open region: the paper's disk lemma for the cardioid, a
-closed-form distance from psi(0) = 1 to the boundary for the others.
+lie inside the open region: the paper's disk lemma |w - 3/2| < 1 for the
+cardioid, a closed-form distance from psi(0) = 1 to the boundary for the
+others.
 The containment test accepts the points strictly inside that disk with
 one `abs` each and runs the exact test on the rest only.  Every accepted
 point has an exact margin > 0, and the exact tests decide point by point,
@@ -210,23 +211,6 @@ class Domain:
         return self.kind
 
 
-class CardioidDomain(Domain):
-    """Image of the unit disk under 1 + z + z^2/2 (open region)."""
-
-    kind = "cardioid"
-
-    def __init__(self):
-        # the paper's lemma: |w - 3/2| < r_{3/2} = 1 lies inside the region
-        r_in, _ = cardioid.inner_outer_radii(1.5)
-        self.inscribed = (1.5, r_in - _INSCRIBED_GUARD)
-
-    def _margin(self, w):
-        return cardioid.preimage_margin(w)
-
-    def generator(self, z):
-        return cardioid.eval_phi(z)
-
-
 @dataclass(frozen=True)
 class Disk(Domain):
     """Open disk; a zero radius (degenerate point, empty interior) is allowed
@@ -361,12 +345,13 @@ class Parameter:
 @dataclass(frozen=True)
 class _Kind:
     """One region kind: its parameter, if any, the radius of a disk about
-    psi(0) = 1 inside it (for a generator image, min |psi(e^{it}) - 1|), and
-    either its inequality (`InequalityRegion`) or its generator's inverse
-    (`GeneratorImageRegion`)."""
+    `center` inside it (about psi(0) = 1 for a generator image, where it is
+    min |psi(e^{it}) - 1|), and either its inequality (`InequalityRegion`)
+    or its generator's inverse (`GeneratorImageRegion`)."""
 
     param: Parameter | None = None
     inradius: Callable[..., float] | None = None
+    center: float = 1.0                    # of the inscribed disk
     margin: Callable | None = None         # (w, *params) -> signed margin
     text: str = ""                         # `describe` format over the parameter names
     curve: Callable | None = None          # (t, *params) -> boundary, if not a generator's
@@ -381,10 +366,16 @@ class _Kind:
         return (self.param.name,) if self.param else ()
 
 
-# Of the inequality regions only the sigmoid and cosh regions, whose margins
-# take complex logarithms, were measured to gain from an inscribed disk.  The
-# shifted lemniscate has no closed form for one and keeps none.
+# Of the other inequality regions only the sigmoid and cosh regions, whose
+# margins take complex logarithms, were measured to gain from an inscribed
+# disk.  The shifted lemniscate has no closed form for one and keeps none.
 _REGIONS: dict[str, _Kind] = {
+    # the paper's region, the image of 1 + z + z^2/2: |sqrt(2w - 1) - 1| < 1,
+    # with its margin in preimage units (1 - |z|)
+    "cardioid": _Kind(
+        margin=cardioid.preimage_margin, text="cardioid",
+        # the paper's lemma: |w - 3/2| < r_{3/2} = 1 lies inside the region
+        center=1.5, inradius=lambda: cardioid.inner_outer_radii(1.5)[0]),
     # the region of functions with bounded turning quotient
     "bounded_re": _Kind(
         Parameter("beta", "bounded-real-part parameter", "(1, inf)"),
@@ -491,7 +482,7 @@ class Region(Domain):
         self.params = params
         self._row = row
         if row.inradius is not None:
-            self.inscribed = (1.0, row.inradius(*params) - _INSCRIBED_GUARD)
+            self.inscribed = (row.center, row.inradius(*params) - _INSCRIBED_GUARD)
 
     def generator(self, z):
         """The kind's `functions` generator, which draws the boundary of
@@ -654,7 +645,6 @@ def _disk(cx: float, cy: float, r: float) -> Disk:
 # every region kind with its constructor and the names of its parameters, in
 # the order that the unknown-kind message lists them
 _KINDS: dict[str, tuple[Callable[..., Domain], tuple[str, ...]]] = {
-    "cardioid": (CardioidDomain, ()),
     "disk": (_disk, ("cx", "cy", "r")),
     **{kind: (partial(InequalityRegion, kind), row.params)
        for kind, row in _REGIONS.items() if row.margin is not None},

@@ -465,7 +465,8 @@ def _corollary(tag: str) -> Callable[[float], RadiusResult]:
 
 
 def _janowski_region(tag: str, p: float) -> tuple:
-    # the `make_domain` arguments of the corollary's region, the [A, B] disk
+    # the `make_domain` arguments of the corollary's region, the [A, B] disk:
+    # |w - 1| < 1 - a for ram_singh, |(w-1)/(w+1)| < a for padmanabhan
     return ("janowski_disk", *functions.JANOWSKI_AB[tag](p), 1.0)
 
 

@@ -23,7 +23,8 @@ for one series or a batch, with one inverse FFT.
 Every coefficient tuple holds Python `complex` values.  The public
 constructors convert and validate their input; the results of the
 operations here are built by `_exact`, which stores a tuple of such values
-as it is, without a second conversion or check.
+as it is, without a second conversion or check; the quotient recurrences
+raise OverflowError rather than store an overflowed coefficient.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def exp_coeffs(p: Coeffs) -> list[complex]:
     return c
 
 
-def _solve_toeplitz(t: np.ndarray, b: np.ndarray, d: np.ndarray, x0: complex) -> list[complex]:
+def _solve_toeplitz(t: np.ndarray, b: np.ndarray, d: np.ndarray, x0: complex,
+                    name: str = "x", first: int = 0) -> list[complex]:
     """x_0 = x0 and x_j = (b_j + sum_{k=1}^{j} t_k x_{j-k}) / d_j, j = 1..n-1.
 
     `t`, `b` and `d` are arrays of length n (entry 0 unused).  The unknowns
@@ -79,6 +81,12 @@ def _solve_toeplitz(t: np.ndarray, b: np.ndarray, d: np.ndarray, x0: complex) ->
     from one 'valid' convolution of t_1..t_{hi-1} with x_0..x_{lo-1}, and
     the terms inside the block are added in Python, in increasing order of
     the solved index.  Returns x_0..x_{n-1} as Python complex values.
+
+    Raises OverflowError when the arithmetic overflows, naming the first
+    non-finite x_j as the coefficient `name` with index j + `first`.  Every
+    product t_k x_{j-k} is summed, zero factors included, so a non-finite
+    x_i makes every later x_j non-finite, and a finite x_{n-1} shows that
+    all of them are finite.
     """
     n = len(b)
     x = np.empty(n, dtype=complex)
@@ -94,6 +102,9 @@ def _solve_toeplitz(t: np.ndarray, b: np.ndarray, d: np.ndarray, x0: complex) ->
                 s += tl[m - i] * block[i]
             block.append(s / dl[lo + m])
         x[lo:hi] = block
+    if n > 1 and not cmath.isfinite(block[-1]):
+        j = int(np.argmin(np.isfinite(x)))
+        raise OverflowError(f"coefficient {name}{j + first} = {complex(x[j])!r} overflows")
     return x.tolist()
 
 
@@ -110,9 +121,10 @@ def _finite(coeffs, name: str) -> tuple[complex, ...]:
 def _exact_instance(cls, coeffs: tuple[complex, ...]):
     """`cls._exact(coeffs)`: an instance holding `coeffs`, a tuple of Python
     complex values, as it is.  The dataclass `__post_init__` does not run,
-    so nothing is converted or checked: an inf or nan (which an operation
-    whose arithmetic overflows can produce), or for a `PowerSeries` an empty
-    tuple, is stored where the public constructor would raise."""
+    so nothing is converted or checked: an inf or nan (which `hadamard` can
+    produce when its products overflow; the quotient recurrences raise
+    instead), or for a `PowerSeries` an empty tuple, is stored where the
+    public constructor would raise."""
     obj = object.__new__(cls)
     object.__setattr__(obj, "coeffs", coeffs)
     return obj
@@ -246,7 +258,7 @@ class PowerSeries:
         """
         self.require_normalized()
         a = np.array(self.coeffs)
-        w = _solve_toeplitz(-a, np.arange(self.order) * a, np.ones(self.order), 0j)
+        w = _solve_toeplitz(-a, np.arange(self.order) * a, np.ones(self.order), 0j, "w", 0)
         return LogDerivativeSeries._exact(tuple(w[1:]))
 
 
@@ -293,7 +305,7 @@ class LogDerivativeSeries:
         t = np.zeros(n, dtype=complex)
         t[1:] = self.coeffs[:n - 1]
         return PowerSeries._exact(tuple(_solve_toeplitz(t, np.zeros(n, dtype=complex),
-                                                        np.arange(n), 1 + 0j)))
+                                                        np.arange(n), 1 + 0j, "a", 1)))
 
 
 def f_cardioid_series(order: int = DEFAULT_ORDER) -> PowerSeries:

@@ -352,7 +352,7 @@ def measured_series_coefficient(index: int) -> float:
 # inclusion relations
 # ---------------------------------------------------------------------------
 
-_CARDIOID = domains.CardioidDomain()
+_CARDIOID = domains.make_domain("cardioid")
 
 
 @lru_cache(maxsize=4)
@@ -371,11 +371,6 @@ def _inclusion_margin(inner: domains.Domain, outer: domains.Domain, n: int) -> f
     t = radii._circle_grid(n, inner.symmetric and outer.symmetric)[0]
     w = _cardioid_boundary(n)[: t.size] if inner is _CARDIOID else np.asarray(inner.boundary(t))
     return float(np.min(outer.margin(w)))
-
-
-def _corollary_disk(tag: str, p: float) -> domains.Disk:
-    # the [A, B] disk of a corollary: |w - 1| < 1 - a, |(w-1)/(w+1)| < a
-    return domains.janowski_disk(*functions.JANOWSKI_AB[tag](p), 1.0)
 
 
 @dataclass(frozen=True)
@@ -416,7 +411,8 @@ INCLUSION_FAMILIES: dict[str, InclusionFamily] = {
     "self_centered_disk": InclusionFamily(lambda m: (_CARDIOID, domains.Disk(m, m)), True,
                                           (1.0, 2.4)),
     "in_apollonius_disk": InclusionFamily(
-        lambda a: (_CARDIOID, _corollary_disk("padmanabhan", a)), True, (0.3, 0.95)),
+        lambda a: (_CARDIOID, domains.make_domain(*radii._janowski_region("padmanabhan", a))),
+        True, (0.3, 0.95)),
     # a family of regions inside the cardioid region
     "conic": InclusionFamily(lambda k: (domains.make_domain("conic", k), _CARDIOID), True,
                              (1.2, 4.0)),
@@ -430,10 +426,11 @@ INCLUSION_FAMILIES: dict[str, InclusionFamily] = {
     **{f"two_parameter_B{B:g}": InclusionFamily(
         lambda A, B=B: (domains.janowski_disk(A, B, 1.0), _CARDIOID), False)
        for B in (-0.25, -0.5)},
-    "unit_centered_disk": InclusionFamily(lambda a: (_corollary_disk("ram_singh", a), _CARDIOID),
-                                          True),
-    "apollonius_disk": InclusionFamily(lambda a: (_corollary_disk("padmanabhan", a), _CARDIOID),
-                                       False),
+    "unit_centered_disk": InclusionFamily(
+        lambda a: (domains.make_domain(*radii._janowski_region("ram_singh", a)), _CARDIOID), True),
+    "apollonius_disk": InclusionFamily(
+        lambda a: (domains.make_domain(*radii._janowski_region("padmanabhan", a)), _CARDIOID),
+        False),
 }
 
 

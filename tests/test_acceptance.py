@@ -137,7 +137,7 @@ def test_criterion_5_inclusion_suite():
 
 
 def test_criterion_6_sharpness_suite():
-    card = domains.CardioidDomain()
+    card = domains.make_domain("cardioid")
     gen = functions.generator
     ext = functions.extremal
     phi = ext("cardioid_extremal")

@@ -32,7 +32,7 @@ DELETED = (
     "OracleSpec", "ORACLE_KINDS", "_into_cardioid", "_cardioid_into", "_disk_family",
     "_threshold", "gen_order", "gen_ram_singh", "gen_padmanabhan", "_apollonius_disk",
     "_bounded_quotient_ab",
-    "eval_log_derivative", "_preimage_roots",
+    "eval_log_derivative", "_preimage_roots", "CardioidDomain",
 )
 
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from cardstar import cardioid, domains, functions, radii
 from cardstar.domains import (
-    CardioidDomain,
     Disk,
     GeneratorImageRegion,
     make_domain,
@@ -67,7 +66,7 @@ def test_make_domain_rejects_bad_parameters():
         ("nephroid", (1.0,), "kind 'nephroid' takes no parameters"),
         ("cardioid", (1e-9,), "kind 'cardioid' takes no parameters"),
         ("sigmoid", (1.0,), "kind 'sigmoid' takes no parameters"),
-        ("nonexistent", (), "unknown domain kind 'nonexistent'; known: cardioid, disk, "
+        ("nonexistent", (), "unknown domain kind 'nonexistent'; known: disk, cardioid, "
          "bounded_re, min_re, sector, conic, exponential, lemniscate, cassinian, sigmoid, cosh, "
          "janowski_disk, rational, rational_lemniscate, cardioid_wide, limacon, lune, sine, "
          "nephroid, booth"),
@@ -301,8 +300,8 @@ _PARAMETER_RANGES = {kind: _parameter_range(kind) for kind, row in domains._REGI
 
 def test_parameter_ranges_cover_every_inequality_kind():
     # every inequality kind is drawn, and each clip cuts a declared range short
-    assert list(_PARAMETER_RANGES) == ["bounded_re", "min_re", "sector", "conic", "exponential",
-                                       "lemniscate", "cassinian", "sigmoid", "cosh"]
+    assert list(_PARAMETER_RANGES) == ["cardioid", "bounded_re", "min_re", "sector", "conic",
+                                       "exponential", "lemniscate", "cassinian", "sigmoid", "cosh"]
     for kind, end in _CLIPPED_AT.items():
         assert domains._REGIONS[kind].param.first < end < domains._REGIONS[kind].param.last, kind
 
@@ -330,7 +329,7 @@ def test_inequality_regions_across_parameter_ranges(kind, data):
 
 
 def test_boundary_point_examples():
-    assert complex(CardioidDomain().boundary(math.pi)) == pytest.approx(0.5)
+    assert complex(make_domain("cardioid").boundary(math.pi)) == pytest.approx(0.5)
     assert complex(make_domain("cardioid_wide").boundary(0.0)) == pytest.approx(3.0)
     assert complex(Disk(1.0, 0.5).boundary(0.0)) == pytest.approx(1.5)
 
@@ -368,7 +367,7 @@ def test_inclusion_thresholds_by_margin_sign():
     m0 = cardioid.self_centered_fixed_point()
     assert _family_holds("self_centered_disk", m0)
     assert not _family_holds("self_centered_disk", m0 - 0.01)
-    card = CardioidDomain()
+    card = make_domain("cardioid")
     for kind in ("sigmoid", "cosh", "rational"):
         assert _boundary_inside(make_domain(kind), card)
 
@@ -385,7 +384,7 @@ def test_monotone_families_shrink():
 
 
 def test_corollary_disk_thresholds_at_limit_radius():
-    card = CardioidDomain()
+    card = make_domain("cardioid")
     assert _boundary_inside(domains.janowski_disk(0.5, 0.0, 1.0), card)       # radius 1/2
     assert not _boundary_inside(domains.janowski_disk(0.52, 0.0, 1.0), card)
     a = 1.0 / 3.0
@@ -633,7 +632,7 @@ def test_disk_is_frozen():
 
 def test_boundary_shape():
     t = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    pts = np.asarray(CardioidDomain().boundary(t))
+    pts = np.asarray(make_domain("cardioid").boundary(t))
     assert len(t) == len(pts) == 64
 
 
@@ -648,6 +647,20 @@ _EVERY_KIND = ALL_KINDS + [("janowski_disk", (0.5, -0.5, 0.5))]
 
 def test_every_kind_listed():
     assert {kind for kind, _ in _EVERY_KIND} == set(domains._KINDS)
+
+
+def test_every_region_kind_is_a_table_row():
+    # besides the two disk kinds, make_domain builds only `_REGIONS` rows, and
+    # no region class stands beside the three mechanisms
+    assert set(domains._KINDS) - {"disk", "janowski_disk"} == set(domains._REGIONS)
+    for kind, params in ALL_KINDS:
+        d = make_domain(kind, *params)
+        if kind != "disk":
+            assert isinstance(d, domains.Region) and d._row is domains._REGIONS[kind], kind
+    classes = {name for name, obj in vars(domains).items()
+               if isinstance(obj, type) and issubclass(obj, domains.Domain)
+               and obj.__module__ == domains.__name__}
+    assert classes == {"Domain", "Disk", "Region", "InequalityRegion", "GeneratorImageRegion"}
 
 
 @pytest.mark.parametrize("kind, params", _EVERY_KIND)
@@ -695,7 +708,7 @@ def test_only_certified_kinds_carry_a_disk():
 def test_cardioid_disk_is_the_lemma_disk():
     r_in, _ = cardioid.inner_outer_radii(1.5)
     assert r_in == 1.0
-    assert CardioidDomain().inscribed == (1.5, r_in - domains._INSCRIBED_GUARD)
+    assert make_domain("cardioid").inscribed == (1.5, r_in - domains._INSCRIBED_GUARD)
 
 
 @pytest.mark.parametrize("kind, params", _WITH_DISK)

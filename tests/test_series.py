@@ -407,11 +407,21 @@ def test_from_text_error_texts_pinned(text, message):
     assert str(got.value) == str(ref.value) == message
 
 
+def _finite_quotient_series(rng, order):
+    # a series whose quotient and reconstruction stay finite, unlike the
+    # rough series with its -1e300j coefficient
+    raw = 0.01 * (rng.uniform(-1, 1, order - 1) + 1j * rng.uniform(-1, 1, order - 1))
+    return PowerSeries((1.0,) + tuple(raw))
+
+
 def _all_results(order):
     rng = np.random.default_rng(order)
     f = _rough_series(rng, order, 0.01)
     g = PowerSeries.koebe(order)
-    w = f.log_derivative()
+    if order > 3:
+        with pytest.raises(OverflowError, match="coefficient w.* overflows"):
+            f.log_derivative()
+    w = _finite_quotient_series(rng, order).log_derivative()
     return {
         "PowerSeries": f, "identity": PowerSeries.identity(order), "koebe": g,
         "half_plane": PowerSeries.half_plane(order),
@@ -433,8 +443,9 @@ def test_every_coefficient_is_a_python_complex(order):
 
 
 def test_operations_skip_the_validating_constructor(monkeypatch):
-    f = _rough_series(np.random.default_rng(3), 40, 0.01)
-    w, text, g = f.log_derivative(), to_text(f), PowerSeries.koebe(40)
+    rng = np.random.default_rng(3)
+    f, h = _rough_series(rng, 40, 0.01), _finite_quotient_series(rng, 40)
+    w, text, g = h.log_derivative(), to_text(f), PowerSeries.koebe(40)
     calls = []
     check = PowerSeries.__post_init__
 
@@ -447,7 +458,7 @@ def test_operations_skip_the_validating_constructor(monkeypatch):
     f.hadamard(g)
     f.dilate(0.5)
     from_text(text)
-    f.log_derivative()
+    h.log_derivative()
     w.integrate_to_function()
     assert calls == []
     PowerSeries((1.0, 0.5))
@@ -464,6 +475,18 @@ def test_series_rejects_nonfinite_coefficients(coeffs, index):
     # nor can a non-finite quotient series rebuild one without a check
     with pytest.raises(ValueError, match=f"coefficient w{index} = .* is not finite"):
         LogDerivativeSeries(coeffs)
+
+
+def test_overflowing_quotient_recurrences_raise():
+    # a_2 = 1e200 gives w_1 = 1e200 and w_2 = 2 a_3 - a_2 w_1 = -inf, and
+    # the reconstruction overflows at 2 a_3 = w_1 a_2 + w_2
+    with pytest.raises(OverflowError, match=r"coefficient w2 = \(-inf\+nanj\) overflows"):
+        PowerSeries((1.0, 1e200, 0.0, 0.0)).log_derivative()
+    with pytest.raises(OverflowError, match=r"coefficient a3 = \(inf\+nanj\) overflows"):
+        LogDerivativeSeries((1e200, 1e200, 0.0)).integrate_to_function()
+    # past the first block too, where the earlier terms come from np.convolve
+    with pytest.raises(OverflowError, match="coefficient w2 "):
+        PowerSeries((1.0, 1e200) + (0.5,) * 30).log_derivative()
 
 
 def test_series_rejects_empty_coefficients():

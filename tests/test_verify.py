@@ -11,7 +11,7 @@ from cardstar import cardioid, cli, domains, functions, radii, verify
 from cardstar.functions import FunctionSpec
 from cardstar.series import PowerSeries, f_cardioid_series
 
-CARD = domains.CardioidDomain()
+CARD = domains.make_domain("cardioid")
 SQRT2 = math.sqrt(2.0)
 
 
