@@ -25,7 +25,8 @@ There are three classes of region:
     the unit disk under `cardioid.eval_phi`, with its margin
     1 - |sqrt(2w - 1) - 1| in preimage units (1 - |z|); two half-planes,
     sectors, conics, and the exponential / lemniscate / Cassinian / sigmoid
-    / cosh regions;
+    / cosh regions, of which the exponential, sigmoid and cosh margins are
+    1 - |psi^{-1}(w)| too, from logarithmic inverses;
   * generator images -- the nephroid, limacon, lune, sine, the rational and
     shifted-lemniscate generators, the wide cardioid and the Booth curve --
     classified by subordination: w is inside when a root of psi(z) = w lies
@@ -274,14 +275,25 @@ def _sector_rays(t, beta):
     return radial * np.exp(1j * np.where(upper, half, -half))
 
 
-def _log_margin(margin):
-    """`margin`, which takes a logarithm, with the zeros and poles of its
-    argument counted outside."""
-    def guarded(w, *params):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m = margin(w, *params)
-        return np.where(np.isfinite(m), m, -np.inf)
-    return guarded
+def _root_sizes(z, ws=None, branch=None) -> np.ndarray:
+    """Moduli of the candidate roots `z` of psi(z) = w along axis 0, inf for
+    a NaN root and, under a `branch` rule (w, z) -> bool, for a root in the
+    disk off psi's branch.  Their least is |psi^{-1}(w)|."""
+    size = np.abs(z)
+    size[np.isnan(size)] = np.inf
+    if branch is not None:
+        # only a root in the disk can make w a member
+        size[(size < 1.0) & ~branch(ws, z)] = np.inf
+    return size
+
+
+def _preimage_margin(inverse):
+    """The margin 1 - |psi^{-1}(w)| from `inverse`, (w, *params) -> the roots
+    of psi(z) = w along axis 0; a logarithm of 0 or inf reads -inf, outside."""
+    def margin(w, *params):
+        with np.errstate(all="ignore"):
+            return 1.0 - _root_sizes(inverse(w, *params)).min(axis=0)
+    return margin
 
 
 def _lemniscate_margin(w, alpha):
@@ -291,11 +303,11 @@ def _lemniscate_margin(w, alpha):
     return np.minimum(1.0 - np.abs(u * u - 1.0), u.real)
 
 
-def _cosh_margin(w):
+def _arccosh_roots(w):
     # both square-root branches are tried; they give reciprocal arguments, so
     # the smaller |log| is the right one away from the branch cut
     s = np.sqrt(w * w - 1.0)
-    return 1.0 - np.minimum(np.abs(np.log(w + s)), np.abs(np.log(w - s)))
+    return np.log(np.stack((w + s, w - s)))
 
 
 def _lemniscate_inverse(w):
@@ -399,7 +411,7 @@ _REGIONS: dict[str, _Kind] = {
     # |log((w - alpha)/(1 - alpha))| < 1, image of alpha + (1 - alpha) e^z
     "exponential": _Kind(
         Parameter("alpha", "exponential-region parameter", "[0, 1)"),
-        margin=_log_margin(lambda w, alpha: 1.0 - np.abs(np.log((w - alpha) / (1.0 - alpha)))),
+        margin=_preimage_margin(lambda w, alpha: np.log((w - alpha) / (1.0 - alpha))[None]),
         text="exponential region (alpha={alpha:g})"),
     # right lobe of |((w - alpha)/(1 - alpha))^2 - 1| < 1
     "lemniscate": _Kind(
@@ -412,13 +424,13 @@ _REGIONS: dict[str, _Kind] = {
         text="Cassinian right loop (c={c:g})"),
     # |log(w/(2 - w))| < 1, image of the modified sigmoid 2/(1 + e^-z)
     "sigmoid": _Kind(
-        margin=_log_margin(lambda w: 1.0 - np.abs(np.log(w / (2.0 - w)))), text="sigmoid",
+        margin=_preimage_margin(lambda w: np.log(w / (2.0 - w))[None]), text="sigmoid",
         # |log(w/(2 - w))| = 2 |artanh(w - 1)| <= 2 artanh |w - 1| < 1, as the
         # Taylor coefficients of artanh are positive
         inradius=lambda: math.tanh(0.5)),
     # |log(w + sqrt(w^2 - 1))| < 1, image of cosh z
     "cosh": _Kind(
-        margin=_log_margin(_cosh_margin), text="cosh",
+        margin=_preimage_margin(_arccosh_roots), text="cosh",
         # w = 1 + 2 q^2 has |arccosh w| = 2 |arcsinh q| <= 2 arcsin |q| < 1 for
         # |q| < sin(1/2), as arcsin's Taylor coefficients are the moduli of arcsinh's
         inradius=lambda: 1.0 - math.cos(1.0)),
@@ -529,12 +541,7 @@ class GeneratorImageRegion(Region):
         for a root in the disk off psi's branch."""
         with np.errstate(all="ignore"):
             z = self._row.roots(ws, *self.params)
-            size = np.abs(z)
-            size[np.isnan(size)] = np.inf
-            if self._row.branch is not None:
-                # only a root in the disk can make w a member
-                size[(size < 1.0) & ~self._row.branch(ws, z)] = np.inf
-        return z, size
+            return z, _root_sizes(z, ws, self._row.branch)
 
     def _distance(self, ws: np.ndarray, z: np.ndarray, size: np.ndarray) -> np.ndarray:
         """min_t |psi(e^{it}) - w| by Gauss-Newton steps from the angle of

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .cardioid import eval_phi
-from .series import PowerSeries
+from .series import LogDerivativeSeries, PowerSeries
 
 SQRT2 = math.sqrt(2.0)
 _K_RATIONAL = 1.0 + SQRT2  # pole parameter of the rational generator
@@ -329,19 +329,13 @@ def monomial_image_disk(n: int, a_abs: float):
 
 
 def sine_integral_series(order: int) -> PowerSeries:
-    """z exp(int_0^z sin(t)/t dt) as a truncated series.
+    """z exp(int_0^z sin(t)/t dt) as a truncated series, rebuilt from its
+    quotient z f'/f = 1 + sin z: w_k = (-1)^((k-1)/2)/k! for odd k.
 
     The expansion starts z + z^2 + z^3/2 + z^4/9; the z^4 coefficient is
     cross-checked against this construction in the test suite.
     """
-    from .series import exp_coeffs
-
-    p = [0j] * order
-    sign = 1.0
-    fact = 1.0
+    w = [0j] * (order - 1)
     for k in range(1, order, 2):
-        # sin t / t = sum (-1)^m t^{2m}/(2m+1)!; integrate term by term
-        p[k] = sign / (fact * k)
-        sign = -sign
-        fact *= (k + 1) * (k + 2)
-    return PowerSeries._exact(tuple(exp_coeffs(p)))
+        w[k - 1] = complex((-1) ** (k // 2) / math.factorial(k))
+    return LogDerivativeSeries._exact(tuple(w)).integrate_to_function(order)

@@ -5,26 +5,25 @@ coefficients (a1, ..., aN) of f, which coincide with the Taylor coefficients
 of f(z)/z about 0.  N defaults to 32, at which point every quantity handled
 by this package has stabilized far below double precision.
 
-The low-level helper `exp_coeffs` operates on ordinary coefficient lists
-c0, c1, ... with the constant term first; its recurrence skips the zero
-terms of its input, so the sparse exponents of the class extremals
-(`f_cardioid_series`, `functions.sine_integral_series`) cost O(N) per
-coefficient.  The class `PowerSeries` wraps the normalized-function view
-and provides the Hadamard (coefficientwise) product, dilation f(rho z)/rho,
-Horner evaluation at arbitrary points, the coefficient tests used for
-membership in the cardioid starlike class, and the series of the quotient
-z f'(z)/f(z).  That quotient and its inverse, the reconstruction of f from
-it, are one lower-triangular Toeplitz recurrence (`_solve_toeplitz`),
-solved in blocks of `_BLOCK` unknowns: one `np.convolve` per block adds the
-terms of the earlier blocks, and the few terms inside the block run in
-Python.  `circle_log_derivative` evaluates z f'/f on a whole circle grid,
-for one series or a batch, with one inverse FFT.
+The class `PowerSeries` wraps the normalized-function view and provides
+the Hadamard (coefficientwise) product, dilation f(rho z)/rho, evaluation
+at arbitrary points (one Horner loop, `_horner`), the coefficient tests
+used for membership in the cardioid starlike class, and the series of the
+quotient z f'(z)/f(z).  That quotient and its inverse, the reconstruction
+of f from it, are one lower-triangular Toeplitz recurrence
+(`_solve_toeplitz`), solved in blocks of `_BLOCK` unknowns: one
+`np.convolve` per block adds the terms of the earlier blocks, and the few
+terms inside the block run in Python.  Both extremal series come from
+their quotients: `f_cardioid_series` from its generator 1 + z + z^2/2, and
+`functions.sine_integral_series` from 1 + sin z.  `circle_log_derivative`
+evaluates z f'/f on a whole circle grid, for one series or a batch, with
+one inverse FFT.
 
 Every coefficient tuple holds Python `complex` values.  The public
 constructors convert and validate their input; the results of the
 operations here are built by `_exact`, which stores a tuple of such values
-as it is, without a second conversion or check; the quotient recurrences
-raise OverflowError rather than store an overflowed coefficient.
+as it is, without a second conversion or check; the operations raise
+OverflowError rather than store an overflowed coefficient.
 """
 
 from __future__ import annotations
@@ -45,31 +44,6 @@ DEFAULT_ORDER = 32
 _BLOCK = 8
 
 Coeffs = Sequence[complex]
-
-
-def exp_coeffs(p: Coeffs) -> list[complex]:
-    """exp of a series with zero constant term, same truncation length.
-
-    Uses the recurrence n c_n = sum_{k=1}^{n} k p_k c_{n-k} with c_0 = 1,
-    summed in increasing k over the nonzero p_k only: the products
-    (k p_k) c_{n-k} and their order are those of the full sum.
-    """
-    if len(p) == 0:
-        raise ValueError("empty coefficient list")
-    if p[0] != 0:
-        raise ValueError("exp_coeffs requires zero constant term")
-    n = len(p)
-    terms = [(k, k * complex(p[k])) for k in range(1, n) if p[k] != 0]
-    c = [0j] * n
-    c[0] = 1.0 + 0j
-    for m in range(1, n):
-        acc = 0j
-        for k, kp in terms:
-            if k > m:
-                break
-            acc += kp * c[m - k]
-        c[m] = acc / m
-    return c
 
 
 def _solve_toeplitz(t: np.ndarray, b: np.ndarray, d: np.ndarray, x0: complex,
@@ -108,23 +82,30 @@ def _solve_toeplitz(t: np.ndarray, b: np.ndarray, d: np.ndarray, x0: complex,
     return x.tolist()
 
 
-def _finite(coeffs, name: str) -> tuple[complex, ...]:
-    """`coeffs` as a tuple of Python complex values, all finite; the error
-    names the first that is not, as `name` with its index from 1."""
-    coeffs = tuple(map(complex, coeffs))
+def _finite(coeffs: tuple[complex, ...], name: str, error=ValueError,
+            says="is not finite") -> tuple[complex, ...]:
+    """`coeffs` if all are finite; the `error` names the first that is not,
+    as `name` with its index from 1."""
     if not all(map(cmath.isfinite, coeffs)):
         n = next(n for n, c in enumerate(coeffs, start=1) if not cmath.isfinite(c))
-        raise ValueError(f"coefficient {name}{n} = {coeffs[n - 1]!r} is not finite")
+        raise error(f"coefficient {name}{n} = {coeffs[n - 1]!r} {says}")
     return coeffs
+
+
+def _horner(coeffs: Coeffs, z: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] z^k by Horner's rule at the points z."""
+    acc = np.zeros_like(z)
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
 
 
 def _exact_instance(cls, coeffs: tuple[complex, ...]):
     """`cls._exact(coeffs)`: an instance holding `coeffs`, a tuple of Python
     complex values, as it is.  The dataclass `__post_init__` does not run,
-    so nothing is converted or checked: an inf or nan (which `hadamard` can
-    produce when its products overflow; the quotient recurrences raise
-    instead), or for a `PowerSeries` an empty tuple, is stored where the
-    public constructor would raise."""
+    so nothing is converted or checked: for a `PowerSeries` an empty tuple
+    is stored where the public constructor would raise.  No operation
+    passes it an inf or nan: each raises OverflowError instead."""
     obj = object.__new__(cls)
     object.__setattr__(obj, "coeffs", coeffs)
     return obj
@@ -176,7 +157,7 @@ class PowerSeries:
     _exact = classmethod(_exact_instance)
 
     def __post_init__(self):
-        coeffs = _finite(self.coeffs, "a")
+        coeffs = _finite(tuple(map(complex, self.coeffs)), "a")
         if not coeffs:
             raise ValueError("a power series needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
@@ -213,12 +194,14 @@ class PowerSeries:
     # -- arithmetic ----------------------------------------------------
 
     def hadamard(self, other: "PowerSeries") -> "PowerSeries":
-        """Coefficientwise product a_n b_n (Hadamard convolution)."""
+        """Coefficientwise product a_n b_n (Hadamard convolution); raises
+        OverflowError naming the first product that is not finite."""
         self.require_normalized()
         other.require_normalized()
         if self.order != other.order:
             raise ValueError("Hadamard convolution needs equal truncation orders")
-        return PowerSeries._exact(tuple(map(operator.mul, self.coeffs, other.coeffs)))
+        c = tuple(map(operator.mul, self.coeffs, other.coeffs))
+        return PowerSeries._exact(_finite(c, "a", OverflowError, "overflows"))
 
     def dilate(self, rho: float) -> "PowerSeries":
         """f(rho z)/rho, i.e. a_n -> a_n rho^(n-1); requires 0 < rho <= 1."""
@@ -232,19 +215,14 @@ class PowerSeries:
     def eval(self, z):
         """f(z) by Horner on f(z)/z; accepts scalars or numpy arrays."""
         z = np.asarray(z, dtype=complex)
-        acc = np.zeros_like(z)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        out = z * acc
+        out = z * _horner(self.coeffs, z)
         return out if out.shape else complex(out)
 
     def eval_derivative(self, z):
         """f'(z) of the truncated polynomial."""
         z = np.asarray(z, dtype=complex)
-        acc = np.zeros_like(z)
-        for n in range(self.order, 0, -1):
-            acc = acc * z + n * self.coeffs[n - 1]
-        return acc if acc.shape else complex(acc)
+        out = _horner([n * c for n, c in enumerate(self.coeffs, start=1)], z)
+        return out if out.shape else complex(out)
 
     # -- the central quotient -------------------------------------------
 
@@ -276,7 +254,7 @@ class LogDerivativeSeries:
     _exact = classmethod(_exact_instance)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _finite(self.coeffs, "w"))
+        object.__setattr__(self, "coeffs", _finite(tuple(map(complex, self.coeffs)), "w"))
 
     @property
     def order(self) -> int:
@@ -285,10 +263,7 @@ class LogDerivativeSeries:
     def eval(self, z):
         """Value of z f'(z)/f(z) = 1 + sum w_j z^j."""
         z = np.asarray(z, dtype=complex)
-        acc = np.zeros_like(z)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        out = 1.0 + z * acc
+        out = 1.0 + z * _horner(self.coeffs, z)
         return out if out.shape else complex(out)
 
     def integrate_to_function(self, order: int | None = None) -> PowerSeries:
@@ -311,14 +286,16 @@ class LogDerivativeSeries:
 def f_cardioid_series(order: int = DEFAULT_ORDER) -> PowerSeries:
     """The extremal function z exp(z + z^2/4) of the cardioid starlike class.
 
-    Expansion starts z + z^2 + 3 z^3/4 + 5 z^4/12 + 19 z^5/96 + ...
+    Its quotient z f'/f is the generator 1 + z + z^2/2 itself, so
+    z f' = (1 + z + z^2/2) f gives n a_{n+1} = a_n + a_{n-1}/2 with
+    a_1 = a_2 = 1.  Expansion starts z + z^2 + 3 z^3/4 + 5 z^4/12 + ...
     """
-    p = [0j] * order
-    if order > 1:
-        p[1] = 1.0
-    if order > 2:
-        p[2] = 0.25
-    return PowerSeries._exact(tuple(exp_coeffs(p)))
+    if order < 1:
+        raise ValueError("a power series needs at least one coefficient")
+    a = [1 + 0j, 1 + 0j][:order]
+    for n in range(2, order):
+        a.append((a[-1] + 0.5 * a[-2]) / n)
+    return PowerSeries._exact(tuple(a))
 
 
 def coefficient_condition(f: PowerSeries) -> bool:

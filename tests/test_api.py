@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +33,8 @@ DELETED = (
     "OracleSpec", "ORACLE_KINDS", "_into_cardioid", "_cardioid_into", "_disk_family",
     "_threshold", "gen_order", "gen_ram_singh", "gen_padmanabhan", "_apollonius_disk",
     "_bounded_quotient_ab",
-    "eval_log_derivative", "_preimage_roots", "CardioidDomain",
+    "eval_log_derivative", "_preimage_roots", "CardioidDomain", "exp_coeffs",
+    "_log_margin", "_cosh_margin",
 )
 
 
@@ -49,6 +51,17 @@ def test_deleted_names_stay_deleted():
     for owner in modules + [cardstar.PowerSeries]:
         for name in DELETED:
             assert not hasattr(owner, name), (owner.__name__, name)
+
+
+def test_deleted_names_are_not_mentioned():
+    # a deleted name left in the README or a docstring describes a mechanism
+    # the package no longer has
+    root = Path(cardstar.__file__).resolve().parent
+    paths = [root.parent.parent / "README.md", *sorted(root.glob("*.py"))]
+    pattern = re.compile(r"\b(" + "|".join(map(re.escape, DELETED)) + r")\b")
+    found = [(path.name, m.group()) for path in paths if path.exists()
+             for m in pattern.finditer(path.read_text())]
+    assert not found
 
 
 def test_import_and_registry_leave_numpy_fft_unloaded():

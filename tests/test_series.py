@@ -1,7 +1,8 @@
-"""Series arithmetic: products, exp, the quotient recurrence, convolution."""
+"""Series arithmetic: products, the quotient recurrence, convolution."""
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from cardstar.series import (
     circle_log_derivative,
     coefficient_condition,
     coefficient_condition_sum,
-    exp_coeffs,
     f_cardioid_series,
     from_text,
     monomial_member,
@@ -31,32 +31,12 @@ def horner_quotient(f, z):
 
 
 def test_extremal_coeffs_from_product_of_exponentials():
-    # exp(z) * exp(z^2/4) must reproduce the extremal-function head
-    n = 5
-    ez = exp_coeffs([0.0, 1.0, 0.0, 0.0, 0.0])
-    ez2 = exp_coeffs([0.0, 0.0, 0.25, 0.0, 0.0])
-    got = np.convolve(ez, ez2)[:n]
-    assert np.allclose(got, F_CAR_HEAD, atol=1e-14)
-    assert n == len(got)
-
-
-def test_exp_of_zero_series():
-    assert exp_coeffs([0.0, 0.0, 0.0]) == [1.0, 0.0, 0.0]
-
-
-def test_exp_reproduces_extremal_head():
-    got = exp_coeffs([0.0, 1.0, 0.25, 0.0, 0.0])
-    assert np.allclose(got, F_CAR_HEAD, atol=1e-14)
-
-
-def test_exp_of_z():
-    got = exp_coeffs([0.0, 1.0, 0.0, 0.0])
-    assert np.allclose(got, [1.0, 1.0, 0.5, 1.0 / 6.0], atol=1e-15)
-
-
-def test_exp_rejects_constant_term():
-    with pytest.raises(ValueError):
-        exp_coeffs([1.0, 1.0])
+    # exp(z) * exp(z^2/4) gives the head of the extremal, which is built
+    # from its quotient
+    ez = [1.0 / math.factorial(k) for k in range(5)]
+    ez2 = [1.0, 0.0, 0.25, 0.0, 0.03125]
+    assert np.allclose(np.convolve(ez, ez2)[:5], F_CAR_HEAD, atol=1e-14)
+    assert f_cardioid_series(5).coeffs == pytest.approx(F_CAR_HEAD, abs=1e-14)
 
 
 def test_log_derivative_of_identity():
@@ -287,8 +267,8 @@ def test_grid_quotient_folds_degrees_past_the_grid():
         circle_log_derivative((1.0, 0.5), 0.5, 0)
 
 
-# recorded before the zero-skipping recurrence of exp_coeffs: the truncated
-# series it builds must not move a bit
+# recorded from the exp-of-a-series recurrence this package used before it
+# built the extremal from its quotient: the series must not move a bit
 F_CARDIOID_64 = (
     (1+0j), (1+0j), (0.75+0j), (0.4166666666666667+0j), (0.19791666666666669+0j), (0.08125+0j),
     (0.030034722222222227+0j), (0.010094246031746032+0j), (0.003138950892857143+0j),
@@ -312,11 +292,12 @@ F_CARDIOID_64 = (
     (6.016743898990927e-47+0j), (5.938548399930887e-48+0j), (5.810043208852504e-49+0j),
     (5.635362731509038e-50+0j),
 )
+# recorded from the reconstruction of z exp(Si z) from its quotient 1 + sin z
 SINE_INTEGRAL_12 = (
     (1+0j), (1+0j), (0.5+0j), (0.11111111111111112+0j), (-0.013888888888888885+0j),
-    (-0.017777777777777774+0j), (-0.004660493827160494+0j), (0.00023179642227261262+0j),
-    (0.0004902840765936003+0j), (0.00011720463219581386+0j), (-8.88663764545598e-06+0j),
-    (-1.139359574504676e-05+0j),
+    (-0.017777777777777774+0j), (-0.004660493827160494+0j), (0.0002317964222726126+0j),
+    (0.0004902840765936004+0j), (0.00011720463219581386+0j), (-8.886637645455982e-06+0j),
+    (-1.1393595745046762e-05+0j),
 )
 
 
@@ -325,6 +306,29 @@ def test_exp_series_pinned_bit_for_bit():
     for n in range(1, 65):
         assert repr(f_cardioid_series(n).coeffs) == repr(F_CARDIOID_64[:n]), n
     assert repr(sine_integral_series(12).coeffs) == repr(SINE_INTEGRAL_12)
+
+
+def exact_from_quotient(w, order):
+    """a_1..a_order of f with z f' = (1 + w) f, in exact rationals:
+    n a_{n+1} = sum_{k=1}^{n} w_k a_{n+1-k} with a_1 = 1."""
+    a = [Fraction(1)]
+    for n in range(1, order):
+        a.append(sum(w[k] * a[n - k] for k in range(1, n + 1) if w[k]) / n)
+    return a
+
+
+def test_extremal_series_match_exact_rationals():
+    order = 64
+    cardioid = [0, Fraction(1), Fraction(1, 2)] + [0] * order
+    sine = [0] * (order + 1)
+    for k in range(1, order, 2):
+        sine[k] = Fraction((-1) ** (k // 2), math.factorial(k))
+    for got, w, tol in ((f_cardioid_series(order), cardioid, 1e-15),
+                        (sine_integral_series(order), sine, 4e-15)):
+        exact = exact_from_quotient(w, order)
+        assert all(c.imag == 0.0 for c in got.coeffs)
+        err = max(abs(Fraction(c.real) - e) / abs(e) for c, e in zip(got.coeffs, exact) if e)
+        assert err < tol
 
 
 # -- the coefficient tuples are built once, bit for bit ---------------------
@@ -375,7 +379,14 @@ def test_operations_bit_identical_to_reference_copies():
     for order in (1, 2, 3, 8, 33, 64):
         for _ in range(5):
             f, g = _rough_series(rng, order), _rough_series(rng, order, 0.01)
-            assert repr(f.hadamard(g).coeffs) == repr(reference_hadamard(f, g))
+            if order > 3:
+                # the product of the two -1e300j parts overflows
+                with pytest.raises(OverflowError, match=r"coefficient a4 = \(-inf.* overflows"):
+                    f.hadamard(g)
+            else:
+                assert repr(f.hadamard(g).coeffs) == repr(reference_hadamard(f, g))
+            k = PowerSeries.koebe(order)
+            assert repr(f.hadamard(k).coeffs) == repr(reference_hadamard(f, k))
             for rho in (1.0, 1, 0.7, 1.0 / 3.0, 5e-5, float(rng.uniform())):
                 assert repr(f.dilate(rho).coeffs) == repr(reference_dilate(f, rho))
             text = to_text(f)
@@ -487,6 +498,17 @@ def test_overflowing_quotient_recurrences_raise():
     # past the first block too, where the earlier terms come from np.convolve
     with pytest.raises(OverflowError, match="coefficient w2 "):
         PowerSeries((1.0, 1e200) + (0.5,) * 30).log_derivative()
+
+
+def test_overflowing_hadamard_product_raises():
+    # every product is checked, as they are independent: the first that is
+    # not finite is named
+    f = PowerSeries((1.0, 1e200))
+    with pytest.raises(OverflowError, match=r"coefficient a2 = \(inf\+0j\) overflows"):
+        f.hadamard(f)
+    g = PowerSeries((1.0, 1.0, 1e200, 1e200))
+    with pytest.raises(OverflowError, match=r"coefficient a3 = \(inf\+0j\) overflows"):
+        g.hadamard(g)
 
 
 def test_series_rejects_empty_coefficients():
