@@ -101,12 +101,17 @@ def preimage_margin(w):
 
 
 def implicit_value(x, y):
-    """The boundary quartic F(x, y); negative exactly on the open domain."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """The boundary quartic F(x, y); negative exactly on the open domain.
+
+    x and y are real numbers or numpy arrays (a list raises TypeError).
+    One operator expression serves both: on Python floats it is plain
+    float arithmetic, which overflows to inf without raising, and it gives
+    the array path's result bit for bit (the square is a product, as
+    numpy's is).
+    """
     q = 4.0 * x * x + 4.0 * y * y
-    out = (q - 8.0 * x - 1.0) ** 2 + 4.0 * (q - 12.0 * x + 1.0)
-    return out if out.shape else float(out)
+    a = q - 8.0 * x - 1.0
+    return a * a + 4.0 * (q - 12.0 * x + 1.0)
 
 
 def contains_implicit(w: complex) -> bool:
@@ -114,6 +119,7 @@ def contains_implicit(w: complex) -> bool:
 
     Kept as an independent cross-check oracle for `contains`; the two must
     agree away from the boundary (see the test suite's grid comparison).
+    A Python complex is tested in float arithmetic, without numpy.
     """
     return bool(implicit_value(w.real, w.imag) < 0.0)
 

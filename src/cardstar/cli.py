@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -377,6 +378,13 @@ def cmd_plot(args) -> int:
     return 0
 
 
+# argparse takes only forms like -2 and -2.5 for negative numbers and reads
+# -1e-3, -inf or -nan as an unknown option; in the subcommands that read
+# numbers, every form that float() accepts after its minus sign (a digit,
+# ".digit", inf, nan) is a value, and -h stays the help option
+_NEGATIVE_NUMBER = re.compile(r"^-(\.?\d|inf(inity)?$|nan$)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cardstar",
@@ -398,11 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("member", help="classify a point against the region")
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("re", type=float)
     p.add_argument("im", type=float)
     p.set_defaults(fn=cmd_member)
 
     p = sub.add_parser("radius", help="look up a radius constant")
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("klass", metavar="class")
     p.add_argument("--param", type=float, default=None)
     p.set_defaults(fn=cmd_radius)

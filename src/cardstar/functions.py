@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .cardioid import eval_phi
-from .series import LogDerivativeSeries, PowerSeries
+from .series import LogDerivativeSeries, PowerSeries, require_order
 
 SQRT2 = math.sqrt(2.0)
 _K_RATIONAL = 1.0 + SQRT2  # pole parameter of the rational generator
@@ -335,6 +335,7 @@ def sine_integral_series(order: int) -> PowerSeries:
     The expansion starts z + z^2 + z^3/2 + z^4/9; the z^4 coefficient is
     cross-checked against this construction in the test suite.
     """
+    require_order(order)
     w = [0j] * (order - 1)
     for k in range(1, order, 2):
         w[k - 1] = complex((-1) ** (k // 2) / math.factorial(k))

@@ -92,6 +92,13 @@ def _finite(coeffs: tuple[complex, ...], name: str, error=ValueError,
     return coeffs
 
 
+def require_order(order: int) -> None:
+    """Check a truncation order passed to a builder: a series of order n
+    stores a_1..a_n, so n must be at least 1."""
+    if order < 1:
+        raise ValueError("a power series needs at least one coefficient")
+
+
 def _horner(coeffs: Coeffs, z: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] z^k by Horner's rule at the points z."""
     acc = np.zeros_like(z)
@@ -290,8 +297,7 @@ def f_cardioid_series(order: int = DEFAULT_ORDER) -> PowerSeries:
     z f' = (1 + z + z^2/2) f gives n a_{n+1} = a_n + a_{n-1}/2 with
     a_1 = a_2 = 1.  Expansion starts z + z^2 + 3 z^3/4 + 5 z^4/12 + ...
     """
-    if order < 1:
-        raise ValueError("a power series needs at least one coefficient")
+    require_order(order)
     a = [1 + 0j, 1 + 0j][:order]
     for n in range(2, order):
         a.append((a[-1] + 0.5 * a[-2]) / n)

@@ -129,6 +129,47 @@ def test_one_root_preimage_matches_two_root_formula(ws):
                 assert repr(verdict.preimage) == repr(complex(z))
 
 
+def array_quartic(x, y):
+    """F(x, y) on float arrays, squared with `** 2` as `implicit_value`
+    computed it before one expression served numbers and arrays: the
+    reference for both."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    q = 4.0 * x * x + 4.0 * y * y
+    return (q - 8.0 * x - 1.0) ** 2 + 4.0 * (q - 12.0 * x + 1.0)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(ws=st.lists(_POINTS, min_size=1, max_size=8))
+@example(ws=_SPECIAL)
+# F rounds differently at these points when its square is pow(a, 2)
+@example(ws=[0.6437862549206075 + 0.8385873607296588j, 0.8685596238675084 - 1.7517284781756064j])
+def test_implicit_quartic_on_floats_matches_arrays(ws):
+    x = np.array([w.real for w in ws])
+    y = np.array([w.imag for w in ws])
+    with np.errstate(all="ignore"):
+        batch = cardioid.implicit_value(x, y)
+        assert bits(batch) == bits(array_quartic(x, y))
+        for k, w in enumerate(ws):
+            value = cardioid.implicit_value(w.real, w.imag)
+            assert type(value) is float
+            one = cardioid.implicit_value(x[k:k + 1], y[k:k + 1])
+            assert bits(value) == bits(one) == bits(batch[k])
+            assert cardioid.contains_implicit(w) == bool(one[0] < 0.0)
+
+
+def test_scalar_implicit_test_runs_without_numpy(monkeypatch):
+    # a Python complex is tested in float arithmetic: with numpy gone from
+    # the module it still answers, as a bool, and overflow is not an error
+    monkeypatch.setattr(cardioid, "np", None)
+    for w, inside in ((1.0 + 0j, True), (1.5 + 0.5j, True), (3.0 + 0j, False),
+                      (0.5 + 0j, False), (complex(1e200, 0.0), False),
+                      (complex(-math.inf, 0.0), False), (complex(math.nan, 1.0), False)):
+        got = cardioid.contains_implicit(w)
+        assert type(got) is bool and got == inside, w
+    assert cardioid.implicit_value(1.0, 0.0) == -3.0
+
+
 def test_inner_outer_examples():
     r_in, r_out = cardioid.inner_outer_radii(1.0)
     assert (r_in, r_out) == (0.5, 1.5)

@@ -69,12 +69,16 @@ def test_member_command(capsys):
 
 
 def test_member_far_points_print_no_warning(capsys):
-    # a point at infinity or far out is outside, with no numpy warning
-    for re_part in ("inf", "1e200"):
+    # a point at infinity, far out or not a number is outside, with no numpy
+    # warning; negative coordinates in exponent form and -inf are values,
+    # not options, and print what they print after "--"
+    for point in (("inf", "0"), ("1e200", "0"), ("-inf", "0"), ("nan", "0"),
+                  ("0", "1e200"), ("-1e5", "0"), ("0", "-1e-3"), ("-INF", "-nan")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(["member", re_part, "0"], capsys)
-        assert code == 0 and "outside" in out and err == "", re_part
+            code, out, err = run(["member", *point], capsys)
+            assert (code, out, err) == run(["member", "--", *point], capsys), point
+        assert code == 0 and "outside" in out and err == "", point
 
 
 def test_radius_command(capsys):
@@ -88,6 +92,10 @@ def test_radius_command(capsys):
     assert code == 0
     code, out, err = run(["radius", "cardioid-in-bounded-re", "--param", "0.5"], capsys)
     assert code == 2 and "error" in err
+    # a negative parameter in exponent form is a value, as after "="
+    code, out, err = run(["radius", "order", "--param", "-5e-1"], capsys)
+    assert (code, out, err) == run(["radius", "order", "--param=-5e-1"], capsys)
+    assert code == 2 and "must lie in [0, 1)" in err
     # an explicit parameter is validated, never replaced by the default
     code, out, err = run(["radius", "padmanabhan", "--param", "0"], capsys)
     assert code == 2 and out == "" and "must lie in (0, 1]" in err

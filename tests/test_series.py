@@ -512,8 +512,15 @@ def test_overflowing_hadamard_product_raises():
 
 
 def test_series_rejects_empty_coefficients():
+    # both builders from a quotient reject an order below 1 with the
+    # constructor's message, not one about a range the caller never passed
     with pytest.raises(ValueError, match="at least one coefficient"):
         PowerSeries(())
+    for build in (f_cardioid_series, sine_integral_series):
+        for order in (0, -1):
+            with pytest.raises(ValueError, match="^a power series needs at least one coefficient$"):
+                build(order)
+        assert build(1).coeffs == (1 + 0j,)
 
 
 # -- the one blockwise recurrence --------------------------------------------
