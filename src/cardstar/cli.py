@@ -118,7 +118,7 @@ def _curve(name: str, pts: np.ndarray, outer: domains.Domain | None = None,
 
 
 def _boundary_pts(d: domains.Domain, n: int) -> np.ndarray:
-    return np.asarray(d.boundary(radii._circle_grid(n)[0]))
+    return np.asarray(d.boundary(*radii._circle_grid(n)))
 
 
 def _image_circle(w_of, r: float, n: int) -> np.ndarray:

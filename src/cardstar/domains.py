@@ -13,8 +13,10 @@ a `Domain` with five capabilities:
                        array, as one evaluation: the index of the first
                        rejected row, or the number of rows;
                        `contains_all` is its one-row case;
-  * ``boundary(t)`` -- parametrization of the topological boundary,
-                       t in [0, 2pi), by default ``generator(e^{it})``;
+  * ``boundary(t, e)`` -- parametrization of the topological boundary,
+                       t in [0, 2pi), by default ``generator(e^{it})``,
+                       read from e = e^{it} when the caller holds it
+                       (the points of `radii._circle_grid`);
   * ``boundary_gap(w)`` -- high-accuracy distance-like gap used by the
                        sharpness (boundary touch) checks.
 
@@ -129,11 +131,14 @@ class Domain:
         """The map of the unit disk onto the region."""
         raise NotImplementedError
 
-    def _curve(self, t: np.ndarray):
-        return self.generator(np.exp(1j * t))
+    def _curve(self, t: np.ndarray, e: np.ndarray):
+        return self.generator(e)
 
-    def boundary(self, t):
-        out = np.asarray(self._curve(np.asarray(t, dtype=float)))
+    def boundary(self, t, e=None):
+        """The boundary at the angles t; `e`, when given, must be e^{it},
+        such as the points of `radii._circle_grid`, and saves computing it."""
+        t = np.asarray(t, dtype=float)
+        out = np.asarray(self._curve(t, np.exp(1j * t) if e is None else e))
         return out if out.shape else complex(out)
 
     def contains_all(self, ws, tol: float = 0.0) -> bool:
@@ -508,9 +513,9 @@ class InequalityRegion(Region):
     def _margin(self, w):
         return self._row.margin(w, *self.params)
 
-    def _curve(self, t: np.ndarray):
+    def _curve(self, t: np.ndarray, e: np.ndarray):
         if self._row.curve is None:
-            return super()._curve(t)
+            return super()._curve(t, e)
         return self._row.curve(t, *self.params)
 
     def describe(self) -> str:

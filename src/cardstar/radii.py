@@ -266,12 +266,14 @@ def _circle_grid(n: int, half: bool = False) -> tuple[np.ndarray, np.ndarray]:
     read-only; with `half`, its closed upper half, the first n//2 + 1 points
     (t = 0 to pi), as a slice of the full grid.
 
-    n must be divisible by 4, so that the grid holds t = 0, pi/2 and pi: the
-    touch points of every sharp radius lie on these rays.
+    n must be positive and divisible by 4, so that the grid holds t = 0,
+    pi/2 and pi: the touch points of every sharp radius lie on these rays.
     """
     if half:
         t, e = _circle_grid(n)
         return t[: n // 2 + 1], e[: n // 2 + 1]
+    if n < 1:
+        raise ValueError("circle sample count must be positive")
     if n % 4:
         raise ValueError("circle sample count must be divisible by 4")
     t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)

@@ -186,6 +186,7 @@ class PowerSeries:
     @classmethod
     def identity(cls, order: int = DEFAULT_ORDER) -> "PowerSeries":
         """f(z) = z."""
+        require_order(order)
         return cls((1.0,) + (0.0,) * (order - 1))
 
     @classmethod

@@ -367,10 +367,11 @@ def _cardioid_boundary(n: int) -> np.ndarray:
 def _inclusion_margin(inner: domains.Domain, outer: domains.Domain, n: int) -> float:
     """Least margin in outer of inner's boundary at the n grid angles, or at
     the closed upper half of them when both regions are symmetric (the
-    mirror rule of the module docstring)."""
-    t = radii._circle_grid(n, inner.symmetric and outer.symmetric)[0]
-    w = _cardioid_boundary(n)[: t.size] if inner is _CARDIOID else np.asarray(inner.boundary(t))
-    return float(np.min(outer.margin(w)))
+    mirror rule of the module docstring).  The boundary is read from the
+    grid's points, which no bisection step recomputes."""
+    t, e = radii._circle_grid(n, inner.symmetric and outer.symmetric)
+    w = _cardioid_boundary(n)[: t.size] if inner is _CARDIOID else np.asarray(inner.boundary(t, e))
+    return float(outer.margin(w).min())
 
 
 @dataclass(frozen=True)
@@ -397,6 +398,8 @@ class InclusionFamily:
         return margin > -outer.near, margin
 
     def threshold(self, n: int = DEFAULT_SAMPLES) -> float:
+        if self.bracket is None:
+            raise ValueError("this inclusion family has no threshold bracket")
         # oriented positive at the low end of the bracket, so that a margin of
         # exactly 0 counts toward the high end
         sign = -1.0 if self.holds_above else 1.0

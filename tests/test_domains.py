@@ -649,6 +649,19 @@ def test_every_kind_listed():
     assert {kind for kind, _ in _EVERY_KIND} == set(domains._KINDS)
 
 
+@pytest.mark.parametrize("d", [make_domain(kind, *params) for kind, params in _EVERY_KIND]
+                         + [Disk(1.0 + 0.25j, 0.5), domains.janowski_disk(0.5, -0.5, 0.8)],
+                         ids=lambda d: d.describe())
+def test_boundary_reads_the_grid_points_bit_for_bit(d):
+    # a boundary read from the grid's points e = e^{it} is the one computed
+    # from its angles, on the full grid and on its closed upper half
+    for n in (256, 512, 4096):
+        for half in (False, True):
+            t, e = radii._circle_grid(n, half)
+            given = np.asarray(d.boundary(t, e), dtype=complex)
+            assert given.tobytes() == np.asarray(d.boundary(t), dtype=complex).tobytes(), (n, half)
+
+
 def test_every_region_kind_is_a_table_row():
     # besides the two disk kinds, make_domain builds only `_REGIONS` rows, and
     # no region class stands beside the three mechanisms

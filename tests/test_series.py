@@ -512,12 +512,18 @@ def test_overflowing_hadamard_product_raises():
 
 
 def test_series_rejects_empty_coefficients():
-    # both builders from a quotient reject an order below 1 with the
-    # constructor's message, not one about a range the caller never passed
+    # both builders from a quotient and the three named series reject an
+    # order below 1 with the constructor's message, not one about a range the
+    # caller never passed, nor with a series of order 1
     with pytest.raises(ValueError, match="at least one coefficient"):
         PowerSeries(())
     for build in (f_cardioid_series, sine_integral_series):
         for order in (0, -1):
+            with pytest.raises(ValueError, match="^a power series needs at least one coefficient$"):
+                build(order)
+        assert build(1).coeffs == (1 + 0j,)
+    for build in (PowerSeries.identity, PowerSeries.koebe, PowerSeries.half_plane):
+        for order in (0, -3):
             with pytest.raises(ValueError, match="^a power series needs at least one coefficient$"):
                 build(order)
         assert build(1).coeffs == (1 + 0j,)

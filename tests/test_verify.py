@@ -442,6 +442,18 @@ def test_half_grid_is_a_slice_of_the_full_grid():
         radii._circle_grid(1026)
 
 
+def test_circle_grid_needs_a_positive_count():
+    # an empty grid would reach a numpy reduction and fail there
+    for n in (0, -4):
+        for half in (False, True):
+            with pytest.raises(ValueError, match="^circle sample count must be positive$"):
+                radii._circle_grid(n, half)
+    for measure in (verify.measured_generator_convexity, verify.measured_disk_branch_crossover,
+                    lambda n: verify.INCLUSION_FAMILIES["exponential"].margin(0.3, n)):
+        with pytest.raises(ValueError, match="^circle sample count must be positive$"):
+            measure(0)
+
+
 def test_disk_family_radius_bracket_violation_raises(monkeypatch):
     # the disk-family search certifies its bracket as the subordination search does
     center, spread = radii.ratio_disk_family(3, "koebe")
@@ -616,6 +628,51 @@ def test_max_arg_coarse_to_fine_matches_full_grid(n):
     grid = (2.0 / math.pi) * float(np.max(np.angle(np.asarray(cardioid.eval_phi(
         np.exp(1j * t))))))
     assert 0.0 <= verify.measured_max_arg_order() - grid < (math.pi / (n - 1)) ** 2
+
+
+# repr of each bracketed inclusion threshold at 256 and 4096 samples; the
+# registry pin holds them at 512
+INCLUSION_THRESHOLD_PINS = {
+    256: {"self_centered_disk": "1.3090096220171867", "in_apollonius_disk": "0.6724180793088337",
+          "conic": "1.6666666666666665", "exponential": "0.20901164655173937",
+          "lemniscate": "0.4999980253411296", "cassinian": "0.7500000000161575"},
+    4096: {"self_centered_disk": "1.3090169653071424", "in_apollonius_disk": "0.6725050360133784",
+           "conic": "1.6666666666666665", "exponential": "0.20901164655173937",
+           "lemniscate": "0.4999980253411296", "cassinian": "0.7500000000161575"},
+}
+
+
+@pytest.mark.parametrize("n", sorted(INCLUSION_THRESHOLD_PINS))
+def test_inclusion_thresholds_pinned_bit_for_bit(n):
+    got = {name: repr(fam.threshold(n)) for name, fam in verify.INCLUSION_FAMILIES.items()
+           if fam.bracket}
+    assert got == INCLUSION_THRESHOLD_PINS[n]
+
+
+def test_threshold_needs_a_bracket():
+    for fam in verify.INCLUSION_FAMILIES.values():
+        if fam.bracket is None:
+            with pytest.raises(ValueError, match="no threshold bracket"):
+                fam.threshold(512)
+
+
+@pytest.mark.parametrize("family, p", [("exponential", 0.3), ("lemniscate", 0.5),
+                                       ("cassinian", 0.75)])
+def test_inclusion_margin_reads_the_grid_points(monkeypatch, family, p):
+    # a cost guard: the inner boundary is read from the grid's own points,
+    # so no bisection step exponentiates the angles again
+    seen = []
+    boundary = domains.Domain.boundary
+
+    def recorded(self, t, e=None):
+        seen.append(e)
+        return boundary(self, t, e)
+
+    monkeypatch.setattr(domains.Domain, "boundary", recorded)
+    for n in (256, 512):
+        seen.clear()
+        verify.INCLUSION_FAMILIES[family].margin(p, n)
+        assert len(seen) == 1 and seen[0] is radii._circle_grid(n, True)[1]
 
 
 def test_inclusion_thresholds_match_registry():
