@@ -31,8 +31,9 @@ report is built by `_report`.
 
 Each inclusion relation is declared once, in `INCLUSION_FAMILIES`, as its
 region pair p -> (inner, outer).  Its threshold oracle (the sign change of
-the sampled inclusion margin), its sharp claim in `inclusion_suite` and its
-figure in the command line all read that pair.
+the sampled inclusion margin, found by `radii.brent_sign_change`), its
+sharp claim in `inclusion_suite` and its figure in the command line all
+read that pair.
 
 Near-boundary points count as inside within a small tolerance so that the
 sharp radii themselves (tangential touches) pass: each region's ``near``,
@@ -325,6 +326,8 @@ def measured_disk_branch_crossover(n: int = DEFAULT_SAMPLES) -> float:
         w = cardioid.eval_phi(radii.disk_real_axis_radius(M) * e)
         return -float(domains.Disk(M, M).margin(w).min()) - 1e-12
 
+    # bisection, not Brent: the excess is flat at -1e-12 below the crossover,
+    # where interpolation steps buy nothing (48 evaluations against 41)
     return radii.bisect_sign_change(excess, 1.05, cardioid.self_centered_fixed_point() - 1e-6, 40)
 
 
@@ -335,7 +338,7 @@ def measured_generator_convexity(n: int = DEFAULT_SAMPLES) -> float:
         z = r * e
         return float(np.min((1.0 + z / (1.0 + z)).real))
 
-    return radii.bisect_sign_change(min_conv, 1e-3, 1.0 - 1e-9, 80)
+    return radii.brent_sign_change(min_conv, 1e-3, 1.0 - 1e-9)
 
 
 def measured_growth_lower_limit() -> float:
@@ -358,7 +361,7 @@ _CARDIOID = domains.make_domain("cardioid")
 @lru_cache(maxsize=4)
 def _cardioid_boundary(n: int) -> np.ndarray:
     # the cardioid is the fixed side of every family: sample it once per n
-    # rather than at each step of a threshold bisection
+    # rather than at each margin evaluation of a threshold search
     w = cardioid.eval_phi(radii._circle_grid(n)[1])
     w.flags.writeable = False
     return w
@@ -368,7 +371,7 @@ def _inclusion_margin(inner: domains.Domain, outer: domains.Domain, n: int) -> f
     """Least margin in outer of inner's boundary at the n grid angles, or at
     the closed upper half of them when both regions are symmetric (the
     mirror rule of the module docstring).  The boundary is read from the
-    grid's points, which no bisection step recomputes."""
+    grid's points, which no threshold search step recomputes."""
     t, e = radii._circle_grid(n, inner.symmetric and outer.symmetric)
     w = _cardioid_boundary(n)[: t.size] if inner is _CARDIOID else np.asarray(inner.boundary(t, e))
     return float(outer.margin(w).min())
@@ -403,7 +406,7 @@ class InclusionFamily:
         # oriented positive at the low end of the bracket, so that a margin of
         # exactly 0 counts toward the high end
         sign = -1.0 if self.holds_above else 1.0
-        return radii.bisect_sign_change(lambda p: sign * self.margin(p, n), *self.bracket)
+        return radii.brent_sign_change(lambda p: sign * self.margin(p, n), *self.bracket)
 
 
 INCLUSION_FAMILIES: dict[str, InclusionFamily] = {

@@ -80,6 +80,19 @@ def test_import_and_registry_leave_numpy_fft_unloaded():
     assert after_registry == "False"
 
 
+def test_import_registry_and_threshold_leave_scipy_unloaded():
+    # the package depends on numpy alone; importing scipy.optimize for a root
+    # finder would double the resident memory of a run
+    code = ("import sys, cardstar, cardstar.cli; cardstar.radii.constants_registry(); "
+            "cardstar.verify.INCLUSION_FAMILIES['conic'].threshold(256); "
+            "print('scipy' in sys.modules)")
+    src = str(Path(cardstar.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True)
+    assert done.stdout.split() == ["False"]
+
+
 def test_package_code_has_no_assert():
     # control flow must not rely on assert, which python -O strips
     for path in sorted(Path(cardstar.__file__).parent.glob("*.py")):

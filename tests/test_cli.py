@@ -339,13 +339,15 @@ def test_verify_command_filtered(monkeypatch, capsys):
 # sha256 of the stdout of `cardstar --samples 512 verify` and `... constants`,
 # in text and in `--format csv` (the only output with the `method` and
 # `witness` columns), recorded from the code after the disk-branch crossover
-# oracle moved to the real-axis exit radius.  A different libm could move a
-# last printed digit.
+# oracle moved to the real-axis exit radius; the constants digests after the
+# inclusion thresholds moved to Brent's method, which set incl.conic's diff
+# column from 2.22e-16 to 0.00e+00.  A different libm could move a last
+# printed digit.
 _CLI_DIGESTS = {
     "verify": "1109dc19b29c65c08a879b9b7a80d7bc4598cd66ab40797da7a94e1c51b60a2f",
-    "constants": "df2f57111876bc9810d23616311979513e47f58d454662e7c7acaca0c8a344ae",
+    "constants": "0cb6c5e151e49af6ac7dd94ce3717dbd7f88ac097a5bbcfd6b8d046f6fccce43",
     "verify-csv": "74e06ad3709c3cc86a62698c1b55d1f2664b8ad980494a7fd0030a8f6706fa28",
-    "constants-csv": "3eeec2c84290b5b787b8e8d32747c6b95a36e2ff4164c7c1df5d896ec99f0bfa",
+    "constants-csv": "93f96129b337c4e0c4f7da5316b6b04f803f766254161bd11a78a208c284c911",
 }
 
 

@@ -66,6 +66,117 @@ def test_golden_section_stops_early_with_the_same_bits(f, lo, hi, steps):
 
 
 # ---------------------------------------------------------------------------
+# Brent's method
+# ---------------------------------------------------------------------------
+
+def _monotone(kind: str, root: float, sign: float, a: float, b: float):
+    """A monotone function of x with its sign change at root: smooth (a
+    triple root when a = 0, where Brent's steps converge slowly), kinked at
+    the root (slopes a and b), or kinked at a point past it."""
+    if kind == "smooth":
+        return lambda x: sign * (math.atan(a * (x - root)) + b * (x - root) ** 3)
+    if kind == "kink_at_root":
+        return lambda x: sign * (x - root) * (a if x < root else b)
+    knot = root + 0.5 * b
+    return lambda x: sign * ((x - root) + a * max(0.0, x - knot))
+
+
+_BRENT_CASES = dict(
+    kind=st.sampled_from(["smooth", "kink_at_root", "kink_past_root"]),
+    frac=st.floats(0.0, 1.0), sign=st.sampled_from([1.0, -1.0]),
+    a=st.just(0.0) | st.floats(1e-3, 1e3), b=st.floats(1e-3, 1e1),
+    lo=st.floats(-3.0, 3.0), width=st.floats(1e-6, 10.0),
+    tol=st.sampled_from([1e-15, 1e-12, 1e-8]))
+
+
+def _brent_case(kind, frac, sign, a, b, lo, width):
+    hi = lo + width
+    root = lo + frac * width
+    f = _monotone(kind, root, sign, a, b)
+    if (f(lo) > 0) == (f(hi) > 0):    # the root fell on an end of the bracket
+        return None
+    return f, hi
+
+
+def _recorded(f):
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+    return g, xs
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(**_BRENT_CASES)
+def test_brent_ends_in_a_narrow_sign_change_bracket(kind, frac, sign, a, b, lo, width, tol):
+    case = _brent_case(kind, frac, sign, a, b, lo, width)
+    if case is None:
+        return
+    f, hi = case
+    low_side = f(lo) > 0
+    for slack in (radii.BRENT_SLACK, 2):     # 2: the budget moves many steps
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(radii, "BRENT_SLACK", slack)
+            g, xs = _recorded(f)
+            x = radii.brent_sign_change(g, lo, hi, tol)
+        # the final bracket: the last point evaluated on each side of the change
+        below = max(v for v in xs if (f(v) > 0) == low_side)
+        above = min(v for v in xs if (f(v) > 0) != low_side)
+        assert below <= x <= above
+        assert above - below < tol + 4.0 * radii.EPS * abs(x)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(**_BRENT_CASES)
+def test_brent_costs_at_most_its_slack_beyond_bisection(
+        kind, frac, sign, a, b, lo, width, tol):
+    case = _brent_case(kind, frac, sign, a, b, lo, width)
+    if case is None:
+        return
+    f, hi = case
+    # bisection to the same width: f(lo), then one evaluation per halving
+    g, halvings = _recorded(f)
+    radii.bisect_predicate(lambda v: (g(v) > 0) == (f(lo) > 0), lo, hi, tol=tol)
+    for slack in (radii.BRENT_SLACK, 2):     # 2: the budget binds often
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(radii, "BRENT_SLACK", slack)
+            g, brent_calls = _recorded(f)
+            radii.brent_sign_change(g, lo, hi, tol)
+        assert len(brent_calls) <= 1 + len(halvings) + slack + 1
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda x: x, 0.0, 1.0),                # f(lo) = 0 goes with the negative values
+    (lambda x: x ** 3, 0.0, 2.0),
+    (lambda x: 1.0 - x, 0.0, 1.0),          # f(hi) = 0 likewise
+    (lambda x: 0.5 - x, -1.0, 0.5),
+    (lambda x: x - 0.375, 0.0, 1.0),        # an exact zero inside
+    (lambda x: max(0.0, x - 0.25), 0.0, 1.0),   # 0 on all of [0, 0.25]
+    (lambda x: max(0.0, 0.75 - x), 0.0, 1.0),   # 0 on all of [0.75, 1]
+])
+def test_brent_treats_an_exact_zero_as_bisection_does(f, lo, hi):
+    tol = 1e-15
+    got = radii.brent_sign_change(f, lo, hi, tol)
+    assert got == pytest.approx(radii.bisect_sign_change(f, lo, hi), abs=tol + 4 * radii.EPS)
+
+
+@pytest.mark.parametrize("lo, hi, tol, message", [
+    (0.0, 1.0, 1e-15, "sign change"),       # 1 + x^2 is positive throughout
+    (1.0, 1.0, 1e-15, "lo < hi"),
+    (2.0, 1.0, 1e-15, "lo < hi"),
+    (math.nan, 1.0, 1e-15, "finite"),
+    (0.0, math.nan, 1e-15, "finite"),
+    (-math.inf, 1.0, 1e-15, "finite"),
+    (0.0, 1.0, 0.0, "tol > 0"),             # would never stop at a root at 0
+    (0.0, 1.0, math.nan, "tol > 0"),
+])
+def test_brent_rejects_a_bad_bracket(lo, hi, tol, message):
+    with pytest.raises(ValueError, match=message):
+        radii.brent_sign_change(lambda x: 1.0 + x * x, lo, hi, tol)
+
+
+# ---------------------------------------------------------------------------
 # root solver
 # ---------------------------------------------------------------------------
 

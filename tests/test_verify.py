@@ -155,9 +155,9 @@ def test_ratio_disk_family_oracles_pinned(n):
 
 
 # sha256 of the repr of every registry oracle's value at 512 samples, one a
-# line in registry order, recorded before the radius scan was evaluated in
-# chunks
-REGISTRY_VALUES_512_SHA256 = "3350b425779d58d25ed6366da438c8a950ec1b9736ea29d42323610a0a962142"
+# line in registry order, recorded after the inclusion thresholds moved to
+# Brent's method
+REGISTRY_VALUES_512_SHA256 = "afe1d7651a2a7aee4bd760698d4320f641d4197d69e95f0711e000617bc4ed99"
 
 
 def test_registry_values_pinned_bit_for_bit():
@@ -571,7 +571,7 @@ def test_max_arg_search_stops_at_its_first_unchanged_step(monkeypatch):
 def test_threshold_measurements():
     assert verify.measured_max_arg_order() == pytest.approx(radii.beta_zero(), abs=1e-9)
     assert repr(verify.measured_max_arg_order()) == "0.7412918697654987"
-    assert verify.measured_generator_convexity() == pytest.approx(0.5, abs=1e-6)
+    assert verify.measured_generator_convexity() == verify.measured_generator_convexity(512) == 0.5
     assert verify.measured_min_re_limit() == pytest.approx(0.25, abs=1e-6)
     assert verify.measured_disk_branch_crossover() == pytest.approx(
         radii.m_knot(), abs=2e-4)
@@ -630,14 +630,14 @@ def test_max_arg_coarse_to_fine_matches_full_grid(n):
     assert 0.0 <= verify.measured_max_arg_order() - grid < (math.pi / (n - 1)) ** 2
 
 
-# repr of each bracketed inclusion threshold at 256 and 4096 samples; the
-# registry pin holds them at 512
+# repr of each bracketed inclusion threshold at 256 and 4096 samples, found
+# by Brent's method; the registry pin holds them at 512
 INCLUSION_THRESHOLD_PINS = {
-    256: {"self_centered_disk": "1.3090096220171867", "in_apollonius_disk": "0.6724180793088337",
-          "conic": "1.6666666666666665", "exponential": "0.20901164655173937",
+    256: {"self_centered_disk": "1.3090096220171863", "in_apollonius_disk": "0.6724180793088343",
+          "conic": "1.6666666666666667", "exponential": "0.20901164655173968",
           "lemniscate": "0.4999980253411296", "cassinian": "0.7500000000161575"},
-    4096: {"self_centered_disk": "1.3090169653071424", "in_apollonius_disk": "0.6725050360133784",
-           "conic": "1.6666666666666665", "exponential": "0.20901164655173937",
+    4096: {"self_centered_disk": "1.3090169653071426", "in_apollonius_disk": "0.6725050360133785",
+           "conic": "1.6666666666666667", "exponential": "0.20901164655173968",
            "lemniscate": "0.4999980253411296", "cassinian": "0.7500000000161575"},
 }
 
@@ -647,6 +647,31 @@ def test_inclusion_thresholds_pinned_bit_for_bit(n):
     got = {name: repr(fam.threshold(n)) for name, fam in verify.INCLUSION_FAMILIES.items()
            if fam.bracket}
     assert got == INCLUSION_THRESHOLD_PINS[n]
+
+
+@pytest.mark.parametrize("n", [512, 4096])
+def test_inclusion_thresholds_take_few_margin_evaluations(monkeypatch, n):
+    # a cost guard: Brent's method finds each threshold in 10 to 13 margins,
+    # where bisection took 53 to 55
+    calls = []
+    margin = verify._inclusion_margin
+    monkeypatch.setattr(verify, "_inclusion_margin", lambda *a: calls.append(a) or margin(*a))
+    for name, fam in verify.INCLUSION_FAMILIES.items():
+        if fam.bracket:
+            calls.clear()
+            fam.threshold(n)
+            assert len(calls) <= 16, (name, len(calls))
+
+
+@pytest.mark.parametrize("n", [256, 512, 4096])
+def test_inclusion_thresholds_match_bisection(n):
+    # Brent's method and bisection of the same oriented margin agree to a
+    # few ulps
+    for name, fam in verify.INCLUSION_FAMILIES.items():
+        if fam.bracket:
+            sign = -1.0 if fam.holds_above else 1.0
+            bisected = radii.bisect_sign_change(lambda p: sign * fam.margin(p, n), *fam.bracket)
+            assert abs(fam.threshold(n) - bisected) <= 2e-15, name
 
 
 def test_threshold_needs_a_bracket():
