@@ -132,10 +132,12 @@ def bisect_sign_change(f: Callable[[float], float], lo: float, hi: float,
 # kinked monotone functions, 138 took more evaluations at 8 than with no
 # budget, and 18 at 16
 BRENT_SLACK = 16
+# `brent_sign_change` stops once its bracket is narrower than
+# BRENT_TOL + 4 eps |x|; the absolute part lets it stop at a root at 0
+BRENT_TOL = 1e-15
 
 
-def brent_sign_change(f: Callable[[float], float], lo: float, hi: float,
-                      tol: float = 1e-15) -> float:
+def brent_sign_change(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Sign change of f on [lo, hi] by Brent's method.
 
     As in `bisect_sign_change`, x lies on lo's side when f(x) > 0 is true
@@ -148,14 +150,12 @@ def brent_sign_change(f: Callable[[float], float], lo: float, hi: float,
     it takes to keep the next bracket no wider than bisection's would be
     BRENT_SLACK steps earlier, so no more than BRENT_SLACK + 1 evaluations
     are spent beyond bisection's.  cur, the end with the smaller |f|, is
-    returned once the bracket is narrower than tol + 4 eps |cur|.
+    returned once the bracket is narrower than BRENT_TOL + 4 eps |cur|.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"bracket ends must be finite numbers, got lo={lo}, hi={hi}")
     if not lo < hi:
         raise ValueError(f"bracket needs lo < hi, got lo={lo}, hi={hi}")
-    if not tol > 0.0:
-        raise ValueError(f"tolerance needs tol > 0, got {tol}")
     xpre, xcur, fpre, fcur = lo, hi, f(lo), f(hi)
     if (fpre > 0) == (fcur > 0):
         raise ValueError(f"f needs a sign change on [{lo}, {hi}]: f(lo)={fpre}, f(hi)={fcur}")
@@ -165,7 +165,7 @@ def brent_sign_change(f: Callable[[float], float], lo: float, hi: float,
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
-        delta = 0.5 * (tol + 4.0 * EPS * abs(xcur))
+        delta = 0.5 * (BRENT_TOL + 4.0 * EPS * abs(xcur))
         sbis = 0.5 * (xblk - xcur)
         if abs(sbis) < delta:
             return xcur

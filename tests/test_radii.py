@@ -86,7 +86,7 @@ _BRENT_CASES = dict(
     frac=st.floats(0.0, 1.0), sign=st.sampled_from([1.0, -1.0]),
     a=st.just(0.0) | st.floats(1e-3, 1e3), b=st.floats(1e-3, 1e1),
     lo=st.floats(-3.0, 3.0), width=st.floats(1e-6, 10.0),
-    tol=st.sampled_from([1e-15, 1e-12, 1e-8]))
+    tol=st.sampled_from([radii.BRENT_TOL, 1e-12, 1e-8]))
 
 
 def _brent_case(kind, frac, sign, a, b, lo, width):
@@ -118,8 +118,9 @@ def test_brent_ends_in_a_narrow_sign_change_bracket(kind, frac, sign, a, b, lo, 
     for slack in (radii.BRENT_SLACK, 2):     # 2: the budget moves many steps
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(radii, "BRENT_SLACK", slack)
+            mp.setattr(radii, "BRENT_TOL", tol)
             g, xs = _recorded(f)
-            x = radii.brent_sign_change(g, lo, hi, tol)
+            x = radii.brent_sign_change(g, lo, hi)
         # the final bracket: the last point evaluated on each side of the change
         below = max(v for v in xs if (f(v) > 0) == low_side)
         above = min(v for v in xs if (f(v) > 0) != low_side)
@@ -141,8 +142,9 @@ def test_brent_costs_at_most_its_slack_beyond_bisection(
     for slack in (radii.BRENT_SLACK, 2):     # 2: the budget binds often
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(radii, "BRENT_SLACK", slack)
+            mp.setattr(radii, "BRENT_TOL", tol)
             g, brent_calls = _recorded(f)
-            radii.brent_sign_change(g, lo, hi, tol)
+            radii.brent_sign_change(g, lo, hi)
         assert len(brent_calls) <= 1 + len(halvings) + slack + 1
 
 
@@ -156,24 +158,22 @@ def test_brent_costs_at_most_its_slack_beyond_bisection(
     (lambda x: max(0.0, 0.75 - x), 0.0, 1.0),   # 0 on all of [0.75, 1]
 ])
 def test_brent_treats_an_exact_zero_as_bisection_does(f, lo, hi):
-    tol = 1e-15
-    got = radii.brent_sign_change(f, lo, hi, tol)
-    assert got == pytest.approx(radii.bisect_sign_change(f, lo, hi), abs=tol + 4 * radii.EPS)
+    got = radii.brent_sign_change(f, lo, hi)
+    assert got == pytest.approx(radii.bisect_sign_change(f, lo, hi),
+                                abs=radii.BRENT_TOL + 4 * radii.EPS)
 
 
-@pytest.mark.parametrize("lo, hi, tol, message", [
-    (0.0, 1.0, 1e-15, "sign change"),       # 1 + x^2 is positive throughout
-    (1.0, 1.0, 1e-15, "lo < hi"),
-    (2.0, 1.0, 1e-15, "lo < hi"),
-    (math.nan, 1.0, 1e-15, "finite"),
-    (0.0, math.nan, 1e-15, "finite"),
-    (-math.inf, 1.0, 1e-15, "finite"),
-    (0.0, 1.0, 0.0, "tol > 0"),             # would never stop at a root at 0
-    (0.0, 1.0, math.nan, "tol > 0"),
+@pytest.mark.parametrize("lo, hi, message", [
+    (0.0, 1.0, "sign change"),              # 1 + x^2 is positive throughout
+    (1.0, 1.0, "lo < hi"),
+    (2.0, 1.0, "lo < hi"),
+    (math.nan, 1.0, "finite"),
+    (0.0, math.nan, "finite"),
+    (-math.inf, 1.0, "finite"),
 ])
-def test_brent_rejects_a_bad_bracket(lo, hi, tol, message):
+def test_brent_rejects_a_bad_bracket(lo, hi, message):
     with pytest.raises(ValueError, match=message):
-        radii.brent_sign_change(lambda x: 1.0 + x * x, lo, hi, tol)
+        radii.brent_sign_change(lambda x: 1.0 + x * x, lo, hi)
 
 
 # ---------------------------------------------------------------------------
