@@ -1,7 +1,7 @@
 """Comparison regions of the plane with one membership interface.
 
 Every region that the radius and inclusion computations compare against is
-a `Domain` with five capabilities:
+a `Domain` with four capabilities:
 
   * ``margin(w)``   -- vectorized signed membership indicator, positive inside,
                        zero on the boundary, -inf at a non-finite point
@@ -9,10 +9,6 @@ a `Domain` with five capabilities:
                        w-distance except where noted);
   * ``contains_all(ws, tol)`` -- the containment test: every point finite and
                        inside or within tol >= 0 of the boundary;
-  * ``first_failure(rows, tol)`` -- the same test row by row over a 2-d
-                       array, as one evaluation: the index of the first
-                       rejected row, or the number of rows;
-                       `contains_all` is its one-row case;
   * ``boundary(t, e)`` -- parametrization of the topological boundary,
                        t in [0, 2pi), by default ``generator(e^{it})``,
                        read from e = e^{it} when the caller holds it
@@ -51,10 +47,8 @@ The containment test accepts the points strictly inside that disk with
 one `abs` each and runs the exact test on the rest only.  Every accepted
 point has an exact margin > 0, and the exact tests decide point by point,
 so every verdict is the exact test's.  The other regions keep no disk and
-run their exact test on every point.  Over several rows the disk filter,
-the finiteness check and the margins run once on all of them; a generator
-image finds its roots once and then runs its Gauss-Newton distance row by
-row, up to the first rejected row.
+run their exact test on every point.  At tol = 0 a generator image decides
+from its roots alone, without its Gauss-Newton distance.
 
 Every region is mirror-symmetric in the real axis (``symmetric``) except a
 disk whose center is off it.
@@ -64,7 +58,6 @@ disk whose center is off it.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
@@ -91,11 +84,6 @@ _INSCRIBED_GUARD = 1e-9
 
 def _as_points(w) -> np.ndarray:
     return np.atleast_1d(np.asarray(w, dtype=complex))
-
-
-def _row_of(bounds: list[int], i: int) -> int:
-    # the row j whose points bounds[j]:bounds[j + 1] hold point i
-    return bisect.bisect_right(bounds, i) - 1
 
 
 class Domain:
@@ -143,66 +131,31 @@ class Domain:
 
     def contains_all(self, ws, tol: float = 0.0) -> bool:
         """True iff every point is finite and inside or within tol of the
-        boundary: `first_failure` of the points as one row.
-
-        Raises ValueError for an empty point set and for a negative (or NaN)
-        tol, where the inscribed-disk shortcut is unsound.
-        """
-        return self.first_failure(np.asarray(ws, dtype=complex).reshape(1, -1), tol) == 1
-
-    def first_failure(self, rows, tol: float = 0.0) -> int:
-        """Index of the first row of the 2-d array `rows` that `contains_all`
-        rejects, or len(rows) when it accepts every row.
+        boundary.
 
         Points strictly inside `inscribed` are accepted without the exact
         test, which runs on the other points only; the verdict is the same
         as the exact test's on all of them, because that test decides point
         by point and each accepted point has margin > 0 >= -tol.  A
-        non-finite point is outside, and the exact test never sees the rows
-        from the first one with such a point on.  The disk filter and the
-        finiteness check run once over all rows.  Raises ValueError as
-        `contains_all` does, and for rows that are not 2-d.
+        non-finite point is outside.  Raises ValueError for an empty point
+        set and for a negative (or NaN) tol, where the shortcut is unsound.
         """
-        rows = np.asarray(rows, dtype=complex)
-        if rows.ndim != 2:
-            raise ValueError("rows must be a 2-d array of points")
-        if not rows.size:
+        ws = _as_points(ws)
+        if not ws.size:
             raise ValueError("need at least one point")
         if not tol >= 0.0:
             raise ValueError("tolerance must be nonnegative")
-        ws = rows.ravel()
         if self.inscribed is not None:
             center, radius = self.inscribed
             # written with < so that NaN points are kept, and rejected below
-            keep = ~(np.abs(ws - center) < radius)
-            ws = ws[keep]
+            ws = ws[~(np.abs(ws - center) < radius)]
             if not ws.size:
-                return len(rows)
-        # bounds[j]:bounds[j + 1] are the points of row j in ws
-        if len(rows) == 1:
-            bounds = [0, ws.size]
-        elif self.inscribed is None:
-            bounds = list(range(0, ws.size + 1, rows.shape[1]))
-        else:
-            bounds = [0, *np.cumsum(np.count_nonzero(keep.reshape(rows.shape), axis=1)).tolist()]
-        finite = np.isfinite(ws)
-        if not finite.all():
-            # the first row with a non-finite point is rejected, and the exact
-            # test sees only the rows before it
-            bounds = bounds[:_row_of(bounds, int(np.argmin(finite))) + 1]
-            ws = ws[:bounds[-1]]
-            if not ws.size:
-                return len(bounds) - 1
-        return self._first_rejected(ws, bounds, tol)
+                return True
+        return bool(np.isfinite(ws).all()) and self._contains_exact(ws, tol)
 
-    def _first_rejected(self, ws: np.ndarray, bounds: list[int], tol: float) -> int:
-        """The exact test of `first_failure` on finite points, row j being
-        ws[bounds[j]:bounds[j + 1]]: the first row with a point of margin not
-        above -tol, or len(bounds) - 1."""
-        m = self._margin(ws)
-        if m.min() > -tol:
-            return len(bounds) - 1
-        return 0 if len(bounds) == 2 else _row_of(bounds, int(np.argmin(m > -tol)))
+    def _contains_exact(self, ws: np.ndarray, tol: float) -> bool:
+        # `contains_all` has removed the non-finite points
+        return bool(self._margin(ws).min() > -tol)
 
     def worst_point(self, ws) -> tuple[complex, float]:
         ws = _as_points(ws)
@@ -606,22 +559,16 @@ class GeneratorImageRegion(Region):
         out = np.where(size.min(axis=0) < 1.0, dist, -dist)
         return out if np.ndim(w) else float(out[0])
 
-    def _first_rejected(self, ws: np.ndarray, bounds: list[int], tol: float) -> int:
-        # the roots of every row at once; the distance of the points outside,
-        # row by row, up to the first row with one beyond tol
+    def _contains_exact(self, ws: np.ndarray, tol: float) -> bool:
+        # the roots decide every point; the distance is needed only for the
+        # points outside, and only when tol admits some of them
         z, size = self._roots(ws)
         out = size.min(axis=0) >= 1.0
         if not out.any():
-            return len(bounds) - 1
+            return True
         if tol <= 0.0:
-            return _row_of(bounds, int(np.argmax(out)))
-        for j in range(len(bounds) - 1):
-            row = slice(bounds[j], bounds[j + 1])
-            o = out[row]
-            if o.any() and not (self._distance(ws[row][o], z[:, row][:, o],
-                                               size[:, row][:, o]) <= tol).all():
-                return j
-        return len(bounds) - 1
+            return False
+        return bool((self._distance(ws[out], z[:, out], size[:, out]) <= tol).all())
 
     def describe(self) -> str:
         image = f"image of generator {self.kind}"

@@ -175,8 +175,8 @@ def generator(name: str, **params) -> Callable:
 class FunctionSpec:
     """A named analytic quotient w(z) with w(0) = 1; `real` declares
     w(conj z) = conj w(z), which lets `verify` sample half the circle.
-    w_of must act elementwise on an array of any shape: a radius search
-    evaluates several radii at once, as a 2-d array with one row each."""
+    w_of acts elementwise on a number or a 1-d array: a radius search
+    evaluates the points of one circle at a time."""
 
     name: str
     w_of: Callable

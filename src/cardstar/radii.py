@@ -119,10 +119,20 @@ def bisect_predicate(holds: Callable[[float], bool], lo: float, hi: float | None
     return 0.5 * (lo + hi)
 
 
+def _sign_change_ends(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """f(lo) and f(hi), which must lie on either side of f > 0; raises
+    ValueError when they do not."""
+    flo, fhi = f(lo), f(hi)
+    if (flo > 0) == (fhi > 0):
+        raise ValueError(f"f needs a sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
+    return flo, fhi
+
+
 def bisect_sign_change(f: Callable[[float], float], lo: float, hi: float,
                        steps: int = 60) -> float:
-    """Sign change of f on [lo, hi] by at most `steps` halvings."""
-    positive = f(lo) > 0
+    """Sign change of f on [lo, hi] by at most `steps` halvings; f(hi) must
+    lie on the other side of f > 0 than f(lo), as in `brent_sign_change`."""
+    positive = _sign_change_ends(f, lo, hi)[0] > 0
     return bisect_predicate(lambda x: (f(x) > 0) == positive, lo, hi, steps=steps)
 
 
@@ -142,7 +152,7 @@ def brent_sign_change(f: Callable[[float], float], lo: float, hi: float) -> floa
 
     As in `bisect_sign_change`, x lies on lo's side when f(x) > 0 is true
     at both or at neither, so an f of exactly 0 counts with the negative
-    values; here f(hi) must lie on the other side.  Dekker's bracket [cur,
+    values, and f(hi) must lie on the other side.  Dekker's bracket [cur,
     blk] keeps that sign change: each step tries the secant or inverse
     quadratic interpolation through the last three points and bisects when
     the step would leave the bracket or not shrink it fast enough (Brent
@@ -156,9 +166,8 @@ def brent_sign_change(f: Callable[[float], float], lo: float, hi: float) -> floa
         raise ValueError(f"bracket ends must be finite numbers, got lo={lo}, hi={hi}")
     if not lo < hi:
         raise ValueError(f"bracket needs lo < hi, got lo={lo}, hi={hi}")
-    xpre, xcur, fpre, fcur = lo, hi, f(lo), f(hi)
-    if (fpre > 0) == (fcur > 0):
-        raise ValueError(f"f needs a sign change on [{lo}, {hi}]: f(lo)={fpre}, f(hi)={fcur}")
+    xpre, xcur = lo, hi
+    fpre, fcur = _sign_change_ends(f, lo, hi)
     for k in itertools.count():
         if (fpre > 0) != (fcur > 0):
             xblk, fblk = xpre, fpre

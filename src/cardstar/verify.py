@@ -11,13 +11,15 @@ interior spot-check guards against misuse.
 Every radius is found by one search, `_radius`, which returns a certified
 bracket: the circle image of a quotient (`subordination_radius`) or a
 family of disks (`disk_family_radius`) fits on one side and leaves the
-region on the other.  On grids of up to 513 points its upward scan
-evaluates 8 radii at a time, one image and one row-wise containment test
-(`Domain.first_failure`) per chunk, and keeps the verdicts up to the first
-failure, which are the ones a scan of one radius at a time reaches.  The
-rows past that failure are never run through a generator image's
-Gauss-Newton distance, and an error that one of them raises sends the
-search back to one radius.
+region on the other.  It brackets the first failure among 64 scan radii
+by galloping and halving over their indices, one radius a probe, at
+containment tolerance 0, where a generator image needs no Gauss-Newton
+distance, and then probes upward at the region's ``near`` tolerance from
+the first radius that fails at 0.  A pass at 0 is a pass at ``near``, so
+the bracket is the one a scan of one radius at a time finds when the
+verdicts at 0 are monotone over the scan radii.  A probe that raises or
+sets a floating-point error sends the search back to that scan from the
+last pass.
 
 A registry row's oracle descriptor is evaluated in one place, `_measure`:
 a `radii.Threshold` measurement, a `radii.DiskFamily` radius or a
@@ -61,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -132,51 +134,54 @@ def image_in_domain(spec: FunctionSpec, r: float, d: domains.Domain,
     return _report(claim, "circle-sampling", n, False, margin, witness)
 
 
-# Coarse upward scan for the first failure before bisecting a radius.  The
-# scan matters for quotients with poles inside the disk (the convexity
-# functional of z + z^2), where containment is not monotone in r and a
-# single probe near 1 would be fooled.
+# Coarse scan radii, which bracket the first failure before a radius is
+# bisected.  The scan matters for quotients with poles inside the disk (the
+# convexity functional of z + z^2), where containment is not monotone in r
+# and a single probe near 1 would be fooled.
 _RADIUS_SCAN = tuple(np.linspace(1e-4, 1.0 - 1e-9, 65)[1:].tolist())
-_SCAN_INDEX = {r: k for k, r in enumerate(_RADIUS_SCAN)}
-# scan radii evaluated together, from the one probed on: of 4, 8, 16 and
-# 64, 8 ran the param-sweep benchmark fastest, on the 513-point half grid of
-# 1024 samples.  Grids of more than `_SCAN_ROW_POINTS` points are scanned one
-# radius at a time: at 4096 samples 8 rows of 2049 points made each chunk
-# array a fresh memory map (about 560 page faults a search, 30% slower), and
-# chunks of 2 such rows were still 9% slower than one radius at a time
-_SCAN_CHUNK = 8
-_SCAN_ROW_POINTS = 513
 
 
 # relative bracket width for radii below tol / _RADIUS_REL_TOL
 _RADIUS_REL_TOL = 1e-3
 
-# image(r, e): the circle image of radius r at the unit-circle points e; given
-# a column of k radii, shape (k, 1), its k rows at once
-_Image = Callable[[float | np.ndarray, np.ndarray], np.ndarray]
+# image(r, e): the circle image of radius r at the unit-circle points e
+_Image = Callable[[float, np.ndarray], np.ndarray]
 
 
-def _scan_verdicts(image: _Image, d: domains.Domain, e: np.ndarray, near: float,
-                   rs: Sequence[float]) -> dict[float, bool]:
-    """Verdicts of the scan radii rs, from rs[0] up to and including the
-    first failure: the ones a scan of one radius at a time reaches, from one
-    image of all of rs and one `Domain.first_failure`.
+def _first_scan_failure(image: _Image, d: domains.Domain, e: np.ndarray, near: float) -> int:
+    """Index of the first scan radius whose image leaves d at `near`, or
+    len(_RADIUS_SCAN) when none does: the one a scan of one radius at a time
+    stops at, when the verdicts at tolerance 0 are monotone over the scan.
 
-    The rows past the first failure are radii that such a scan never
-    evaluates.  So an exception in the chunk, or a floating-point error that
-    the caller's `np.errstate` would not ignore, sends rs[0] alone through
-    the one-radius path instead, where it is raised or reported as before.
+    Galloping probes indices 0, 1, 3, 7, ... up to the first failure, and
+    halving narrows the index bracket, at tolerance 0: a pass there is a
+    pass at `near`, and a generator image decides it without its
+    Gauss-Newton distance.  From the first index that fails at 0, the
+    search probes upward at `near`; usually that one probe fails.  Probes
+    above a one-radius scan's first failure are radii such a scan never
+    evaluates, so one that raises, or sets a floating-point error that the
+    caller's `np.errstate` would not ignore, ends the probes at 0, and the
+    upward probes start after the last pass, where such a scan would
+    evaluate every radius and raise or report as before.
     """
     errors = []
     report = {k: "ignore" if v == "ignore" else "call" for k, v in np.geterr().items()}
+    lo, hi = -1, len(_RADIUS_SCAN)     # last pass and first failure at tolerance 0
     try:
         with np.errstate(**report, call=lambda *err: errors.append(err)):
-            j = d.first_failure(image(np.array(rs)[:, None], e), near)
+            while hi - lo > 1:
+                # indices 0, 1, 3, 7, ... until a failure, then the midpoint
+                k = min(max(2 * lo + 1, 0), hi - 1) if hi == len(_RADIUS_SCAN) else (lo + hi) // 2
+                held = d.contains_all(image(_RADIUS_SCAN[k], e), 0.0)
+                if errors:
+                    break
+                lo, hi = (k, hi) if held else (lo, k)
     except Exception:
-        errors.append(None)
-    if errors:
-        return {rs[0]: d.contains_all(image(rs[0], e), near)}
-    return {r: i < j for i, r in enumerate(rs[:j + 1])}
+        pass    # raised again below if a one-radius scan reaches that radius
+    k = lo + 1
+    while k < len(_RADIUS_SCAN) and d.contains_all(image(_RADIUS_SCAN[k], e), near):
+        k += 1
+    return k
 
 
 def _radius(image: _Image, d: domains.Domain, n: int, half: bool) -> float:
@@ -184,42 +189,33 @@ def _radius(image: _Image, d: domains.Domain, n: int, half: bool) -> float:
     on its closed upper half when `half` (the mirror rule of the module
     docstring).
 
-    A scan brackets the first failure, and bisection narrows the bracket to
+    After a probe at 1e-4, the first failing scan radius is found by
+    `_first_scan_failure`, and bisection narrows the bracket below it to
     tol = `DEFAULT_TOL`, or to relative 1e-3 when the radius is below
     1000 tol, bisecting again from half the first result with the
-    near-boundary tolerance shrunk by the same factor as the bracket.  The
-    result is certified: the image fits at r - width and leaves d at
-    r + width, with that width, or the search raises ArithmeticError.  1.0
-    means the whole disk fits.
-
-    On a grid of up to `_SCAN_ROW_POINTS` points a probe of a scan radius
-    evaluates it and the next `_SCAN_CHUNK` - 1 scan radii together
-    (`_scan_verdicts`), and keeps their verdicts up to the first failure,
-    which are the ones a scan of one radius at a time reaches;
-    `Domain.first_failure` runs no Gauss-Newton distance on the rows past
-    that failure, where it would be wasted.  The kept verdicts are dropped
-    when the refinement shrinks `near`.  Every other probe, of the
-    bisections and the bracket check, evaluates its one radius.
+    near-boundary tolerance shrunk by the same factor as the bracket.  When
+    the image leaves d at 1e-4 already, that radius is halved until it
+    fits, down to `radii.RADIUS_FLOOR`.  The result is certified: the image
+    fits at r - width and leaves d at r + width, with that width, or the
+    search raises ArithmeticError.  1.0 means the whole disk fits.
     """
     near, tol = d.near, DEFAULT_TOL
     e = radii._circle_grid(n, half)[1]
-    known: dict[float, bool] = {}     # scan radius -> verdict at `near`
-    scan = _SCAN_INDEX if e.size <= _SCAN_ROW_POINTS else {}
 
     def ok(r: float) -> bool:
-        k = scan.get(r)
-        if k is None:
-            return d.contains_all(image(r, e), near)
-        if r not in known:
-            known.update(_scan_verdicts(image, d, e, near, _RADIUS_SCAN[k:k + _SCAN_CHUNK]))
-        return known[r]
+        return d.contains_all(image(r, e), near)
 
-    r = radii.bisect_predicate(ok, 1e-4, 1.0, tol=tol, scan=_RADIUS_SCAN,
-                               floor=radii.RADIUS_FLOOR)
+    lo = 1e-4
+    if ok(lo):
+        k = _first_scan_failure(image, d, e, near)
+        if k == len(_RADIUS_SCAN):
+            return 1.0
+        r = radii.bisect_predicate(ok, _RADIUS_SCAN[k - 1] if k else lo, _RADIUS_SCAN[k], tol=tol)
+    else:
+        r = radii.bisect_predicate(ok, 0.5 * lo, lo, tol=tol, floor=radii.RADIUS_FLOOR)
     width = min(tol, _RADIUS_REL_TOL * r)
     if width < tol:
         near *= width / tol
-        known.clear()
         r = radii.bisect_predicate(ok, 0.5 * r, 2.0 * r, tol=width, floor=radii.RADIUS_FLOOR)
     if r < 1.0 and not (ok(max(r - width, radii.RADIUS_FLOOR))
                         and not ok(min(r + width, 1.0 - 1e-10))):
@@ -239,10 +235,8 @@ def disk_family_radius(center, spread, d: domains.Domain,
     """Largest r with the disk |w - center(r)| <= spread(r) inside d (see
     `_radius`); on the half circle when d is symmetric, where a center off
     the real axis raises ValueError.  center and spread take one radius at
-    a time, in increasing order within a scan chunk."""
-    def image(r, e: np.ndarray) -> np.ndarray:
-        if np.ndim(r):
-            return np.array([image(x, e) for x in r[:, 0].tolist()])
+    a time."""
+    def image(r: float, e: np.ndarray) -> np.ndarray:
         c = center(r)
         if d.symmetric and complex(c).imag != 0.0:
             raise ValueError("disk family center must be real for a mirror-symmetric region")

@@ -176,6 +176,18 @@ def test_brent_rejects_a_bad_bracket(lo, hi, message):
         radii.brent_sign_change(lambda x: 1.0 + x * x, lo, hi)
 
 
+@pytest.mark.parametrize("f", [lambda x: 1.0, lambda x: x - 5.0, lambda x: 0.0])
+def test_bisection_rejects_a_bracket_without_a_sign_change(f):
+    # bisection reads f(hi) too, and refuses a bracket without a sign change
+    # with Brent's message
+    messages = []
+    for search in (radii.bisect_sign_change, radii.brent_sign_change):
+        with pytest.raises(ValueError, match=r"^f needs a sign change on \[0.0, 1.0\]") as exc:
+            search(f, 0.0, 1.0)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
 # ---------------------------------------------------------------------------
 # root solver
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 import dataclasses
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardstar import cardioid, cli, domains, functions, radii, verify
 from cardstar.functions import FunctionSpec
@@ -169,8 +172,9 @@ def test_registry_values_pinned_bit_for_bit():
 
 
 def _sequential_radius(image, d: domains.Domain, n: int, half: bool) -> float:
-    """The search of `verify._radius` with one radius a probe, the scan radii
-    included: image(r, e) is the circle image of the one radius r."""
+    """The search of `verify._radius` with its bracket found by a scan of one
+    radius at a time at the region's near tolerance, upward from the first
+    scan radius to the first failure: image(r, e) is the circle image of r."""
     near, tol = d.near, verify.DEFAULT_TOL
     e = radii._circle_grid(n, half)[1]
 
@@ -187,9 +191,10 @@ def _sequential_radius(image, d: domains.Domain, n: int, half: bool) -> float:
 
 
 STEEP = FunctionSpec("steep", lambda z: 1.0 + 5000.0 * np.asarray(z, dtype=complex))
-# exp(30000 z) overflows from |z| = 0.0237 on, inside the scan's first chunk
-# but past its first failure at 0.0157
-OVERFLOWING = FunctionSpec("overflowing", lambda z: np.exp(30000.0 * np.asarray(z, dtype=complex)))
+# exp(12000 z) overflows from |z| = 0.0591 on: in Disk(1, 1e200), past the
+# scan's first failure at index 2 (0.0470), at the galloping probe of index 3
+# (0.0626)
+OVERFLOWING = FunctionSpec("overflowing", lambda z: np.exp(12000.0 * np.asarray(z, dtype=complex)))
 
 
 @pytest.mark.parametrize("n", [512, 1024])
@@ -200,20 +205,23 @@ OVERFLOWING = FunctionSpec("overflowing", lambda z: np.exp(30000.0 * np.asarray(
     (functions.extremal("second_sum_convexity"), domains.make_domain("min_re", 0.0), 0.25),
     (functions.extremal("cardioid_extremal"), domains.make_domain("nephroid"), 0.527525),
     (STEEP, domains.Disk(1.0, 0.01), 2e-6),
-    (OVERFLOWING, domains.Disk(1.0, 25.0), math.log(26.0) / 30000.0),
+    (OVERFLOWING, domains.Disk(1.0, 1e200), math.log(1e200) / 12000.0),
 ], ids=["clamped", "non-monotone", "generator-image", "below-1e-3", "overflow-past-failure"])
-def test_chunked_scan_equals_sequential_search(spec, region, about, n):
-    # the same float as a search that probes each scan radius alone, and
-    # under the suite's warning filter no warning from a row past the first
-    # failure
-    r = verify.subordination_radius(spec, region, n)
+def test_radius_search_equals_sequential_search(spec, region, about, n):
+    # the same float as a search that scans the radii one at a time, and no
+    # warning from a probe past the first failure: recorded, not raised, as
+    # the search would take a raised one for an error of its probe
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        r = verify.subordination_radius(spec, region, n)
+    assert not caught
     half = spec.real and region.symmetric
     assert r == _sequential_radius(lambda r, e: spec.w_of(r * e), region, n, half)
     assert r == pytest.approx(about, rel=1e-3)
 
 
 @pytest.mark.parametrize("n", [512, 1024])
-def test_chunked_disk_family_scan_equals_sequential_search(n):
+def test_disk_family_search_equals_sequential_search(n):
     def image(center, spread):
         return lambda r, e: center(r) + spread(r) * e
 
@@ -222,8 +230,8 @@ def test_chunked_disk_family_scan_equals_sequential_search(n):
     r = verify.disk_family_radius(center, spread, CARD, n)
     assert r == _sequential_radius(image(center, spread), CARD, n, True)
     assert r == pytest.approx(radii.ratio_class_radius(3, "koebe").value, abs=1e-6)
-    # a center that raises past 0.29, in the chunk of the first failure at
-    # 0.281 but past it
+    # a center that raises past 0.29, where the galloping probes reach, past
+    # the first failure at 0.281
     center = lambda r: 1.0 + 0.0 * math.sqrt(0.29 - r)  # noqa: E731
     spread = lambda r: r  # noqa: E731
     d = domains.Disk(1.0, 0.28)
@@ -274,6 +282,28 @@ PARAM_SWEEP_PINS = {
     ("cardioid-in-class", "bounded_re"): ("0.00020006331073727456", "0.8708820719116471", "1.0"),
     ("cardioid-in-class", "janowski_M"): ("0.00020006331073727456", "0.9713034709277318", "1.0"),
 }
+
+
+_PARAM_SWEEP_FAMILIES = [("class-in-cardioid", tag) for tag in PARAM_SWEEP_CLASS_IN_CARDIOID] + [
+    ("cardioid-in-class", tag) for tag in PARAM_SWEEP_CARDIOID_IN_CLASS]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(family=st.sampled_from(_PARAM_SWEEP_FAMILIES), x=st.floats(0.0, 1.0),
+       n=st.sampled_from([512, 1024]))
+def test_param_sweep_search_equals_sequential_search(family, x, n):
+    # over the whole range of every param-sweep family, the galloping search
+    # and a scan of one radius at a time give the same float
+    direction, tag = family
+    if direction == "class-in-cardioid":
+        name, lo, hi = PARAM_SWEEP_CLASS_IN_CARDIOID[tag]
+        spec, d = functions.extremal(tag, **{name: lo + x * (hi - lo)}), CARD
+    else:
+        region, lo, hi = PARAM_SWEEP_CARDIOID_IN_CLASS[tag]
+        spec = functions.extremal("cardioid_extremal")
+        d = domains.make_domain(*region(lo + x * (hi - lo)))
+    assert verify.subordination_radius(spec, d, n) == _sequential_radius(
+        lambda r, e: spec.w_of(r * e), d, n, spec.real and d.symmetric)
 
 
 @pytest.mark.parametrize("n", [1024, 4096])
@@ -345,57 +375,54 @@ def test_half_circle_inclusion_thresholds_match_full_circle():
     assert measure() == pytest.approx(_on_full_circle(measure), rel=0.0, abs=1e-15)
 
 
-def _rows_seen(monkeypatch, methods: tuple[str, ...], measure) -> list[tuple[int, int]]:
-    # (rows, points a row) of each call of Domain.<method> during measure(),
-    # for each method; a one-dimensional point set is one row
+def _points_seen(monkeypatch, method: str, measure) -> list[int]:
+    # the number of points of each call of Domain.<method> during measure()
     calls = []
+    original = getattr(domains.Domain, method)
 
-    def counted(original):
-        def call(self, ws, *args):
-            calls.append(np.atleast_2d(ws).shape)
-            return original(self, ws, *args)
-        return call
+    def counted(self, ws, *args):
+        calls.append(np.size(ws))
+        return original(self, ws, *args)
 
     with monkeypatch.context() as m:
-        for method in methods:
-            m.setattr(domains.Domain, method, counted(getattr(domains.Domain, method)))
+        m.setattr(domains.Domain, method, counted)
         measure()
     return calls
 
 
 @pytest.mark.parametrize("n", [512, 1024])
 def test_mirror_rule_evaluates_half_the_points(monkeypatch, n):
-    # a deterministic cost guard: a symmetric pair evaluates n//2 + 1 points a
-    # row of every probe and every scan chunk, and a pair with a rotated
-    # quotient or an off-axis disk all n
+    # a deterministic cost guard: a symmetric pair evaluates n//2 + 1 points
+    # at every probe, and a pair with a rotated quotient or an off-axis disk
+    # all n
     half = n // 2 + 1
     off_axis = domains.Disk(1.0 + 0.1j, 1.0)
     center, spread = radii.ratio_disk_family(3, "koebe")
-    containment = ("contains_all", "first_failure")
     cases = [
-        (containment, half, lambda: verify.subordination_radius(
+        ("contains_all", half, lambda: verify.subordination_radius(
             functions.extremal("cardioid_extremal"), domains.make_domain("sine"), n=n)),
-        (containment, half, lambda: verify.subordination_radius(
+        ("contains_all", half, lambda: verify.subordination_radius(
             functions.extremal("booth", alpha=0.5), CARD, n=n)),
-        (containment, n, lambda: verify.subordination_radius(
+        ("contains_all", n, lambda: verify.subordination_radius(
             functions.extremal("ratio1_rotated"), CARD, n=n)),
-        (containment, n, lambda: verify.subordination_radius(
+        ("contains_all", n, lambda: verify.subordination_radius(
             functions.extremal("cardioid_extremal"), off_axis, n=n)),
-        (containment, half, lambda: verify.disk_family_radius(center, spread, CARD, n=n)),
-        (containment, n, lambda: verify.disk_family_radius(
+        ("contains_all", half, lambda: verify.disk_family_radius(center, spread, CARD, n=n)),
+        ("contains_all", n, lambda: verify.disk_family_radius(
             lambda r: 1.0 + 0.1j, lambda r: r, off_axis, n=n)),
-        (("margin",), half, lambda: verify.INCLUSION_FAMILIES["conic"].threshold(n)),
-        (("margin",), half, lambda: verify.INCLUSION_FAMILIES["self_centered_disk"].threshold(n)),
-        (("margin",), n, lambda: verify._inclusion_margin(CARD, off_axis, n)),
+        ("margin", half, lambda: verify.INCLUSION_FAMILIES["conic"].threshold(n)),
+        ("margin", half, lambda: verify.INCLUSION_FAMILIES["self_centered_disk"].threshold(n)),
+        ("margin", n, lambda: verify._inclusion_margin(CARD, off_axis, n)),
     ]
-    for methods, points, measure in cases:
-        calls = _rows_seen(monkeypatch, methods, measure)
-        assert calls and {size for _, size in calls} == {points}, (methods, points)
-        if methods == containment and points <= verify._SCAN_ROW_POINTS:
-            # the scan's chunks of 8 rows are among them
-            assert (verify._SCAN_CHUNK, points) in calls, points
+    for method, points, measure in cases:
+        calls = _points_seen(monkeypatch, method, measure)
+        assert calls and set(calls) == {points}, (method, points)
 
-    # a clamped search: the 1e-4 probe and one image per chunk of the scan
+
+@pytest.mark.parametrize("n", [512, 4096])
+def test_clamped_search_makes_eight_images(n):
+    # a cost guard: when the whole disk fits, the search evaluates the image
+    # at 1e-4 and at the galloping probes of scan indices 0, 1, 3, ..., 63
     images = []
 
     def w_of(z):
@@ -404,21 +431,22 @@ def test_mirror_rule_evaluates_half_the_points(monkeypatch, n):
 
     spec = FunctionSpec("counted", w_of, real=True)
     assert verify.subordination_radius(spec, domains.make_domain("cardioid_wide"), n=n) == 1.0
-    assert images == [(half,)] + [(verify._SCAN_CHUNK, half)] * 8
+    assert images == [(n // 2 + 1,)] * (1 + 7)
 
 
-def test_long_grids_scan_one_radius_at_a_time():
-    # 8 rows of the 2049-point half grid of 4096 samples would be slower than
-    # one radius at a time, so a clamped search evaluates 65 one-row images
-    images = []
-
-    def w_of(z):
-        images.append(np.shape(z))
-        return cardioid.eval_phi(z)
-
-    spec = FunctionSpec("counted", w_of, real=True)
-    assert verify.subordination_radius(spec, domains.make_domain("cardioid_wide")) == 1.0
-    assert images == [(2049,)] * 65
+def test_generator_image_rows_bound_their_distance_calls(monkeypatch):
+    # a cost guard: the galloping probes run at tolerance 0, where a generator
+    # image needs no Gauss-Newton distance; counts at 512 samples
+    bounds = {"within.rational": 16, "within.nephroid": 14, "within.rational_lemniscate": 7,
+              "within.sine": 8}
+    rows = {e.key: e for e in radii.constants_registry()}
+    distance = domains.GeneratorImageRegion._distance
+    for key, bound in bounds.items():
+        calls = []
+        monkeypatch.setattr(domains.GeneratorImageRegion, "_distance",
+                            lambda *args: calls.append(1) or distance(*args))
+        verify.measure_constant(rows[key], 512)
+        assert 0 < len(calls) <= bound, key
 
 
 def test_disk_family_center_must_be_real_on_a_symmetric_region():
