@@ -173,15 +173,18 @@ def generator(name: str, **params) -> Callable:
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """A named analytic quotient w(z) with w(0) = 1; `real` declares
-    w(conj z) = conj w(z), which lets `verify` sample half the circle.
-    w_of acts elementwise on a number or a 1-d array: a radius search
-    evaluates the points of one circle at a time."""
+    """A named quotient w(z) with w(0) = 1; `real` declares
+    w(conj z) = conj w(z), which lets `verify` sample half the circle, and
+    `analytic` declares that w has no pole or branch point in the open unit
+    disk, which lets `verify` bracket its radius by galloping.  w_of acts
+    elementwise on a number or a 1-d array: a radius search evaluates the
+    points of one circle at a time."""
 
     name: str
     w_of: Callable
     claim: str = ""
     real: bool = False
+    analytic: bool = False
 
 
 def _w_koebe(z):
@@ -261,25 +264,35 @@ def _ratio_quotient(chi: RatioChi, p: RatioP) -> Callable:
 
 # every name `extremal` accepts; a quotient's parameters are its keywords.
 # Every quotient has real Taylor coefficients at its default parameters
-# except the ratio quotients with a rotation off the real axis.
+# except the ratio quotients with a rotation off the real axis, and every
+# one is analytic in the unit disk but the two with a pole at z = -1/2.
 _EXTREMALS: dict[str, FunctionSpec] = {spec.name: spec for spec in (
-    *(FunctionSpec(name, psi, f"generator {name}", real=True)
+    *(FunctionSpec(name, psi, f"generator {name}", real=True, analytic=True)
       for name, psi in _GENERATORS.items()),
     FunctionSpec("cardioid_extremal", eval_phi,
-                 "z exp(z + z^2/4); quotient is the cardioid generator itself", real=True),
-    FunctionSpec("koebe", _w_koebe, "z/(1-z)^2; quotient (1+z)/(1-z)", real=True),
-    FunctionSpec("half_plane", _w_half_plane, "z/(1-z); quotient 1/(1-z)", real=True),
-    FunctionSpec("second_sum", _w_second_sum, "z + z^2; starlikeness quotient", real=True),
+                 "z exp(z + z^2/4); quotient is the cardioid generator itself", True, True),
+    FunctionSpec("koebe", _w_koebe, "z/(1-z)^2; quotient (1+z)/(1-z)", True, True),
+    FunctionSpec("half_plane", _w_half_plane, "z/(1-z); quotient 1/(1-z)", True, True),
+    FunctionSpec("second_sum", _w_second_sum, "z + z^2; starlikeness quotient", True, True),
     FunctionSpec("second_sum_convexity", _w_second_sum_convexity,
                  "z + z^2; convexity functional 1 + z f''/f'", real=True),
     FunctionSpec("koebe_second_sum", _w_second_sum_convexity, "z + 2 z^2; quotient", real=True),
     FunctionSpec("bounded_re_extremal", lambda z, beta=2.0: gen_bounded_re(-_asc(z), beta),
-                 "z(1-z)^(2(beta-1)); quotient reaches 1/2 at z = 1/(4 beta - 3)", real=True),
+                 "z(1-z)^(2(beta-1)); quotient reaches 1/2 at z = 1/(4 beta - 3)", True, True),
     *(FunctionSpec(f"ratio{i}_{chi.suffix}", _ratio_quotient(chi, p),
                    f"chi(z) p_{i}(eps z) with chi {tag} and eps {chi.rotation:g}",
-                   real=chi.rotation.imag == 0)
+                   real=chi.rotation.imag == 0, analytic=True)
       for tag, chi in RATIO_CHI.items() for i, p in RATIO_P.items()),
 )}
+
+# the quotients whose nearest singularity moves with their parameters:
+# params -> whether it stays off the open unit disk
+_ANALYTIC_AT: dict[str, Callable[..., bool]] = {
+    "cassinian": lambda c: abs(c) <= 1.0,              # branch point at -1/c
+    "booth": lambda alpha: abs(alpha) <= 1.0,          # poles at +-1/sqrt(alpha)
+    "janowski": lambda A=1.0, B=-1.0: abs(B) <= 1.0,   # pole at -1/B
+    "padmanabhan": lambda alpha: abs(alpha) <= 1.0,    # pole at 1/alpha
+}
 
 
 @lru_cache(maxsize=None)
@@ -291,9 +304,10 @@ def _parameters(name: str) -> tuple[str, ...]:
 def extremal(name: str, **params) -> FunctionSpec:
     """Look up an extremal quotient or a generator kind, closed over `params`.
 
-    The result keeps the entry's `real` only when every parameter is real.
-    Raises ValueError for an unknown name, or for a keyword that is not a
-    parameter of the quotient.
+    The result keeps the entry's `real` only when every parameter is real,
+    and its `analytic` only where the parameters keep the quotient's
+    singularities off the open unit disk.  Raises ValueError for an unknown
+    name, or for a keyword that is not a parameter of the quotient.
     """
     try:
         spec = _EXTREMALS[name]
@@ -305,7 +319,9 @@ def extremal(name: str, **params) -> FunctionSpec:
         if key not in _parameters(name):
             raise ValueError(f"extremal {name!r} has no parameter {key!r}")
     real = spec.real and all(isinstance(v, numbers.Real) for v in params.values())
-    return FunctionSpec(name, partial(spec.w_of, **params), f"{spec.claim} {params}", real)
+    analytic = spec.analytic and (name not in _ANALYTIC_AT or _ANALYTIC_AT[name](**params))
+    return FunctionSpec(name, partial(spec.w_of, **params), f"{spec.claim} {params}", real,
+                        analytic)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,17 @@ interior spot-check guards against misuse.
 Every radius is found by one search, `_radius`, which returns a certified
 bracket: the circle image of a quotient (`subordination_radius`) or a
 family of disks (`disk_family_radius`) fits on one side and leaves the
-region on the other.  It brackets the first failure among 64 scan radii
-by galloping and halving over their indices, one radius a probe, at
-containment tolerance 0, where a generator image needs no Gauss-Newton
-distance, and then probes upward at the region's ``near`` tolerance from
-the first radius that fails at 0.  A pass at 0 is a pass at ``near``, so
-the bracket is the one a scan of one radius at a time finds when the
-verdicts at 0 are monotone over the scan radii.  A probe that raises or
-sets a floating-point error sends the search back to that scan from the
-last pass.
+region on the other.  It brackets the first failure among 64 scan radii,
+one radius a probe, testing each image at containment tolerance 0, where a
+generator image needs no Gauss-Newton distance, and at the region's
+``near`` tolerance only where that test fails: a pass at 0 is a pass at
+``near``.  Where containment is monotone in r, as for a quotient declared
+analytic in the disk (`FunctionSpec.analytic`; every region here is simply
+connected), the search gallops and halves over the scan indices; otherwise
+(a quotient with a pole in the disk, a disk family) it scans them in
+order.  Either way the bracket is the one a scan of one radius at a time
+finds.  A galloping probe that raises or sets a floating-point error sends
+the search back to that scan from the last pass.
 
 A registry row's oracle descriptor is evaluated in one place, `_measure`:
 a `radii.Threshold` measurement, a `radii.DiskFamily` radius or a
@@ -148,49 +150,61 @@ _RADIUS_REL_TOL = 1e-3
 _Image = Callable[[float, np.ndarray], np.ndarray]
 
 
-def _first_scan_failure(image: _Image, d: domains.Domain, e: np.ndarray, near: float) -> int:
+def _first_scan_failure(image: _Image, d: domains.Domain, e: np.ndarray, near: float,
+                        monotone: bool) -> int:
     """Index of the first scan radius whose image leaves d at `near`, or
     len(_RADIUS_SCAN) when none does: the one a scan of one radius at a time
-    stops at, when the verdicts at tolerance 0 are monotone over the scan.
+    stops at.
 
-    Galloping probes indices 0, 1, 3, 7, ... up to the first failure, and
-    halving narrows the index bracket, at tolerance 0: a pass there is a
-    pass at `near`, and a generator image decides it without its
-    Gauss-Newton distance.  From the first index that fails at 0, the
-    search probes upward at `near`; usually that one probe fails.  Probes
-    above a one-radius scan's first failure are radii such a scan never
+    Each image is tested at tolerance 0 first, where a generator image
+    decides from its preimage roots without its Gauss-Newton distance, and
+    at `near` only when that test fails: a pass at 0 is a pass at `near`.
+    When the verdicts are `monotone` in r, galloping over indices 0, 1, 3,
+    7, ... to the first failure at 0, and halving the index bracket, skips
+    the radii below the last pass; the scan then goes on from there.  Probes
+    above the one-radius scan's first failure are radii that scan never
     evaluates, so one that raises, or sets a floating-point error that the
-    caller's `np.errstate` would not ignore, ends the probes at 0, and the
-    upward probes start after the last pass, where such a scan would
-    evaluate every radius and raise or report as before.
+    caller's `np.errstate` would not ignore, ends the galloping, and the
+    scan evaluates every radius after the last pass, raising or reporting
+    as the one-radius scan does.
     """
-    errors = []
-    report = {k: "ignore" if v == "ignore" else "call" for k, v in np.geterr().items()}
-    lo, hi = -1, len(_RADIUS_SCAN)     # last pass and first failure at tolerance 0
-    try:
-        with np.errstate(**report, call=lambda *err: errors.append(err)):
-            while hi - lo > 1:
-                # indices 0, 1, 3, 7, ... until a failure, then the midpoint
-                k = min(max(2 * lo + 1, 0), hi - 1) if hi == len(_RADIUS_SCAN) else (lo + hi) // 2
-                held = d.contains_all(image(_RADIUS_SCAN[k], e), 0.0)
-                if errors:
-                    break
-                lo, hi = (k, hi) if held else (lo, k)
-    except Exception:
-        pass    # raised again below if a one-radius scan reaches that radius
-    k = lo + 1
-    while k < len(_RADIUS_SCAN) and d.contains_all(image(_RADIUS_SCAN[k], e), near):
-        k += 1
-    return k
+    size = len(_RADIUS_SCAN)
+    lo, hi, w_hi = -1, size, None      # last pass and first failure at tolerance 0
+    if monotone:
+        errors = []
+        report = {k: "ignore" if v == "ignore" else "call" for k, v in np.geterr().items()}
+        try:
+            with np.errstate(**report, call=lambda *err: errors.append(err)):
+                while hi - lo > 1:
+                    # indices 0, 1, 3, 7, ... until a failure, then the midpoint
+                    k = min(max(2 * lo + 1, 0), hi - 1) if hi == size else (lo + hi) // 2
+                    w = image(_RADIUS_SCAN[k], e)
+                    held = d.contains_all(w, 0.0)
+                    if errors:
+                        break
+                    lo, hi, w_hi = (k, hi, w_hi) if held else (lo, k, w)
+        except Exception:
+            pass    # raised again below if the scan reaches that radius
+    for k in range(lo + 1, size):
+        if k == hi:
+            w = w_hi    # failed at 0 already
+        else:
+            w = image(_RADIUS_SCAN[k], e)
+            if d.contains_all(w, 0.0):
+                continue
+        if not d.contains_all(w, near):
+            return k
+    return size
 
 
-def _radius(image: _Image, d: domains.Domain, n: int, half: bool) -> float:
+def _radius(image: _Image, d: domains.Domain, n: int, half: bool, monotone: bool) -> float:
     """Largest r with image(r, e) inside d on the n-point unit circle e, or
     on its closed upper half when `half` (the mirror rule of the module
     docstring).
 
     After a probe at 1e-4, the first failing scan radius is found by
-    `_first_scan_failure`, and bisection narrows the bracket below it to
+    `_first_scan_failure`, galloping when the caller has established that
+    containment is `monotone` in r, and bisection narrows the bracket below it to
     tol = `DEFAULT_TOL`, or to relative 1e-3 when the radius is below
     1000 tol, bisecting again from half the first result with the
     near-boundary tolerance shrunk by the same factor as the bracket.  When
@@ -207,7 +221,7 @@ def _radius(image: _Image, d: domains.Domain, n: int, half: bool) -> float:
 
     lo = 1e-4
     if ok(lo):
-        k = _first_scan_failure(image, d, e, near)
+        k = _first_scan_failure(image, d, e, near, monotone)
         if k == len(_RADIUS_SCAN):
             return 1.0
         r = radii.bisect_predicate(ok, _RADIUS_SCAN[k - 1] if k else lo, _RADIUS_SCAN[k], tol=tol)
@@ -226,8 +240,9 @@ def _radius(image: _Image, d: domains.Domain, n: int, half: bool) -> float:
 def subordination_radius(spec: FunctionSpec, d: domains.Domain,
                          n: int = DEFAULT_SAMPLES) -> float:
     """Largest r with spec's image of |z| < r inside d (see `_radius`); on
-    the half circle when spec is real and d symmetric."""
-    return _radius(lambda r, e: spec.w_of(r * e), d, n, spec.real and d.symmetric)
+    the half circle when spec is real and d symmetric, galloping over the
+    scan radii when spec is analytic."""
+    return _radius(lambda r, e: spec.w_of(r * e), d, n, spec.real and d.symmetric, spec.analytic)
 
 
 def disk_family_radius(center, spread, d: domains.Domain,
@@ -235,14 +250,15 @@ def disk_family_radius(center, spread, d: domains.Domain,
     """Largest r with the disk |w - center(r)| <= spread(r) inside d (see
     `_radius`); on the half circle when d is symmetric, where a center off
     the real axis raises ValueError.  center and spread take one radius at
-    a time."""
+    a time; nothing establishes that the disks grow nested in r, so the
+    scan radii are searched in order and never past the first failure."""
     def image(r: float, e: np.ndarray) -> np.ndarray:
         c = center(r)
         if d.symmetric and complex(c).imag != 0.0:
             raise ValueError("disk family center must be real for a mirror-symmetric region")
         return c + spread(r) * e
 
-    return _radius(image, d, n, d.symmetric)
+    return _radius(image, d, n, d.symmetric, False)
 
 
 def sharpness_touch(spec: FunctionSpec, r_star: float, touch_point_z: complex,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardstar import cardioid, domains, functions, radii
+from cardstar import cardioid, domains, functions, radii, verify
 from cardstar.domains import (
     Disk,
     GeneratorImageRegion,
@@ -774,25 +774,36 @@ _KINDS_AND_DISKS = ALL_KINDS + [("janowski_disk", (0.5, -0.5, 0.8)), ("disk", (1
 
 @pytest.mark.parametrize("kind, params", _KINDS_AND_DISKS)
 @settings(max_examples=40, derandomize=True, deadline=None)
+@given(shape=st.sampled_from(["inside", "edge", "boundary", "nan"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_containment_at_zero_implies_containment_at_near(kind, params, shape, seed):
+    # the radius search takes a pass at tolerance 0 for a pass at the
+    # region's near tolerance
+    d = make_domain(kind, *params)
+    ws = _cloud(d, shape, np.random.default_rng(seed))
+    assert d.contains_all(ws, d.near) or not d.contains_all(ws, 0.0), shape
+
+
+@pytest.mark.parametrize("kind, params", _KINDS_AND_DISKS)
+@settings(max_examples=40, derandomize=True, deadline=None)
 @given(shapes=st.lists(st.sampled_from(["inside", "edge", "boundary", "nan"]),
                        min_size=1, max_size=9),
        seed=st.integers(0, 2**32 - 1))
 def test_first_failure_matches_row_by_row_containment(kind, params, shapes, seed):
-    # the radius search gallops at tolerance 0, takes each pass there as a
-    # pass at the region's near tolerance, and probes at near upward from the
-    # first row that fails at 0: the row it stops at is the first one that
-    # contains_all rejects at near, row by row
+    # the radius scan, which tests each image at tolerance 0 and at near only
+    # where that fails, stops at the first row that contains_all rejects at
+    # near; scan index k reads row k, the last row from there on
     d = make_domain(kind, *params)
     rng = np.random.default_rng(seed)
     rows = [_cloud(d, shape, rng) for shape in shapes]
-    at_zero = [d.contains_all(row, 0.0) for row in rows]
+    scan = verify._RADIUS_SCAN
+
+    def image(r, e):
+        return rows[min(scan.index(r), len(rows) - 1)]
+
     at_near = [d.contains_all(row, d.near) for row in rows]
-    assert all(n or not z for z, n in zip(at_zero, at_near)), (shapes, at_zero, at_near)
-    first = at_zero.index(False) if False in at_zero else len(rows)
-    while first < len(rows) and at_near[first]:
-        first += 1
-    reference = at_near.index(False) if False in at_near else len(rows)
-    assert first == reference, (shapes, at_zero, at_near)
+    reference = at_near.index(False) if False in at_near else len(scan)
+    assert verify._first_scan_failure(image, d, None, d.near, False) == reference, shapes
 
 
 # every make_domain kind, each at parameters that put it on the real axis

@@ -96,6 +96,24 @@ def test_real_declarations():
     assert not FunctionSpec("adhoc", lambda z: z).real
 
 
+def test_analytic_declarations():
+    # every table row is analytic in the unit disk but the two quotients
+    # with a pole at -1/2
+    assert {name for name, spec in functions._EXTREMALS.items() if not spec.analytic} == {
+        "second_sum_convexity", "koebe_second_sum"}
+    # a lookup keeps the declaration while the parameters keep every pole and
+    # branch point off the open disk, and an ad hoc spec is not declared
+    assert extremal("booth", alpha=1.0).analytic
+    assert not extremal("booth", alpha=1.5).analytic
+    assert extremal("cassinian", c=-1.0).analytic
+    assert not extremal("cassinian", c=1.01).analytic
+    assert extremal("janowski", A=1.0, B=-0.5j).analytic
+    assert not extremal("janowski", B=-2.0).analytic
+    assert not extremal("padmanabhan", alpha=2.0).analytic
+    assert extremal("bounded_re", beta=40.0).analytic
+    assert not FunctionSpec("adhoc", lambda z: z).analytic
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(r=st.sampled_from([0.3, 0.7, 0.95]), t=st.floats(0.0, 2.0 * math.pi))
 def test_real_extremals_commute_with_conjugation(r, t):

@@ -190,11 +190,35 @@ def _sequential_radius(image, d: domains.Domain, n: int, half: bool) -> float:
     return r
 
 
-STEEP = FunctionSpec("steep", lambda z: 1.0 + 5000.0 * np.asarray(z, dtype=complex))
+STEEP = FunctionSpec("steep", lambda z: 1.0 + 5000.0 * np.asarray(z, dtype=complex),
+                     analytic=True)
 # exp(12000 z) overflows from |z| = 0.0591 on: in Disk(1, 1e200), past the
 # scan's first failure at index 2 (0.0470), at the galloping probe of index 3
 # (0.0626)
-OVERFLOWING = FunctionSpec("overflowing", lambda z: np.exp(12000.0 * np.asarray(z, dtype=complex)))
+OVERFLOWING = FunctionSpec("overflowing", lambda z: np.exp(12000.0 * np.asarray(z, dtype=complex)),
+                           analytic=True)
+
+
+def _raises_past(limit: float):
+    def w_of(z):
+        z = np.asarray(z, dtype=complex)
+        if np.abs(z).max() > limit:
+            raise ValueError(f"not defined past |z| = {limit}")
+        return 1.0 + z
+    return w_of
+
+
+# 1 + z in Disk(1, 0.28): the one-radius scan fails first at index 17
+# (0.281), and the galloping probe of index 31 (0.5) raises
+RAISING = FunctionSpec("raising", _raises_past(0.29), real=True, analytic=True)
+
+
+def _pole_window(a: float, b: float) -> FunctionSpec:
+    # (1 + z/a)/(1 + z/b) with 0 < a < b has a pole at -b, and Re w(-r) < 0
+    # only for a < r < b: its circle image leaves Re w > 0 there and only
+    # there, so containment is not monotone in r
+    return FunctionSpec(f"pole window ({a:g}, {b:g})",
+                        lambda z: (1.0 + np.asarray(z) / a) / (1.0 + np.asarray(z) / b), real=True)
 
 
 @pytest.mark.parametrize("n", [512, 1024])
@@ -206,7 +230,13 @@ OVERFLOWING = FunctionSpec("overflowing", lambda z: np.exp(12000.0 * np.asarray(
     (functions.extremal("cardioid_extremal"), domains.make_domain("nephroid"), 0.527525),
     (STEEP, domains.Disk(1.0, 0.01), 2e-6),
     (OVERFLOWING, domains.Disk(1.0, 1e200), math.log(1e200) / 12000.0),
-], ids=["clamped", "non-monotone", "generator-image", "below-1e-3", "overflow-past-failure"])
+    (RAISING, domains.Disk(1.0, 0.28), 0.28),
+    # failure windows over scan indices 2, 17 to 21, 38 to 39 and 57 to 58,
+    # none of which a galloping probe reaches
+    *((_pole_window(a, b), domains.make_domain("min_re", 0.0), a)
+      for a, b in ((0.045, 0.06), (0.27, 0.35), (0.6, 0.64), (0.9, 0.93))),
+], ids=["clamped", "non-monotone", "generator-image", "below-1e-3", "overflow-past-failure",
+        "raise-past-failure", *(f"pole-window-{k}" for k in (2, 17, 38, 57))])
 def test_radius_search_equals_sequential_search(spec, region, about, n):
     # the same float as a search that scans the radii one at a time, and no
     # warning from a probe past the first failure: recorded, not raised, as
@@ -220,6 +250,24 @@ def test_radius_search_equals_sequential_search(spec, region, about, n):
     assert r == pytest.approx(about, rel=1e-3)
 
 
+def test_search_reports_the_errors_of_the_sequential_search():
+    # in Disk(1, 1e300) the overflow of exp(12000 z) falls on the first
+    # failure of the one-radius scan, index 3, which the galloping also
+    # probes: the search reports the warnings that scan reports, in order
+    d, n = domains.Disk(1.0, 1e300), 512
+
+    def warnings_of(search):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            r = search()
+        return r, [str(w.message) for w in caught]
+
+    got = warnings_of(lambda: verify.subordination_radius(OVERFLOWING, d, n))
+    assert got == warnings_of(lambda: _sequential_radius(
+        lambda r, e: OVERFLOWING.w_of(r * e), d, n, False))
+    assert got[1] and got[0] == pytest.approx(math.log(1e300) / 12000.0, rel=1e-3)
+
+
 @pytest.mark.parametrize("n", [512, 1024])
 def test_disk_family_search_equals_sequential_search(n):
     def image(center, spread):
@@ -230,8 +278,9 @@ def test_disk_family_search_equals_sequential_search(n):
     r = verify.disk_family_radius(center, spread, CARD, n)
     assert r == _sequential_radius(image(center, spread), CARD, n, True)
     assert r == pytest.approx(radii.ratio_class_radius(3, "koebe").value, abs=1e-6)
-    # a center that raises past 0.29, where the galloping probes reach, past
-    # the first failure at 0.281
+    # a center that raises past 0.29, past the first failure at 0.281: a
+    # disk family is scanned one radius at a time, so it is never evaluated
+    # there
     center = lambda r: 1.0 + 0.0 * math.sqrt(0.29 - r)  # noqa: E731
     spread = lambda r: r  # noqa: E731
     d = domains.Disk(1.0, 0.28)
@@ -422,16 +471,36 @@ def test_mirror_rule_evaluates_half_the_points(monkeypatch, n):
 @pytest.mark.parametrize("n", [512, 4096])
 def test_clamped_search_makes_eight_images(n):
     # a cost guard: when the whole disk fits, the search evaluates the image
-    # at 1e-4 and at the galloping probes of scan indices 0, 1, 3, ..., 63
-    images = []
+    # at 1e-4 and at the galloping probes of scan indices 0, 1, 3, ..., 63;
+    # a quotient not declared analytic is scanned at all 64 radii
+    for analytic, scanned in ((True, 7), (False, 64)):
+        images = []
 
-    def w_of(z):
-        images.append(np.shape(z))
-        return cardioid.eval_phi(z)
+        def w_of(z):
+            images.append(np.shape(z))
+            return cardioid.eval_phi(z)
 
-    spec = FunctionSpec("counted", w_of, real=True)
-    assert verify.subordination_radius(spec, domains.make_domain("cardioid_wide"), n=n) == 1.0
-    assert images == [(n // 2 + 1,)] * (1 + 7)
+        spec = FunctionSpec("counted", w_of, real=True, analytic=analytic)
+        assert verify.subordination_radius(spec, domains.make_domain("cardioid_wide"), n=n) == 1.0
+        assert images == [(n // 2 + 1,)] * (1 + scanned)
+
+
+_MONOTONE_REGIONS = [CARD, domains.make_domain("min_re", 0.5), domains.make_domain("sector", 0.5),
+                     domains.Disk(1.0, 0.5), domains.make_domain("lemniscate", 0.0),
+                     domains.make_domain("nephroid")]
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, spec in functions._EXTREMALS.items() if spec.analytic))
+def test_declared_analytic_quotients_leave_regions_for_good(name):
+    # the property the galloping search relies on: over the scan radii, the
+    # circle image of a quotient declared analytic passes a region at
+    # tolerance 0 up to some radius and fails at every larger one
+    spec = functions.extremal(name)
+    e = radii._circle_grid(512)[1]
+    for d in _MONOTONE_REGIONS:
+        verdicts = [d.contains_all(spec.w_of(r * e), 0.0) for r in verify._RADIUS_SCAN]
+        assert verdicts == sorted(verdicts, reverse=True), d.describe()
 
 
 def test_generator_image_rows_bound_their_distance_calls(monkeypatch):
