@@ -176,9 +176,9 @@ class FunctionSpec:
     """A named quotient w(z) with w(0) = 1; `real` declares
     w(conj z) = conj w(z), which lets `verify` sample half the circle, and
     `analytic` declares that w has no pole or branch point in the open unit
-    disk, which lets `verify` bracket its radius by galloping.  w_of acts
-    elementwise on a number or a 1-d array: a radius search evaluates the
-    points of one circle at a time."""
+    disk, which lets `verify` bracket its radius by halving the scan
+    indices.  w_of acts elementwise on a number or a 1-d array: a radius
+    search evaluates the points of one circle at a time."""
 
     name: str
     w_of: Callable

@@ -25,8 +25,10 @@ their maps p -> (A, B), `functions.JANOWSKI_AB`, in their formulas.
 
 Every root and threshold in the package is located by the search helpers
 here: `bisect_predicate` (with `bisect_sign_change` on top), Brent's method
-`brent_sign_change` for the sign changes of smooth margins, and
-`golden_section_min`.
+`brent_sign_change` for the sign changes of smooth margins (the inclusion
+thresholds, the generator-convexity threshold and `cardioid_disk_radius`,
+whose probe's excess changes sign where the cardioid image leaves the
+disk), and `golden_section_min`.
 
 All transcendental constants are computed from library functions; reference
 decimals from the literature appear only in the registry metadata and in
@@ -363,7 +365,7 @@ _JANOWSKI_M = domains.Parameter("M", "disk parameter", "(1/2, inf)")
 
 def cardioid_disk_radius(M: float) -> float:
     """Largest r with the cardioid generator image of |z| < r inside
-    |w - M| < M, by bisection over the closed upper half of the 4096-point
+    |w - M| < M, measured over the closed upper half of the 4096-point
     circle grid (its first 2049 points, angles 0 to pi), which is all that
     can bind: the generator and the disk are mirror-symmetric (see the
     `verify` module docstring).  Self-contained oracle used where the
@@ -372,7 +374,12 @@ def cardioid_disk_radius(M: float) -> float:
     A probe passes when the image lies in `domains.Disk(M, M)` within 1e-9,
     or within 1e-4 r where that is smaller (r below 1e-5): the slack then
     moves the radius by relative 1e-4, as the near-boundary tolerance of
-    `verify._radius` does for small radii.
+    `verify._radius` does for small radii.  The radius is where the excess,
+    the image's least margin plus that slack, changes sign (it is positive
+    exactly where a probe passes), found by `brent_sign_change` on
+    [1e-4, 1 - 1e-9].  It is 1.0 when the image passes at 1 - 1e-9; when it
+    fails at 1e-4, that radius is halved until it passes, and the bracket
+    above it halved 50 times.
 
     Raises ValueError unless M is finite and exceeds 1/2 (for M <= 1/2 no
     positive radius exists), and ArithmeticError when the radius is below
@@ -382,10 +389,18 @@ def cardioid_disk_radius(M: float) -> float:
     disk = domains.Disk(M, M)
     e = _circle_grid(4096, half=True)[1]
 
-    def ok(r: float) -> bool:
-        return disk.contains_all(cardioid.eval_phi(r * e), min(1e-9, 1e-4 * r))
+    def excess(r: float) -> float:
+        return float(disk.margin(cardioid.eval_phi(r * e)).min()) + min(1e-9, 1e-4 * r)
 
-    return bisect_predicate(ok, 1e-4, 1.0, steps=50, scan=(1.0 - 1e-9,), floor=RADIUS_FLOOR)
+    def ok(r: float) -> bool:
+        return excess(r) > 0.0
+
+    lo, hi = 1e-4, 1.0 - 1e-9
+    if not ok(lo):
+        return bisect_predicate(ok, 0.5 * lo, lo, steps=50, floor=RADIUS_FLOOR)
+    if ok(hi):
+        return 1.0
+    return brent_sign_change(excess, lo, hi)
 
 
 # ---------------------------------------------------------------------------

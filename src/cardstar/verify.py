@@ -11,17 +11,19 @@ interior spot-check guards against misuse.
 Every radius is found by one search, `_radius`, which returns a certified
 bracket: the circle image of a quotient (`subordination_radius`) or a
 family of disks (`disk_family_radius`) fits on one side and leaves the
-region on the other.  It brackets the first failure among 64 scan radii,
-one radius a probe, testing each image at containment tolerance 0, where a
-generator image needs no Gauss-Newton distance, and at the region's
-``near`` tolerance only where that test fails: a pass at 0 is a pass at
-``near``.  Where containment is monotone in r, as for a quotient declared
-analytic in the disk (`FunctionSpec.analytic`; every region here is simply
-connected), the search gallops and halves over the scan indices; otherwise
-(a quotient with a pole in the disk, a disk family) it scans them in
-order.  Either way the bracket is the one a scan of one radius at a time
-finds.  A galloping probe that raises or sets a floating-point error sends
-the search back to that scan from the last pass.
+region on the other.  It brackets the first failure among 65 scan radii,
+1e-4 and 64 more up to 1, one radius a probe, testing each image at
+containment tolerance 0, where a generator image needs no Gauss-Newton
+distance, and at the region's ``near`` tolerance only where that test
+fails: a pass at 0 is a pass at ``near``.  Where containment is monotone in
+r, as for a quotient declared analytic in the disk
+(`FunctionSpec.analytic`; every region here is simply connected), the
+search halves the range of scan indices, probing only radii whose verdict
+the earlier probes leave open; otherwise (a quotient with a pole in the
+disk, a disk family) it scans them in order.  Either way the bracket is
+the one a scan of one radius at a time finds.  A halving probe that raises
+or sets a floating-point error sends the search back to that scan from the
+last pass.
 
 A registry row's oracle descriptor is evaluated in one place, `_measure`:
 a `radii.Threshold` measurement, a `radii.DiskFamily` radius or a
@@ -137,10 +139,11 @@ def image_in_domain(spec: FunctionSpec, r: float, d: domains.Domain,
 
 
 # Coarse scan radii, which bracket the first failure before a radius is
-# bisected.  The scan matters for quotients with poles inside the disk (the
+# bisected: 1e-4, below which the search halves instead, and 64 radii up to
+# 1.  The scan matters for quotients with poles inside the disk (the
 # convexity functional of z + z^2), where containment is not monotone in r
 # and a single probe near 1 would be fooled.
-_RADIUS_SCAN = tuple(np.linspace(1e-4, 1.0 - 1e-9, 65)[1:].tolist())
+_RADIUS_SCAN = tuple(np.linspace(1e-4, 1.0 - 1e-9, 65).tolist())
 
 
 # relative bracket width for radii below tol / _RADIUS_REL_TOL
@@ -159,14 +162,15 @@ def _first_scan_failure(image: _Image, d: domains.Domain, e: np.ndarray, near: f
     Each image is tested at tolerance 0 first, where a generator image
     decides from its preimage roots without its Gauss-Newton distance, and
     at `near` only when that test fails: a pass at 0 is a pass at `near`.
-    When the verdicts are `monotone` in r, galloping over indices 0, 1, 3,
-    7, ... to the first failure at 0, and halving the index bracket, skips
-    the radii below the last pass; the scan then goes on from there.  Probes
-    above the one-radius scan's first failure are radii that scan never
-    evaluates, so one that raises, or sets a floating-point error that the
-    caller's `np.errstate` would not ignore, ends the galloping, and the
-    scan evaluates every radius after the last pass, raising or reporting
-    as the one-radius scan does.
+    When the verdicts are `monotone` in r, halving the index range at
+    tolerance 0, from index 32 (radius 0.5) on, finds the last pass and the
+    first failure there without a probe whose verdict the earlier ones
+    imply; the scan then goes on from that pass, so the radii below it, 1e-4
+    among them, are never evaluated.  Probes above the one-radius scan's
+    first failure are radii that scan never evaluates, so one that raises,
+    or sets a floating-point error that the caller's `np.errstate` would not
+    ignore, ends the halving, and the scan evaluates every radius after the
+    last pass, raising or reporting as the one-radius scan does.
     """
     size = len(_RADIUS_SCAN)
     lo, hi, w_hi = -1, size, None      # last pass and first failure at tolerance 0
@@ -176,8 +180,7 @@ def _first_scan_failure(image: _Image, d: domains.Domain, e: np.ndarray, near: f
         try:
             with np.errstate(**report, call=lambda *err: errors.append(err)):
                 while hi - lo > 1:
-                    # indices 0, 1, 3, 7, ... until a failure, then the midpoint
-                    k = min(max(2 * lo + 1, 0), hi - 1) if hi == size else (lo + hi) // 2
+                    k = (lo + hi) // 2
                     w = image(_RADIUS_SCAN[k], e)
                     held = d.contains_all(w, 0.0)
                     if errors:
@@ -202,16 +205,17 @@ def _radius(image: _Image, d: domains.Domain, n: int, half: bool, monotone: bool
     on its closed upper half when `half` (the mirror rule of the module
     docstring).
 
-    After a probe at 1e-4, the first failing scan radius is found by
-    `_first_scan_failure`, galloping when the caller has established that
-    containment is `monotone` in r, and bisection narrows the bracket below it to
+    The first failing scan radius is found by `_first_scan_failure`, halving
+    the scan indices when the caller has established that containment is
+    `monotone` in r, and bisection narrows the bracket below it to
     tol = `DEFAULT_TOL`, or to relative 1e-3 when the radius is below
     1000 tol, bisecting again from half the first result with the
     near-boundary tolerance shrunk by the same factor as the bracket.  When
-    the image leaves d at 1e-4 already, that radius is halved until it
-    fits, down to `radii.RADIUS_FLOOR`.  The result is certified: the image
-    fits at r - width and leaves d at r + width, with that width, or the
-    search raises ArithmeticError.  1.0 means the whole disk fits.
+    the image leaves d at the first scan radius, 1e-4, already, that radius
+    is halved until it fits, down to `radii.RADIUS_FLOOR`.  The result is
+    certified: the image fits at r - width and leaves d at r + width, with
+    that width, or the search raises ArithmeticError.  1.0 means the whole
+    disk fits.
     """
     near, tol = d.near, DEFAULT_TOL
     e = radii._circle_grid(n, half)[1]
@@ -219,13 +223,13 @@ def _radius(image: _Image, d: domains.Domain, n: int, half: bool, monotone: bool
     def ok(r: float) -> bool:
         return d.contains_all(image(r, e), near)
 
-    lo = 1e-4
-    if ok(lo):
-        k = _first_scan_failure(image, d, e, near, monotone)
-        if k == len(_RADIUS_SCAN):
-            return 1.0
-        r = radii.bisect_predicate(ok, _RADIUS_SCAN[k - 1] if k else lo, _RADIUS_SCAN[k], tol=tol)
+    k = _first_scan_failure(image, d, e, near, monotone)
+    if k == len(_RADIUS_SCAN):
+        return 1.0
+    if k:
+        r = radii.bisect_predicate(ok, _RADIUS_SCAN[k - 1], _RADIUS_SCAN[k], tol=tol)
     else:
+        lo = _RADIUS_SCAN[0]
         r = radii.bisect_predicate(ok, 0.5 * lo, lo, tol=tol, floor=radii.RADIUS_FLOOR)
     width = min(tol, _RADIUS_REL_TOL * r)
     if width < tol:
@@ -240,8 +244,8 @@ def _radius(image: _Image, d: domains.Domain, n: int, half: bool, monotone: bool
 def subordination_radius(spec: FunctionSpec, d: domains.Domain,
                          n: int = DEFAULT_SAMPLES) -> float:
     """Largest r with spec's image of |z| < r inside d (see `_radius`); on
-    the half circle when spec is real and d symmetric, galloping over the
-    scan radii when spec is analytic."""
+    the half circle when spec is real and d symmetric, halving the scan
+    indices when spec is analytic."""
     return _radius(lambda r, e: spec.w_of(r * e), d, n, spec.real and d.symmetric, spec.analytic)
 
 

@@ -451,6 +451,49 @@ def test_cardioid_disk_radius_is_relative_near_half():
         radius_of_cardioid_in_class("janowski_M", 0.5 + 2.0**-53)
 
 
+def _halved_disk_radius(M: float) -> float:
+    # reference for radii.cardioid_disk_radius: the same probe, with the
+    # bracket [1e-4, 1 - 1e-9] halved 50 times instead of Brent's method
+    disk = domains.Disk(M, M)
+    e = radii._circle_grid(4096, half=True)[1]
+
+    def ok(r: float) -> bool:
+        return disk.contains_all(cardioid.eval_phi(r * e), min(1e-9, 1e-4 * r))
+
+    return radii.bisect_predicate(ok, 1e-4, 1.0, steps=50, scan=(1.0 - 1e-9,),
+                                  floor=radii.RADIUS_FLOOR)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(x=st.floats(0.0, 1.0))
+def test_cardioid_disk_radius_matches_halving(x):
+    # over the sampled branch's whole range of M, within a few ulps of 1
+    M = 0.5001 + x * (radii.m_knot() - 0.5001)
+    assert abs(radii.cardioid_disk_radius(M) - _halved_disk_radius(M)) <= 2e-15, M
+
+
+def test_cardioid_disk_radius_is_one_where_the_disk_fits():
+    for M in (1.31, 1.5, 2.0, 10.0, 1e6):
+        assert radii.cardioid_disk_radius(M) == _halved_disk_radius(M) == 1.0, M
+
+
+def test_cardioid_disk_radius_makes_at_most_16_margins(monkeypatch):
+    # a cost guard: Brent's method makes 9 to 11 margin evaluations of the
+    # image where 50 halvings made 52
+    calls = []
+    margin = domains.Disk._margin
+
+    def counted(self, w):
+        calls.append(np.size(w))
+        return margin(self, w)
+
+    monkeypatch.setattr(domains.Disk, "_margin", counted)
+    for M in (0.5001, 0.6, 1.0, radii.m_knot()):
+        calls.clear()
+        radii.cardioid_disk_radius(M)
+        assert 0 < len(calls) <= 16, M
+
+
 def test_class_table_rejects_nonfinite_parameters():
     lookup = {"of": radius_of_class_in_cardioid, "within": radius_of_cardioid_in_class}
     rows = [(key, spec) for key, spec in radii.CLASS_TABLE.items() if spec.param]

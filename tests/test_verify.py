@@ -173,16 +173,17 @@ def test_registry_values_pinned_bit_for_bit():
 
 def _sequential_radius(image, d: domains.Domain, n: int, half: bool) -> float:
     """The search of `verify._radius` with its bracket found by a scan of one
-    radius at a time at the region's near tolerance, upward from the first
-    scan radius to the first failure: image(r, e) is the circle image of r."""
+    radius at a time at the region's near tolerance, upward from 1e-4, the
+    first scan radius, to the first failure: image(r, e) is the circle image
+    of r."""
     near, tol = d.near, verify.DEFAULT_TOL
     e = radii._circle_grid(n, half)[1]
 
     def ok(r: float) -> bool:
         return d.contains_all(image(r, e), near)
 
-    r = radii.bisect_predicate(ok, 1e-4, 1.0, tol=tol, scan=verify._RADIUS_SCAN,
-                               floor=radii.RADIUS_FLOOR)
+    r = radii.bisect_predicate(ok, verify._RADIUS_SCAN[0], 1.0, tol=tol,
+                               scan=verify._RADIUS_SCAN[1:], floor=radii.RADIUS_FLOOR)
     width = min(tol, verify._RADIUS_REL_TOL * r)
     if width < tol:
         near *= width / tol
@@ -193,8 +194,8 @@ def _sequential_radius(image, d: domains.Domain, n: int, half: bool) -> float:
 STEEP = FunctionSpec("steep", lambda z: 1.0 + 5000.0 * np.asarray(z, dtype=complex),
                      analytic=True)
 # exp(12000 z) overflows from |z| = 0.0591 on: in Disk(1, 1e200), past the
-# scan's first failure at index 2 (0.0470), at the galloping probe of index 3
-# (0.0626)
+# scan's first failure at index 3 (0.0470), at index 4 (0.0626) and at the
+# first halving probe, index 32 (0.5)
 OVERFLOWING = FunctionSpec("overflowing", lambda z: np.exp(12000.0 * np.asarray(z, dtype=complex)),
                            analytic=True)
 
@@ -208,9 +209,18 @@ def _raises_past(limit: float):
     return w_of
 
 
-# 1 + z in Disk(1, 0.28): the one-radius scan fails first at index 17
-# (0.281), and the galloping probe of index 31 (0.5) raises
+# 1 + z in Disk(1, 0.28): the one-radius scan fails first at index 18
+# (0.281), and the first halving probe, index 32 (0.5), raises
 RAISING = FunctionSpec("raising", _raises_past(0.29), real=True, analytic=True)
+
+
+# 1 + z, whose circle image of radius r leaves Disk(1, R) exactly when r > R
+SHIFT = FunctionSpec("shift", lambda z: 1.0 + np.asarray(z, dtype=complex), real=True,
+                     analytic=True)
+
+
+def _between_scan_radii(k: int) -> float:
+    return 0.5 * (verify._RADIUS_SCAN[k - 1] + verify._RADIUS_SCAN[k])
 
 
 def _pole_window(a: float, b: float) -> FunctionSpec:
@@ -231,12 +241,18 @@ def _pole_window(a: float, b: float) -> FunctionSpec:
     (STEEP, domains.Disk(1.0, 0.01), 2e-6),
     (OVERFLOWING, domains.Disk(1.0, 1e200), math.log(1e200) / 12000.0),
     (RAISING, domains.Disk(1.0, 0.28), 0.28),
-    # failure windows over scan indices 2, 17 to 21, 38 to 39 and 57 to 58,
-    # none of which a galloping probe reaches
+    # failure windows right after scan indices 2, 17, 38 and 57, over indices
+    # 3, 18 to 22, 39 to 40 and 58 to 59, none of which a halving probe of a
+    # search that passes everywhere else (32, 48, 56, 60, 62, 63, 64) reaches
     *((_pole_window(a, b), domains.make_domain("min_re", 0.0), a)
       for a, b in ((0.045, 0.06), (0.27, 0.35), (0.6, 0.64), (0.9, 0.93))),
+    # a first failure at scan index 1 to 7, far below the first halving
+    # probe, index 32: the halving narrows down to it without an error
+    *((SHIFT, domains.Disk(1.0, _between_scan_radii(k)), _between_scan_radii(k))
+      for k in range(1, 8)),
 ], ids=["clamped", "non-monotone", "generator-image", "below-1e-3", "overflow-past-failure",
-        "raise-past-failure", *(f"pole-window-{k}" for k in (2, 17, 38, 57))])
+        "raise-past-failure", *(f"pole-window-{k}" for k in (2, 17, 38, 57)),
+        *(f"first-failure-{k}" for k in range(1, 8))])
 def test_radius_search_equals_sequential_search(spec, region, about, n):
     # the same float as a search that scans the radii one at a time, and no
     # warning from a probe past the first failure: recorded, not raised, as
@@ -252,8 +268,9 @@ def test_radius_search_equals_sequential_search(spec, region, about, n):
 
 def test_search_reports_the_errors_of_the_sequential_search():
     # in Disk(1, 1e300) the overflow of exp(12000 z) falls on the first
-    # failure of the one-radius scan, index 3, which the galloping also
-    # probes: the search reports the warnings that scan reports, in order
+    # failure of the one-radius scan, index 4; the first halving probe, index
+    # 32, overflows too and sends the search back to that scan, and the
+    # search reports the warnings that scan reports, in order
     d, n = domains.Disk(1.0, 1e300), 512
 
     def warnings_of(search):
@@ -341,7 +358,7 @@ _PARAM_SWEEP_FAMILIES = [("class-in-cardioid", tag) for tag in PARAM_SWEEP_CLASS
 @given(family=st.sampled_from(_PARAM_SWEEP_FAMILIES), x=st.floats(0.0, 1.0),
        n=st.sampled_from([512, 1024]))
 def test_param_sweep_search_equals_sequential_search(family, x, n):
-    # over the whole range of every param-sweep family, the galloping search
+    # over the whole range of every param-sweep family, the halving search
     # and a scan of one radius at a time give the same float
     direction, tag = family
     if direction == "class-in-cardioid":
@@ -353,6 +370,19 @@ def test_param_sweep_search_equals_sequential_search(family, x, n):
         d = domains.make_domain(*region(lo + x * (hi - lo)))
     assert verify.subordination_radius(spec, d, n) == _sequential_radius(
         lambda r, e: spec.w_of(r * e), d, n, spec.real and d.symmetric)
+
+
+def test_registry_subordination_radii_equal_sequential_search():
+    # every registry quotient in its region at the default 4096 samples
+    oracles = {e.oracle for e in radii.constants_registry()
+               if isinstance(e.oracle, radii.Subordination)}
+    assert len(oracles) == 40
+    for oracle in oracles:
+        spec = functions.extremal(oracle.quotient, **dict(oracle.params))
+        d = domains.make_domain(*oracle.region)
+        assert verify.subordination_radius(spec, d) == _sequential_radius(
+            lambda r, e: spec.w_of(r * e), d, verify.DEFAULT_SAMPLES,
+            spec.real and d.symmetric), oracle
 
 
 @pytest.mark.parametrize("n", [1024, 4096])
@@ -469,20 +499,23 @@ def test_mirror_rule_evaluates_half_the_points(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [512, 4096])
-def test_clamped_search_makes_eight_images(n):
+def test_clamped_search_makes_seven_images(n):
     # a cost guard: when the whole disk fits, the search evaluates the image
-    # at 1e-4 and at the galloping probes of scan indices 0, 1, 3, ..., 63;
-    # a quotient not declared analytic is scanned at all 64 radii
-    for analytic, scanned in ((True, 7), (False, 64)):
+    # at the halving probes of scan indices 32, 48, 56, 60, 62, 63 and 64
+    # only, not at 1e-4, whose verdict they imply; a quotient not declared
+    # analytic is scanned at all 65 radii, 1e-4 first
+    scan = verify._RADIUS_SCAN
+    for analytic, probed in ((True, [scan[k] for k in (32, 48, 56, 60, 62, 63, 64)]),
+                             (False, list(scan))):
         images = []
 
         def w_of(z):
-            images.append(np.shape(z))
+            images.append((np.shape(z), float(z[0].real)))    # z[0] = r
             return cardioid.eval_phi(z)
 
         spec = FunctionSpec("counted", w_of, real=True, analytic=analytic)
         assert verify.subordination_radius(spec, domains.make_domain("cardioid_wide"), n=n) == 1.0
-        assert images == [(n // 2 + 1,)] * (1 + scanned)
+        assert images == [((n // 2 + 1,), r) for r in probed]
 
 
 _MONOTONE_REGIONS = [CARD, domains.make_domain("min_re", 0.5), domains.make_domain("sector", 0.5),
@@ -493,7 +526,7 @@ _MONOTONE_REGIONS = [CARD, domains.make_domain("min_re", 0.5), domains.make_doma
 @pytest.mark.parametrize("name", sorted(
     name for name, spec in functions._EXTREMALS.items() if spec.analytic))
 def test_declared_analytic_quotients_leave_regions_for_good(name):
-    # the property the galloping search relies on: over the scan radii, the
+    # the property the halving search relies on: over the scan radii, the
     # circle image of a quotient declared analytic passes a region at
     # tolerance 0 up to some radius and fails at every larger one
     spec = functions.extremal(name)
@@ -504,7 +537,7 @@ def test_declared_analytic_quotients_leave_regions_for_good(name):
 
 
 def test_generator_image_rows_bound_their_distance_calls(monkeypatch):
-    # a cost guard: the galloping probes run at tolerance 0, where a generator
+    # a cost guard: the halving probes run at tolerance 0, where a generator
     # image needs no Gauss-Newton distance; counts at 512 samples
     bounds = {"within.rational": 16, "within.nephroid": 14, "within.rational_lemniscate": 7,
               "within.sine": 8}
@@ -691,7 +724,8 @@ def _full_circle_disk_radius(M: float, n: int = 4096) -> float:
 
 def test_cardioid_disk_radius_matches_full_circle():
     # the half circle gives the full circle's radius; rounding differs between
-    # the mirrored halves, which can move the result by one 8.9e-16 bisection step
+    # the mirrored halves, and Brent's method stops at another point of the
+    # last bracket than 50 halvings, each worth up to about 8.9e-16
     for M in np.linspace(0.5, 1.309, 202)[1:-1]:
         assert radii.cardioid_disk_radius(M) == pytest.approx(
             _full_circle_disk_radius(M), abs=2e-15), M
