@@ -28,7 +28,9 @@ here: `bisect_predicate` (with `bisect_sign_change` on top), Brent's method
 `brent_sign_change` for the sign changes of smooth margins (the inclusion
 thresholds, the generator-convexity threshold and `cardioid_disk_radius`,
 whose probe's excess changes sign where the cardioid image leaves the
-disk), and `golden_section_min`.
+disk), and `golden_section_min`.  The one exception is the halving of the
+scan indices in `verify._first_scan_failure`, which brackets a sampled
+radius before `bisect_predicate` narrows it.
 
 All transcendental constants are computed from library functions; reference
 decimals from the literature appear only in the registry metadata and in
@@ -379,7 +381,8 @@ def cardioid_disk_radius(M: float) -> float:
     exactly where a probe passes), found by `brent_sign_change` on
     [1e-4, 1 - 1e-9].  It is 1.0 when the image passes at 1 - 1e-9; when it
     fails at 1e-4, that radius is halved until it passes, and the bracket
-    above it halved 50 times.
+    above it halved 50 times.  Each bracket end is evaluated once: Brent's
+    method reads the values of the floor and clamped checks.
 
     Raises ValueError unless M is finite and exceeds 1/2 (for M <= 1/2 no
     positive radius exists), and ArithmeticError when the radius is below
@@ -389,6 +392,7 @@ def cardioid_disk_radius(M: float) -> float:
     disk = domains.Disk(M, M)
     e = _circle_grid(4096, half=True)[1]
 
+    @lru_cache(maxsize=None)    # Brent's method reads both bracket ends again
     def excess(r: float) -> float:
         return float(disk.margin(cardioid.eval_phi(r * e)).min()) + min(1e-9, 1e-4 * r)
 

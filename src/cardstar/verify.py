@@ -11,19 +11,22 @@ interior spot-check guards against misuse.
 Every radius is found by one search, `_radius`, which returns a certified
 bracket: the circle image of a quotient (`subordination_radius`) or a
 family of disks (`disk_family_radius`) fits on one side and leaves the
-region on the other.  It brackets the first failure among 65 scan radii,
-1e-4 and 64 more up to 1, one radius a probe, testing each image at
-containment tolerance 0, where a generator image needs no Gauss-Newton
-distance, and at the region's ``near`` tolerance only where that test
-fails: a pass at 0 is a pass at ``near``.  Where containment is monotone in
-r, as for a quotient declared analytic in the disk
-(`FunctionSpec.analytic`; every region here is simply connected), the
-search halves the range of scan indices, probing only radii whose verdict
-the earlier probes leave open; otherwise (a quotient with a pole in the
-disk, a disk family) it scans them in order.  Either way the bracket is
-the one a scan of one radius at a time finds.  A halving probe that raises
-or sets a floating-point error sends the search back to that scan from the
-last pass.
+region on the other.  It finds the first of 65 scan radii, 1e-4 and 64 more
+up to 1, whose image leaves the region at its ``near`` tolerance, and
+bisects the bracket below it.  Where containment is monotone in r, as for a
+quotient declared analytic in the disk (`FunctionSpec.analytic`; every
+region here is simply connected), the search first halves the range of scan
+indices at containment tolerance 0, where a generator image needs no
+Gauss-Newton distance, probing only radii whose verdict the earlier probes
+leave open; a pass at 0 is a pass at ``near``.  It then tests each scan
+radius after the last pass once, at ``near``, reusing the image of the
+first failure at 0; a search that is not monotone (a quotient with a pole
+in the disk, a disk family) tests every scan radius that way, from 1e-4.
+Either way the bracket is the one a scan of one radius at a time finds.  A
+halving probe that raises, or that divides by zero, overflows or makes an
+invalid value (numpy's raise mode, whatever the caller's setting), sends
+the search back to that scan from the last pass, which raises or warns as
+the one-radius scan does.
 
 A registry row's oracle descriptor is evaluated in one place, `_measure`:
 a `radii.Threshold` measurement, a `radii.DiskFamily` radius or a
@@ -127,14 +130,13 @@ def image_in_domain(spec: FunctionSpec, r: float, d: domains.Domain,
     if n < 256:
         raise ValueError("need at least 256 samples")
     e = radii._circle_grid(n)[1]
-    pts = np.asarray(spec.w_of(r * e))
     ring = radii._circle_grid(32)[1]
-    inner = np.concatenate([np.asarray(spec.w_of(0.5 * r * ring)),
-                            np.asarray(spec.w_of(0.75 * r * ring))])
+    pts = np.concatenate([np.asarray(spec.w_of(r * e)), np.asarray(spec.w_of(0.5 * r * ring)),
+                          np.asarray(spec.w_of(0.75 * r * ring))])
     claim = f"{spec.name} image of |z|<{r:g} inside {d.describe()}"
-    if d.contains_all(pts, d.near) and d.contains_all(inner, d.near):
+    if d.contains_all(pts, d.near):
         return _report(claim, "circle-sampling", n, True)
-    witness, margin = d.worst_point(np.concatenate([pts, inner]))
+    witness, margin = d.worst_point(pts)
     return _report(claim, "circle-sampling", n, False, margin, witness)
 
 
@@ -153,49 +155,25 @@ _RADIUS_REL_TOL = 1e-3
 _Image = Callable[[float, np.ndarray], np.ndarray]
 
 
-def _first_scan_failure(image: _Image, d: domains.Domain, e: np.ndarray, near: float,
-                        monotone: bool) -> int:
-    """Index of the first scan radius whose image leaves d at `near`, or
+def _first_scan_failure(image: _Image, d: domains.Domain, e: np.ndarray, monotone: bool) -> int:
+    """Index of the first scan radius whose image leaves d at ``d.near``, or
     len(_RADIUS_SCAN) when none does: the one a scan of one radius at a time
-    stops at.
-
-    Each image is tested at tolerance 0 first, where a generator image
-    decides from its preimage roots without its Gauss-Newton distance, and
-    at `near` only when that test fails: a pass at 0 is a pass at `near`.
-    When the verdicts are `monotone` in r, halving the index range at
-    tolerance 0, from index 32 (radius 0.5) on, finds the last pass and the
-    first failure there without a probe whose verdict the earlier ones
-    imply; the scan then goes on from that pass, so the radii below it, 1e-4
-    among them, are never evaluated.  Probes above the one-radius scan's
-    first failure are radii that scan never evaluates, so one that raises,
-    or sets a floating-point error that the caller's `np.errstate` would not
-    ignore, ends the halving, and the scan evaluates every radius after the
-    last pass, raising or reporting as the one-radius scan does.
-    """
+    stops at, halving the scan indices first when the verdicts are
+    `monotone` in r (see the module docstring)."""
     size = len(_RADIUS_SCAN)
     lo, hi, w_hi = -1, size, None      # last pass and first failure at tolerance 0
     if monotone:
-        errors = []
-        report = {k: "ignore" if v == "ignore" else "call" for k, v in np.geterr().items()}
         try:
-            with np.errstate(**report, call=lambda *err: errors.append(err)):
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
                 while hi - lo > 1:
                     k = (lo + hi) // 2
                     w = image(_RADIUS_SCAN[k], e)
-                    held = d.contains_all(w, 0.0)
-                    if errors:
-                        break
-                    lo, hi, w_hi = (k, hi, w_hi) if held else (lo, k, w)
+                    lo, hi, w_hi = (k, hi, w_hi) if d.contains_all(w, 0.0) else (lo, k, w)
         except Exception:
             pass    # raised again below if the scan reaches that radius
     for k in range(lo + 1, size):
-        if k == hi:
-            w = w_hi    # failed at 0 already
-        else:
-            w = image(_RADIUS_SCAN[k], e)
-            if d.contains_all(w, 0.0):
-                continue
-        if not d.contains_all(w, near):
+        w = w_hi if k == hi else image(_RADIUS_SCAN[k], e)
+        if not d.contains_all(w, d.near):
             return k
     return size
 
@@ -203,19 +181,16 @@ def _first_scan_failure(image: _Image, d: domains.Domain, e: np.ndarray, near: f
 def _radius(image: _Image, d: domains.Domain, n: int, half: bool, monotone: bool) -> float:
     """Largest r with image(r, e) inside d on the n-point unit circle e, or
     on its closed upper half when `half` (the mirror rule of the module
-    docstring).
+    docstring), searched as the module docstring says; `monotone` when the
+    caller has established that containment is monotone in r.
 
-    The first failing scan radius is found by `_first_scan_failure`, halving
-    the scan indices when the caller has established that containment is
-    `monotone` in r, and bisection narrows the bracket below it to
-    tol = `DEFAULT_TOL`, or to relative 1e-3 when the radius is below
-    1000 tol, bisecting again from half the first result with the
-    near-boundary tolerance shrunk by the same factor as the bracket.  When
-    the image leaves d at the first scan radius, 1e-4, already, that radius
-    is halved until it fits, down to `radii.RADIUS_FLOOR`.  The result is
-    certified: the image fits at r - width and leaves d at r + width, with
-    that width, or the search raises ArithmeticError.  1.0 means the whole
-    disk fits.
+    The bracket is narrowed to tol = `DEFAULT_TOL`, or to relative 1e-3
+    when the radius is below 1000 tol, with the near-boundary tolerance
+    shrunk by the same factor; when the image leaves d at 1e-4 already, that
+    radius is halved until it fits, down to `radii.RADIUS_FLOOR`.  The
+    result is certified: the image fits at r - width and leaves d at
+    r + width, with that width, or the search raises ArithmeticError.  1.0
+    means the whole disk fits.
     """
     near, tol = d.near, DEFAULT_TOL
     e = radii._circle_grid(n, half)[1]
@@ -223,7 +198,7 @@ def _radius(image: _Image, d: domains.Domain, n: int, half: bool, monotone: bool
     def ok(r: float) -> bool:
         return d.contains_all(image(r, e), near)
 
-    k = _first_scan_failure(image, d, e, near, monotone)
+    k = _first_scan_failure(image, d, e, monotone)
     if k == len(_RADIUS_SCAN):
         return 1.0
     if k:

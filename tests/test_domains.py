@@ -790,9 +790,9 @@ def test_containment_at_zero_implies_containment_at_near(kind, params, shape, se
                        min_size=1, max_size=9),
        seed=st.integers(0, 2**32 - 1))
 def test_first_failure_matches_row_by_row_containment(kind, params, shapes, seed):
-    # the radius scan, which tests each image at tolerance 0 and at near only
-    # where that fails, stops at the first row that contains_all rejects at
-    # near; scan index k reads row k, the last row from there on
+    # the radius scan, which tests each image once, at near, stops at the
+    # first row that contains_all rejects there; scan index k reads row k,
+    # the last row from there on
     d = make_domain(kind, *params)
     rng = np.random.default_rng(seed)
     rows = [_cloud(d, shape, rng) for shape in shapes]
@@ -803,7 +803,7 @@ def test_first_failure_matches_row_by_row_containment(kind, params, shapes, seed
 
     at_near = [d.contains_all(row, d.near) for row in rows]
     reference = at_near.index(False) if False in at_near else len(scan)
-    assert verify._first_scan_failure(image, d, None, d.near, False) == reference, shapes
+    assert verify._first_scan_failure(image, d, None, False) == reference, shapes
 
 
 # every make_domain kind, each at parameters that put it on the real axis

@@ -285,6 +285,35 @@ def test_search_reports_the_errors_of_the_sequential_search():
     assert got[1] and got[0] == pytest.approx(math.log(1e300) / 12000.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("setting", ["ignore", "raise"])
+@pytest.mark.parametrize("spec, region, error", [
+    (OVERFLOWING, domains.Disk(1.0, 1e200), None),
+    (OVERFLOWING, domains.Disk(1.0, 1e300), FloatingPointError),
+    (RAISING, domains.Disk(1.0, 0.28), None),
+], ids=["overflow-past-failure", "overflow-at-failure", "raise-past-failure"])
+def test_search_follows_the_callers_error_setting(spec, region, error, setting):
+    # the halving probes run in numpy's raise mode whatever the caller's
+    # setting, and an error sends the search back to the one-radius scan,
+    # which runs under the caller's: the same float, or the same exception;
+    # only an overflow at the scan's own first failure raises, and only
+    # where the caller asks for it
+    def outcome(search):
+        with np.errstate(all=setting):
+            try:
+                return search()
+            except Exception as exc:    # compared by type below
+                return type(exc)
+
+    half = spec.real and region.symmetric
+    got = outcome(lambda: verify.subordination_radius(spec, region, 512))
+    assert got == outcome(lambda: _sequential_radius(
+        lambda r, e: spec.w_of(r * e), region, 512, half))
+    if setting == "raise" and error:
+        assert got is error
+    else:
+        assert isinstance(got, float)
+
+
 @pytest.mark.parametrize("n", [512, 1024])
 def test_disk_family_search_equals_sequential_search(n):
     def image(center, spread):
@@ -534,6 +563,25 @@ def test_declared_analytic_quotients_leave_regions_for_good(name):
     for d in _MONOTONE_REGIONS:
         verdicts = [d.contains_all(spec.w_of(r * e), 0.0) for r in verify._RADIUS_SCAN]
         assert verdicts == sorted(verdicts, reverse=True), d.describe()
+
+
+@pytest.mark.parametrize("key", ["psum.convex", "ratio.f3.koebe"])
+def test_scan_tests_each_image_once(monkeypatch, key):
+    # a cost guard: a search that is not monotone (a pole quotient, a disk
+    # family) tests each scan radius's image once, at near, and every
+    # bisection probe makes its own image, so no image array reaches
+    # contains_all twice; `seen` keeps every array alive, so no two share an id
+    seen = []
+    contains_all = domains.Domain.contains_all
+
+    def counted(self, ws, *args):
+        seen.append(ws)
+        return contains_all(self, ws, *args)
+
+    monkeypatch.setattr(domains.Domain, "contains_all", counted)
+    entry = {e.key: e for e in radii.constants_registry()}[key]
+    verify.measure_constant(entry, 512)
+    assert seen and len({id(ws) for ws in seen}) == len(seen)
 
 
 def test_generator_image_rows_bound_their_distance_calls(monkeypatch):
