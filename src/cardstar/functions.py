@@ -176,8 +176,8 @@ class FunctionSpec:
     """A named quotient w(z) with w(0) = 1; `real` declares
     w(conj z) = conj w(z), which lets `verify` sample half the circle, and
     `analytic` declares that w has no pole or branch point in the open unit
-    disk, which lets `verify` bracket its radius by halving the scan
-    indices.  w_of acts elementwise on a number or a 1-d array: a radius
+    disk, which lets `verify` guide its radius search by the verdicts it
+    has seen.  w_of acts elementwise on a number or a 1-d array: a radius
     search evaluates the points of one circle at a time."""
 
     name: str

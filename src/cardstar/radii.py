@@ -26,11 +26,13 @@ their maps p -> (A, B), `functions.JANOWSKI_AB`, in their formulas.
 Every root and threshold in the package is located by the search helpers
 here: `bisect_predicate` (with `bisect_sign_change` on top), Brent's method
 `brent_sign_change` for the sign changes of smooth margins (the inclusion
-thresholds, the generator-convexity threshold and `cardioid_disk_radius`,
+thresholds, the generator-convexity threshold, `cardioid_disk_radius`,
 whose probe's excess changes sign where the cardioid image leaves the
-disk), and `golden_section_min`.  The one exception is the halving of the
-scan indices in `verify._first_scan_failure`, which brackets a sampled
-radius before `bisect_predicate` narrows it.
+disk, and the sampled radii of `verify`, whose guided search finds the
+sign change of the containment excess), and `golden_section_min`.  The
+one exception is the halving of the scan indices in generator images
+(`verify._Probes.halve`), which brackets a sampled radius before
+`bisect_predicate` narrows it.
 
 All transcendental constants are computed from library functions; reference
 decimals from the literature appear only in the registry metadata and in

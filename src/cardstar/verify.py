@@ -13,20 +13,28 @@ bracket: the circle image of a quotient (`subordination_radius`) or a
 family of disks (`disk_family_radius`) fits on one side and leaves the
 region on the other.  It finds the first of 65 scan radii, 1e-4 and 64 more
 up to 1, whose image leaves the region at its ``near`` tolerance, and
-bisects the bracket below it.  Where containment is monotone in r, as for a
+bisects the bracket below it.  A search that is not monotone in r (a
+quotient with a pole in the disk, a disk family) tests every scan radius
+that way, from 1e-4.  Where containment is monotone in r, as for a
 quotient declared analytic in the disk (`FunctionSpec.analytic`; every
-region here is simply connected), the search first halves the range of scan
-indices at containment tolerance 0, where a generator image needs no
-Gauss-Newton distance, probing only radii whose verdict the earlier probes
-leave open; a pass at 0 is a pass at ``near``.  It then tests each scan
-radius after the last pass once, at ``near``, reusing the image of the
-first failure at 0; a search that is not monotone (a quotient with a pole
-in the disk, a disk family) tests every scan radius that way, from 1e-4.
-Either way the bracket is the one a scan of one radius at a time finds.  A
-halving probe that raises, or that divides by zero, overflows or makes an
-invalid value (numpy's raise mode, whatever the caller's setting), sends
-the search back to that scan from the last pass, which raises or warns as
-the one-radius scan does.
+region here is simply connected), a guided search runs first and records
+the largest radius seen to pass and the least seen to fail; the scan and
+the bisection then answer from those two, and test only the radii strictly
+between them.  In a generator image the guided search halves the range of
+scan indices at containment tolerance 0, where the image needs no
+Gauss-Newton distance (a pass at 0 is a pass at ``near``), and holds the
+image of its first failure for the test at ``near``.  In every other
+region it tests 1 - 1e-9, which ends the search at 1.0 when it passes, and
+otherwise finds where `domains.Domain.excess` at ``near`` changes sign on
+[1e-4, 1 - 1e-9] by `radii.brent_sign_change`; Brent's last bracket is far
+narrower than the bisection's, so the bisection runs on recorded verdicts.
+Either way the bracket and every value are the ones a scan of one radius
+at a time and its bisection find.  A guided probe that raises, or that
+divides by zero, overflows or makes an invalid value (numpy's raise mode,
+whatever the caller's setting), ends the guided search; the scan then
+tests the radii that its verdicts leave open, raising or warning as the
+one-radius scan does.  The two certificate tests at r - width and
+r + width replay nothing.
 
 A registry row's oracle descriptor is evaluated in one place, `_measure`:
 a `radii.Threshold` measurement, a `radii.DiskFamily` radius or a
@@ -155,27 +163,81 @@ _RADIUS_REL_TOL = 1e-3
 _Image = Callable[[float, np.ndarray], np.ndarray]
 
 
-def _first_scan_failure(image: _Image, d: domains.Domain, e: np.ndarray, monotone: bool) -> int:
-    """Index of the first scan radius whose image leaves d at ``d.near``, or
-    len(_RADIUS_SCAN) when none does: the one a scan of one radius at a time
-    stops at, halving the scan indices first when the verdicts are
-    `monotone` in r (see the module docstring)."""
-    size = len(_RADIUS_SCAN)
-    lo, hi, w_hi = -1, size, None      # last pass and first failure at tolerance 0
+class _Probes:
+    """The containment tests of one radius search: the image of radius r at
+    the unit-circle points e inside d within `near`.
+
+    `passed` and `failed` are the largest radius seen to pass and the least
+    seen to fail; `ok` answers from them outside that bracket, which is
+    sound where containment is monotone in r, and tests the radii strictly
+    inside it.  A search that tests radii in increasing order up to its
+    first failure and then bisects below it only ever tests inside."""
+
+    def __init__(self, image: _Image, d: domains.Domain, e: np.ndarray, near: float):
+        self.image, self.d, self.e, self.near = image, d, e, near
+        self.passed, self.failed = 0.0, math.inf
+        self.held: dict[float, np.ndarray] = {}    # r -> its image, made by an earlier test
+
+    def excess(self, r: float) -> float:
+        """`Domain.excess` of the image of r at `near`, its verdict recorded."""
+        x = self.d.excess(self.image(r, self.e), self.near)
+        if x > 0.0:
+            self.passed = max(self.passed, r)
+        else:
+            self.failed = min(self.failed, r)
+        return x
+
+    def ok(self, r: float) -> bool:
+        """The verdict at r: replayed outside the bracket, tested inside."""
+        if r <= self.passed or r >= self.failed:
+            return r <= self.passed
+        w = self.held.pop(r) if r in self.held else self.image(r, self.e)
+        if self.d.contains_all(w, self.near):
+            self.passed = r
+            return True
+        self.failed = r
+        return False
+
+    def halve(self) -> None:
+        """Halve the range of scan indices at tolerance 0: a pass there is a
+        pass at `near`, and the image of the last failure is held for its
+        test at `near`."""
+        lo, hi = -1, len(_RADIUS_SCAN)
+        while hi - lo > 1:
+            k = (lo + hi) // 2
+            r = _RADIUS_SCAN[k]
+            w = self.image(r, self.e)
+            if self.d.contains_all(w, 0.0):
+                lo, self.passed = k, r
+            else:
+                hi, self.held = k, {r: w}
+
+    def brent(self) -> None:
+        """Test 1 - 1e-9, then, when it fails and 1e-4 passes, find where
+        the excess changes sign between them by `radii.brent_sign_change`,
+        each radius tested once."""
+        excess = lru_cache(maxsize=None)(self.excess)    # Brent's method reads both ends again
+        lo, hi = _RADIUS_SCAN[0], _RADIUS_SCAN[-1]
+        if not excess(hi) > 0.0 and excess(lo) > 0.0:
+            radii.brent_sign_change(excess, lo, hi)
+
+
+def _first_scan_failure(probes: _Probes, monotone: bool) -> int:
+    """Index of the first scan radius whose image leaves the region at the
+    probes' tolerance, or len(_RADIUS_SCAN) when none does: the one a scan
+    of one radius at a time stops at.  When the verdicts are `monotone` in
+    r, a guided search runs first and the scan replays its verdicts (see the
+    module docstring)."""
     if monotone:
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                while hi - lo > 1:
-                    k = (lo + hi) // 2
-                    w = image(_RADIUS_SCAN[k], e)
-                    lo, hi, w_hi = (k, hi, w_hi) if d.contains_all(w, 0.0) else (lo, k, w)
+                if isinstance(probes.d, domains.GeneratorImageRegion):
+                    probes.halve()
+                else:
+                    probes.brent()
         except Exception:
             pass    # raised again below if the scan reaches that radius
-    for k in range(lo + 1, size):
-        w = w_hi if k == hi else image(_RADIUS_SCAN[k], e)
-        if not d.contains_all(w, d.near):
-            return k
-    return size
+    return next((k for k, r in enumerate(_RADIUS_SCAN) if not probes.ok(r)), len(_RADIUS_SCAN))
 
 
 def _radius(image: _Image, d: domains.Domain, n: int, half: bool, monotone: bool) -> float:
@@ -188,30 +250,34 @@ def _radius(image: _Image, d: domains.Domain, n: int, half: bool, monotone: bool
     when the radius is below 1000 tol, with the near-boundary tolerance
     shrunk by the same factor; when the image leaves d at 1e-4 already, that
     radius is halved until it fits, down to `radii.RADIUS_FLOOR`.  The
-    result is certified: the image fits at r - width and leaves d at
-    r + width, with that width, or the search raises ArithmeticError.  1.0
-    means the whole disk fits.
+    result is certified by two tests that replay nothing: the image fits at
+    r - width and leaves d at r + width, with that width, or the search
+    raises ArithmeticError.  1.0 means the whole disk fits.
     """
     near, tol = d.near, DEFAULT_TOL
     e = radii._circle_grid(n, half)[1]
-
-    def ok(r: float) -> bool:
-        return d.contains_all(image(r, e), near)
-
-    k = _first_scan_failure(image, d, e, monotone)
+    probes = _Probes(image, d, e, near)
+    k = _first_scan_failure(probes, monotone)
     if k == len(_RADIUS_SCAN):
         return 1.0
     if k:
-        r = radii.bisect_predicate(ok, _RADIUS_SCAN[k - 1], _RADIUS_SCAN[k], tol=tol)
+        r = radii.bisect_predicate(probes.ok, _RADIUS_SCAN[k - 1], _RADIUS_SCAN[k], tol=tol)
     else:
         lo = _RADIUS_SCAN[0]
-        r = radii.bisect_predicate(ok, 0.5 * lo, lo, tol=tol, floor=radii.RADIUS_FLOOR)
+        r = radii.bisect_predicate(probes.ok, 0.5 * lo, lo, tol=tol, floor=radii.RADIUS_FLOOR)
     width = min(tol, _RADIUS_REL_TOL * r)
     if width < tol:
         near *= width / tol
-        r = radii.bisect_predicate(ok, 0.5 * r, 2.0 * r, tol=width, floor=radii.RADIUS_FLOOR)
-    if r < 1.0 and not (ok(max(r - width, radii.RADIUS_FLOOR))
-                        and not ok(min(r + width, 1.0 - 1e-10))):
+        # a pass at the wider tolerance says nothing at this one
+        probes = _Probes(image, d, e, near)
+        r = radii.bisect_predicate(probes.ok, 0.5 * r, 2.0 * r, tol=width,
+                                   floor=radii.RADIUS_FLOOR)
+
+    def fits(r: float) -> bool:
+        return d.contains_all(image(r, e), near)
+
+    if r < 1.0 and not (fits(max(r - width, radii.RADIUS_FLOOR))
+                        and not fits(min(r + width, 1.0 - 1e-10))):
         raise ArithmeticError("bisection bracket violated")
     return r
 
@@ -219,8 +285,8 @@ def _radius(image: _Image, d: domains.Domain, n: int, half: bool, monotone: bool
 def subordination_radius(spec: FunctionSpec, d: domains.Domain,
                          n: int = DEFAULT_SAMPLES) -> float:
     """Largest r with spec's image of |z| < r inside d (see `_radius`); on
-    the half circle when spec is real and d symmetric, halving the scan
-    indices when spec is analytic."""
+    the half circle when spec is real and d symmetric, guided by the
+    verdicts seen when spec is analytic."""
     return _radius(lambda r, e: spec.w_of(r * e), d, n, spec.real and d.symmetric, spec.analytic)
 
 

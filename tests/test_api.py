@@ -36,7 +36,7 @@ DELETED = (
     "eval_log_derivative", "_preimage_roots", "CardioidDomain", "exp_coeffs",
     "_log_margin", "_cosh_margin",
     "first_failure", "_scan_verdicts", "_SCAN_CHUNK", "_SCAN_ROW_POINTS", "_SCAN_INDEX",
-    "_row_of",
+    "_row_of", "_contains_exact",
 )
 
 

@@ -685,6 +685,7 @@ def test_nonfinite_points_are_outside(kind, params):
     for w in _NONFINITE:
         assert not d.contains_all([w]), (kind, w)
         assert not d.contains_all([1.0, w], 1e-6), (kind, w)
+        assert d.excess([1.0, w], 1e-6) == -math.inf, (kind, w)
         assert d.margin(w) == -math.inf, (kind, w)
         assert d.margin([1.0, w])[1] == -math.inf, (kind, w)
         z, m = d.worst_point([1.0, w])
@@ -695,13 +696,15 @@ def test_nonfinite_points_are_outside(kind, params):
 
 @pytest.mark.parametrize("kind, params", ALL_KINDS)
 def test_contains_all_input_contract(kind, params):
+    # the same for the containment test as a number, the excess
     d = make_domain(kind, *params)
-    for empty in ([], np.zeros(0, dtype=complex)):
-        with pytest.raises(ValueError, match="need at least one point"):
-            d.contains_all(empty)
-    for tol in (-1e-9, math.nan):
-        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
-            d.contains_all([1.0], tol)
+    for test in (d.contains_all, d.excess):
+        for empty in ([], np.zeros(0, dtype=complex)):
+            with pytest.raises(ValueError, match="need at least one point"):
+                test(empty)
+        for tol in (-1e-9, math.nan):
+            with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+                test([1.0], tol)
 
 
 # kinds whose region carries an inscribed disk, at the parameters of
@@ -737,7 +740,9 @@ def test_inscribed_disk_lies_inside(kind, params):
 
 def _cloud(d, shape: str, rng) -> np.ndarray:
     """32 points: some strictly inside the region's disk (or, for a region
-    without one, the disk |w - 1| < 0.3), the rest of the given shape."""
+    without one, the disk |w - 1| < 0.3), the rest of the given shape; a
+    "band" lies in the disk's outer tenth, where the excess keeps exact
+    margins."""
     center, radius = d.inscribed or (1.0, 0.3)
     k = int(rng.integers(0, 17))
     ring = np.exp(2j * math.pi * rng.uniform(size=32))
@@ -747,9 +752,14 @@ def _cloud(d, shape: str, rng) -> np.ndarray:
         rest = center + radius * np.sqrt(rng.uniform(size=m)) * ring[k:]
     elif shape == "edge":
         rest = center + radius * (1.0 + rng.uniform(-1e-3, 1e-3, m)) * ring[k:]
+    elif shape == "band":
+        rest = center + radius * rng.uniform(0.9, 1.0, m) * ring[k:]
     elif shape == "boundary":
         w = np.asarray(d.boundary(rng.uniform(0.0, 2.0 * math.pi, m)))
         rest = w + 10.0 ** rng.uniform(-10.0, -5.0, m) * ring[k:]
+    elif shape == "inf":
+        rest = center + radius * np.sqrt(rng.uniform(size=m)) * ring[k:]
+        rest[rng.integers(0, m)] = _NONFINITE[int(rng.integers(0, len(_NONFINITE)))]
     else:
         rest = center + radius * np.sqrt(rng.uniform(size=m)) * ring[k:]
         rest[rng.integers(0, m)] = complex(math.nan, rng.choice([0.0, math.nan]))
@@ -759,17 +769,36 @@ def _cloud(d, shape: str, rng) -> np.ndarray:
 @pytest.mark.parametrize("kind, params", ALL_KINDS)
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(tol=st.sampled_from([0.0, 1e-7, 1e-6]),
-       shape=st.sampled_from(["inside", "edge", "boundary", "nan"]),
+       shape=st.sampled_from(["inside", "band", "edge", "boundary", "nan", "inf"]),
        seed=st.integers(0, 2**32 - 1))
 def test_fast_containment_matches_exact(kind, params, tol, shape, seed):
+    # contains_all is the sign of the excess, and that sign is the exact
+    # test's on every point; tol runs over 0 and each region's near
     d = make_domain(kind, *params)
     ws = _cloud(d, shape, np.random.default_rng(seed))
     exact = bool(np.min(d.margin(ws)) > -tol)
-    assert d.contains_all(ws, tol) == exact, (shape, tol)
+    assert d.contains_all(ws, tol) == (d.excess(ws, tol) > 0) == exact, (shape, tol)
 
 
 # every kind of ALL_KINDS, a two-parameter disk and an off-axis disk
 _KINDS_AND_DISKS = ALL_KINDS + [("janowski_disk", (0.5, -0.5, 0.8)), ("disk", (1.0, 0.5, 1.0))]
+
+
+@pytest.mark.parametrize("touch", [0.5, 2.5])
+def test_cardioid_excess_is_continuous_across_its_disk_touches(touch):
+    # the lemma disk |w - 3/2| < 1 touches the cardioid at the cusp 1/2 and
+    # the tip 5/2; a point crossing its edge there keeps its exact margin on
+    # both sides, beside points deep in the disk and one outside it with a
+    # larger margin, so the excess does not jump
+    d = make_domain("cardioid")
+    center, radius = d.inscribed
+    deep = center + 0.5 * radius * np.exp(2j * math.pi * np.arange(16) / 16)
+    others = np.append(deep, 0.8 + 0.8j)
+    assert abs(others[-1] - center) > radius and d.margin(others[-1]) > 0.25
+    inward = np.sign(center - touch)
+    for s in (1e-3, 1e-6, 2e-9, 1e-9, 5e-10, 0.0):
+        w = touch + inward * s
+        assert d.excess(np.append(others, w), d.near) == d.margin(w) + d.near, s
 
 
 @pytest.mark.parametrize("kind, params", _KINDS_AND_DISKS)
@@ -803,7 +832,8 @@ def test_first_failure_matches_row_by_row_containment(kind, params, shapes, seed
 
     at_near = [d.contains_all(row, d.near) for row in rows]
     reference = at_near.index(False) if False in at_near else len(scan)
-    assert verify._first_scan_failure(image, d, None, False) == reference, shapes
+    probes = verify._Probes(image, d, None, d.near)
+    assert verify._first_scan_failure(probes, False) == reference, shapes
 
 
 # every make_domain kind, each at parameters that put it on the real axis

@@ -483,17 +483,24 @@ def test_half_circle_inclusion_thresholds_match_full_circle():
     assert measure() == pytest.approx(_on_full_circle(measure), rel=0.0, abs=1e-15)
 
 
-def _points_seen(monkeypatch, method: str, measure) -> list[int]:
-    # the number of points of each call of Domain.<method> during measure()
-    calls = []
-    original = getattr(domains.Domain, method)
+# the two containment tests, neither of which calls the other
+_CONTAINMENT = ("contains_all", "excess")
 
-    def counted(self, ws, *args):
-        calls.append(np.size(ws))
-        return original(self, ws, *args)
+
+def _points_seen(monkeypatch, methods: tuple[str, ...], measure) -> list[int]:
+    # the number of points of each call of a Domain method in `methods`
+    # during measure()
+    calls = []
+
+    def counted(original):
+        def method(self, ws, *args):
+            calls.append(np.size(ws))
+            return original(self, ws, *args)
+        return method
 
     with monkeypatch.context() as m:
-        m.setattr(domains.Domain, method, counted)
+        for name in methods:
+            m.setattr(domains.Domain, name, counted(getattr(domains.Domain, name)))
         measure()
     return calls
 
@@ -507,24 +514,24 @@ def test_mirror_rule_evaluates_half_the_points(monkeypatch, n):
     off_axis = domains.Disk(1.0 + 0.1j, 1.0)
     center, spread = radii.ratio_disk_family(3, "koebe")
     cases = [
-        ("contains_all", half, lambda: verify.subordination_radius(
+        (_CONTAINMENT, half, lambda: verify.subordination_radius(
             functions.extremal("cardioid_extremal"), domains.make_domain("sine"), n=n)),
-        ("contains_all", half, lambda: verify.subordination_radius(
+        (_CONTAINMENT, half, lambda: verify.subordination_radius(
             functions.extremal("booth", alpha=0.5), CARD, n=n)),
-        ("contains_all", n, lambda: verify.subordination_radius(
+        (_CONTAINMENT, n, lambda: verify.subordination_radius(
             functions.extremal("ratio1_rotated"), CARD, n=n)),
-        ("contains_all", n, lambda: verify.subordination_radius(
+        (_CONTAINMENT, n, lambda: verify.subordination_radius(
             functions.extremal("cardioid_extremal"), off_axis, n=n)),
-        ("contains_all", half, lambda: verify.disk_family_radius(center, spread, CARD, n=n)),
-        ("contains_all", n, lambda: verify.disk_family_radius(
+        (_CONTAINMENT, half, lambda: verify.disk_family_radius(center, spread, CARD, n=n)),
+        (_CONTAINMENT, n, lambda: verify.disk_family_radius(
             lambda r: 1.0 + 0.1j, lambda r: r, off_axis, n=n)),
-        ("margin", half, lambda: verify.INCLUSION_FAMILIES["conic"].threshold(n)),
-        ("margin", half, lambda: verify.INCLUSION_FAMILIES["self_centered_disk"].threshold(n)),
-        ("margin", n, lambda: verify._inclusion_margin(CARD, off_axis, n)),
+        (("margin",), half, lambda: verify.INCLUSION_FAMILIES["conic"].threshold(n)),
+        (("margin",), half, lambda: verify.INCLUSION_FAMILIES["self_centered_disk"].threshold(n)),
+        (("margin",), n, lambda: verify._inclusion_margin(CARD, off_axis, n)),
     ]
-    for method, points, measure in cases:
-        calls = _points_seen(monkeypatch, method, measure)
-        assert calls and set(calls) == {points}, (method, points)
+    for methods, points, measure in cases:
+        calls = _points_seen(monkeypatch, methods, measure)
+        assert calls and set(calls) == {points}, (methods, points)
 
 
 @pytest.mark.parametrize("n", [512, 4096])
@@ -552,17 +559,89 @@ _MONOTONE_REGIONS = [CARD, domains.make_domain("min_re", 0.5), domains.make_doma
                      domains.make_domain("nephroid")]
 
 
+# the scan radii and the midpoints between them
+_SCAN_AND_BETWEEN = sorted(verify._RADIUS_SCAN + tuple(map(_between_scan_radii, range(1, 65))))
+
+
 @pytest.mark.parametrize("name", sorted(
     name for name, spec in functions._EXTREMALS.items() if spec.analytic))
 def test_declared_analytic_quotients_leave_regions_for_good(name):
-    # the property the halving search relies on: over the scan radii, the
-    # circle image of a quotient declared analytic passes a region at
-    # tolerance 0 up to some radius and fails at every larger one
+    # the property the guided searches rely on: the circle image of a
+    # quotient declared analytic passes a region, at tolerance 0 and at the
+    # region's near tolerance, up to some radius and fails at every larger
+    # one.  The scan and the bisection replay verdicts at near between scan
+    # radii too, so the grid holds the midpoints
     spec = functions.extremal(name)
     e = radii._circle_grid(512)[1]
     for d in _MONOTONE_REGIONS:
-        verdicts = [d.contains_all(spec.w_of(r * e), 0.0) for r in verify._RADIUS_SCAN]
-        assert verdicts == sorted(verdicts, reverse=True), d.describe()
+        for tol in (0.0, d.near):
+            verdicts = [d.contains_all(spec.w_of(r * e), tol) for r in _SCAN_AND_BETWEEN]
+            assert verdicts == sorted(verdicts, reverse=True), (d.describe(), tol)
+
+
+def _containment_tests(monkeypatch, measure) -> int:
+    # the containment tests measure() makes
+    return len(_points_seen(monkeypatch, _CONTAINMENT, measure))
+
+
+def test_guided_search_makes_few_containment_tests(monkeypatch):
+    # a cost guard at 1024 samples: Brent's method on the excess, then the
+    # bisection replayed from its verdicts, where bisecting the verdicts
+    # took 23 tests for each interior radius
+    phi = functions.extremal("cardioid_extremal")
+    cases = [
+        # a touch at the cardioid's cusp 1/2, where the lemma disk touches it
+        (functions.extremal("order", alpha=0.3), CARD, 14),
+        (phi, domains.make_domain("min_re", 0.3), 14),
+        # a touch at the tip 5/2, where the lemma disk touches it too
+        (functions.extremal("bounded_re", beta=1.5), CARD, 23),
+    ]
+    for spec, d, bound in cases:
+        count = _containment_tests(monkeypatch, lambda: verify.subordination_radius(spec, d, 1024))
+        assert count <= bound, (spec.name, d.describe(), count)
+    # the whole disk fits: one test, at 1 - 1e-9
+    clamped = domains.make_domain("min_re", 0.0)
+    assert _containment_tests(monkeypatch, lambda: verify.subordination_radius(
+        phi, clamped, 1024)) == 1
+
+
+# the param-sweep families whose range is drawn from its high end, as its low
+# end is not a valid parameter
+_PARAM_SWEEP_FROM_HIGH_END = {("class-in-cardioid", tag)
+                              for tag in ("padmanabhan", "cassinian", "bounded_re")}
+
+
+def _param_sweep_searches(seed: int) -> list[tuple[FunctionSpec, domains.Domain]]:
+    """The (quotient, region) of each radius search of the benchmark's
+    param-sweep at this seed: one uniform draw in each eighteenth of each
+    family's range, family by family."""
+    rng = np.random.default_rng(seed)
+    phi = functions.extremal("cardioid_extremal")
+    searches = []
+    for family in _PARAM_SWEEP_FAMILIES:
+        direction, tag = family
+        if direction == "class-in-cardioid":
+            name, lo, hi = PARAM_SWEEP_CLASS_IN_CARDIOID[tag]
+        else:
+            region, lo, hi = PARAM_SWEEP_CARDIOID_IN_CLASS[tag]
+        for j in range(18):
+            x = (j + rng.uniform()) / 18
+            p = hi - (hi - lo) * x if family in _PARAM_SWEEP_FROM_HIGH_END else lo + (hi - lo) * x
+            searches.append((functions.extremal(tag, **{name: p}), CARD)
+                            if direction == "class-in-cardioid"
+                            else (phi, domains.make_domain(*region(p))))
+    return searches
+
+
+def test_param_sweep_searches_make_few_containment_tests(monkeypatch):
+    # a cost guard: no search of the benchmark's seed-0 param-sweep, at its
+    # 1024 samples, makes more containment tests than bisecting the verdicts
+    # made for every interior radius
+    searches = _param_sweep_searches(0)
+    assert len(searches) == 234
+    for spec, d in searches:
+        count = _containment_tests(monkeypatch, lambda: verify.subordination_radius(spec, d, 1024))
+        assert count <= 23, (spec.name, d.describe(), count)
 
 
 @pytest.mark.parametrize("key", ["psum.convex", "ratio.f3.koebe"])
