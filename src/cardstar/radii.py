@@ -29,7 +29,8 @@ here: `bisect_predicate` (with `bisect_sign_change` on top), Brent's method
 thresholds, the generator-convexity threshold, `cardioid_disk_radius`,
 whose probe's excess changes sign where the cardioid image leaves the
 disk, and the sampled radii of `verify`, whose guided search finds the
-sign change of the containment excess), and `golden_section_min`.  The
+sign change of the containment excess to a tenth of its bisection's width
+rather than to the default BRENT_TOL), and `golden_section_min`.  The
 one exception is the halving of the scan indices in generator images
 (`verify._Probes.halve`), which brackets a sampled radius before
 `bisect_predicate` narrows it.
@@ -148,12 +149,13 @@ def bisect_sign_change(f: Callable[[float], float], lo: float, hi: float,
 # kinked monotone functions, 138 took more evaluations at 8 than with no
 # budget, and 18 at 16
 BRENT_SLACK = 16
-# `brent_sign_change` stops once its bracket is narrower than
+# `brent_sign_change` stops, by default, once its bracket is narrower than
 # BRENT_TOL + 4 eps |x|; the absolute part lets it stop at a root at 0
 BRENT_TOL = 1e-15
 
 
-def brent_sign_change(f: Callable[[float], float], lo: float, hi: float) -> float:
+def brent_sign_change(f: Callable[[float], float], lo: float, hi: float,
+                      tol: float | None = None) -> float:
     """Sign change of f on [lo, hi] by Brent's method.
 
     As in `bisect_sign_change`, x lies on lo's side when f(x) > 0 is true
@@ -166,8 +168,15 @@ def brent_sign_change(f: Callable[[float], float], lo: float, hi: float) -> floa
     it takes to keep the next bracket no wider than bisection's would be
     BRENT_SLACK steps earlier, so no more than BRENT_SLACK + 1 evaluations
     are spent beyond bisection's.  cur, the end with the smaller |f|, is
-    returned once the bracket is narrower than BRENT_TOL + 4 eps |cur|.
+    returned once the bracket is narrower than tol + 4 eps |cur|, where
+    `tol` defaults to BRENT_TOL, read at each call.  No step is shorter
+    than half that width, so once one end has converged the next step
+    crosses the sign change and the bracket closes.
     """
+    if tol is None:
+        tol = BRENT_TOL
+    if not tol > 0.0:    # at 0 the search never stops at a root at 0
+        raise ValueError(f"tol must be a number > 0, got tol={tol}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"bracket ends must be finite numbers, got lo={lo}, hi={hi}")
     if not lo < hi:
@@ -180,7 +189,7 @@ def brent_sign_change(f: Callable[[float], float], lo: float, hi: float) -> floa
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
-        delta = 0.5 * (BRENT_TOL + 4.0 * EPS * abs(xcur))
+        delta = 0.5 * (tol + 4.0 * EPS * abs(xcur))
         sbis = 0.5 * (xblk - xcur)
         if abs(sbis) < delta:
             return xcur

@@ -26,15 +26,16 @@ Gauss-Newton distance (a pass at 0 is a pass at ``near``), and holds the
 image of its first failure for the test at ``near``.  In every other
 region it tests 1 - 1e-9, which ends the search at 1.0 when it passes, and
 otherwise finds where `domains.Domain.excess` at ``near`` changes sign on
-[1e-4, 1 - 1e-9] by `radii.brent_sign_change`; Brent's last bracket is far
-narrower than the bisection's, so the bisection runs on recorded verdicts.
-Either way the bracket and every value are the ones a scan of one radius
-at a time and its bisection find.  A guided probe that raises, or that
-divides by zero, overflows or makes an invalid value (numpy's raise mode,
-whatever the caller's setting), ends the guided search; the scan then
-tests the radii that its verdicts leave open, raising or warning as the
-one-radius scan does.  The two certificate tests at r - width and
-r + width replay nothing.
+[1e-4, 1 - 1e-9] by `radii.brent_sign_change`, stopping at a bracket of a
+tenth of the bisection's width; the scan starts above the largest radius
+seen to pass, and the bisection tests the midpoints left inside Brent's
+last bracket.  Either way the bracket and every value are the ones a scan
+of one radius at a time and its bisection find, whatever width Brent stops
+at.  A guided probe that raises, or that divides by zero, overflows or
+makes an invalid value (numpy's raise mode, whatever the caller's
+setting), ends the guided search; the scan then tests the radii that its
+verdicts leave open, raising or warning as the one-radius scan does.  The
+two certificate tests at r - width and r + width replay nothing.
 
 A registry row's oracle descriptor is evaluated in one place, `_measure`:
 a `radii.Threshold` measurement, a `radii.DiskFamily` radius or a
@@ -75,6 +76,7 @@ the rule; `image_in_domain` samples the full grid.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -159,6 +161,11 @@ _RADIUS_SCAN = tuple(np.linspace(1e-4, 1.0 - 1e-9, 65).tolist())
 # relative bracket width for radii below tol / _RADIUS_REL_TOL
 _RADIUS_REL_TOL = 1e-3
 
+# the bracket width at which a guided search's Brent's method stops: the
+# bisection below it ends in a cell of about DEFAULT_TOL and tests any of its
+# midpoints that this bracket leaves open, so no value depends on the width
+_BRENT_WIDTH = 0.1 * DEFAULT_TOL
+
 # image(r, e): the circle image of radius r at the unit-circle points e
 _Image = Callable[[float, np.ndarray], np.ndarray]
 
@@ -214,12 +221,12 @@ class _Probes:
 
     def brent(self) -> None:
         """Test 1 - 1e-9, then, when it fails and 1e-4 passes, find where
-        the excess changes sign between them by `radii.brent_sign_change`,
-        each radius tested once."""
+        the excess changes sign between them by `radii.brent_sign_change`
+        to a bracket of `_BRENT_WIDTH`, each radius tested once."""
         excess = lru_cache(maxsize=None)(self.excess)    # Brent's method reads both ends again
         lo, hi = _RADIUS_SCAN[0], _RADIUS_SCAN[-1]
         if not excess(hi) > 0.0 and excess(lo) > 0.0:
-            radii.brent_sign_change(excess, lo, hi)
+            radii.brent_sign_change(excess, lo, hi, tol=_BRENT_WIDTH)
 
 
 def _first_scan_failure(probes: _Probes, monotone: bool) -> int:
@@ -227,7 +234,8 @@ def _first_scan_failure(probes: _Probes, monotone: bool) -> int:
     probes' tolerance, or len(_RADIUS_SCAN) when none does: the one a scan
     of one radius at a time stops at.  When the verdicts are `monotone` in
     r, a guided search runs first and the scan replays its verdicts (see the
-    module docstring)."""
+    module docstring): it starts at the first scan radius above the largest
+    radius seen to pass, as every one below passes."""
     if monotone:
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -237,7 +245,9 @@ def _first_scan_failure(probes: _Probes, monotone: bool) -> int:
                     probes.brent()
         except Exception:
             pass    # raised again below if the scan reaches that radius
-    return next((k for k, r in enumerate(_RADIUS_SCAN) if not probes.ok(r)), len(_RADIUS_SCAN))
+    start = bisect.bisect_right(_RADIUS_SCAN, probes.passed)
+    return next((k for k, r in enumerate(_RADIUS_SCAN[start:], start) if not probes.ok(r)),
+                len(_RADIUS_SCAN))
 
 
 def _radius(image: _Image, d: domains.Domain, n: int, half: bool, monotone: bool) -> float:

@@ -1,5 +1,6 @@
 """Radius formulas, the root solver, piecewise knots, and the registry."""
 
+import itertools
 import math
 import re
 
@@ -107,6 +108,15 @@ def _recorded(f):
     return g, xs
 
 
+def _brent_to(mp, tol: float, passed: bool):
+    """brent_sign_change stopping at tol: passed as its argument, which
+    overrides a BRENT_TOL of 1.0, or set as BRENT_TOL, read at call time."""
+    mp.setattr(radii, "BRENT_TOL", 1.0 if passed else tol)
+    if passed:
+        return lambda g, lo, hi: radii.brent_sign_change(g, lo, hi, tol=tol)
+    return radii.brent_sign_change
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(**_BRENT_CASES)
 def test_brent_ends_in_a_narrow_sign_change_bracket(kind, frac, sign, a, b, lo, width, tol):
@@ -115,12 +125,11 @@ def test_brent_ends_in_a_narrow_sign_change_bracket(kind, frac, sign, a, b, lo, 
         return
     f, hi = case
     low_side = f(lo) > 0
-    for slack in (radii.BRENT_SLACK, 2):     # 2: the budget moves many steps
-        with pytest.MonkeyPatch.context() as mp:
+    for slack, passed in itertools.product((radii.BRENT_SLACK, 2), (True, False)):
+        with pytest.MonkeyPatch.context() as mp:   # slack 2: the budget moves many steps
             mp.setattr(radii, "BRENT_SLACK", slack)
-            mp.setattr(radii, "BRENT_TOL", tol)
             g, xs = _recorded(f)
-            x = radii.brent_sign_change(g, lo, hi)
+            x = _brent_to(mp, tol, passed)(g, lo, hi)
         # the final bracket: the last point evaluated on each side of the change
         below = max(v for v in xs if (f(v) > 0) == low_side)
         above = min(v for v in xs if (f(v) > 0) != low_side)
@@ -139,12 +148,11 @@ def test_brent_costs_at_most_its_slack_beyond_bisection(
     # bisection to the same width: f(lo), then one evaluation per halving
     g, halvings = _recorded(f)
     radii.bisect_predicate(lambda v: (g(v) > 0) == (f(lo) > 0), lo, hi, tol=tol)
-    for slack in (radii.BRENT_SLACK, 2):     # 2: the budget binds often
-        with pytest.MonkeyPatch.context() as mp:
+    for slack, passed in itertools.product((radii.BRENT_SLACK, 2), (True, False)):
+        with pytest.MonkeyPatch.context() as mp:   # slack 2: the budget binds often
             mp.setattr(radii, "BRENT_SLACK", slack)
-            mp.setattr(radii, "BRENT_TOL", tol)
             g, brent_calls = _recorded(f)
-            radii.brent_sign_change(g, lo, hi)
+            _brent_to(mp, tol, passed)(g, lo, hi)
         assert len(brent_calls) <= 1 + len(halvings) + slack + 1
 
 
@@ -174,6 +182,13 @@ def test_brent_treats_an_exact_zero_as_bisection_does(f, lo, hi):
 def test_brent_rejects_a_bad_bracket(lo, hi, message):
     with pytest.raises(ValueError, match=message):
         radii.brent_sign_change(lambda x: 1.0 + x * x, lo, hi)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-15, -math.inf, math.nan])
+def test_brent_rejects_a_tol_not_above_zero(tol):
+    # at tol 0 a root at 0 would never stop the search
+    with pytest.raises(ValueError, match=r"^tol must be a number > 0, got tol="):
+        radii.brent_sign_change(lambda x: x, -1.0, 1.0, tol=tol)
 
 
 @pytest.mark.parametrize("f", [lambda x: 1.0, lambda x: x - 5.0, lambda x: 0.0])

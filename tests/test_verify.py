@@ -585,16 +585,17 @@ def _containment_tests(monkeypatch, measure) -> int:
 
 
 def test_guided_search_makes_few_containment_tests(monkeypatch):
-    # a cost guard at 1024 samples: Brent's method on the excess, then the
-    # bisection replayed from its verdicts, where bisecting the verdicts
-    # took 23 tests for each interior radius
+    # a cost guard at 1024 samples: Brent's method on the excess to a
+    # bracket of a tenth of the bisection's width, then the bisection
+    # replayed from its verdicts, where bisecting the verdicts took 23 tests
+    # for each interior radius
     phi = functions.extremal("cardioid_extremal")
     cases = [
         # a touch at the cardioid's cusp 1/2, where the lemma disk touches it
-        (functions.extremal("order", alpha=0.3), CARD, 14),
-        (phi, domains.make_domain("min_re", 0.3), 14),
+        (functions.extremal("order", alpha=0.3), CARD, 12),
+        (phi, domains.make_domain("min_re", 0.3), 10),
         # a touch at the tip 5/2, where the lemma disk touches it too
-        (functions.extremal("bounded_re", beta=1.5), CARD, 23),
+        (functions.extremal("bounded_re", beta=1.5), CARD, 13),
     ]
     for spec, d, bound in cases:
         count = _containment_tests(monkeypatch, lambda: verify.subordination_radius(spec, d, 1024))
@@ -634,14 +635,40 @@ def _param_sweep_searches(seed: int) -> list[tuple[FunctionSpec, domains.Domain]
 
 
 def test_param_sweep_searches_make_few_containment_tests(monkeypatch):
-    # a cost guard: no search of the benchmark's seed-0 param-sweep, at its
-    # 1024 samples, makes more containment tests than bisecting the verdicts
-    # made for every interior radius
+    # a cost guard on the benchmark's seed-0 param-sweep at its 1024
+    # samples: containment tests per search (bisecting the verdicts made 23
+    # for every interior radius) and per pass, and `_Probes.ok` calls per
+    # search, which the scan makes only above the largest radius seen to pass
     searches = _param_sweep_searches(0)
     assert len(searches) == 234
+    ok, oks, total = verify._Probes.ok, [], 0
+    monkeypatch.setattr(verify._Probes, "ok", lambda self, r: oks.append(r) or ok(self, r))
     for spec, d in searches:
+        oks.clear()
         count = _containment_tests(monkeypatch, lambda: verify.subordination_radius(spec, d, 1024))
-        assert count <= 23, (spec.name, d.describe(), count)
+        assert count <= 18, (spec.name, d.describe(), count)
+        assert len(oks) <= 20, (spec.name, d.describe(), len(oks))
+        total += count
+    assert total <= 1950
+
+
+def test_brent_width_moves_no_radius(monkeypatch):
+    # the bisection tests each midpoint that Brent's last bracket leaves
+    # open, so the width at which the guided search stops changes which
+    # radii are tested and never a radius: at 1e-15 (Brent run to the
+    # bottom), at the default 1e-7 and at 1e-5, wider than the bisection's
+    # last cell
+    oracles = list({e.oracle for e in radii.constants_registry()
+                    if isinstance(e.oracle, (radii.Subordination, radii.DiskFamily))})
+    assert len(oracles) == 56
+    searches = _param_sweep_searches(0)
+
+    def measure(width: float) -> list[float]:
+        monkeypatch.setattr(verify, "_BRENT_WIDTH", width)
+        return ([verify._measure(oracle, 512) for oracle in oracles]
+                + [verify.subordination_radius(spec, d, 1024) for spec, d in searches])
+
+    assert measure(1e-15) == measure(1e-7) == measure(1e-5)
 
 
 @pytest.mark.parametrize("key", ["psum.convex", "ratio.f3.koebe"])
