@@ -87,6 +87,12 @@ def contains(w: complex) -> MembershipVerdict:
     return MembershipVerdict("outside", None, m, near_cusp)
 
 
+def _margin(w: np.ndarray) -> np.ndarray:
+    # `preimage_margin` on a complex array, as the region's containment
+    # test calls it
+    return 1.0 - np.abs(_preimage_root(w))
+
+
 def preimage_margin(w):
     """Signed membership margin 1 - |sqrt(2w - 1) - 1|, positive inside,
     vectorized: 1 minus the modulus of the root of least modulus, which is
@@ -96,7 +102,7 @@ def preimage_margin(w):
     Measured in preimage units: near smooth boundary it scales like
     w-distance / |phi'|, near the cusp it is more permissive from inside.
     """
-    m = 1.0 - np.abs(_preimage_root(np.asarray(w, dtype=complex)))
+    m = _margin(np.asarray(w, dtype=complex))
     return m if m.shape else float(m)
 
 

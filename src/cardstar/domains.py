@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
@@ -166,7 +167,7 @@ class Domain:
     def _excess_beyond(self, share: float, ws, tol: float) -> float:
         # `excess` with the points strictly inside share times the inscribed
         # radius skipping the exact test
-        ws = _as_points(ws)
+        ws = np.asarray(ws, dtype=complex).ravel()
         if not ws.size:
             raise ValueError("need at least one point")
         if not tol >= 0.0:
@@ -309,11 +310,12 @@ _PM = np.array([[1.0], [-1.0]])   # the two signs of a square root, along axis 0
 class Parameter:
     """A family parameter: its name, the noun of its messages, and its valid
     values as the interval the message quotes, e.g. "[0, 1)" or "(1/2, inf)",
-    parsed once into the least and greatest valid floats."""
+    parsed once into its ends and the least and greatest valid floats."""
 
     name: str
     noun: str
     values: str
+    ends: tuple[float, float] = field(init=False)   # of the interval, open or not
     first: float = field(init=False)       # least valid float
     last: float = field(init=False)        # greatest valid float
     error: str = field(init=False)         # the ValueError text outside the range
@@ -328,16 +330,19 @@ class Parameter:
             must = f"exceed {lo}"
         else:
             must = f"be at least {lo}" if lo_x else "be nonnegative"
+        object.__setattr__(self, "ends", (lo_x, hi_x))
         object.__setattr__(self, "first", math.nextafter(lo_x, math.inf) if lo_open else lo_x)
         object.__setattr__(self, "last", math.nextafter(hi_x, -math.inf) if hi_open else hi_x)
         object.__setattr__(self, "error", f"{self.noun} must {must}")
 
-    def check(self, p: float, owner: str = "") -> None:
-        """Raise ValueError unless p is finite and valid; `owner` names a non-finite p."""
+    def check(self, p: float, owner: str = "", closed: bool = False) -> None:
+        """Raise ValueError unless p is finite and valid, or when `closed`,
+        finite and in the closed interval; `owner` names a non-finite p."""
         if not math.isfinite(p):
             subject = f"parameter {self.name} of {owner}" if owner else self.noun
             raise ValueError(f"{subject} must be finite")
-        if not self.first <= p <= self.last:
+        lo, hi = self.ends if closed else (self.first, self.last)
+        if not lo <= p <= hi:
             raise ValueError(self.error)
 
 
@@ -372,7 +377,7 @@ _REGIONS: dict[str, _Kind] = {
     # the paper's region, the image of 1 + z + z^2/2: |sqrt(2w - 1) - 1| < 1,
     # with its margin in preimage units (1 - |z|)
     "cardioid": _Kind(
-        margin=cardioid.preimage_margin, text="cardioid",
+        margin=cardioid._margin, text="cardioid",
         # the paper's lemma: |w - 3/2| < r_{3/2} = 1 lies inside the region
         center=1.5, inradius=lambda: cardioid.inner_outer_radii(1.5)[0]),
     # the region of functions with bounded turning quotient
@@ -610,6 +615,34 @@ def check_janowski_pair(A: float, B: float) -> None:
     """Raise ValueError unless -1 <= B < A <= 1, the two-parameter family's range."""
     if not -1.0 <= B < A <= 1.0:
         raise ValueError("need -1 <= B < A <= 1")
+
+
+# the parameter of each one-parameter quotient of `functions.extremal`: its
+# region kind's, or for the [1-a, 0] and [a, -a] corollaries, their classes'.
+# The quotient takes the ends of an open range too, where it is the family's
+# limit: the constant 1, or for Booth at 1, poles on the unit circle
+QUOTIENT_PARAMETERS: dict[str, Parameter] = {
+    **{kind: _REGIONS[kind].param
+       for kind in ("exponential", "lemniscate", "cassinian", "booth", "bounded_re")},
+    "bounded_re_extremal": _REGIONS["bounded_re"].param,
+    "order": _REGIONS["min_re"].param,
+    "ram_singh": Parameter("alpha", "parameter", "[0, 1)"),
+    "padmanabhan": Parameter("alpha", "parameter", "(0, 1]"),
+}
+
+
+def check_quotient_parameters(name: str, params: dict) -> None:
+    """Raise ValueError unless every parameter of the named `functions`
+    quotient is a real number in its range: janowski's (A, B) by
+    `check_janowski_pair`, the others by their `QUOTIENT_PARAMETERS` row,
+    with the ends of the range."""
+    for key, p in params.items():
+        if not isinstance(p, numbers.Real):
+            raise ValueError(f"parameter {key} of extremal {name!r} must be real")
+    if name == "janowski":
+        check_janowski_pair(params.get("A", 1.0), params.get("B", -1.0))
+    else:
+        QUOTIENT_PARAMETERS[name].check(*params.values(), f"extremal {name!r}", closed=True)
 
 
 def janowski_disk(A: float, B: float, r: float) -> Disk:

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import inspect
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable
 
@@ -175,16 +174,18 @@ def generator(name: str, **params) -> Callable:
 class FunctionSpec:
     """A named quotient w(z) with w(0) = 1; `real` declares
     w(conj z) = conj w(z), which lets `verify` sample half the circle, and
-    `analytic` declares that w has no pole or branch point in the open unit
-    disk, which lets `verify` guide its radius search by the verdicts it
-    has seen.  w_of acts elementwise on a number or a 1-d array: a radius
-    search evaluates the points of one circle at a time."""
+    `singularity`, which every spec declares, is the modulus of w's nearest
+    pole or branch point, math.inf where there is none: w is analytic on
+    |z| < singularity, so a radius search there meets monotone verdicts,
+    and `verify` records every radius from it on as failed without testing
+    it.  w_of acts elementwise on a number or a 1-d array: a radius search
+    evaluates the points of one circle at a time."""
 
     name: str
     w_of: Callable
     claim: str = ""
     real: bool = False
-    analytic: bool = False
+    singularity: float = field(kw_only=True)
 
 
 def _w_koebe(z):
@@ -262,37 +263,65 @@ def _ratio_quotient(chi: RatioChi, p: RatioP) -> Callable:
     return w
 
 
+def _reciprocal(x: float) -> float:
+    return math.inf if x == 0.0 else 1.0 / abs(x)
+
+
+# the modulus of each generator's nearest pole or branch point: a number, or
+# where it moves with the parameters, a function of them with the
+# generator's defaults
+_GENERATOR_SINGULARITY: dict[str, float | Callable[..., float]] = {
+    "cardioid": math.inf, "cardioid_wide": math.inf, "limacon": math.inf, "nephroid": math.inf,
+    "lune": 1.0,                                            # branch points at +-i
+    "sine": math.inf,
+    "rational": _K_RATIONAL,                                # pole at k
+    "rational_lemniscate": 1.0,                             # branch point at 1
+    "sigmoid": math.pi,                                     # poles at +-i pi
+    "cosh": math.inf, "exponential": math.inf,
+    "lemniscate": 1.0,                                      # branch point at -1
+    "cassinian": lambda c=1.0: _reciprocal(c),              # branch point at -1/c
+    "booth": lambda alpha=0.0: _reciprocal(math.sqrt(alpha)),   # poles at +-1/sqrt(alpha)
+    "janowski": lambda A=1.0, B=-1.0: _reciprocal(B),       # pole at -1/B
+    "order": 1.0, "bounded_re": 1.0,                        # pole at -1
+    "ram_singh": math.inf,
+    "padmanabhan": lambda alpha=1.0: _reciprocal(alpha),    # pole at 1/alpha
+}
+
+
+def _generator_singularity(name: str, params: dict) -> float:
+    s = _GENERATOR_SINGULARITY[name]
+    return s(**params) if callable(s) else s
+
+
 # every name `extremal` accepts; a quotient's parameters are its keywords.
 # Every quotient has real Taylor coefficients at its default parameters
-# except the ratio quotients with a rotation off the real axis, and every
-# one is analytic in the unit disk but the two with a pole at z = -1/2.
+# except the ratio quotients with a rotation off the real axis.  Past the
+# generators, every quotient has its nearest singularity on the unit circle
+# but the cardioid extremal, which has none, and the two with a pole at
+# z = -1/2; a ratio quotient's are its factors' poles at +-1 and +-1/eps.
 _EXTREMALS: dict[str, FunctionSpec] = {spec.name: spec for spec in (
-    *(FunctionSpec(name, psi, f"generator {name}", real=True, analytic=True)
+    *(FunctionSpec(name, psi, f"generator {name}", real=True,
+                   singularity=_generator_singularity(name, {}))
       for name, psi in _GENERATORS.items()),
     FunctionSpec("cardioid_extremal", eval_phi,
-                 "z exp(z + z^2/4); quotient is the cardioid generator itself", True, True),
-    FunctionSpec("koebe", _w_koebe, "z/(1-z)^2; quotient (1+z)/(1-z)", True, True),
-    FunctionSpec("half_plane", _w_half_plane, "z/(1-z); quotient 1/(1-z)", True, True),
-    FunctionSpec("second_sum", _w_second_sum, "z + z^2; starlikeness quotient", True, True),
+                 "z exp(z + z^2/4); quotient is the cardioid generator itself", True,
+                 singularity=math.inf),
+    FunctionSpec("koebe", _w_koebe, "z/(1-z)^2; quotient (1+z)/(1-z)", True, singularity=1.0),
+    FunctionSpec("half_plane", _w_half_plane, "z/(1-z); quotient 1/(1-z)", True, singularity=1.0),
+    FunctionSpec("second_sum", _w_second_sum, "z + z^2; starlikeness quotient", True,
+                 singularity=1.0),
     FunctionSpec("second_sum_convexity", _w_second_sum_convexity,
-                 "z + z^2; convexity functional 1 + z f''/f'", real=True),
-    FunctionSpec("koebe_second_sum", _w_second_sum_convexity, "z + 2 z^2; quotient", real=True),
+                 "z + z^2; convexity functional 1 + z f''/f'", True, singularity=0.5),
+    FunctionSpec("koebe_second_sum", _w_second_sum_convexity, "z + 2 z^2; quotient", True,
+                 singularity=0.5),
     FunctionSpec("bounded_re_extremal", lambda z, beta=2.0: gen_bounded_re(-_asc(z), beta),
-                 "z(1-z)^(2(beta-1)); quotient reaches 1/2 at z = 1/(4 beta - 3)", True, True),
+                 "z(1-z)^(2(beta-1)); quotient reaches 1/2 at z = 1/(4 beta - 3)", True,
+                 singularity=1.0),
     *(FunctionSpec(f"ratio{i}_{chi.suffix}", _ratio_quotient(chi, p),
                    f"chi(z) p_{i}(eps z) with chi {tag} and eps {chi.rotation:g}",
-                   real=chi.rotation.imag == 0, analytic=True)
+                   real=chi.rotation.imag == 0, singularity=1.0)
       for tag, chi in RATIO_CHI.items() for i, p in RATIO_P.items()),
 )}
-
-# the quotients whose nearest singularity moves with their parameters:
-# params -> whether it stays off the open unit disk
-_ANALYTIC_AT: dict[str, Callable[..., bool]] = {
-    "cassinian": lambda c: abs(c) <= 1.0,              # branch point at -1/c
-    "booth": lambda alpha: abs(alpha) <= 1.0,          # poles at +-1/sqrt(alpha)
-    "janowski": lambda A=1.0, B=-1.0: abs(B) <= 1.0,   # pole at -1/B
-    "padmanabhan": lambda alpha: abs(alpha) <= 1.0,    # pole at 1/alpha
-}
 
 
 @lru_cache(maxsize=None)
@@ -304,10 +333,11 @@ def _parameters(name: str) -> tuple[str, ...]:
 def extremal(name: str, **params) -> FunctionSpec:
     """Look up an extremal quotient or a generator kind, closed over `params`.
 
-    The result keeps the entry's `real` only when every parameter is real,
-    and its `analytic` only where the parameters keep the quotient's
-    singularities off the open unit disk.  Raises ValueError for an unknown
-    name, or for a keyword that is not a parameter of the quotient.
+    Each parameter must be a finite real number in the range of its kind,
+    as `domains.check_quotient_parameters` checks, and the result declares
+    the quotient's singularity at those parameters.  Raises ValueError for
+    an unknown name, for a keyword that is not a parameter of the quotient,
+    and for a parameter outside its range.
     """
     try:
         spec = _EXTREMALS[name]
@@ -318,10 +348,13 @@ def extremal(name: str, **params) -> FunctionSpec:
     for key in params:
         if key not in _parameters(name):
             raise ValueError(f"extremal {name!r} has no parameter {key!r}")
-    real = spec.real and all(isinstance(v, numbers.Real) for v in params.values())
-    analytic = spec.analytic and (name not in _ANALYTIC_AT or _ANALYTIC_AT[name](**params))
-    return FunctionSpec(name, partial(spec.w_of, **params), f"{spec.claim} {params}", real,
-                        analytic)
+    from .domains import check_quotient_parameters  # local import: domains imports this module
+
+    check_quotient_parameters(name, params)
+    singularity = (_generator_singularity(name, params) if name in _GENERATORS
+                   else spec.singularity)
+    return FunctionSpec(name, partial(spec.w_of, **params), f"{spec.claim} {params}", spec.real,
+                        singularity=singularity)
 
 
 # ---------------------------------------------------------------------------

@@ -598,8 +598,8 @@ def _region_param(kind: str) -> domains.Parameter:
     return domains._REGIONS[kind].param
 
 
-_RAM_SINGH_A = domains.Parameter("alpha", "parameter", "[0, 1)")
-_PADMANABHAN_A = domains.Parameter("alpha", "parameter", "(0, 1]")
+_RAM_SINGH_A = domains.QUOTIENT_PARAMETERS["ram_singh"]
+_PADMANABHAN_A = domains.QUOTIENT_PARAMETERS["padmanabhan"]
 # min of the half-plane-quotient bound 1/3 and the starlikeness radius
 # tanh(pi/4) of univalent functions
 _UNIVALENT = dict(formula=lambda _: min(1.0 / 3.0, math.tanh(math.pi / 4.0)),

@@ -13,29 +13,35 @@ bracket: the circle image of a quotient (`subordination_radius`) or a
 family of disks (`disk_family_radius`) fits on one side and leaves the
 region on the other.  It finds the first of 65 scan radii, 1e-4 and 64 more
 up to 1, whose image leaves the region at its ``near`` tolerance, and
-bisects the bracket below it.  A search that is not monotone in r (a
-quotient with a pole in the disk, a disk family) tests every scan radius
-that way, from 1e-4.  Where containment is monotone in r, as for a
-quotient declared analytic in the disk (`FunctionSpec.analytic`; every
-region here is simply connected), a guided search runs first and records
-the largest radius seen to pass and the least seen to fail; the scan and
-the bisection then answer from those two, and test only the radii strictly
-between them.  In a generator image the guided search halves the range of
-scan indices at containment tolerance 0, where the image needs no
+bisects the bracket below it.  Every region here is simply connected, so
+containment is monotone in r wherever the image grows with r: by the
+argument principle, below the modulus rho of the quotient's nearest pole or
+branch point, which each quotient declares (`FunctionSpec.singularity`),
+and for every disk family, whose disks must nest (checked on the scan
+radii).  No disk of radius rho or more has its image in a region (past a
+pole the image holds a neighbourhood of infinity, which no region here
+does, and past a branch point w is not analytic on it), so every radius
+from rho on is recorded as failed without a test.  A guided search
+records the largest radius seen to pass and the least seen to fail; the
+scan and the bisection then answer from those two, and test only the
+radii strictly between them.  In a generator image the guided search halves the range of the scan
+indices below rho at containment tolerance 0, where the image needs no
 Gauss-Newton distance (a pass at 0 is a pass at ``near``), and holds the
 image of its first failure for the test at ``near``.  In every other
-region it tests 1 - 1e-9, which ends the search at 1.0 when it passes, and
-otherwise finds where `domains.Domain.excess` at ``near`` changes sign on
-[1e-4, 1 - 1e-9] by `radii.brent_sign_change`, stopping at a bracket of a
-tenth of the bisection's width; the scan starts above the largest radius
-seen to pass, and the bisection tests the midpoints left inside Brent's
-last bracket.  Either way the bracket and every value are the ones a scan
-of one radius at a time and its bisection find, whatever width Brent stops
-at.  A guided probe that raises, or that divides by zero, overflows or
-makes an invalid value (numpy's raise mode, whatever the caller's
-setting), ends the guided search; the scan then tests the radii that its
-verdicts leave open, raising or warning as the one-radius scan does.  The
-two certificate tests at r - width and r + width replay nothing.
+region it tests 1 - 1e-9, or 1 - 1e-9 times rho when rho < 1, which ends
+the search there when it passes, and otherwise finds where
+`domains.Domain.excess` at ``near`` changes sign between 1e-4 and that
+radius by `radii.brent_sign_change`, stopping at a bracket of a tenth of
+the bisection's width; the scan starts above the largest radius seen to
+pass, and the bisection tests the midpoints left inside Brent's last
+bracket.  Either way the bracket and every value are the ones a scan of one
+radius at a time and its bisection find, whatever width Brent stops at.  A
+guided probe that raises, or that divides by zero, overflows or makes an
+invalid value (numpy's raise mode, whatever the caller's setting), ends the
+guided search; the scan then tests the radii that its verdicts leave open,
+raising or warning as the one-radius scan does.  The relative refinement
+of a radius below 1e-3 and the two certificate tests at r - width and
+r + width replay nothing.
 
 A registry row's oracle descriptor is evaluated in one place, `_measure`:
 a `radii.Threshold` measurement, a `radii.DiskFamily` radius or a
@@ -152,9 +158,8 @@ def image_in_domain(spec: FunctionSpec, r: float, d: domains.Domain,
 
 # Coarse scan radii, which bracket the first failure before a radius is
 # bisected: 1e-4, below which the search halves instead, and 64 radii up to
-# 1.  The scan matters for quotients with poles inside the disk (the
-# convexity functional of z + z^2), where containment is not monotone in r
-# and a single probe near 1 would be fooled.
+# 1.  The guided search finds that failure, and a scan of these radii
+# replays its verdicts; it tests them only after a guided probe raises.
 _RADIUS_SCAN = tuple(np.linspace(1e-4, 1.0 - 1e-9, 65).tolist())
 
 
@@ -172,27 +177,32 @@ _Image = Callable[[float, np.ndarray], np.ndarray]
 
 class _Probes:
     """The containment tests of one radius search: the image of radius r at
-    the unit-circle points e inside d within `near`.
+    the unit-circle points e inside d within `near`, whose verdicts are
+    monotone in r below `singularity` and fail from it on.
 
     `passed` and `failed` are the largest radius seen to pass and the least
-    seen to fail; `ok` answers from them outside that bracket, which is
-    sound where containment is monotone in r, and tests the radii strictly
-    inside it.  A search that tests radii in increasing order up to its
-    first failure and then bisects below it only ever tests inside."""
+    known to fail, at first `singularity`; `ok` answers from them outside
+    that bracket and tests the radii strictly inside it.  A search that
+    tests radii in increasing order up to its first failure and then bisects
+    below it only ever tests inside."""
 
-    def __init__(self, image: _Image, d: domains.Domain, e: np.ndarray, near: float):
+    def __init__(self, image: _Image, d: domains.Domain, e: np.ndarray, near: float,
+                 singularity: float):
         self.image, self.d, self.e, self.near = image, d, e, near
-        self.passed, self.failed = 0.0, math.inf
+        self.passed, self.failed = 0.0, singularity
         self.held: dict[float, np.ndarray] = {}    # r -> its image, made by an earlier test
 
     def excess(self, r: float) -> float:
-        """`Domain.excess` of the image of r at `near`, its verdict recorded."""
+        """`Domain.excess` of the image of r at `near`, its verdict recorded,
+        clipped at -1: the sign is kept, and Brent's method is not drawn
+        toward 1e-4 by an image that leaves the region by far near r = 1
+        (a disk center (1 + r^2)/(1 - r^2) reads about -1e9 there)."""
         x = self.d.excess(self.image(r, self.e), self.near)
         if x > 0.0:
             self.passed = max(self.passed, r)
         else:
             self.failed = min(self.failed, r)
-        return x
+        return max(x, -1.0)
 
     def ok(self, r: float) -> bool:
         """The verdict at r: replayed outside the bracket, tested inside."""
@@ -206,10 +216,10 @@ class _Probes:
         return False
 
     def halve(self) -> None:
-        """Halve the range of scan indices at tolerance 0: a pass there is a
-        pass at `near`, and the image of the last failure is held for its
-        test at `near`."""
-        lo, hi = -1, len(_RADIUS_SCAN)
+        """Halve the range of the scan indices below `failed` at tolerance
+        0: a pass there is a pass at `near`, and the image of the last
+        failure is held for its test at `near`."""
+        lo, hi = -1, bisect.bisect_left(_RADIUS_SCAN, self.failed)
         while hi - lo > 1:
             k = (lo + hi) // 2
             r = _RADIUS_SCAN[k]
@@ -220,41 +230,42 @@ class _Probes:
                 hi, self.held = k, {r: w}
 
     def brent(self) -> None:
-        """Test 1 - 1e-9, then, when it fails and 1e-4 passes, find where
-        the excess changes sign between them by `radii.brent_sign_change`
-        to a bracket of `_BRENT_WIDTH`, each radius tested once."""
+        """Test 1 - 1e-9, or 1 - 1e-9 times `failed` when that is less,
+        then, when it fails and 1e-4 passes, find where the excess changes
+        sign between them by `radii.brent_sign_change` to a bracket of
+        `_BRENT_WIDTH`, each radius tested once."""
         excess = lru_cache(maxsize=None)(self.excess)    # Brent's method reads both ends again
-        lo, hi = _RADIUS_SCAN[0], _RADIUS_SCAN[-1]
+        lo, hi = _RADIUS_SCAN[0], min(_RADIUS_SCAN[-1], self.failed * (1.0 - 1e-9))
         if not excess(hi) > 0.0 and excess(lo) > 0.0:
             radii.brent_sign_change(excess, lo, hi, tol=_BRENT_WIDTH)
 
 
-def _first_scan_failure(probes: _Probes, monotone: bool) -> int:
+def _first_scan_failure(probes: _Probes) -> int:
     """Index of the first scan radius whose image leaves the region at the
     probes' tolerance, or len(_RADIUS_SCAN) when none does: the one a scan
-    of one radius at a time stops at.  When the verdicts are `monotone` in
-    r, a guided search runs first and the scan replays its verdicts (see the
-    module docstring): it starts at the first scan radius above the largest
-    radius seen to pass, as every one below passes."""
-    if monotone:
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                if isinstance(probes.d, domains.GeneratorImageRegion):
-                    probes.halve()
-                else:
-                    probes.brent()
-        except Exception:
-            pass    # raised again below if the scan reaches that radius
+    of one radius at a time stops at.  The guided search runs first and the
+    scan replays its verdicts (see the module docstring): it starts at the
+    first scan radius above the largest radius seen to pass, as every one
+    below passes, and tests only the radii a guided probe that raised left
+    open."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            if isinstance(probes.d, domains.GeneratorImageRegion):
+                probes.halve()
+            else:
+                probes.brent()
+    except Exception:
+        pass    # raised again below if the scan reaches that radius
     start = bisect.bisect_right(_RADIUS_SCAN, probes.passed)
     return next((k for k, r in enumerate(_RADIUS_SCAN[start:], start) if not probes.ok(r)),
                 len(_RADIUS_SCAN))
 
 
-def _radius(image: _Image, d: domains.Domain, n: int, half: bool, monotone: bool) -> float:
+def _radius(image: _Image, d: domains.Domain, n: int, half: bool, singularity: float) -> float:
     """Largest r with image(r, e) inside d on the n-point unit circle e, or
     on its closed upper half when `half` (the mirror rule of the module
-    docstring), searched as the module docstring says; `monotone` when the
-    caller has established that containment is monotone in r.
+    docstring), searched as the module docstring says; containment must be
+    monotone in r below `singularity` and fail from it on.
 
     The bracket is narrowed to tol = `DEFAULT_TOL`, or to relative 1e-3
     when the radius is below 1000 tol, with the near-boundary tolerance
@@ -266,8 +277,8 @@ def _radius(image: _Image, d: domains.Domain, n: int, half: bool, monotone: bool
     """
     near, tol = d.near, DEFAULT_TOL
     e = radii._circle_grid(n, half)[1]
-    probes = _Probes(image, d, e, near)
-    k = _first_scan_failure(probes, monotone)
+    probes = _Probes(image, d, e, near, singularity)
+    k = _first_scan_failure(probes)
     if k == len(_RADIUS_SCAN):
         return 1.0
     if k:
@@ -279,7 +290,7 @@ def _radius(image: _Image, d: domains.Domain, n: int, half: bool, monotone: bool
     if width < tol:
         near *= width / tol
         # a pass at the wider tolerance says nothing at this one
-        probes = _Probes(image, d, e, near)
+        probes = _Probes(image, d, e, near, math.inf)
         r = radii.bisect_predicate(probes.ok, 0.5 * r, 2.0 * r, tol=width,
                                    floor=radii.RADIUS_FLOOR)
 
@@ -295,9 +306,11 @@ def _radius(image: _Image, d: domains.Domain, n: int, half: bool, monotone: bool
 def subordination_radius(spec: FunctionSpec, d: domains.Domain,
                          n: int = DEFAULT_SAMPLES) -> float:
     """Largest r with spec's image of |z| < r inside d (see `_radius`); on
-    the half circle when spec is real and d symmetric, guided by the
-    verdicts seen when spec is analytic."""
-    return _radius(lambda r, e: spec.w_of(r * e), d, n, spec.real and d.symmetric, spec.analytic)
+    the half circle when spec is real and d symmetric.  Each radius below
+    spec's singularity is searched on monotone verdicts (the module
+    docstring), and every radius from it on fails."""
+    return _radius(lambda r, e: spec.w_of(r * e), d, n, spec.real and d.symmetric,
+                   spec.singularity)
 
 
 def disk_family_radius(center, spread, d: domains.Domain,
@@ -305,15 +318,24 @@ def disk_family_radius(center, spread, d: domains.Domain,
     """Largest r with the disk |w - center(r)| <= spread(r) inside d (see
     `_radius`); on the half circle when d is symmetric, where a center off
     the real axis raises ValueError.  center and spread take one radius at
-    a time; nothing establishes that the disks grow nested in r, so the
-    scan radii are searched in order and never past the first failure."""
+    a time.  The disks must nest, each inside the next, so that containment
+    is monotone in r: |center(r2) - center(r1)| <= spread(r2) - spread(r1)
+    between consecutive scan radii, or ValueError."""
+    centers = [center(r) for r in _RADIUS_SCAN]
+    spreads = [spread(r) for r in _RADIUS_SCAN]
+    for k in range(1, len(_RADIUS_SCAN)):
+        if not abs(centers[k] - centers[k - 1]) <= spreads[k] - spreads[k - 1]:
+            raise ValueError("disk family must nest: |center(r2) - center(r1)| <= "
+                             "spread(r2) - spread(r1) fails between scan radii "
+                             f"{_RADIUS_SCAN[k - 1]:.6g} and {_RADIUS_SCAN[k]:.6g}")
+
     def image(r: float, e: np.ndarray) -> np.ndarray:
         c = center(r)
         if d.symmetric and complex(c).imag != 0.0:
             raise ValueError("disk family center must be real for a mirror-symmetric region")
         return c + spread(r) * e
 
-    return _radius(image, d, n, d.symmetric, False)
+    return _radius(image, d, n, d.symmetric, math.inf)
 
 
 def sharpness_touch(spec: FunctionSpec, r_star: float, touch_point_z: complex,

@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
 
+import dataclasses
 import math
 import time
 
@@ -10,7 +11,6 @@ import numpy as np
 import pytest
 
 from cardstar import cardioid, cli, domains, functions, radii, verify
-from cardstar.functions import FunctionSpec
 
 SQRT2 = math.sqrt(2.0)
 
@@ -138,13 +138,13 @@ def test_criterion_5_inclusion_suite():
 
 def test_criterion_6_sharpness_suite():
     card = domains.make_domain("cardioid")
-    gen = functions.generator
     ext = functions.extremal
     phi = ext("cardioid_extremal")
     e_const = math.e
 
-    def fs(name, fn):
-        return FunctionSpec(name, fn)
+    def fs(name, kind, **params):
+        # the generator of `kind` at `params`, under its own name
+        return dataclasses.replace(ext(kind, **params), name=name)
 
     r4 = radii.radius_of_class_in_cardioid("rational_lemniscate").value
     r9 = radii.radius_of_class_in_cardioid("nephroid").value
@@ -159,17 +159,17 @@ def test_criterion_6_sharpness_suite():
 
     touches = [
         # class generators touching the region boundary at 1/2 or 5/2
-        (fs("janowski_1_m1", gen("janowski", A=1.0, B=-1.0)), 1 / 3, -1 / 3, 0.5, card),
-        (fs("cassinian_1", gen("cassinian", c=1.0)), 0.75, -0.75, 0.5, card),
-        (fs("exponential_0", gen("exponential", alpha=0.0)),
+        (fs("janowski_1_m1", "janowski", A=1.0, B=-1.0), 1 / 3, -1 / 3, 0.5, card),
+        (fs("cassinian_1", "cassinian", c=1.0), 0.75, -0.75, 0.5, card),
+        (fs("exponential_0", "exponential", alpha=0.0),
          math.log(2.0), -math.log(2.0), 0.5, card),
-        (fs("rational_lemniscate", gen("rational_lemniscate")), r4, -r4, 0.5, card),
-        (fs("cardioid_wide", gen("cardioid_wide")), 0.5, -0.5, 0.5, card),
-        (fs("limacon", gen("limacon")), SQRT2 - 1.0, -(SQRT2 - 1.0), 0.5, card),
-        (fs("lune", gen("lune")), 0.75, -0.75, 0.5, card),
-        (fs("sine", gen("sine")), math.asin(0.5), -math.asin(0.5), 0.5, card),
-        (fs("nephroid", gen("nephroid")), r9, -r9, 0.5, card),
-        (fs("booth_0", gen("booth", alpha=0.0)), 0.5, -0.5, 0.5, card),
+        (fs("rational_lemniscate", "rational_lemniscate"), r4, -r4, 0.5, card),
+        (fs("cardioid_wide", "cardioid_wide"), 0.5, -0.5, 0.5, card),
+        (fs("limacon", "limacon"), SQRT2 - 1.0, -(SQRT2 - 1.0), 0.5, card),
+        (fs("lune", "lune"), 0.75, -0.75, 0.5, card),
+        (fs("sine", "sine"), math.asin(0.5), -math.asin(0.5), 0.5, card),
+        (fs("nephroid", "nephroid"), r9, -r9, 0.5, card),
+        (fs("booth_0", "booth", alpha=0.0), 0.5, -0.5, 0.5, card),
         (ext("koebe"), 1 / 3, -1 / 3, 0.5, card),
         (ext("half_plane"), 0.6, 0.6, 2.5, card),
         (ext("bounded_re_extremal"), 0.2, 0.2, 0.5, card),

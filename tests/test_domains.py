@@ -1,5 +1,6 @@
 """Region kinds: construction, membership, boundaries, containment tests."""
 
+import bisect
 import cmath
 import dataclasses
 import hashlib
@@ -819,21 +820,24 @@ def test_containment_at_zero_implies_containment_at_near(kind, params, shape, se
                        min_size=1, max_size=9),
        seed=st.integers(0, 2**32 - 1))
 def test_first_failure_matches_row_by_row_containment(kind, params, shapes, seed):
-    # the radius scan, which tests each image once, at near, stops at the
-    # first row that contains_all rejects there; scan index k reads row k,
-    # the last row from there on
+    # the guided search and the scan that replays its verdicts stop at the
+    # first row that contains_all rejects at near, the rows put in monotone
+    # order, those it accepts first: scan index k reads row k, the last row
+    # from there on, and a radius between scan indices k - 1 and k reads the
+    # row of index k
     d = make_domain(kind, *params)
     rng = np.random.default_rng(seed)
     rows = [_cloud(d, shape, rng) for shape in shapes]
+    rows.sort(key=lambda row: not d.contains_all(row, d.near))
     scan = verify._RADIUS_SCAN
 
     def image(r, e):
-        return rows[min(scan.index(r), len(rows) - 1)]
+        return rows[min(bisect.bisect_left(scan, r), len(rows) - 1)]
 
     at_near = [d.contains_all(row, d.near) for row in rows]
     reference = at_near.index(False) if False in at_near else len(scan)
-    probes = verify._Probes(image, d, None, d.near)
-    assert verify._first_scan_failure(probes, False) == reference, shapes
+    probes = verify._Probes(image, d, None, d.near, math.inf)
+    assert verify._first_scan_failure(probes) == reference, shapes
 
 
 # every make_domain kind, each at parameters that put it on the real axis

@@ -1,7 +1,9 @@
 """Generator and extremal registries, partial sums, growth bounds."""
 
 import cmath
+import inspect
 import math
+import re
 import sys
 
 import numpy as np
@@ -87,31 +89,103 @@ _ROTATED = {f"ratio{i}_rotated" for i in functions.RATIO_P}
 def test_real_declarations():
     # every table row is real but the quotients rotated by eps = i
     assert {name for name, spec in functions._EXTREMALS.items() if not spec.real} == _ROTATED
-    # a lookup keeps the declaration for real parameters only, and an ad hoc
-    # spec is not declared real
+    # a lookup keeps the declaration, as every parameter is real, and an ad
+    # hoc spec is not declared real
     assert extremal("janowski", A=1, B=-0.5).real
     assert extremal("exponential", alpha=np.float64(0.2)).real
-    assert not extremal("janowski", A=0.5 + 0.1j, B=0.0).real
-    assert not extremal("janowski", A=0.5 + 0j, B=0.0).real
-    assert not FunctionSpec("adhoc", lambda z: z).real
+    for A in (0.5 + 0.1j, 0.5 + 0j):
+        with pytest.raises(ValueError, match="^parameter A of extremal 'janowski' must be real$"):
+            extremal("janowski", A=A, B=0.0)
+    assert not FunctionSpec("adhoc", lambda z: z, singularity=math.inf).real
 
 
-def test_analytic_declarations():
-    # every table row is analytic in the unit disk but the two quotients
-    # with a pole at -1/2
-    assert {name for name, spec in functions._EXTREMALS.items() if not spec.analytic} == {
-        "second_sum_convexity", "koebe_second_sum"}
-    # a lookup keeps the declaration while the parameters keep every pole and
-    # branch point off the open disk, and an ad hoc spec is not declared
-    assert extremal("booth", alpha=1.0).analytic
-    assert not extremal("booth", alpha=1.5).analytic
-    assert extremal("cassinian", c=-1.0).analytic
-    assert not extremal("cassinian", c=1.01).analytic
-    assert extremal("janowski", A=1.0, B=-0.5j).analytic
-    assert not extremal("janowski", B=-2.0).analytic
-    assert not extremal("padmanabhan", alpha=2.0).analytic
-    assert extremal("bounded_re", beta=40.0).analytic
-    assert not FunctionSpec("adhoc", lambda z: z).analytic
+def test_singularity_declarations():
+    # every table row has its nearest singularity on or off the unit circle
+    # but the two quotients with a pole at -1/2
+    assert {name: spec.singularity for name, spec in functions._EXTREMALS.items()
+            if spec.singularity < 1.0} == {"second_sum_convexity": 0.5, "koebe_second_sum": 0.5}
+    # a lookup declares the modulus at its parameters
+    assert extremal("booth", alpha=0.25).singularity == 2.0
+    assert extremal("booth", alpha=0.0).singularity == math.inf
+    assert extremal("cassinian", c=0.5).singularity == 2.0
+    assert extremal("janowski", A=1.0, B=-0.5).singularity == 2.0
+    assert extremal("janowski", A=0.5, B=0.0).singularity == math.inf
+    assert extremal("janowski", A=0.5).singularity == 1.0
+    assert extremal("padmanabhan", alpha=0.5).singularity == 2.0
+    assert extremal("bounded_re", beta=40.0).singularity == 1.0
+    # the declaration has no default
+    with pytest.raises(TypeError, match="singularity"):
+        FunctionSpec("adhoc", lambda z: z)
+    # a modulus that moves with the parameters has its generator's defaults
+    for name, modulus in functions._GENERATOR_SINGULARITY.items():
+        if callable(modulus):
+            declared = inspect.signature(modulus).parameters
+            own = list(inspect.signature(functions._GENERATORS[name]).parameters.values())[1:]
+            assert [(p.name, p.default) for p in declared.values()] == [
+                (p.name, p.default) for p in own], name
+
+
+def _circle_moments(w_of, s: float) -> np.ndarray:
+    # |mean of w(s e^{it}) e^{ikt}| for k = 1 to 4 on 4096 points: (1/2 pi i)
+    # times the integral of w(z) z^(k-1) dz over |z| = s, scaled, which is 0
+    # up to rounding when w is analytic on the closed disk and is the sum of
+    # the residues of w z^(k-1) inside when its only singularities are poles
+    e = np.exp(2j * math.pi * np.arange(4096) / 4096)
+    w = np.asarray(w_of(s * e))
+    return np.abs([np.mean(w * e**k) for k in range(1, 5)])
+
+
+_SINGULAR_LOOKUPS = [("booth", {"alpha": 0.25}), ("booth", {"alpha": 0.81}),
+                     ("cassinian", {"c": 0.5}), ("janowski", {"A": 1.0, "B": 0.5}),
+                     ("janowski", {"A": 0.5, "B": -0.25}), ("padmanabhan", {"alpha": 0.5})]
+
+
+@pytest.mark.parametrize("name, params", [(name, {}) for name in functions._EXTREMALS]
+                         + _SINGULAR_LOOKUPS)
+def test_declared_singularity_is_the_nearest(name, params):
+    # w is analytic on a disk just inside its declared modulus (or of radius
+    # 1.485 where that is larger), and not on one a tenth larger: a branch
+    # cut that reaches only a tenth inside the circle moves the moments by
+    # 1.8e-3 (rational_lemniscate) to 1.7e-2 (lune), a pole by about 1
+    spec = extremal(name, **params)
+    assert max(_circle_moments(spec.w_of, 0.99 * min(spec.singularity, 1.5))) < 1e-9
+    if spec.singularity < math.inf:
+        assert max(_circle_moments(spec.w_of, 1.1 * spec.singularity)) > 1e-3
+
+
+def test_extremal_checks_parameter_ranges():
+    # a parameter outside the closed range of its kind raises the kind's
+    # message, the one make_domain gives for the same kind, or the range of
+    # the corollary's class; janowski's pair is checked as its disks are
+    for name, params, message in [
+            ("booth", {"alpha": 2.0}, "Booth-curve parameter must lie in [0, 1)"),
+            ("cassinian", {"c": 4.0}, "Cassinian parameter must lie in (0, 1]"),
+            ("order", {"alpha": 1.5}, "order parameter must lie in [0, 1)"),
+            ("bounded_re_extremal", {"beta": 0.5}, "bounded-real-part parameter must exceed 1"),
+            ("ram_singh", {"alpha": -0.1}, "parameter must lie in [0, 1)"),
+            ("padmanabhan", {"alpha": 1.5}, "parameter must lie in (0, 1]"),
+            ("janowski", {"B": -2.0}, "need -1 <= B < A <= 1"),
+            ("janowski", {"A": 0.5, "B": 0.5}, "need -1 <= B < A <= 1"),
+            ("booth", {"alpha": math.nan}, "parameter alpha of extremal 'booth' must be finite"),
+            ("exponential", {"alpha": math.inf},
+             "parameter alpha of extremal 'exponential' must be finite"),
+            ("janowski", {"B": math.nan}, "need -1 <= B < A <= 1")]:
+        with pytest.raises(ValueError) as exc:
+            extremal(name, **params)
+        assert str(exc.value) == message, (name, params)
+    # the ends of each range are taken, open or not: there the quotient is
+    # the family's limit, the constant 1 or, for Booth at 1, poles on the
+    # unit circle, and its singularity stays off the open disk
+    for name, param in domains.QUOTIENT_PARAMETERS.items():
+        lo, hi = param.ends
+        for p in (lo, min(hi, 1e6)):
+            assert extremal(name, **{param.name: p}).singularity >= 1.0, (name, p)
+        for p in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
+            if math.isfinite(p):
+                with pytest.raises(ValueError, match="^" + re.escape(param.error) + "$"):
+                    extremal(name, **{param.name: p})
+    assert extremal("padmanabhan", alpha=0.0).w_of(0.5) == 1.0
+    assert extremal("order", alpha=1.0).w_of(0.5) == 1.0
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)

@@ -30,7 +30,8 @@ def test_image_in_domain_sharp_radius_passes():
 
 def test_image_in_domain_fail_reports_worst_of_circle_and_rings():
     # only the inner rings (|z| = 0.25 and 0.375) leave the region here
-    spec = FunctionSpec("x", lambda z: np.where(abs(z) < 0.45, 10.0 + 0j, 1.0 + 0j))
+    spec = FunctionSpec("x", lambda z: np.where(abs(z) < 0.45, 10.0 + 0j, 1.0 + 0j),
+                        singularity=0.45)
     rep = verify.image_in_domain(spec, 0.5, CARD)
     assert not rep.passed
     assert rep.witness == 10.0
@@ -64,7 +65,7 @@ def test_subordination_radius_classics():
     ne = domains.make_domain("nephroid")
     assert verify.subordination_radius(functions.extremal("cardioid_extremal"),
                                        ne) == pytest.approx(0.527525, abs=2e-3)
-    bl = FunctionSpec("booth0", functions.generator("booth", alpha=0.0))
+    bl = FunctionSpec("booth0", functions.generator("booth", alpha=0.0), singularity=math.inf)
     assert verify.subordination_radius(bl, CARD) == pytest.approx(0.5, abs=2e-3)
 
 
@@ -75,13 +76,15 @@ def test_subordination_radius_returns_one_when_contained():
 
 def test_subordination_radius_no_positive_radius():
     # true radius 1e-17, below the search floor
-    runaway = FunctionSpec("runaway", lambda z: 1.0 + 1e15 * np.asarray(z, dtype=complex))
+    runaway = FunctionSpec("runaway", lambda z: 1.0 + 1e15 * np.asarray(z, dtype=complex),
+                           singularity=math.inf)
     with pytest.raises(ArithmeticError, match="no positive radius"):
         verify.subordination_radius(runaway, domains.Disk(1.0, 0.01))
 
 
 def test_subordination_radius_below_1e4():
-    steep = FunctionSpec("steep", lambda z: 1.0 + 5000.0 * np.asarray(z, dtype=complex))
+    steep = FunctionSpec("steep", lambda z: 1.0 + 5000.0 * np.asarray(z, dtype=complex),
+                         singularity=math.inf)
     assert verify.subordination_radius(steep, domains.Disk(1.0, 0.01)) == pytest.approx(
         2e-6, rel=1e-3)
     # the cardioid class in starlike functions of order 0.99995: 1 - r + r^2/2 = 0.99995
@@ -114,7 +117,8 @@ def test_subordination_radius_bracket_violation_raises(monkeypatch):
         verify.subordination_radius(functions.extremal("koebe"), CARD)
     # a 2e-6 radius returned 2.5e-7 too large passes a check at +-tol = 1e-6;
     # the check at +-1e-3 r catches it
-    steep = FunctionSpec("steep", lambda z: 1.0 + 5000.0 * np.asarray(z, dtype=complex))
+    steep = FunctionSpec("steep", lambda z: 1.0 + 5000.0 * np.asarray(z, dtype=complex),
+                         singularity=math.inf)
     monkeypatch.setattr(radii, "bisect_predicate",
                         lambda *args, **kw: bisect(*args, **kw) + 0.25 * verify.DEFAULT_TOL)
     with pytest.raises(ArithmeticError, match="bisection bracket violated"):
@@ -192,12 +196,12 @@ def _sequential_radius(image, d: domains.Domain, n: int, half: bool) -> float:
 
 
 STEEP = FunctionSpec("steep", lambda z: 1.0 + 5000.0 * np.asarray(z, dtype=complex),
-                     analytic=True)
+                     singularity=math.inf)
 # exp(12000 z) overflows from |z| = 0.0591 on: in Disk(1, 1e200), past the
 # scan's first failure at index 3 (0.0470), at index 4 (0.0626) and at the
 # first halving probe, index 32 (0.5)
 OVERFLOWING = FunctionSpec("overflowing", lambda z: np.exp(12000.0 * np.asarray(z, dtype=complex)),
-                           analytic=True)
+                           singularity=math.inf)
 
 
 def _raises_past(limit: float):
@@ -211,12 +215,12 @@ def _raises_past(limit: float):
 
 # 1 + z in Disk(1, 0.28): the one-radius scan fails first at index 18
 # (0.281), and the first halving probe, index 32 (0.5), raises
-RAISING = FunctionSpec("raising", _raises_past(0.29), real=True, analytic=True)
+RAISING = FunctionSpec("raising", _raises_past(0.29), real=True, singularity=math.inf)
 
 
 # 1 + z, whose circle image of radius r leaves Disk(1, R) exactly when r > R
 SHIFT = FunctionSpec("shift", lambda z: 1.0 + np.asarray(z, dtype=complex), real=True,
-                     analytic=True)
+                     singularity=math.inf)
 
 
 def _between_scan_radii(k: int) -> float:
@@ -226,26 +230,32 @@ def _between_scan_radii(k: int) -> float:
 def _pole_window(a: float, b: float) -> FunctionSpec:
     # (1 + z/a)/(1 + z/b) with 0 < a < b has a pole at -b, and Re w(-r) < 0
     # only for a < r < b: its circle image leaves Re w > 0 there and only
-    # there, so containment is not monotone in r
+    # there, so containment is monotone in r below the pole, and not past it
     return FunctionSpec(f"pole window ({a:g}, {b:g})",
-                        lambda z: (1.0 + np.asarray(z) / a) / (1.0 + np.asarray(z) / b), real=True)
+                        lambda z: (1.0 + np.asarray(z) / a) / (1.0 + np.asarray(z) / b), real=True,
+                        singularity=b)
+
+
+# the failure windows (a, b) of the pole windows by the scan index they
+# follow: over indices 3, 18 to 22, 39 to 40 and 58 to 59
+_POLE_WINDOWS = {k: (a, b) for k, (a, b) in zip(
+    (2, 17, 38, 57), ((0.045, 0.06), (0.27, 0.35), (0.6, 0.64), (0.9, 0.93)))}
 
 
 @pytest.mark.parametrize("n", [512, 1024])
 @pytest.mark.parametrize("spec, region, about", [
     (functions.extremal("cardioid_extremal"), domains.make_domain("cardioid_wide"), 1.0),
-    # psum.convex: the quotient has a pole in the disk, so containment is not
-    # monotone in r
+    # psum.convex: the quotient has a pole at -1/2, past which containment
+    # is not monotone in r
     (functions.extremal("second_sum_convexity"), domains.make_domain("min_re", 0.0), 0.25),
     (functions.extremal("cardioid_extremal"), domains.make_domain("nephroid"), 0.527525),
     (STEEP, domains.Disk(1.0, 0.01), 2e-6),
     (OVERFLOWING, domains.Disk(1.0, 1e200), math.log(1e200) / 12000.0),
     (RAISING, domains.Disk(1.0, 0.28), 0.28),
-    # failure windows right after scan indices 2, 17, 38 and 57, over indices
-    # 3, 18 to 22, 39 to 40 and 58 to 59, none of which a halving probe of a
-    # search that passes everywhere else (32, 48, 56, 60, 62, 63, 64) reaches
+    # failure windows right after scan indices 2, 17, 38 and 57, each
+    # searched below its pole, where containment is monotone
     *((_pole_window(a, b), domains.make_domain("min_re", 0.0), a)
-      for a, b in ((0.045, 0.06), (0.27, 0.35), (0.6, 0.64), (0.9, 0.93))),
+      for a, b in _POLE_WINDOWS.values()),
     # a first failure at scan index 1 to 7, far below the first halving
     # probe, index 32: the halving narrows down to it without an error
     *((SHIFT, domains.Disk(1.0, _between_scan_radii(k)), _between_scan_radii(k))
@@ -314,25 +324,52 @@ def test_search_follows_the_callers_error_setting(spec, region, error, setting):
         assert isinstance(got, float)
 
 
-@pytest.mark.parametrize("n", [512, 1024])
-def test_disk_family_search_equals_sequential_search(n):
-    def image(center, spread):
-        return lambda r, e: center(r) + spread(r) * e
+# the distinct disk families of the registry, in registry order
+_REGISTRY_DISK_FAMILIES = list(dict.fromkeys(
+    e.oracle for e in radii.constants_registry() if isinstance(e.oracle, radii.DiskFamily)))
 
-    # ratio.f3.koebe
+
+@pytest.mark.parametrize("n", [512, 1024, 4096])
+def test_disk_family_search_equals_sequential_search(n):
+    # every registry family nests, so its search is guided as a quotient's
+    # is and gives the float of a scan of one radius at a time
+    assert len(_REGISTRY_DISK_FAMILIES) == 16
+    for oracle in _REGISTRY_DISK_FAMILIES:
+        d = domains.make_domain(*oracle.region)
+        r = verify.disk_family_radius(oracle.center, oracle.spread, d, n)
+        assert r == _sequential_radius(
+            lambda r, e: oracle.center(r) + oracle.spread(r) * e, d, n, d.symmetric), oracle
     center, spread = radii.ratio_disk_family(3, "koebe")
-    r = verify.disk_family_radius(center, spread, CARD, n)
-    assert r == _sequential_radius(image(center, spread), CARD, n, True)
-    assert r == pytest.approx(radii.ratio_class_radius(3, "koebe").value, abs=1e-6)
-    # a center that raises past 0.29, past the first failure at 0.281: a
-    # disk family is scanned one radius at a time, so it is never evaluated
-    # there
-    center = lambda r: 1.0 + 0.0 * math.sqrt(0.29 - r)  # noqa: E731
-    spread = lambda r: r  # noqa: E731
-    d = domains.Disk(1.0, 0.28)
-    r = verify.disk_family_radius(center, spread, d, n)
-    assert r == _sequential_radius(image(center, spread), d, n, True)
-    assert r == pytest.approx(0.28, abs=1e-6)
+    assert verify.disk_family_radius(center, spread, CARD, n) == pytest.approx(
+        radii.ratio_class_radius(3, "koebe").value, abs=1e-6)
+
+
+def test_registry_disk_families_nest():
+    # |c(r2) - c(r1)| <= s(r2) - s(r1) on a grid 64 times finer than the
+    # scan radii, with room to spare: the least slack is 2.4e-4
+    grid = np.linspace(1e-4, 1.0 - 1e-9, 4097).tolist()
+    for oracle in _REGISTRY_DISK_FAMILIES:
+        c = [oracle.center(r) for r in grid]
+        s = [oracle.spread(r) for r in grid]
+        slack = min(s[k] - s[k - 1] - abs(c[k] - c[k - 1]) for k in range(1, len(grid)))
+        assert slack > 2e-4, (oracle, slack)
+
+
+def test_disk_family_must_nest():
+    # a center that moves faster than the spread grows
+    with pytest.raises(ValueError, match=(
+            r"^disk family must nest: \|center\(r2\) - center\(r1\)\| <= "
+            r"spread\(r2\) - spread\(r1\) fails between scan radii 0\.0001 and 0\.0157234$")):
+        verify.disk_family_radius(lambda r: 1.0 + 2.0 * r, lambda r: r, CARD)
+    # disks that nest up to 0.5 and then shrink
+    with pytest.raises(ValueError, match="fails between scan radii 0.500"):
+        verify.disk_family_radius(lambda r: 1.0, lambda r: min(r, 1.0 - r), CARD)
+    # the check evaluates the family at every scan radius, so a center
+    # undefined past 0.29 raises, although the radius in Disk(1, 0.28) is
+    # 0.28
+    with pytest.raises(ValueError, match="math domain error"):
+        verify.disk_family_radius(lambda r: 1.0 + 0.0 * math.sqrt(0.29 - r), lambda r: r,
+                                  domains.Disk(1.0, 0.28))
 
 
 # the benchmark's param-sweep families, copied from its tables: each class
@@ -538,20 +575,37 @@ def test_mirror_rule_evaluates_half_the_points(monkeypatch, n):
 def test_clamped_search_makes_seven_images(n):
     # a cost guard: when the whole disk fits, the search evaluates the image
     # at the halving probes of scan indices 32, 48, 56, 60, 62, 63 and 64
-    # only, not at 1e-4, whose verdict they imply; a quotient not declared
-    # analytic is scanned at all 65 radii, 1e-4 first
+    # only, not at 1e-4, whose verdict they imply
     scan = verify._RADIUS_SCAN
-    for analytic, probed in ((True, [scan[k] for k in (32, 48, 56, 60, 62, 63, 64)]),
-                             (False, list(scan))):
-        images = []
+    images = []
 
-        def w_of(z):
-            images.append((np.shape(z), float(z[0].real)))    # z[0] = r
-            return cardioid.eval_phi(z)
+    def w_of(z):
+        images.append((np.shape(z), float(z[0].real)))    # z[0] = r
+        return cardioid.eval_phi(z)
 
-        spec = FunctionSpec("counted", w_of, real=True, analytic=analytic)
-        assert verify.subordination_radius(spec, domains.make_domain("cardioid_wide"), n=n) == 1.0
-        assert images == [((n // 2 + 1,), r) for r in probed]
+    spec = FunctionSpec("counted", w_of, real=True, singularity=math.inf)
+    assert verify.subordination_radius(spec, domains.make_domain("cardioid_wide"), n=n) == 1.0
+    assert images == [((n // 2 + 1,), scan[k]) for k in (32, 48, 56, 60, 62, 63, 64)]
+
+
+def test_search_fails_from_the_singularity_on_untested():
+    # the same quotient declared singular at 1/2: the halving tests only the
+    # 32 scan radii below it, at indices 15, 23, 27, 29, 30 and 31, and the
+    # bisection tests only radii below it, every one of which passes, so the
+    # search ends at 1/2, where the certificate test past it finds the image
+    # inside and refuses the bracket
+    scan = verify._RADIUS_SCAN
+    radii_seen = []
+
+    def w_of(z):
+        radii_seen.append(float(z[0].real))
+        return cardioid.eval_phi(z)
+
+    spec = FunctionSpec("counted", w_of, real=True, singularity=0.5)
+    with pytest.raises(ArithmeticError, match="bisection bracket violated"):
+        verify.subordination_radius(spec, domains.make_domain("cardioid_wide"), n=512)
+    assert radii_seen[:6] == [scan[k] for k in (15, 23, 27, 29, 30, 31)]
+    assert max(radii_seen[:-1]) < 0.5 < radii_seen[-1]
 
 
 _MONOTONE_REGIONS = [CARD, domains.make_domain("min_re", 0.5), domains.make_domain("sector", 0.5),
@@ -563,19 +617,24 @@ _MONOTONE_REGIONS = [CARD, domains.make_domain("min_re", 0.5), domains.make_doma
 _SCAN_AND_BETWEEN = sorted(verify._RADIUS_SCAN + tuple(map(_between_scan_radii, range(1, 65))))
 
 
-@pytest.mark.parametrize("name", sorted(
-    name for name, spec in functions._EXTREMALS.items() if spec.analytic))
+@pytest.mark.parametrize("name", sorted(functions._EXTREMALS)
+                         + [f"pole-window-{k}" for k in _POLE_WINDOWS])
 def test_declared_analytic_quotients_leave_regions_for_good(name):
-    # the property the guided searches rely on: the circle image of a
-    # quotient declared analytic passes a region, at tolerance 0 and at the
-    # region's near tolerance, up to some radius and fails at every larger
-    # one.  The scan and the bisection replay verdicts at near between scan
-    # radii too, so the grid holds the midpoints
-    spec = functions.extremal(name)
+    # the property the guided searches rely on: below its declared
+    # singularity, the circle image of a quotient passes a region, at
+    # tolerance 0 and at the region's near tolerance, up to some radius and
+    # fails at every larger one.  The scan and the bisection replay verdicts
+    # at near between scan radii too, so the grid holds the midpoints
+    if name.startswith("pole-window-"):
+        spec = _pole_window(*_POLE_WINDOWS[int(name.rsplit("-", 1)[1])])
+    else:
+        spec = functions.extremal(name)
     e = radii._circle_grid(512)[1]
-    for d in _MONOTONE_REGIONS:
+    grid = [r for r in _SCAN_AND_BETWEEN if r < spec.singularity]
+    assert len(grid) >= 7
+    for d in _MONOTONE_REGIONS + [domains.make_domain("min_re", 0.0)]:
         for tol in (0.0, d.near):
-            verdicts = [d.contains_all(spec.w_of(r * e), tol) for r in _SCAN_AND_BETWEEN]
+            verdicts = [d.contains_all(spec.w_of(r * e), tol) for r in grid]
             assert verdicts == sorted(verdicts, reverse=True), (d.describe(), tol)
 
 
@@ -671,23 +730,31 @@ def test_brent_width_moves_no_radius(monkeypatch):
     assert measure(1e-15) == measure(1e-7) == measure(1e-5)
 
 
-@pytest.mark.parametrize("key", ["psum.convex", "ratio.f3.koebe"])
-def test_scan_tests_each_image_once(monkeypatch, key):
-    # a cost guard: a search that is not monotone (a pole quotient, a disk
-    # family) tests each scan radius's image once, at near, and every
-    # bisection probe makes its own image, so no image array reaches
-    # contains_all twice; `seen` keeps every array alive, so no two share an id
+@pytest.mark.parametrize("key, bound", [("psum.convex", 9), ("psum.from_univalent", 12),
+                                        ("ratio.f1.z", 12), ("ratio.f1.koebe", 12),
+                                        ("ratio.f3.koebe", 19)])
+def test_guided_search_tests_each_image_once(monkeypatch, key, bound):
+    # a cost guard at 512 samples on the two pole quotients, searched below
+    # their pole at 1/2, and on disk families, which the one-radius scan
+    # tested 23 to 33 times: Brent's method tests each radius once and the
+    # bisection makes its own image for each radius left open, so no image
+    # array reaches a containment test twice; `seen` keeps every array
+    # alive, so no two share an id.  The excess is clipped at -1, so that
+    # ratio.f1.koebe, whose disk center reads about 1e9 at 1 - 1e-9, takes
+    # 11 tests where it took 20
     seen = []
-    contains_all = domains.Domain.contains_all
 
-    def counted(self, ws, *args):
-        seen.append(ws)
-        return contains_all(self, ws, *args)
+    def counted(original):
+        def method(self, ws, *args):
+            seen.append(ws)
+            return original(self, ws, *args)
+        return method
 
-    monkeypatch.setattr(domains.Domain, "contains_all", counted)
+    for name in _CONTAINMENT:
+        monkeypatch.setattr(domains.Domain, name, counted(getattr(domains.Domain, name)))
     entry = {e.key: e for e in radii.constants_registry()}[key]
     verify.measure_constant(entry, 512)
-    assert seen and len({id(ws) for ws in seen}) == len(seen)
+    assert 0 < len(seen) <= bound and len({id(ws) for ws in seen}) == len(seen)
 
 
 def test_generator_image_rows_bound_their_distance_calls(monkeypatch):
@@ -806,7 +873,8 @@ def test_oracle_payloads_use_the_shared_keys():
 
 
 def test_sharpness_touch_examples():
-    jan = FunctionSpec("janowski_extremal", functions.generator("janowski", A=1.0, B=-1.0))
+    jan = FunctionSpec("janowski_extremal", functions.generator("janowski", A=1.0, B=-1.0),
+                       singularity=1.0)
     assert verify.sharpness_touch(jan, 1.0 / 3.0, -1.0 / 3.0, 0.5, CARD).passed
     rot = functions.extremal("ratio1_rotated")
     r1 = radii.ratio_class_radius(1, "z_over_1minusz2").value
@@ -818,7 +886,8 @@ def test_sharpness_touch_examples():
 
 
 def test_sharpness_touch_fails_off_boundary():
-    jan = FunctionSpec("janowski_extremal", functions.generator("janowski", A=1.0, B=-1.0))
+    jan = FunctionSpec("janowski_extremal", functions.generator("janowski", A=1.0, B=-1.0),
+                       singularity=1.0)
     rep = verify.sharpness_touch(jan, 0.3, -0.3, 0.5, CARD)
     assert not rep.passed and rep.witness is not None
 
