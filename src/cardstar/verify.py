@@ -28,30 +28,35 @@ radii strictly between them.  In a generator image the guided search halves the 
 indices below rho at containment tolerance 0, where the image needs no
 Gauss-Newton distance (a pass at 0 is a pass at ``near``), and holds the
 image of its first failure for the test at ``near``.  In every other
-region it tests 1 - 1e-9, or 1 - 1e-9 times rho when rho < 1, which ends
+region a radius the caller expects (a registry row's formula) is tried
+first: when it lies more than 1e-6 inside (0, min(rho, 1 - 1e-9)), its
+image fits at 1e-6 below it and leaves at 1e-6 above it, and that
+bracket holds the failure, Brent's method is skipped.  Otherwise the
+search tests 1 - 1e-9, or 1 - 1e-9 times rho when rho < 1, which ends
 the search there when it passes, and otherwise finds where
 `domains.Domain.excess` at ``near`` changes sign between 1e-4 and that
 radius by `radii.brent_sign_change`, stopping at a bracket of a tenth of
 the bisection's width; the scan starts above the largest radius seen to
 pass, and the bisection tests the midpoints left inside Brent's last
 bracket.  Either way the bracket and every value are the ones a scan of one
-radius at a time and its bisection find, whatever width Brent stops at.  A
-guided probe that raises, or that divides by zero, overflows or makes an
-invalid value (numpy's raise mode, whatever the caller's setting), ends the
-guided search; the scan then tests the radii that its verdicts leave open,
-raising or warning as the one-radius scan does.  The relative refinement
-of a radius below 1e-3 and the two certificate tests at r - width and
-r + width replay nothing.
+radius at a time and its bisection find, whatever radius is expected and
+whatever width Brent stops at.  A guided probe that raises, or that
+divides by zero, overflows or makes an invalid value (numpy's raise mode,
+whatever the caller's setting), ends the guided search; the scan then
+tests the radii that its verdicts leave open, raising or warning as the
+one-radius scan does.  The relative refinement of a radius below 1e-3
+and the two certificate tests at r - width and r + width replay nothing.
 
 A registry row's oracle descriptor is evaluated in one place, `_measure`:
 a `radii.Threshold` measurement, a `radii.DiskFamily` radius or a
 `radii.Subordination` radius; the partial-sum suite measures its registry
-rows through it too.  One invocation measures each distinct descriptor
-once: `run_all_suites` (and the `constants` table) pass a `Measured` dict
-through `measure_constant`, still called once per registry row, and the
-partial-sum suite, so rows with equal descriptors and the suite read the
-first measurement.  Nothing is kept between invocations.  Every pass/fail
-report is built by `_report`.
+rows through it too, and each row's formula seeds its radius search.  One
+invocation measures each distinct descriptor once: `run_all_suites` (and
+the `constants` table) pass a `Measured` dict through `measure_constant`,
+still called once per registry row, and the partial-sum suite, so rows
+with equal descriptors and the suite read the first measurement.  Nothing
+is kept between invocations.  Every pass/fail report is built by
+`_report`.
 
 Each inclusion relation is declared once, in `INCLUSION_FAMILIES`, as its
 region pair p -> (inner, outer).  Its threshold oracle (the sign change of
@@ -229,6 +234,15 @@ class _Probes:
             else:
                 hi, self.held = k, {r: w}
 
+    def seed(self, r: float) -> bool:
+        """Test r + `DEFAULT_TOL`, then r - `DEFAULT_TOL`, when both lie
+        strictly inside the bracket and below the last scan radius; True
+        when they bracket the failure."""
+        lo, hi = r - DEFAULT_TOL, r + DEFAULT_TOL
+        if not (self.passed < lo and hi < min(self.failed, _RADIUS_SCAN[-1])):
+            return False
+        return not self.ok(hi) and self.ok(lo)
+
     def brent(self) -> None:
         """Test 1 - 1e-9, or 1 - 1e-9 times `failed` when that is less,
         then, when it fails and 1e-4 passes, find where the excess changes
@@ -240,19 +254,19 @@ class _Probes:
             radii.brent_sign_change(excess, lo, hi, tol=_BRENT_WIDTH)
 
 
-def _first_scan_failure(probes: _Probes) -> int:
+def _first_scan_failure(probes: _Probes, expected: float | None = None) -> int:
     """Index of the first scan radius whose image leaves the region at the
     probes' tolerance, or len(_RADIUS_SCAN) when none does: the one a scan
-    of one radius at a time stops at.  The guided search runs first and the
-    scan replays its verdicts (see the module docstring): it starts at the
-    first scan radius above the largest radius seen to pass, as every one
-    below passes, and tests only the radii a guided probe that raised left
-    open."""
+    of one radius at a time stops at.  The guided search, seeded by
+    `expected` when given, runs first and the scan replays its verdicts
+    (see the module docstring): it starts at the first scan radius above
+    the largest radius seen to pass, as every one below passes, and tests
+    only the radii a guided probe that raised left open."""
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             if isinstance(probes.d, domains.GeneratorImageRegion):
                 probes.halve()
-            else:
+            elif expected is None or not probes.seed(expected):
                 probes.brent()
     except Exception:
         pass    # raised again below if the scan reaches that radius
@@ -261,11 +275,13 @@ def _first_scan_failure(probes: _Probes) -> int:
                 len(_RADIUS_SCAN))
 
 
-def _radius(image: _Image, d: domains.Domain, n: int, half: bool, singularity: float) -> float:
+def _radius(image: _Image, d: domains.Domain, n: int, half: bool, singularity: float,
+            expected: float | None) -> float:
     """Largest r with image(r, e) inside d on the n-point unit circle e, or
     on its closed upper half when `half` (the mirror rule of the module
-    docstring), searched as the module docstring says; containment must be
-    monotone in r below `singularity` and fail from it on.
+    docstring), searched as the module docstring says, seeded by `expected`
+    when given; containment must be monotone in r below `singularity` and
+    fail from it on.
 
     The bracket is narrowed to tol = `DEFAULT_TOL`, or to relative 1e-3
     when the radius is below 1000 tol, with the near-boundary tolerance
@@ -278,7 +294,7 @@ def _radius(image: _Image, d: domains.Domain, n: int, half: bool, singularity: f
     near, tol = d.near, DEFAULT_TOL
     e = radii._circle_grid(n, half)[1]
     probes = _Probes(image, d, e, near, singularity)
-    k = _first_scan_failure(probes)
+    k = _first_scan_failure(probes, expected)
     if k == len(_RADIUS_SCAN):
         return 1.0
     if k:
@@ -303,24 +319,26 @@ def _radius(image: _Image, d: domains.Domain, n: int, half: bool, singularity: f
     return r
 
 
-def subordination_radius(spec: FunctionSpec, d: domains.Domain,
-                         n: int = DEFAULT_SAMPLES) -> float:
+def subordination_radius(spec: FunctionSpec, d: domains.Domain, n: int = DEFAULT_SAMPLES, *,
+                         expected: float | None = None) -> float:
     """Largest r with spec's image of |z| < r inside d (see `_radius`); on
     the half circle when spec is real and d symmetric.  Each radius below
     spec's singularity is searched on monotone verdicts (the module
-    docstring), and every radius from it on fails."""
+    docstring), and every radius from it on fails.  A radius `expected`
+    seeds the search and never moves its value."""
     return _radius(lambda r, e: spec.w_of(r * e), d, n, spec.real and d.symmetric,
-                   spec.singularity)
+                   spec.singularity, expected)
 
 
-def disk_family_radius(center, spread, d: domains.Domain,
-                       n: int = DEFAULT_SAMPLES) -> float:
+def disk_family_radius(center, spread, d: domains.Domain, n: int = DEFAULT_SAMPLES, *,
+                       expected: float | None = None) -> float:
     """Largest r with the disk |w - center(r)| <= spread(r) inside d (see
     `_radius`); on the half circle when d is symmetric, where a center off
     the real axis raises ValueError.  center and spread take one radius at
     a time.  The disks must nest, each inside the next, so that containment
     is monotone in r: |center(r2) - center(r1)| <= spread(r2) - spread(r1)
-    between consecutive scan radii, or ValueError."""
+    between consecutive scan radii, or ValueError.  `expected` seeds the
+    search as in `subordination_radius`."""
     centers = [center(r) for r in _RADIUS_SCAN]
     spreads = [spread(r) for r in _RADIUS_SCAN]
     for k in range(1, len(_RADIUS_SCAN)):
@@ -335,7 +353,7 @@ def disk_family_radius(center, spread, d: domains.Domain,
             raise ValueError("disk family center must be real for a mirror-symmetric region")
         return c + spread(r) * e
 
-    return _radius(image, d, n, d.symmetric, math.inf)
+    return _radius(image, d, n, d.symmetric, math.inf, expected)
 
 
 def sharpness_touch(spec: FunctionSpec, r_star: float, touch_point_z: complex,
@@ -539,17 +557,20 @@ _THRESHOLDS = {
 }
 
 
-def _measure(oracle: radii.Oracle, samples: int) -> float:
+def _measure(oracle: radii.Oracle, samples: int, expected: float | None = None) -> float:
     """Evaluate an oracle descriptor: a threshold, a disk family, or the
-    subordination radius of a quotient in a region."""
+    subordination radius of a quotient in a region, whose search the
+    tabulated value `expected` seeds."""
     if isinstance(oracle, radii.Threshold):
         return _THRESHOLDS[oracle.name](samples, *oracle.args)
     if isinstance(oracle, radii.DiskFamily):
         return disk_family_radius(oracle.center, oracle.spread,
-                                  domains.make_domain(*oracle.region), n=samples)
+                                  domains.make_domain(*oracle.region), n=samples,
+                                  expected=expected)
     if isinstance(oracle, radii.Subordination):
         return subordination_radius(functions.extremal(oracle.quotient, **dict(oracle.params)),
-                                    domains.make_domain(*oracle.region), n=samples)
+                                    domains.make_domain(*oracle.region), n=samples,
+                                    expected=expected)
     raise TypeError(f"not an oracle descriptor: {oracle!r}")
 
 
@@ -557,24 +578,26 @@ def _measure(oracle: radii.Oracle, samples: int) -> float:
 Measured = dict[tuple[radii.Oracle, int], float]
 
 
-def _measure_once(oracle: radii.Oracle, samples: int, measured: Measured | None) -> float:
+def _measure_once(oracle: radii.Oracle, samples: int, measured: Measured | None,
+                  expected: float | None = None) -> float:
     """`_measure`, read from `measured` when it holds this descriptor at this
     sample count, and stored there when it does not."""
     if measured is None:
-        return _measure(oracle, samples)
+        return _measure(oracle, samples, expected)
     key = (oracle, samples)
     if key not in measured:
-        measured[key] = _measure(oracle, samples)
+        measured[key] = _measure(oracle, samples, expected)
     return measured[key]
 
 
 def measure_constant(entry: radii.ConstantEntry, samples: int = DEFAULT_SAMPLES,
                      measured: Measured | None = None) -> float:
-    """Evaluate the registry entry's oracle descriptor, once per distinct
-    descriptor among the calls that share a `measured` dict."""
+    """Evaluate the registry entry's oracle descriptor, seeded by its value,
+    once per distinct descriptor among the calls that share a `measured`
+    dict."""
     if entry.oracle is None:
         raise ValueError(f"registry entry {entry.key} has no oracle")
-    return _measure_once(entry.oracle, samples, measured)
+    return _measure_once(entry.oracle, samples, measured, entry.value)
 
 
 def _row_claim(entry: radii.ConstantEntry) -> str:
@@ -684,7 +707,7 @@ def partial_sum_suite(samples: int = DEFAULT_SAMPLES,
     ]
     for claim, key in checks:
         # not through measure_constant: a suite is not a registry row
-        value = _measure_once(rows[key].oracle, samples, measured)
+        value = _measure_once(rows[key].oracle, samples, measured, rows[key].value)
         reports.append(_report(claim, "oracle:quotient", samples,
                                abs(value - rows[key].value) < AGREEMENT_TOL, value))
     touches = [

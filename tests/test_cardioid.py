@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -156,6 +157,27 @@ def test_implicit_quartic_on_floats_matches_arrays(ws):
             one = cardioid.implicit_value(x[k:k + 1], y[k:k + 1])
             assert bits(value) == bits(one) == bits(batch[k])
             assert cardioid.contains_implicit(w) == bool(one[0] < 0.0)
+
+
+def test_implicit_quartic_on_mpmath_numbers():
+    # the one operator expression serves mpmath numbers too: at 30 digits
+    # it gives an mpf of the float path's sign, within relative 1e-12, on a
+    # grid kept away from the boundary, where F is not small
+    xs = np.linspace(-0.75, 3.25, 41)
+    ys = np.linspace(-2.0, 2.0, 41)
+    checked = 0
+    with mpmath.workdps(30):
+        for x in xs:
+            for y in ys:
+                f = cardioid.implicit_value(float(x), float(y))
+                if abs(f) < 0.05:
+                    continue
+                exact = cardioid.implicit_value(mpmath.mpf(float(x)), mpmath.mpf(float(y)))
+                assert isinstance(exact, mpmath.mpf)
+                assert (exact < 0) == (f < 0.0), (x, y)
+                assert abs(f - exact) <= 1e-12 * abs(exact), (x, y)
+                checked += 1
+    assert checked > 1500
 
 
 def test_scalar_implicit_test_runs_without_numpy(monkeypatch):

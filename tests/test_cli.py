@@ -341,21 +341,28 @@ def test_verify_command_filtered(monkeypatch, capsys):
 # `witness` columns), recorded from the code after the disk-branch crossover
 # oracle moved to the real-axis exit radius; the constants digests after the
 # inclusion thresholds moved to Brent's method, which set incl.conic's diff
-# column from 2.22e-16 to 0.00e+00.  A different libm could move a last
-# printed digit.
+# column from 2.22e-16 to 0.00e+00.  A case ending in "@4096" runs at the
+# default 4096 samples instead; those digests were recorded before the
+# registry rows' formulas seeded their radius searches.  A different libm
+# could move a last printed digit.
 _CLI_DIGESTS = {
     "verify": "1109dc19b29c65c08a879b9b7a80d7bc4598cd66ab40797da7a94e1c51b60a2f",
     "constants": "0cb6c5e151e49af6ac7dd94ce3717dbd7f88ac097a5bbcfd6b8d046f6fccce43",
     "verify-csv": "74e06ad3709c3cc86a62698c1b55d1f2664b8ad980494a7fd0030a8f6706fa28",
     "constants-csv": "93f96129b337c4e0c4f7da5316b6b04f803f766254161bd11a78a208c284c911",
+    "verify@4096": "cb0e8ecb41c70e22e2ac10e5ebe7a237a33ae8e4da6213183feb24d3b4d9235a",
+    "constants@4096": "9610519c6da5ef0591f30cc33875667e0c0b9d636188d7a6b91734d6bc781e9a",
+    "verify-csv@4096": "2f5030b9e9e34c375b093132939c5725d3b93fd374ebd9f6d8b65b52365a0afd",
+    "constants-csv@4096": "6bd14c3659ef74a648defcd5de93eea458eca12405c480bda961cc16d79547b4",
 }
 
 
 @pytest.mark.parametrize("case", sorted(_CLI_DIGESTS))
 def test_cli_output_pinned(case, capsys):
-    command, _, fmt = case.partition("-")
-    code, out, _ = run(["--samples", "512"] + (["--format", fmt] if fmt else []) + [command],
-                       capsys)
+    name, _, samples = case.partition("@")
+    command, _, fmt = name.partition("-")
+    code, out, _ = run(["--samples", samples or "512"] + (["--format", fmt] if fmt else [])
+                       + [command], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _CLI_DIGESTS[case]
 

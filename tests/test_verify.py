@@ -671,10 +671,10 @@ _PARAM_SWEEP_FROM_HIGH_END = {("class-in-cardioid", tag)
                               for tag in ("padmanabhan", "cassinian", "bounded_re")}
 
 
-def _param_sweep_searches(seed: int) -> list[tuple[FunctionSpec, domains.Domain]]:
-    """The (quotient, region) of each radius search of the benchmark's
-    param-sweep at this seed: one uniform draw in each eighteenth of each
-    family's range, family by family."""
+def _param_sweep_searches(seed: int) -> list[tuple[FunctionSpec, domains.Domain, float]]:
+    """The (quotient, region, closed-form radius) of each radius search of
+    the benchmark's param-sweep at this seed: one uniform draw in each
+    eighteenth of each family's range, family by family."""
     rng = np.random.default_rng(seed)
     phi = functions.extremal("cardioid_extremal")
     searches = []
@@ -687,9 +687,12 @@ def _param_sweep_searches(seed: int) -> list[tuple[FunctionSpec, domains.Domain]
         for j in range(18):
             x = (j + rng.uniform()) / 18
             p = hi - (hi - lo) * x if family in _PARAM_SWEEP_FROM_HIGH_END else lo + (hi - lo) * x
-            searches.append((functions.extremal(tag, **{name: p}), CARD)
-                            if direction == "class-in-cardioid"
-                            else (phi, domains.make_domain(*region(p))))
+            if direction == "class-in-cardioid":
+                searches.append((functions.extremal(tag, **{name: p}), CARD,
+                                 radii.radius_of_class_in_cardioid(tag, p).value))
+            else:
+                searches.append((phi, domains.make_domain(*region(p)),
+                                 radii.radius_of_cardioid_in_class(tag, p).value))
     return searches
 
 
@@ -702,7 +705,7 @@ def test_param_sweep_searches_make_few_containment_tests(monkeypatch):
     assert len(searches) == 234
     ok, oks, total = verify._Probes.ok, [], 0
     monkeypatch.setattr(verify._Probes, "ok", lambda self, r: oks.append(r) or ok(self, r))
-    for spec, d in searches:
+    for spec, d, _ in searches:
         oks.clear()
         count = _containment_tests(monkeypatch, lambda: verify.subordination_radius(spec, d, 1024))
         assert count <= 18, (spec.name, d.describe(), count)
@@ -725,9 +728,115 @@ def test_brent_width_moves_no_radius(monkeypatch):
     def measure(width: float) -> list[float]:
         monkeypatch.setattr(verify, "_BRENT_WIDTH", width)
         return ([verify._measure(oracle, 512) for oracle in oracles]
-                + [verify.subordination_radius(spec, d, 1024) for spec, d in searches])
+                + [verify.subordination_radius(spec, d, 1024) for spec, d, _ in searches])
 
     assert measure(1e-15) == measure(1e-7) == measure(1e-5)
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024, 4096])
+def test_expected_radius_moves_no_value(n):
+    # a seed changes which radii are tested and never a radius, as the value
+    # is fixed by the verdicts of the monotone predicate: every registry
+    # radius descriptor seeded by its formula, by the formula moved inside
+    # and across the seed's own bracket and far off, and by a random
+    # radius; at the benchmark's 1024 samples, the seed-0 param-sweep
+    # searches too, seeded by their closed forms and by wrong radii
+    formulas = {}
+    for e in radii.constants_registry():
+        if isinstance(e.oracle, (radii.Subordination, radii.DiskFamily)):
+            formulas.setdefault(e.oracle, e.value)
+    assert len(formulas) == 56
+    rng = np.random.default_rng(n)
+    for oracle, formula in formulas.items():
+        want = verify._measure(oracle, n)
+        for shift in (0.0, 3e-7, -3e-7, 1e-6, -1e-6, 1e-3, -1e-3, 0.1, -0.1):
+            assert verify._measure(oracle, n, formula + shift) == want, (oracle, shift)
+        assert verify._measure(oracle, n, float(rng.uniform())) == want, oracle
+    if n == 1024:
+        searches = _param_sweep_searches(0)
+        assert len(searches) == 234
+        for spec, d, formula in searches:
+            want = verify.subordination_radius(spec, d, n)
+            for shift in (0.0, 1e-6, -1e-6, 1e-3, -1e-3, 0.1):
+                got = verify.subordination_radius(spec, d, n, expected=formula + shift)
+                assert got == want, (spec.name, d.describe(), shift)
+
+
+def test_seeded_search_makes_few_containment_tests(monkeypatch):
+    # a cost guard at 512 samples on each registry radius descriptor outside
+    # generator images, seeded by its formula as `verify` runs it: when
+    # formula +- DEFAULT_TOL brackets the failure, Brent's method is skipped
+    # and the search makes at most 7 tests (the two seeds, at most three
+    # bisection midpoints between them and the two certificate tests); a
+    # seed that misses costs at most its two tests more than no seed.  The
+    # misses are the two rows whose oracle reads more than DEFAULT_TOL from
+    # the formula at 512 samples, and the clamped row, which tests no seed
+    hits = []
+    seed = verify._Probes.seed
+    monkeypatch.setattr(verify._Probes, "seed",
+                        lambda self, r: hits.append(seed(self, r)) or hits[-1])
+    rows = {}
+    for e in radii.constants_registry():
+        if isinstance(e.oracle, (radii.Subordination, radii.DiskFamily)):
+            rows.setdefault(e.oracle, e)
+    misses = []
+    for oracle, entry in rows.items():
+        if isinstance(domains.make_domain(*oracle.region), domains.GeneratorImageRegion):
+            continue
+        today = _containment_tests(monkeypatch, lambda: verify._measure(oracle, 512))
+        hits.clear()
+        count = _containment_tests(monkeypatch, lambda: verify.measure_constant(entry, 512))
+        assert len(hits) == 1, entry.key
+        if hits[0]:
+            assert count <= 7, (entry.key, count)
+        else:
+            misses.append(entry.key)
+            assert count <= today + 2, (entry.key, today, count)
+    assert misses == ["within.order_mid", "within.padmanabhan", "within.bounded_re_capped"]
+
+
+def test_paper_check_pass_makes_few_containment_tests(monkeypatch, capsys):
+    # a cost guard on the benchmark's paper-check pass, in process: `verify`
+    # then `constants` at 512 samples made 1,364 containment tests when no
+    # registry radius seeded its search
+    def paper_check():
+        assert cli.main(["--samples", "512", "--seed", "0", "verify"]) == 0
+        assert cli.main(["--samples", "512", "constants"]) == 0
+
+    assert _containment_tests(monkeypatch, paper_check) <= 850
+    capsys.readouterr()
+
+
+def test_unusable_expected_radius_tests_nothing_extra():
+    # a seed that is NaN, at most 0, at least 1 - 1e-9, or whose bracket
+    # reaches the quotient's singularity tests no radius of its own: the
+    # search evaluates the same images as without one.  The clamped
+    # within.bounded_re_capped (formula 1) tests only 1 - 1e-9, never
+    # 1 + 1e-6; psum.convex's quotient has a pole at 1/2
+    def radii_tested(oracle, expected):
+        spec = functions.extremal(oracle.quotient, **dict(oracle.params))
+        seen = []
+
+        def w_of(z):
+            seen.append(float(z[0].real))    # z[0] = r
+            return spec.w_of(z)
+
+        counted = dataclasses.replace(spec, w_of=w_of)
+        verify.subordination_radius(counted, domains.make_domain(*oracle.region), 512,
+                                    expected=expected)
+        return seen
+
+    rows = {e.key: e for e in radii.constants_registry()}
+    capped = rows["within.bounded_re_capped"]
+    assert capped.value == 1.0
+    assert radii_tested(capped.oracle, None) == [verify._RADIUS_SCAN[-1]]
+    for expected in (1.0, 1.0 - 1e-9, 1.5, math.nan, 0.0, -0.5, 5e-7):
+        assert radii_tested(capped.oracle, expected) == [verify._RADIUS_SCAN[-1]], expected
+    pole = rows["psum.convex"].oracle
+    assert functions.extremal(pole.quotient).singularity == 0.5
+    today = radii_tested(pole, None)
+    for expected in (0.5, 0.5 - 5e-7, 0.7, math.inf, math.nan, -1e-3, 0.0):
+        assert radii_tested(pole, expected) == today, expected
 
 
 @pytest.mark.parametrize("key, bound", [("psum.convex", 9), ("psum.from_univalent", 12),
@@ -741,7 +850,8 @@ def test_guided_search_tests_each_image_once(monkeypatch, key, bound):
     # array reaches a containment test twice; `seen` keeps every array
     # alive, so no two share an id.  The excess is clipped at -1, so that
     # ratio.f1.koebe, whose disk center reads about 1e9 at 1 - 1e-9, takes
-    # 11 tests where it took 20
+    # 11 tests where it took 20.  Both the unseeded search and the search
+    # seeded by the row's formula, as `verify` runs it, are guarded
     seen = []
 
     def counted(original):
@@ -753,8 +863,11 @@ def test_guided_search_tests_each_image_once(monkeypatch, key, bound):
     for name in _CONTAINMENT:
         monkeypatch.setattr(domains.Domain, name, counted(getattr(domains.Domain, name)))
     entry = {e.key: e for e in radii.constants_registry()}[key]
-    verify.measure_constant(entry, 512)
-    assert 0 < len(seen) <= bound and len({id(ws) for ws in seen}) == len(seen)
+    for measure in (lambda: verify._measure(entry.oracle, 512),
+                    lambda: verify.measure_constant(entry, 512)):
+        seen.clear()
+        measure()
+        assert 0 < len(seen) <= bound and len({id(ws) for ws in seen}) == len(seen)
 
 
 def test_generator_image_rows_bound_their_distance_calls(monkeypatch):
@@ -1076,7 +1189,7 @@ def test_each_distinct_oracle_measured_once_per_invocation(monkeypatch):
     monkeypatch.setattr(verify, "measure_constant",
                         lambda entry, *a: rows.append(entry.key) or measure_constant(entry, *a))
     monkeypatch.setattr(verify, "_measure",
-                        lambda oracle, n: measured.append(oracle) or measure(oracle, n))
+                        lambda oracle, n, *a: measured.append(oracle) or measure(oracle, n, *a))
     registry = [e for e in radii.constants_registry() if e.oracle is not None]
     distinct = {e.oracle for e in registry}
     # 3 pairs of rows share a descriptor; the suite's 4 rows are registry rows
