@@ -1046,6 +1046,15 @@ def test_threshold_measurements():
     assert verify.measured_series_coefficient(4) == pytest.approx(5.0 / 12.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("n", [4096, 1 << 16, 3 * (1 << 14) + 4, 1 << 17])
+def test_min_re_limit_blocks_give_the_whole_grid_minimum(n, monkeypatch):
+    whole = float(np.min(cardioid.eval_phi(radii._circle_grid(n)[1]).real))
+    assert repr(verify.measured_min_re_limit(n)) == repr(whole)
+    for block in (1 << 10, n, 2 * n):
+        monkeypatch.setattr(verify, "_MIN_RE_BLOCK", block)
+        assert repr(verify.measured_min_re_limit(n)) == repr(whole)
+
+
 def _full_circle_disk_radius(M: float, n: int = 4096) -> float:
     # reference for radii.cardioid_disk_radius: every point of the n-point circle
     e = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
