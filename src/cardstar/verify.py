@@ -24,23 +24,31 @@ does, and past a branch point w is not analytic on it), so every radius
 from rho on is recorded as failed without a test.  A guided search
 records the largest radius seen to pass and the least seen to fail; the
 scan and the bisection then answer from those two, and test only the
-radii strictly between them.  In a generator image the guided search halves the range of the scan
-indices below rho at containment tolerance 0, where the image needs no
-Gauss-Newton distance (a pass at 0 is a pass at ``near``), and holds the
-image of its first failure for the test at ``near``.  In every other
-region a radius the caller expects (a registry row's formula) is tried
-first: when it lies more than 1e-6 inside (0, min(rho, 1 - 1e-9)), its
-image fits at 1e-6 below it and leaves at 1e-6 above it, and that
-bracket holds the failure, Brent's method is skipped.  Otherwise the
-search tests 1 - 1e-9, or 1 - 1e-9 times rho when rho < 1, which ends
-the search there when it passes, and otherwise finds where
+radii strictly between them.  A radius the caller expects (a registry
+row's formula) is tried first, in every region: when it lies more than
+1e-6 inside (0, min(rho, 1 - 1e-9)), the search takes the last cell (a, b)
+of the bisection that ends around it (`_cell`) and tests b, then a.  When b
+fails and a passes, every verdict of the scan and the bisection is known,
+and only the two certificate tests follow.  Otherwise it gallops on the
+bisection's cells, up from a pass or down from a failure, by one cell, then
+3, 9, 27, ... cells, testing the far end of each step's cell until a
+verdict flips.  That finds the generator images too, whose Euclidean
+``near`` reads up to 7.7e-5 (81 cells) past the formula.  Without a usable
+radius, or when the step passes 1e-2 before a verdict flips, the search
+goes on as it would without one.  In a generator image it halves the range
+of the scan indices left open at containment tolerance 0, where the image
+needs no Gauss-Newton distance (a pass at 0 is a pass at ``near``), and
+holds the image of its first failure for the test at ``near``.  In every
+other region it tests 1 - 1e-9, or 1 - 1e-9 times rho when rho < 1, which
+ends the search there when it passes, and otherwise finds where
 `domains.Domain.excess` at ``near`` changes sign between 1e-4 and that
 radius by `radii.brent_sign_change`, stopping at a bracket of a tenth of
 the bisection's width; the scan starts above the largest radius seen to
 pass, and the bisection tests the midpoints left inside Brent's last
 bracket.  Either way the bracket and every value are the ones a scan of one
 radius at a time and its bisection find, whatever radius is expected and
-whatever width Brent stops at.  A guided probe that raises, or that
+whatever width Brent stops at: the value is fixed by the monotone verdicts,
+whichever radii the guide tests.  A guided probe that raises, or that
 divides by zero, overflows or makes an invalid value (numpy's raise mode,
 whatever the caller's setting), ends the guided search; the scan then
 tests the radii that its verdicts leave open, raising or warning as the
@@ -176,8 +184,40 @@ _RADIUS_REL_TOL = 1e-3
 # midpoints that this bracket leaves open, so no value depends on the width
 _BRENT_WIDTH = 0.1 * DEFAULT_TOL
 
+# a seeded search steps away from the radius it expects by one bisection
+# cell, then by this factor more at each step, up to a step of _SEED_CAP
+# (`_Probes.seed`)
+_SEED_GROW = 3
+_SEED_CAP = 1e-2
+
 # image(r, e): the circle image of radius r at the unit-circle points e
 _Image = Callable[[float, np.ndarray], np.ndarray]
+
+
+def _bisect(holds: Callable[[float], bool], k: int) -> float:
+    """The bisection of `_radius` to `DEFAULT_TOL` below the first failing
+    scan radius k: of the scan cell that ends there, or below 1e-4 when k
+    is 0, halved down to `radii.RADIUS_FLOOR` until it holds."""
+    if k:
+        return radii.bisect_predicate(holds, _RADIUS_SCAN[k - 1], _RADIUS_SCAN[k],
+                                      tol=DEFAULT_TOL)
+    lo = _RADIUS_SCAN[0]
+    return radii.bisect_predicate(holds, 0.5 * lo, lo, tol=DEFAULT_TOL, floor=radii.RADIUS_FLOOR)
+
+
+def _cell(x: float) -> tuple[float, float]:
+    """The last cell (a, b), a <= x < b, of `_bisect` run on the predicate
+    m <= x, for x in (1e-6, `_RADIUS_SCAN`[-1]): the cell a search ends in
+    when its image fits at a and leaves the region at b."""
+    k = bisect.bisect_right(_RADIUS_SCAN, x)
+    cell = [_RADIUS_SCAN[k - 1] if k else 0.0, _RADIUS_SCAN[k]]
+
+    def below(m: float) -> bool:
+        cell[m > x] = m    # each verdict moves one end of the cell
+        return m <= x
+
+    _bisect(below, k)
+    return cell[0], cell[1]
 
 
 class _Probes:
@@ -221,10 +261,11 @@ class _Probes:
         return False
 
     def halve(self) -> None:
-        """Halve the range of the scan indices below `failed` at tolerance
-        0: a pass there is a pass at `near`, and the image of the last
-        failure is held for its test at `near`."""
-        lo, hi = -1, bisect.bisect_left(_RADIUS_SCAN, self.failed)
+        """Halve the range of the scan indices between `passed` and `failed`
+        at tolerance 0: a pass there is a pass at `near`, and the image of
+        the last failure is held for its test at `near`."""
+        lo = bisect.bisect_right(_RADIUS_SCAN, self.passed) - 1
+        hi = bisect.bisect_left(_RADIUS_SCAN, self.failed)
         while hi - lo > 1:
             k = (lo + hi) // 2
             r = _RADIUS_SCAN[k]
@@ -235,13 +276,33 @@ class _Probes:
                 hi, self.held = k, {r: w}
 
     def seed(self, r: float) -> bool:
-        """Test r + `DEFAULT_TOL`, then r - `DEFAULT_TOL`, when both lie
-        strictly inside the bracket and below the last scan radius; True
-        when they bracket the failure."""
-        lo, hi = r - DEFAULT_TOL, r + DEFAULT_TOL
-        if not (self.passed < lo and hi < min(self.failed, _RADIUS_SCAN[-1])):
+        """Bracket the failure from the radius r the search expects, on the
+        bisection's own cells (`_cell`), when r +- `DEFAULT_TOL` lie strictly
+        inside the bracket and below the last scan radius; True once it is
+        bracketed.  Test the upper end b of r's cell, then its lower end a:
+        when b fails and a passes, every verdict of the bisection is known.
+        Otherwise step away from r, up from a pass or down from a failure, by
+        the cell's width times 1, `_SEED_GROW`, `_SEED_GROW`^2, ..., testing
+        the far end of each step's cell, until a verdict flips, or give up
+        (False) once the step passes `_SEED_CAP` or leaves (1e-6, the last
+        scan radius or the least failure)."""
+        top = min(self.failed, _RADIUS_SCAN[-1])
+        if not (self.passed < r - DEFAULT_TOL and r + DEFAULT_TOL < top):
             return False
-        return not self.ok(hi) and self.ok(lo)
+        a, b = _cell(r)
+        up = self.ok(b)
+        if not up and self.ok(a):
+            return True
+        step = b - a
+        while step <= _SEED_CAP:
+            x = r + step if up else r - step
+            if not DEFAULT_TOL < x < top:
+                break
+            a, b = _cell(x)
+            if self.ok(b if up else a) != up:
+                return True
+            step *= _SEED_GROW
+        return False
 
     def brent(self) -> None:
         """Test 1 - 1e-9, or 1 - 1e-9 times `failed` when that is less,
@@ -264,10 +325,11 @@ def _first_scan_failure(probes: _Probes, expected: float | None = None) -> int:
     only the radii a guided probe that raised left open."""
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            if isinstance(probes.d, domains.GeneratorImageRegion):
-                probes.halve()
-            elif expected is None or not probes.seed(expected):
-                probes.brent()
+            if expected is None or not probes.seed(expected):
+                if isinstance(probes.d, domains.GeneratorImageRegion):
+                    probes.halve()
+                else:
+                    probes.brent()
     except Exception:
         pass    # raised again below if the scan reaches that radius
     start = bisect.bisect_right(_RADIUS_SCAN, probes.passed)
@@ -297,11 +359,7 @@ def _radius(image: _Image, d: domains.Domain, n: int, half: bool, singularity: f
     k = _first_scan_failure(probes, expected)
     if k == len(_RADIUS_SCAN):
         return 1.0
-    if k:
-        r = radii.bisect_predicate(probes.ok, _RADIUS_SCAN[k - 1], _RADIUS_SCAN[k], tol=tol)
-    else:
-        lo = _RADIUS_SCAN[0]
-        r = radii.bisect_predicate(probes.ok, 0.5 * lo, lo, tol=tol, floor=radii.RADIUS_FLOOR)
+    r = _bisect(probes.ok, k)
     width = min(tol, _RADIUS_REL_TOL * r)
     if width < tol:
         near *= width / tol

@@ -175,6 +175,23 @@ def test_registry_values_pinned_bit_for_bit():
     assert hashlib.sha256("\n".join(values).encode()).hexdigest() == REGISTRY_VALUES_512_SHA256
 
 
+# the same digest at 256 samples, the benchmark's tiny scale, and at 1024,
+# param-sweep's oracle samples, recorded before the seeded search galloped
+# from the formula
+REGISTRY_VALUES_SHA256 = {
+    256: "11d72be795a439316668e0fe64f35707d7f2ed4be50a65e715ac86be53faacbc",
+    1024: "7be38b11bce0dbbfdcd6e76328a2109ef7ca878cd22519e9ad5a1dc71e6e7b2c",
+}
+
+
+@pytest.mark.parametrize("n", sorted(REGISTRY_VALUES_SHA256))
+def test_registry_values_pinned_at_more_sample_counts(n):
+    values = [repr(verify.measure_constant(e, n)) for e in radii.constants_registry()
+              if e.oracle is not None]
+    assert len(values) == 73
+    assert hashlib.sha256("\n".join(values).encode()).hexdigest() == REGISTRY_VALUES_SHA256[n]
+
+
 def _sequential_radius(image, d: domains.Domain, n: int, half: bool) -> float:
     """The search of `verify._radius` with its bracket found by a scan of one
     radius at a time at the region's near tolerance, upward from 1e-4, the
@@ -738,9 +755,12 @@ def test_expected_radius_moves_no_value(n):
     # a seed changes which radii are tested and never a radius, as the value
     # is fixed by the verdicts of the monotone predicate: every registry
     # radius descriptor seeded by its formula, by the formula moved inside
-    # and across the seed's own bracket and far off, and by a random
-    # radius; at the benchmark's 1024 samples, the seed-0 param-sweep
-    # searches too, seeded by their closed forms and by wrong radii
+    # its own bisection cell and across it, by each depth of the gallop from
+    # it (7.7e-5 is within.rational's offset at 512 samples, 5e-3 nears the
+    # step cap) and far past the cap, and by a random radius; at the
+    # benchmark's 1024 samples, the seed-0 param-sweep searches too, seeded
+    # by their closed forms and by wrong radii
+    gallop = (2e-6, -2e-6, 1e-5, -1e-5, 7.7e-5, -7.7e-5, 1e-4, -1e-4, 5e-3, -5e-3)
     formulas = {}
     for e in radii.constants_registry():
         if isinstance(e.oracle, (radii.Subordination, radii.DiskFamily)):
@@ -749,7 +769,7 @@ def test_expected_radius_moves_no_value(n):
     rng = np.random.default_rng(n)
     for oracle, formula in formulas.items():
         want = verify._measure(oracle, n)
-        for shift in (0.0, 3e-7, -3e-7, 1e-6, -1e-6, 1e-3, -1e-3, 0.1, -0.1):
+        for shift in (0.0, 3e-7, -3e-7, 1e-6, -1e-6, 1e-3, -1e-3, 0.1, -0.1) + gallop:
             assert verify._measure(oracle, n, formula + shift) == want, (oracle, shift)
         assert verify._measure(oracle, n, float(rng.uniform())) == want, oracle
     if n == 1024:
@@ -757,20 +777,19 @@ def test_expected_radius_moves_no_value(n):
         assert len(searches) == 234
         for spec, d, formula in searches:
             want = verify.subordination_radius(spec, d, n)
-            for shift in (0.0, 1e-6, -1e-6, 1e-3, -1e-3, 0.1):
+            for shift in (0.0, 1e-6, -1e-6, 1e-3, -1e-3, 0.1) + gallop:
                 got = verify.subordination_radius(spec, d, n, expected=formula + shift)
                 assert got == want, (spec.name, d.describe(), shift)
 
 
 def test_seeded_search_makes_few_containment_tests(monkeypatch):
-    # a cost guard at 512 samples on each registry radius descriptor outside
-    # generator images, seeded by its formula as `verify` runs it: when
-    # formula +- DEFAULT_TOL brackets the failure, Brent's method is skipped
-    # and the search makes at most 7 tests (the two seeds, at most three
-    # bisection midpoints between them and the two certificate tests); a
-    # seed that misses costs at most its two tests more than no seed.  The
-    # misses are the two rows whose oracle reads more than DEFAULT_TOL from
-    # the formula at 512 samples, and the clamped row, which tests no seed
+    # a cost guard at 512 samples on each registry radius descriptor, seeded
+    # by its formula as `verify` runs it: when the failure lies in the
+    # formula's own bisection cell or the next one, the search makes 4 tests
+    # (two cell ends and the two certificate tests).  The three rows whose
+    # oracle reads further from the formula gallop to it on the bisection's
+    # cells, with fewer tests than no seed; the clamped rows (formula 1)
+    # test no seed
     hits = []
     seed = verify._Probes.seed
     monkeypatch.setattr(verify._Probes, "seed",
@@ -779,31 +798,32 @@ def test_seeded_search_makes_few_containment_tests(monkeypatch):
     for e in radii.constants_registry():
         if isinstance(e.oracle, (radii.Subordination, radii.DiskFamily)):
             rows.setdefault(e.oracle, e)
-    misses = []
+    gallops, misses = [], []
     for oracle, entry in rows.items():
-        if isinstance(domains.make_domain(*oracle.region), domains.GeneratorImageRegion):
-            continue
         today = _containment_tests(monkeypatch, lambda: verify._measure(oracle, 512))
         hits.clear()
         count = _containment_tests(monkeypatch, lambda: verify.measure_constant(entry, 512))
         assert len(hits) == 1, entry.key
-        if hits[0]:
-            assert count <= 7, (entry.key, count)
-        else:
+        if not hits[0]:
             misses.append(entry.key)
-            assert count <= today + 2, (entry.key, today, count)
-    assert misses == ["within.order_mid", "within.padmanabhan", "within.bounded_re_capped"]
+            assert count == today, (entry.key, today, count)
+        elif count > 4:
+            gallops.append(entry.key)
+            assert count < today, (entry.key, today, count)
+    assert gallops == ["within.order_mid", "within.rational", "within.nephroid"]
+    assert misses == ["within.cardioid_wide", "within.bounded_re_capped"]
 
 
 def test_paper_check_pass_makes_few_containment_tests(monkeypatch, capsys):
     # a cost guard on the benchmark's paper-check pass, in process: `verify`
     # then `constants` at 512 samples made 1,364 containment tests when no
-    # registry radius seeded its search
+    # registry radius seeded its search, and 818 when a seed was tried only
+    # at the formula +- 1e-6 and never in a generator image; 486 now
     def paper_check():
         assert cli.main(["--samples", "512", "--seed", "0", "verify"]) == 0
         assert cli.main(["--samples", "512", "constants"]) == 0
 
-    assert _containment_tests(monkeypatch, paper_check) <= 850
+    assert _containment_tests(monkeypatch, paper_check) <= 530
     capsys.readouterr()
 
 
@@ -837,6 +857,12 @@ def test_unusable_expected_radius_tests_nothing_extra():
     today = radii_tested(pole, None)
     for expected in (0.5, 0.5 - 5e-7, 0.7, math.inf, math.nan, -1e-3, 0.0):
         assert radii_tested(pole, expected) == today, expected
+    # in a generator image, an unusable seed leaves the halving as it is
+    rational = rows["within.rational"].oracle
+    assert isinstance(domains.make_domain(*rational.region), domains.GeneratorImageRegion)
+    today = radii_tested(rational, None)
+    for expected in (math.nan, 0.0, 1.5):
+        assert radii_tested(rational, expected) == today, expected
 
 
 @pytest.mark.parametrize("key, bound", [("psum.convex", 9), ("psum.from_univalent", 12),
@@ -871,10 +897,12 @@ def test_guided_search_tests_each_image_once(monkeypatch, key, bound):
 
 
 def test_generator_image_rows_bound_their_distance_calls(monkeypatch):
-    # a cost guard: the halving probes run at tolerance 0, where a generator
-    # image needs no Gauss-Newton distance; counts at 512 samples
-    bounds = {"within.rational": 16, "within.nephroid": 14, "within.rational_lemniscate": 7,
-              "within.sine": 8}
+    # a cost guard, counts at 512 samples: each row's formula seeds its
+    # search, which tests only the cells it gallops over and the bisection
+    # midpoints between them at ``near``; the halving probes, at tolerance
+    # 0, need no Gauss-Newton distance, and took 16, 14, 7 and 8 calls
+    bounds = {"within.rational": 11, "within.nephroid": 14, "within.rational_lemniscate": 3,
+              "within.sine": 3}
     rows = {e.key: e for e in radii.constants_registry()}
     distance = domains.GeneratorImageRegion._distance
     for key, bound in bounds.items():
