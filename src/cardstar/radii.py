@@ -30,10 +30,7 @@ thresholds, the generator-convexity threshold, `cardioid_disk_radius`,
 whose probe's excess changes sign where the cardioid image leaves the
 disk, and the sampled radii of `verify`, whose guided search finds the
 sign change of the containment excess to a tenth of its bisection's width
-rather than to the default BRENT_TOL), and `golden_section_min`.  The
-one exception is the halving of the scan indices in generator images
-(`verify._Probes.halve`), which brackets a sampled radius before
-`bisect_predicate` narrows it.
+rather than to the default BRENT_TOL), and `golden_section_min`.
 
 All transcendental constants are computed from library functions; reference
 decimals from the literature appear only in the registry metadata and in

@@ -35,25 +35,25 @@ bisection's cells, up from a pass or down from a failure, by one cell, then
 verdict flips.  That finds the generator images too, whose Euclidean
 ``near`` reads up to 7.7e-5 (81 cells) past the formula.  Without a usable
 radius, or when the step passes 1e-2 before a verdict flips, the search
-goes on as it would without one.  In a generator image it halves the range
-of the scan indices left open at containment tolerance 0, where the image
-needs no Gauss-Newton distance (a pass at 0 is a pass at ``near``), and
-holds the image of its first failure for the test at ``near``.  In every
-other region it tests 1 - 1e-9, or 1 - 1e-9 times rho when rho < 1, which
-ends the search there when it passes, and otherwise finds where
-`domains.Domain.excess` at ``near`` changes sign between 1e-4 and that
-radius by `radii.brent_sign_change`, stopping at a bracket of a tenth of
-the bisection's width; the scan starts above the largest radius seen to
-pass, and the bisection tests the midpoints left inside Brent's last
-bracket.  Either way the bracket and every value are the ones a scan of one
-radius at a time and its bisection find, whatever radius is expected and
-whatever width Brent stops at: the value is fixed by the monotone verdicts,
-whichever radii the guide tests.  A guided probe that raises, or that
-divides by zero, overflows or makes an invalid value (numpy's raise mode,
-whatever the caller's setting), ends the guided search; the scan then
-tests the radii that its verdicts leave open, raising or warning as the
-one-radius scan does.  The relative refinement of a radius below 1e-3
-and the two certificate tests at r - width and r + width replay nothing.
+goes on as it would without one, in every region alike: it tests 1 - 1e-9,
+or 1 - 1e-9 times rho when rho < 1, which ends the search there when it
+passes, and otherwise finds where `domains.Domain.excess` at ``near``
+changes sign between 1e-4 and that radius by `radii.brent_sign_change`,
+stopping at a bracket of a tenth of the bisection's width; the scan starts
+above the largest radius seen to pass, and the bisection tests the
+midpoints left inside Brent's last bracket.  In a generator image each
+probe whose image has a point outside pays the Gauss-Newton distance of
+the margin; every registry row there is seeded but the clamped one, whose
+first test passes.  Either way the bracket and every value are the ones a
+scan of one radius at a time and its bisection find, whatever radius is
+expected and whatever width Brent stops at: the value is fixed by the
+monotone verdicts, whichever radii the guide tests.  A guided probe that
+raises, or that divides by zero, overflows or makes an invalid value
+(numpy's raise mode, whatever the caller's setting), ends the guided
+search; the scan then tests the radii that its verdicts leave open,
+raising or warning as the one-radius scan does.  The relative refinement
+of a radius below 1e-3 and the two certificate tests at r - width and
+r + width replay nothing.
 
 A registry row's oracle descriptor is evaluated in one place, `_measure`:
 a `radii.Threshold` measurement, a `radii.DiskFamily` radius or a
@@ -229,13 +229,13 @@ class _Probes:
     known to fail, at first `singularity`; `ok` answers from them outside
     that bracket and tests the radii strictly inside it.  A search that
     tests radii in increasing order up to its first failure and then bisects
-    below it only ever tests inside."""
+    below it only ever tests inside.  One guide runs first, in every region:
+    `seed` when a radius is expected, else `brent`."""
 
     def __init__(self, image: _Image, d: domains.Domain, e: np.ndarray, near: float,
                  singularity: float):
         self.image, self.d, self.e, self.near = image, d, e, near
         self.passed, self.failed = 0.0, singularity
-        self.held: dict[float, np.ndarray] = {}    # r -> its image, made by an earlier test
 
     def excess(self, r: float) -> float:
         """`Domain.excess` of the image of r at `near`, its verdict recorded,
@@ -253,27 +253,11 @@ class _Probes:
         """The verdict at r: replayed outside the bracket, tested inside."""
         if r <= self.passed or r >= self.failed:
             return r <= self.passed
-        w = self.held.pop(r) if r in self.held else self.image(r, self.e)
-        if self.d.contains_all(w, self.near):
+        if self.d.contains_all(self.image(r, self.e), self.near):
             self.passed = r
             return True
         self.failed = r
         return False
-
-    def halve(self) -> None:
-        """Halve the range of the scan indices between `passed` and `failed`
-        at tolerance 0: a pass there is a pass at `near`, and the image of
-        the last failure is held for its test at `near`."""
-        lo = bisect.bisect_right(_RADIUS_SCAN, self.passed) - 1
-        hi = bisect.bisect_left(_RADIUS_SCAN, self.failed)
-        while hi - lo > 1:
-            k = (lo + hi) // 2
-            r = _RADIUS_SCAN[k]
-            w = self.image(r, self.e)
-            if self.d.contains_all(w, 0.0):
-                lo, self.passed = k, r
-            else:
-                hi, self.held = k, {r: w}
 
     def seed(self, r: float) -> bool:
         """Bracket the failure from the radius r the search expects, on the
@@ -318,18 +302,16 @@ class _Probes:
 def _first_scan_failure(probes: _Probes, expected: float | None = None) -> int:
     """Index of the first scan radius whose image leaves the region at the
     probes' tolerance, or len(_RADIUS_SCAN) when none does: the one a scan
-    of one radius at a time stops at.  The guided search, seeded by
-    `expected` when given, runs first and the scan replays its verdicts
+    of one radius at a time stops at.  The guided search, the gallop from
+    `expected` when given and Brent's method when that brackets nothing,
+    runs first in every region, and the scan replays its verdicts
     (see the module docstring): it starts at the first scan radius above
     the largest radius seen to pass, as every one below passes, and tests
     only the radii a guided probe that raised left open."""
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             if expected is None or not probes.seed(expected):
-                if isinstance(probes.d, domains.GeneratorImageRegion):
-                    probes.halve()
-                else:
-                    probes.brent()
+                probes.brent()
     except Exception:
         pass    # raised again below if the scan reaches that radius
     start = bisect.bisect_right(_RADIUS_SCAN, probes.passed)

@@ -215,8 +215,8 @@ def _sequential_radius(image, d: domains.Domain, n: int, half: bool) -> float:
 STEEP = FunctionSpec("steep", lambda z: 1.0 + 5000.0 * np.asarray(z, dtype=complex),
                      singularity=math.inf)
 # exp(12000 z) overflows from |z| = 0.0591 on: in Disk(1, 1e200), past the
-# scan's first failure at index 3 (0.0470), at index 4 (0.0626) and at the
-# first halving probe, index 32 (0.5)
+# scan's first failure at index 3 (0.0470), at index 4 (0.0626) and at
+# Brent's first probe, 1 - 1e-9, which sends the search back to the scan
 OVERFLOWING = FunctionSpec("overflowing", lambda z: np.exp(12000.0 * np.asarray(z, dtype=complex)),
                            singularity=math.inf)
 
@@ -231,7 +231,8 @@ def _raises_past(limit: float):
 
 
 # 1 + z in Disk(1, 0.28): the one-radius scan fails first at index 18
-# (0.281), and the first halving probe, index 32 (0.5), raises
+# (0.281), and Brent's first probe, 1 - 1e-9, raises and sends the search
+# back to the scan
 RAISING = FunctionSpec("raising", _raises_past(0.29), real=True, singularity=math.inf)
 
 
@@ -273,8 +274,9 @@ _POLE_WINDOWS = {k: (a, b) for k, (a, b) in zip(
     # searched below its pole, where containment is monotone
     *((_pole_window(a, b), domains.make_domain("min_re", 0.0), a)
       for a, b in _POLE_WINDOWS.values()),
-    # a first failure at scan index 1 to 7, far below the first halving
-    # probe, index 32: the halving narrows down to it without an error
+    # a first failure at scan index 1 to 7, near the low end of Brent's
+    # first bracket (1e-4, 1 - 1e-9): its first secant step lands on it,
+    # and the scan and the bisection replay the rest without an error
     *((SHIFT, domains.Disk(1.0, _between_scan_radii(k)), _between_scan_radii(k))
       for k in range(1, 8)),
 ], ids=["clamped", "non-monotone", "generator-image", "below-1e-3", "overflow-past-failure",
@@ -295,9 +297,9 @@ def test_radius_search_equals_sequential_search(spec, region, about, n):
 
 def test_search_reports_the_errors_of_the_sequential_search():
     # in Disk(1, 1e300) the overflow of exp(12000 z) falls on the first
-    # failure of the one-radius scan, index 4; the first halving probe, index
-    # 32, overflows too and sends the search back to that scan, and the
-    # search reports the warnings that scan reports, in order
+    # failure of the one-radius scan, index 4; Brent's first probe, 1 - 1e-9,
+    # overflows too and sends the search back to that scan, and the search
+    # reports the warnings that scan reports, in order
     d, n = domains.Disk(1.0, 1e300), 512
 
     def warnings_of(search):
@@ -319,8 +321,9 @@ def test_search_reports_the_errors_of_the_sequential_search():
     (RAISING, domains.Disk(1.0, 0.28), None),
 ], ids=["overflow-past-failure", "overflow-at-failure", "raise-past-failure"])
 def test_search_follows_the_callers_error_setting(spec, region, error, setting):
-    # the halving probes run in numpy's raise mode whatever the caller's
-    # setting, and an error sends the search back to the one-radius scan,
+    # the guided probes run in numpy's raise mode whatever the caller's
+    # setting (here Brent's first, at 1 - 1e-9, is the one that overflows or
+    # raises), and an error sends the search back to the one-radius scan,
     # which runs under the caller's: the same float, or the same exception;
     # only an overflow at the scan's own first failure raises, and only
     # where the caller asks for it
@@ -441,8 +444,9 @@ _PARAM_SWEEP_FAMILIES = [("class-in-cardioid", tag) for tag in PARAM_SWEEP_CLASS
 @given(family=st.sampled_from(_PARAM_SWEEP_FAMILIES), x=st.floats(0.0, 1.0),
        n=st.sampled_from([512, 1024]))
 def test_param_sweep_search_equals_sequential_search(family, x, n):
-    # over the whole range of every param-sweep family, the halving search
-    # and a scan of one radius at a time give the same float
+    # over the whole range of every param-sweep family, the guided search
+    # (Brent's method, as no family searches a generator image) and a scan
+    # of one radius at a time give the same float
     direction, tag = family
     if direction == "class-in-cardioid":
         name, lo, hi = PARAM_SWEEP_CLASS_IN_CARDIOID[tag]
@@ -589,11 +593,10 @@ def test_mirror_rule_evaluates_half_the_points(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [512, 4096])
-def test_clamped_search_makes_seven_images(n):
+def test_clamped_search_makes_one_image(n):
     # a cost guard: when the whole disk fits, the search evaluates the image
-    # at the halving probes of scan indices 32, 48, 56, 60, 62, 63 and 64
-    # only, not at 1e-4, whose verdict they imply
-    scan = verify._RADIUS_SCAN
+    # at Brent's first test, the last scan radius 1 - 1e-9, only, and not at
+    # 1e-4, whose verdict it implies
     images = []
 
     def w_of(z):
@@ -602,16 +605,16 @@ def test_clamped_search_makes_seven_images(n):
 
     spec = FunctionSpec("counted", w_of, real=True, singularity=math.inf)
     assert verify.subordination_radius(spec, domains.make_domain("cardioid_wide"), n=n) == 1.0
-    assert images == [((n // 2 + 1,), scan[k]) for k in (32, 48, 56, 60, 62, 63, 64)]
+    assert images == [((n // 2 + 1,), verify._RADIUS_SCAN[-1])]
 
 
 def test_search_fails_from_the_singularity_on_untested():
-    # the same quotient declared singular at 1/2: the halving tests only the
-    # 32 scan radii below it, at indices 15, 23, 27, 29, 30 and 31, and the
-    # bisection tests only radii below it, every one of which passes, so the
-    # search ends at 1/2, where the certificate test past it finds the image
-    # inside and refuses the bracket
-    scan = verify._RADIUS_SCAN
+    # the same quotient declared singular at 1/2: Brent's first test is at
+    # 1/2 times 1 - 1e-9 and passes, which ends the guided search; the scan
+    # and the bisection replay every verdict from it (a pass below it, a
+    # failure from 1/2 on), so the search ends at 1/2, where the certificate
+    # test past it finds the image inside and refuses the bracket: three
+    # images, that first test and the two certificate tests
     radii_seen = []
 
     def w_of(z):
@@ -621,7 +624,7 @@ def test_search_fails_from_the_singularity_on_untested():
     spec = FunctionSpec("counted", w_of, real=True, singularity=0.5)
     with pytest.raises(ArithmeticError, match="bisection bracket violated"):
         verify.subordination_radius(spec, domains.make_domain("cardioid_wide"), n=512)
-    assert radii_seen[:6] == [scan[k] for k in (15, 23, 27, 29, 30, 31)]
+    assert len(radii_seen) == 3 and radii_seen[0] == 0.5 * (1.0 - 1e-9)
     assert max(radii_seen[:-1]) < 0.5 < radii_seen[-1]
 
 
@@ -664,7 +667,8 @@ def test_guided_search_makes_few_containment_tests(monkeypatch):
     # a cost guard at 1024 samples: Brent's method on the excess to a
     # bracket of a tenth of the bisection's width, then the bisection
     # replayed from its verdicts, where bisecting the verdicts took 23 tests
-    # for each interior radius
+    # for each interior radius.  Unseeded generator images take the same
+    # path, each probe with a point outside paying the Gauss-Newton distance
     phi = functions.extremal("cardioid_extremal")
     cases = [
         # a touch at the cardioid's cusp 1/2, where the lemma disk touches it
@@ -672,14 +676,18 @@ def test_guided_search_makes_few_containment_tests(monkeypatch):
         (phi, domains.make_domain("min_re", 0.3), 10),
         # a touch at the tip 5/2, where the lemma disk touches it too
         (functions.extremal("bounded_re", beta=1.5), CARD, 13),
+        (phi, domains.make_domain("nephroid"), 19),
+        (phi, domains.make_domain("rational"), 18),
+        (phi, domains.make_domain("sine"), 13),
     ]
     for spec, d, bound in cases:
         count = _containment_tests(monkeypatch, lambda: verify.subordination_radius(spec, d, 1024))
         assert count <= bound, (spec.name, d.describe(), count)
-    # the whole disk fits: one test, at 1 - 1e-9
-    clamped = domains.make_domain("min_re", 0.0)
-    assert _containment_tests(monkeypatch, lambda: verify.subordination_radius(
-        phi, clamped, 1024)) == 1
+    # the whole disk fits: one test, at 1 - 1e-9, in an inequality region
+    # and in a generator image
+    for clamped in (domains.make_domain("min_re", 0.0), domains.make_domain("cardioid_wide")):
+        assert _containment_tests(monkeypatch, lambda: verify.subordination_radius(
+            phi, clamped, 1024)) == 1, clamped.describe()
 
 
 # the param-sweep families whose range is drawn from its high end, as its low
@@ -818,12 +826,14 @@ def test_paper_check_pass_makes_few_containment_tests(monkeypatch, capsys):
     # a cost guard on the benchmark's paper-check pass, in process: `verify`
     # then `constants` at 512 samples made 1,364 containment tests when no
     # registry radius seeded its search, and 818 when a seed was tried only
-    # at the formula +- 1e-6 and never in a generator image; 486 now
+    # at the formula +- 1e-6 and never in a generator image, 486 when the
+    # seed galloped on the bisection's cells in every region, and 474 now
+    # that the clamped generator image tests 1 - 1e-9 instead of halving
     def paper_check():
         assert cli.main(["--samples", "512", "--seed", "0", "verify"]) == 0
         assert cli.main(["--samples", "512", "constants"]) == 0
 
-    assert _containment_tests(monkeypatch, paper_check) <= 530
+    assert _containment_tests(monkeypatch, paper_check) <= 500
     capsys.readouterr()
 
 
@@ -831,7 +841,8 @@ def test_unusable_expected_radius_tests_nothing_extra():
     # a seed that is NaN, at most 0, at least 1 - 1e-9, or whose bracket
     # reaches the quotient's singularity tests no radius of its own: the
     # search evaluates the same images as without one.  The clamped
-    # within.bounded_re_capped (formula 1) tests only 1 - 1e-9, never
+    # within.bounded_re_capped and within.cardioid_wide, an inequality
+    # region and a generator image (formula 1), test only 1 - 1e-9, never
     # 1 + 1e-6; psum.convex's quotient has a pole at 1/2
     def radii_tested(oracle, expected):
         spec = functions.extremal(oracle.quotient, **dict(oracle.params))
@@ -847,17 +858,19 @@ def test_unusable_expected_radius_tests_nothing_extra():
         return seen
 
     rows = {e.key: e for e in radii.constants_registry()}
-    capped = rows["within.bounded_re_capped"]
-    assert capped.value == 1.0
-    assert radii_tested(capped.oracle, None) == [verify._RADIUS_SCAN[-1]]
-    for expected in (1.0, 1.0 - 1e-9, 1.5, math.nan, 0.0, -0.5, 5e-7):
-        assert radii_tested(capped.oracle, expected) == [verify._RADIUS_SCAN[-1]], expected
+    for key in ("within.bounded_re_capped", "within.cardioid_wide"):
+        capped = rows[key]
+        assert capped.value == 1.0
+        assert radii_tested(capped.oracle, None) == [verify._RADIUS_SCAN[-1]], key
+        for expected in (1.0, 1.0 - 1e-9, 1.5, math.nan, 0.0, -0.5, 5e-7):
+            got = radii_tested(capped.oracle, expected)
+            assert got == [verify._RADIUS_SCAN[-1]], (key, expected)
     pole = rows["psum.convex"].oracle
     assert functions.extremal(pole.quotient).singularity == 0.5
     today = radii_tested(pole, None)
     for expected in (0.5, 0.5 - 5e-7, 0.7, math.inf, math.nan, -1e-3, 0.0):
         assert radii_tested(pole, expected) == today, expected
-    # in a generator image, an unusable seed leaves the halving as it is
+    # in a generator image, an unusable seed leaves Brent's search as it is
     rational = rows["within.rational"].oracle
     assert isinstance(domains.make_domain(*rational.region), domains.GeneratorImageRegion)
     today = radii_tested(rational, None)
@@ -899,8 +912,8 @@ def test_guided_search_tests_each_image_once(monkeypatch, key, bound):
 def test_generator_image_rows_bound_their_distance_calls(monkeypatch):
     # a cost guard, counts at 512 samples: each row's formula seeds its
     # search, which tests only the cells it gallops over and the bisection
-    # midpoints between them at ``near``; the halving probes, at tolerance
-    # 0, need no Gauss-Newton distance, and took 16, 14, 7 and 8 calls
+    # midpoints between them at ``near``; before the seed reached these
+    # rows they took 16, 14, 7 and 8 calls
     bounds = {"within.rational": 11, "within.nephroid": 14, "within.rational_lemniscate": 3,
               "within.sine": 3}
     rows = {e.key: e for e in radii.constants_registry()}
