@@ -242,7 +242,8 @@ def smallest_root_in_unit_interval(coeffs) -> float:
     """Smallest root in (0, 1) of a real polynomial (ascending coefficients).
 
     A sign scan in steps of 1e-3 brackets the first crossing, bisection
-    finishes to 1e-14; the residual is required to vanish to 1e-12.
+    finishes it to the last bit, until the bracket no longer splits; the
+    residual is required to vanish to 1e-12.
     """
     coeffs = tuple(float(c) for c in coeffs)
     positive = _poly_eval(coeffs, 0.0) > 0
@@ -252,7 +253,7 @@ def smallest_root_in_unit_interval(coeffs) -> float:
         return f != 0.0 and (f > 0) == positive
 
     scan = itertools.takewhile(lambda x: x < 1.0, (k * 1e-3 for k in itertools.count(1)))
-    root = bisect_predicate(same_sign, 0.0, None, tol=1e-14, scan=scan)
+    root = bisect_predicate(same_sign, 0.0, None, scan=scan)
     if root is None:
         raise ValueError("no root bracketed in (0, 1)")
     if abs(_poly_eval(coeffs, root)) > 1e-12:
@@ -328,23 +329,19 @@ def disk_interior_radius(M: float) -> float:
     return math.sqrt(2.0 * SQRT2 * M * math.sqrt((M - 1.0) / (2.0 * M - 1.0)) - 2.0 * (M - 1.0))
 
 
-def _interior_critical_point(M: float, r: float) -> float:
-    # location x0 = cos t of the interior distance extremum on |z| = r
-    return (r * r - 2.0 * (M - 1.0)) / (4.0 * (M - 1.0) * r)
-
-
 @lru_cache(maxsize=1)
 def m_knot() -> float:
-    """Disk parameter where the binding tangency moves off the real axis.
+    """Disk parameter M* where the binding tangency moves off the real axis.
 
     Below it the rightmost point exits first (radius `disk_real_axis_radius`),
     above it the interior tangency binds (radius `disk_interior_radius`);
-    the two touch-radius curves are tangent here.  Located as the parameter
-    where the interior critical point reaches cos t = 1.
+    the two touch-radius curves are tangent here.  M* is the root above 1/2
+    of 16M^3 - 29M^2 + 14M - 2, whose square times 16 is the resultant in r
+    of the real-axis touch r^2 + 2r + 2 = 4M and the interior touch
+    (2M - 1) r^4 + 4(2M - 1)(M - 1) r^2 - 4(3M - 1)(M - 1) = 0; it is
+    1 + x, x the root in (0, 1) of the cubic at M = 1 + x.
     """
-    return bisect_sign_change(
-        lambda M: _interior_critical_point(M, disk_interior_radius(M)) - 1.0,
-        1.01, cardioid.self_centered_fixed_point() - 1e-9, steps=200)
+    return 1.0 + smallest_root_in_unit_interval((-1.0, 4.0, 19.0, 16.0))
 
 
 @lru_cache(maxsize=16)
@@ -420,27 +417,19 @@ def cardioid_disk_radius(M: float) -> float:
 # ---------------------------------------------------------------------------
 
 def janowski_radius_in_cardioid(A: float, B: float) -> RadiusResult:
-    """Cardioid-class radius of the two-parameter starlike family [A, B].
+    """Cardioid-class radius of the two-parameter starlike family [A, B]:
+    min{1, 1/(2A - B), 3/(2A - 5B)}, over the terms whose denominator is
+    positive.
 
-    For B >= 0 the answer is min{1, 1/(2A - B)}.  For B < 0 it is
-    R2 = min{1, 1/(2A - B)} when R2 <= R1 = 1/sqrt(B(3B - 2A)), otherwise
-    R3 = min{1, 3/(2A - 5B)}; R1 marks where the swept disk center passes 3/2.
+    The image of |z| < r under (1 + Az)/(1 + Bz) reaches the cusp w = 1/2
+    from z = -r where (2A - B) r = 1, and the tip w = 5/2 from z = r where
+    (2A - 5B) r = 3; it touches the boundary off the real axis only later
+    (`tests/test_proofs.py`).  `clamped` marks the cap 1.
     """
     domains.check_janowski_pair(A, B)
     claim = f"radius of the [A={A:g}, B={B:g}] starlike family in the cardioid class"
-    two_a_minus_b = 2.0 * A - B
-    r2 = 1.0 / two_a_minus_b if two_a_minus_b > 1.0 else 1.0
-    clamped = two_a_minus_b <= 1.0
-    if B >= 0.0:
-        return RadiusResult(r2, CLOSED_FORM, claim=claim, clamped=clamped)
-    # B (3B - 2A) > 0 here; it underflows to 0 only where R1 is beyond any R2
-    q = B * (3.0 * B - 2.0 * A)
-    r1 = 1.0 / math.sqrt(q) if q > 0.0 else math.inf
-    if r2 <= r1:
-        return RadiusResult(r2, CLOSED_FORM, claim=claim, clamped=clamped)
-    denom = 2.0 * A - 5.0 * B
-    r3 = min(1.0, 3.0 / denom)
-    return RadiusResult(r3, CLOSED_FORM, claim=claim, clamped=3.0 / denom >= 1.0)
+    r = min([1.0] + [k / d for k, d in ((1.0, 2.0 * A - B), (3.0, 2.0 * A - 5.0 * B)) if d > 0.0])
+    return RadiusResult(r, CLOSED_FORM, claim=claim, clamped=r == 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -237,6 +238,29 @@ def test_smallest_root_residual_and_first_crossing():
         xs = np.arange(1e-3, r - 1e-9, 1e-3)
         vals = np.array([_poly_eval(poly, x) for x in xs])
         assert np.all(vals > 0) or np.all(vals < 0)
+
+
+def _changes_sign(coeffs, x, half_width):
+    # the polynomial (ascending coefficients), evaluated exactly at the ends
+    # of [x - half_width, x + half_width], has opposite signs there
+    def at(t):
+        return sum(Fraction(co) * t**k for k, co in enumerate(coeffs))
+
+    x, half_width = Fraction(x), Fraction(half_width)
+    return at(x - half_width) * at(x + half_width) < 0
+
+
+def test_polynomial_constants_are_certified_to_two_ulp():
+    # a rounding certificate: each root_of_polynomial row's stored float is
+    # within 2 ulp of a root of its defining polynomial (2 ulp is the worst
+    # measured, 1.7 at ratio.f3.z_over_1minusz2), and m_knot() within half
+    # an ulp of the root of its cubic, so that it is correctly rounded
+    rows = [e for e in constants_registry() if e.defining_polynomial is not None]
+    assert len(rows) == 7
+    for e in rows:
+        assert _changes_sign(e.defining_polynomial, e.value, 2 * math.ulp(e.value)), e.key
+    knot = radii.m_knot()
+    assert _changes_sign((-2, 14, -29, 16), knot, Fraction(math.ulp(knot)) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +506,14 @@ def _halved_disk_radius(M: float) -> float:
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(x=st.floats(0.0, 1.0))
 def test_cardioid_disk_radius_matches_halving(x):
-    # over the sampled branch's whole range of M, within a few ulps of 1
+    # over the sampled branch's whole range of M, within a few ulps of 1, and
+    # within 2e-9 of the real-axis exit -1 + sqrt(4M - 1) that
+    # tests/test_proofs.py derives (1.0e-9 at M = 0.5001, the worst of 300
+    # values)
     M = 0.5001 + x * (radii.m_knot() - 0.5001)
-    assert abs(radii.cardioid_disk_radius(M) - _halved_disk_radius(M)) <= 2e-15, M
+    sampled = radii.cardioid_disk_radius(M)
+    assert abs(sampled - _halved_disk_radius(M)) <= 2e-15, M
+    assert abs(sampled - radii.disk_real_axis_radius(M)) <= 2e-9, M
 
 
 def test_cardioid_disk_radius_is_one_where_the_disk_fits():

@@ -1,7 +1,6 @@
 """Oracle machinery: containment sampling, bisection, sharpness, suites."""
 
 import dataclasses
-import hashlib
 import math
 import warnings
 
@@ -13,6 +12,8 @@ from hypothesis import strategies as st
 from cardstar import cardioid, cli, domains, functions, radii, verify
 from cardstar.functions import FunctionSpec
 from cardstar.series import PowerSeries, f_cardioid_series
+
+import record_pins
 
 CARD = domains.make_domain("cardioid")
 SQRT2 = math.sqrt(2.0)
@@ -161,35 +162,23 @@ def test_ratio_disk_family_oracles_pinned(n):
     assert repr(verify.measure_constant(entry, n)) == RATIO_ORACLE_PINS[(3, "koebe")]
 
 
-# sha256 of the repr of every registry oracle's value at 512 samples, one a
-# line in registry order, recorded after the inclusion thresholds moved to
-# Brent's method
-REGISTRY_VALUES_512_SHA256 = "afe1d7651a2a7aee4bd760698d4320f641d4197d69e95f0711e000617bc4ed99"
+# the repr of every registry oracle's value, one `key repr` line per row in
+# registry order, compared byte for byte with tests/pins/registry_<n>.txt,
+# which tests/record_pins.py writes: at 512 samples, and at 256, the
+# benchmark's tiny scale, and 1024, param-sweep's oracle samples
+def _registry_values_match_pin(n):
+    got = record_pins.registry_text(n)
+    assert got.count("\n") == 73
+    assert got == record_pins.registry_path(n).read_text(encoding="utf-8")
 
 
 def test_registry_values_pinned_bit_for_bit():
-    # repr tells the bits apart
-    values = [repr(verify.measure_constant(e, 512)) for e in radii.constants_registry()
-              if e.oracle is not None]
-    assert len(values) == 73
-    assert hashlib.sha256("\n".join(values).encode()).hexdigest() == REGISTRY_VALUES_512_SHA256
+    _registry_values_match_pin(512)
 
 
-# the same digest at 256 samples, the benchmark's tiny scale, and at 1024,
-# param-sweep's oracle samples, recorded before the seeded search galloped
-# from the formula
-REGISTRY_VALUES_SHA256 = {
-    256: "11d72be795a439316668e0fe64f35707d7f2ed4be50a65e715ac86be53faacbc",
-    1024: "7be38b11bce0dbbfdcd6e76328a2109ef7ca878cd22519e9ad5a1dc71e6e7b2c",
-}
-
-
-@pytest.mark.parametrize("n", sorted(REGISTRY_VALUES_SHA256))
+@pytest.mark.parametrize("n", [256, 1024])
 def test_registry_values_pinned_at_more_sample_counts(n):
-    values = [repr(verify.measure_constant(e, n)) for e in radii.constants_registry()
-              if e.oracle is not None]
-    assert len(values) == 73
-    assert hashlib.sha256("\n".join(values).encode()).hexdigest() == REGISTRY_VALUES_SHA256[n]
+    _registry_values_match_pin(n)
 
 
 def _sequential_radius(image, d: domains.Domain, n: int, half: bool) -> float:
